@@ -160,24 +160,24 @@ struct KernelImage {
   pim::Dpu dpu{0};
   core::DpuStaticLayout layout;
   core::DpuLaunchInput input;
+  std::vector<float> prescaled;
 
   KernelImage(core::KernelMode mode, std::size_t n_records) {
     common::Rng rng(17);
     layout.dim = kDim;
     layout.m = kM;
     layout.dsub = kDsub;
-    layout.codebook_off = dpu.mram_alloc(kM * 256 * kDsub, "codebook");
-    for (std::size_t i = 0; i < kM * 256 * kDsub; ++i) {
-      const auto v = static_cast<std::int8_t>(
-          static_cast<int>(rng.below(255)) - 127);
-      dpu.host_write(layout.codebook_off + i, &v, 1);
+    std::vector<std::int8_t> codebook(kM * 256 * kDsub);
+    for (auto& v : codebook) {
+      v = static_cast<std::int8_t>(static_cast<int>(rng.below(255)) - 127);
     }
+    const std::vector<float> scales(kM, 0.02f);
+    layout.codebook_off = dpu.mram_alloc(codebook.size(), "codebook");
+    dpu.host_write(layout.codebook_off, codebook.data(), codebook.size());
     layout.cb_scale_off = dpu.mram_alloc(kM * sizeof(float), "scales");
-    for (std::size_t s = 0; s < kM; ++s) {
-      const float scale = 0.02f;
-      dpu.host_write(layout.cb_scale_off + s * sizeof(float), &scale,
-                     sizeof(scale));
-    }
+    dpu.host_write(layout.cb_scale_off, scales.data(), kM * sizeof(float));
+    prescaled = core::prescale_codebook(codebook, scales, kDsub);
+    layout.cb_prescaled = prescaled;
 
     core::DpuClusterData cl;
     cl.n_records = static_cast<std::uint32_t>(n_records);
@@ -225,7 +225,7 @@ struct KernelImage {
     const auto q = random_vecs(1, kDim, 23);
     dpu.host_write(input.queries_off, q.data(), kDim * sizeof(float));
     input.results_off = dpu.mram_alloc(kK * 8, "results");
-    input.n_queries = 1;
+    input.query_rows = {0};
     input.items.push_back({0, 0});
   }
 };
@@ -250,6 +250,14 @@ void BM_AdcScanRaw(benchmark::State& state) {
   run_kernel_scan(state, core::KernelMode::kNaiveRaw);
 }
 BENCHMARK(BM_AdcScanRaw)->Arg(1024)->Arg(8192);
+
+// The kernel's own LUT path (BM_LutBuild times the CPU baseline's float
+// LUT): one chunk of 16 records leaves S0-S2 (residual, 16 LUT rows, scale
+// reduction, u16 quantization) as nearly the whole Dpu::run cost.
+void BM_KernelLut(benchmark::State& state) {
+  run_kernel_scan(state, core::KernelMode::kDirectTokens);
+}
+BENCHMARK(BM_KernelLut)->Arg(16);
 
 // The S5 merge pattern in isolation: refill per-tasklet heaps, extract them
 // min-first into a reused buffer (take_sorted_into keeps every capacity),

@@ -1,10 +1,11 @@
 // Runtime SIMD dispatch for the host-side kernels (k-means / PQ training,
-// LUT build, token scan). The binary is compiled without -march flags, so
-// SSE2 is the compile-time baseline (implied by x86-64) and AVX2 variants
-// are emitted per-function via __attribute__((target("avx2"))) and selected
-// once at startup from cpuid. The `UPANNS_SIMD=scalar|sse2|avx2` environment
-// variable (or set_simd_level, used by `upanns_cli --simd`) overrides the
-// probe for A/B testing; requests above what the CPU supports clamp down
+// LUT build and quantize, raw-code scan). The binary is compiled without
+// -march flags, so SSE2 is the compile-time baseline (implied by x86-64)
+// and AVX2 variants are emitted per-function via
+// __attribute__((target("avx2"))) and selected once at startup from cpuid.
+// The `UPANNS_SIMD=scalar|sse2|avx2` environment variable (or
+// set_simd_level, used by `upanns_cli --simd`) overrides the probe for A/B
+// testing; requests above what the CPU supports clamp down
 // with a warning. Every kernel keeps one IEEE operation order across all
 // levels (no FMA contraction), so changing the level never changes results —
 // the parity suite in tests/test_simd.cpp pins this.

@@ -137,12 +137,11 @@ void QueryKernel::setup(pim::Dpu& dpu, unsigned n_tasklets) {
   }
 
   // Functional mirrors, reused from the scratch arena across launches.
+  assert(layout_.cb_prescaled.size() == m * layout_.dsub * 256);
   KernelScratch::assign(scratch_.lut_f32, m * 256, 0.f);
-  KernelScratch::assign(scratch_.lut_u16, m * 256,
-                        static_cast<std::uint16_t>(0));
-  KernelScratch::assign(scratch_.combo_sums, max_combos,
-                        static_cast<std::uint32_t>(0));
   KernelScratch::assign(scratch_.token_table, m * 256 + max_combos,
+                        static_cast<std::uint32_t>(0));
+  KernelScratch::assign(scratch_.prefix, kChunkRecords * (m + 1) + 1,
                         static_cast<std::uint32_t>(0));
   KernelScratch::assign(scratch_.residual, layout_.dim, 0.f);
   KernelScratch::assign(scratch_.tasklet_max,
@@ -187,116 +186,114 @@ void QueryKernel::run_phase(unsigned phase, pim::TaskletCtx& ctx) {
   }
 }
 
+std::vector<float> prescale_codebook(std::span<const std::int8_t> codebook,
+                                     std::span<const float> scales,
+                                     std::size_t dsub) {
+  const std::size_t m = scales.size();
+  assert(codebook.size() == m * 256 * dsub);
+  std::vector<float> out(m * dsub * 256);
+  for (std::size_t s = 0; s < m; ++s) {
+    for (std::size_t c = 0; c < 256; ++c) {
+      for (std::size_t d = 0; d < dsub; ++d) {
+        out[(s * dsub + d) * 256 + c] =
+            scales[s] * static_cast<float>(codebook[(s * 256 + c) * dsub + d]);
+      }
+    }
+  }
+  return out;
+}
+
 namespace {
 
+// One 256-entry LUT row from a pre-scaled [d][c] codebook segment:
+// out[c] = sum over d ascending of (res[d] - pre[d][c])^2. Every variant
+// runs that exact IEEE sub/mul/add sequence per entry (no FMA contraction:
+// neither SSE2 nor AVX2 has fused ops), so rows are bit-identical across
+// levels; the vector ones keep four independent accumulators per 16/32
+// entries to hide the add latency. Returns the row max, which is
+// order-insensitive for the non-NaN sums involved.
+float lut_row_scalar(const float* pre, const float* res, std::size_t dsub,
+                     float* out) {
+  float row_max = 0.f;
+  for (std::size_t c = 0; c < 256; ++c) {
+    float acc = 0.f;
+    for (std::size_t d = 0; d < dsub; ++d) {
+      const float diff = res[d] - pre[d * 256 + c];
+      acc += diff * diff;
+    }
+    out[c] = acc;
+    row_max = std::max(row_max, acc);
+  }
+  return row_max;
+}
+
 #if defined(__SSE2__)
-/// SSE2 LUT block for the dominant dsub == 8 shape: 8 codebook entries are
-/// 64 contiguous bytes, so an 8x8 byte transpose yields per-dimension
-/// columns and the 8 accumulation chains become two 4-lane vectors. Every
-/// lane performs the same IEEE mul/sub/add sequence, in the same order, as
-/// one entry of the scalar loop — results are bit-identical (there is no
-/// FMA contraction: SSE2 has no fused ops). local_max folds through
-/// max-vectors, which is order-insensitive for the non-NaN sums involved.
-inline void lut_block8_dsub8(const std::int8_t* entry, const float* res,
-                             const __m128 scale_v, float* out, __m128& max_lo,
-                             __m128& max_hi) {
-  const __m128i r01 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(entry));
-  const __m128i r23 =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(entry + 16));
-  const __m128i r45 =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(entry + 32));
-  const __m128i r67 =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(entry + 48));
-  // Transpose rows (one per entry) into columns (one per dimension).
-  const __m128i t0 = _mm_unpacklo_epi8(r01, _mm_srli_si128(r01, 8));
-  const __m128i t1 = _mm_unpacklo_epi8(r23, _mm_srli_si128(r23, 8));
-  const __m128i t2 = _mm_unpacklo_epi8(r45, _mm_srli_si128(r45, 8));
-  const __m128i t3 = _mm_unpacklo_epi8(r67, _mm_srli_si128(r67, 8));
-  const __m128i u0 = _mm_unpacklo_epi16(t0, t1);
-  const __m128i u1 = _mm_unpackhi_epi16(t0, t1);
-  const __m128i u2 = _mm_unpacklo_epi16(t2, t3);
-  const __m128i u3 = _mm_unpackhi_epi16(t2, t3);
-  const __m128i cols[4] = {
-      _mm_unpacklo_epi32(u0, u2), _mm_unpackhi_epi32(u0, u2),
-      _mm_unpacklo_epi32(u1, u3), _mm_unpackhi_epi32(u1, u3)};
-
-  __m128 acc_lo = _mm_setzero_ps();
-  __m128 acc_hi = _mm_setzero_ps();
-  for (std::size_t d = 0; d < 8; ++d) {
-    // cols[d/2] holds column d in its low 8 bytes, column d+1 in the high.
-    const __m128i col8 = (d & 1) ? _mm_srli_si128(cols[d / 2], 8) : cols[d / 2];
-    // Sign-extend 8 x s8 -> 2 x (4 x f32); exact for the s8 range.
-    const __m128i s16 = _mm_srai_epi16(_mm_unpacklo_epi8(col8, col8), 8);
-    const __m128 f_lo =
-        _mm_cvtepi32_ps(_mm_srai_epi32(_mm_unpacklo_epi16(s16, s16), 16));
-    const __m128 f_hi =
-        _mm_cvtepi32_ps(_mm_srai_epi32(_mm_unpackhi_epi16(s16, s16), 16));
-    const __m128 res_v = _mm_set1_ps(res[d]);
-    const __m128 d_lo = _mm_sub_ps(res_v, _mm_mul_ps(scale_v, f_lo));
-    const __m128 d_hi = _mm_sub_ps(res_v, _mm_mul_ps(scale_v, f_hi));
-    acc_lo = _mm_add_ps(acc_lo, _mm_mul_ps(d_lo, d_lo));
-    acc_hi = _mm_add_ps(acc_hi, _mm_mul_ps(d_hi, d_hi));
+float lut_row_sse2(const float* pre, const float* res, std::size_t dsub,
+                   float* out) {
+  __m128 mx = _mm_setzero_ps();
+  for (std::size_t c = 0; c < 256; c += 16) {
+    __m128 acc[4] = {_mm_setzero_ps(), _mm_setzero_ps(), _mm_setzero_ps(),
+                     _mm_setzero_ps()};
+    for (std::size_t d = 0; d < dsub; ++d) {
+      const __m128 r = _mm_set1_ps(res[d]);
+      const float* p = pre + d * 256 + c;
+      for (std::size_t u = 0; u < 4; ++u) {
+        const __m128 diff = _mm_sub_ps(r, _mm_loadu_ps(p + 4 * u));
+        acc[u] = _mm_add_ps(acc[u], _mm_mul_ps(diff, diff));
+      }
+    }
+    for (std::size_t u = 0; u < 4; ++u) {
+      _mm_storeu_ps(out + c + 4 * u, acc[u]);
+      mx = _mm_max_ps(mx, acc[u]);
+    }
   }
-  _mm_storeu_ps(out, acc_lo);
-  _mm_storeu_ps(out + 4, acc_hi);
-  max_lo = _mm_max_ps(max_lo, acc_lo);
-  max_hi = _mm_max_ps(max_hi, acc_hi);
+  alignas(16) float lanes[4];
+  _mm_store_ps(lanes, mx);
+  return std::max(std::max(lanes[0], lanes[1]), std::max(lanes[2], lanes[3]));
 }
 
-/// AVX2 variant of lut_block8_dsub8: the same 8x8 byte transpose, then one
-/// 8-lane float chain instead of two 4-lane halves. _mm256_cvtepi8_epi32
-/// sign-extends exactly like the unpack/srai pair, and mul/sub/add stay
-/// separate ops (no FMA contraction), so every lane runs the identical IEEE
-/// sequence — bit-exact against the SSE2 and scalar paths.
-__attribute__((target("avx2"))) inline void lut_block8_dsub8_avx2(
-    const std::int8_t* entry, const float* res, const __m256 scale_v,
-    float* out, __m256& max_v) {
-  const __m128i r01 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(entry));
-  const __m128i r23 =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(entry + 16));
-  const __m128i r45 =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(entry + 32));
-  const __m128i r67 =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(entry + 48));
-  const __m128i t0 = _mm_unpacklo_epi8(r01, _mm_srli_si128(r01, 8));
-  const __m128i t1 = _mm_unpacklo_epi8(r23, _mm_srli_si128(r23, 8));
-  const __m128i t2 = _mm_unpacklo_epi8(r45, _mm_srli_si128(r45, 8));
-  const __m128i t3 = _mm_unpacklo_epi8(r67, _mm_srli_si128(r67, 8));
-  const __m128i u0 = _mm_unpacklo_epi16(t0, t1);
-  const __m128i u1 = _mm_unpackhi_epi16(t0, t1);
-  const __m128i u2 = _mm_unpacklo_epi16(t2, t3);
-  const __m128i u3 = _mm_unpackhi_epi16(t2, t3);
-  const __m128i cols[4] = {
-      _mm_unpacklo_epi32(u0, u2), _mm_unpackhi_epi32(u0, u2),
-      _mm_unpacklo_epi32(u1, u3), _mm_unpackhi_epi32(u1, u3)};
-
-  __m256 acc = _mm256_setzero_ps();
-  for (std::size_t d = 0; d < 8; ++d) {
-    const __m128i col8 = (d & 1) ? _mm_srli_si128(cols[d / 2], 8) : cols[d / 2];
-    const __m256 f = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(col8));
-    const __m256 res_v = _mm256_set1_ps(res[d]);
-    const __m256 diff = _mm256_sub_ps(res_v, _mm256_mul_ps(scale_v, f));
-    acc = _mm256_add_ps(acc, _mm256_mul_ps(diff, diff));
-  }
-  _mm256_storeu_ps(out, acc);
-  max_v = _mm256_max_ps(max_v, acc);
-}
-
-/// One full 256-entry LUT row at AVX2 (dsub == 8). Returns the row max.
-__attribute__((target("avx2"))) float lut_row_dsub8_avx2(
-    const std::int8_t* cb_seg, const float* res, float scale, float* lut_row) {
-  const __m256 scale_v = _mm256_set1_ps(scale);
+__attribute__((target("avx2"))) float lut_row_avx2(const float* pre,
+                                                   const float* res,
+                                                   std::size_t dsub,
+                                                   float* out) {
   __m256 mx = _mm256_setzero_ps();
-  for (std::size_t c = 0; c < 256; c += 8) {
-    lut_block8_dsub8_avx2(cb_seg + c * 8, res, scale_v, lut_row + c, mx);
+  for (std::size_t c = 0; c < 256; c += 32) {
+    __m256 acc[4] = {_mm256_setzero_ps(), _mm256_setzero_ps(),
+                     _mm256_setzero_ps(), _mm256_setzero_ps()};
+    for (std::size_t d = 0; d < dsub; ++d) {
+      const __m256 r = _mm256_set1_ps(res[d]);
+      const float* p = pre + d * 256 + c;
+      for (std::size_t u = 0; u < 4; ++u) {
+        const __m256 diff = _mm256_sub_ps(r, _mm256_loadu_ps(p + 8 * u));
+        acc[u] = _mm256_add_ps(acc[u], _mm256_mul_ps(diff, diff));
+      }
+    }
+    for (std::size_t u = 0; u < 4; ++u) {
+      _mm256_storeu_ps(out + c + 8 * u, acc[u]);
+      mx = _mm256_max_ps(mx, acc[u]);
+    }
   }
-  alignas(32) float tmp[8];
-  _mm256_store_ps(tmp, mx);
-  float row_max = tmp[0];
-  for (std::size_t j = 1; j < 8; ++j) row_max = std::max(row_max, tmp[j]);
+  alignas(32) float lanes[8];
+  _mm256_store_ps(lanes, mx);
+  float row_max = lanes[0];
+  for (std::size_t j = 1; j < 8; ++j) row_max = std::max(row_max, lanes[j]);
   return row_max;
 }
 #endif  // __SSE2__
+
+float lut_row(common::SimdLevel simd, const float* pre, const float* res,
+              std::size_t dsub, float* out) {
+#if defined(__SSE2__)
+  if (simd == common::SimdLevel::kAvx2) {
+    return lut_row_avx2(pre, res, dsub, out);
+  }
+  if (simd == common::SimdLevel::kSse2) {
+    return lut_row_sse2(pre, res, dsub, out);
+  }
+#endif
+  (void)simd;
+  return lut_row_scalar(pre, res, dsub, out);
+}
 
 }  // namespace
 
@@ -323,70 +320,22 @@ void QueryKernel::phase_lut_build(const Phase& p, pim::TaskletCtx& ctx) {
     ctx.instr(dim * kInstrResidualPerDim);
   }
 
-  // Tasklets split PQ subspaces; each views its codebook segment in MRAM
-  // (charged as the same MRAM->WRAM stream) and fills 256 float LUT
-  // entries, tracking a local max. Entries are processed 8 at a time: each
-  // entry's accumulation keeps its exact per-`c` operation order (so the
-  // result is bit-identical to the one-entry-at-a-time loop), but the eight
-  // chains are independent, which hides the FP add latency that otherwise
-  // serializes this — the single hottest loop in the whole simulator.
-  const float* scales =
-      ctx.mram_view_as<float>(layout_.cb_scale_off, m * sizeof(float));
-  float local_max = 0.f;
-#if defined(__SSE2__)
-  __m128 max_lo = _mm_setzero_ps();
-  __m128 max_hi = _mm_setzero_ps();
+  // Tasklets split PQ subspaces. On the modeled DPU each streams its int8
+  // codebook segment and the scale table MRAM->WRAM and dequantizes per
+  // entry; those DMAs and instructions are charged exactly so. The host
+  // reads the engine's pre-scaled mirror instead (the products do not
+  // depend on the query), so a row is one load/sub/mul/add per dimension.
+  ctx.mram_view(layout_.cb_scale_off, m * sizeof(float));
   const common::SimdLevel simd = common::simd_active_level();
-#endif
+  float local_max = 0.f;
   for (std::size_t s = ctx.id(); s < m; s += ctx.n_tasklets()) {
-    const std::int8_t* cb_seg = ctx.mram_view_as<std::int8_t>(
-        layout_.codebook_off + s * 256 * dsub, 256 * dsub);
-    const float scale = scales[s];
+    ctx.mram_view(layout_.codebook_off + s * 256 * dsub, 256 * dsub);
+    const float* pre = layout_.cb_prescaled.data() + s * dsub * 256;
     const float* res = scratch_.residual.data() + s * dsub;
-    float* lut_row = scratch_.lut_f32.data() + s * 256;
-    static_assert(256 % 8 == 0, "unroll factor must divide the code count");
-#if defined(__SSE2__)
-    if (dsub == 8 && simd != common::SimdLevel::kScalar) {
-      if (simd == common::SimdLevel::kAvx2) {
-        local_max =
-            std::max(local_max, lut_row_dsub8_avx2(cb_seg, res, scale, lut_row));
-      } else {
-        const __m128 scale_v = _mm_set1_ps(scale);
-        for (std::size_t c = 0; c < 256; c += 8) {
-          lut_block8_dsub8(cb_seg + c * 8, res, scale_v, lut_row + c, max_lo,
-                           max_hi);
-        }
-      }
-      ctx.instr(256 * (dsub * kInstrLutPerDim + kInstrLutPerEntry));
-      continue;
-    }
-#endif
-    for (std::size_t c = 0; c < 256; c += 8) {
-      const std::int8_t* entry = cb_seg + c * dsub;
-      float acc[8] = {0.f, 0.f, 0.f, 0.f, 0.f, 0.f, 0.f, 0.f};
-      for (std::size_t d = 0; d < dsub; ++d) {
-        for (std::size_t u = 0; u < 8; ++u) {
-          const float diff =
-              res[d] - scale * static_cast<float>(entry[u * dsub + d]);
-          acc[u] += diff * diff;
-        }
-      }
-      for (std::size_t u = 0; u < 8; ++u) {
-        lut_row[c + u] = acc[u];
-        local_max = std::max(local_max, acc[u]);
-      }
-    }
+    float* lut_out = scratch_.lut_f32.data() + s * 256;
+    local_max = std::max(local_max, lut_row(simd, pre, res, dsub, lut_out));
     ctx.instr(256 * (dsub * kInstrLutPerDim + kInstrLutPerEntry));
   }
-#if defined(__SSE2__)
-  {
-    const __m128 mx4 = _mm_max_ps(max_lo, max_hi);
-    alignas(16) float mx[4];
-    _mm_store_ps(mx, mx4);
-    local_max = std::max(
-        local_max, std::max(std::max(mx[0], mx[1]), std::max(mx[2], mx[3])));
-  }
-#endif
   scratch_.tasklet_max[ctx.id()] = local_max;
 }
 
@@ -398,25 +347,46 @@ void QueryKernel::phase_lut_reduce(pim::TaskletCtx& ctx) {
   ctx.instr(scratch_.tasklet_max.size() + 6);
 }
 
+void quantize_lut(const float* lut, std::size_t n, float inv,
+                  std::uint32_t* out) {
+  std::size_t i = 0;
+#if defined(__SSE2__)
+  if (common::simd_active_level() != common::SimdLevel::kScalar) {
+    // round_nonneg lane-wise: truncate x + 0.5, then step down by one where
+    // float(t) - 0.5 > x (the compare mask is all-ones, i.e. -1). minps
+    // returns its second operand on NaN, exactly like std::min(65535, x).
+    const __m128 inv_v = _mm_set1_ps(inv);
+    const __m128 cap = _mm_set1_ps(65535.f);
+    const __m128 half = _mm_set1_ps(0.5f);
+    for (; i + 4 <= n; i += 4) {
+      const __m128 x =
+          _mm_min_ps(_mm_mul_ps(_mm_loadu_ps(lut + i), inv_v), cap);
+      const __m128i t = _mm_cvttps_epi32(_mm_add_ps(x, half));
+      const __m128 over = _mm_cmpgt_ps(_mm_sub_ps(_mm_cvtepi32_ps(t), half), x);
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
+                       _mm_add_epi32(t, _mm_castps_si128(over)));
+    }
+  }
+#endif
+  for (; i < n; ++i) {
+    out[i] = static_cast<std::uint32_t>(
+        common::round_nonneg(std::min(65535.f, lut[i] * inv)));
+  }
+}
+
 void QueryKernel::phase_lut_quantize(pim::TaskletCtx& ctx) {
-  // Compact f32 -> u16 in place (front-to-back is safe); each tasklet takes
-  // a contiguous slice. The widened token_table mirror is a host-side
-  // convenience for the branchless distance scan — the modeled DPU reads
-  // the u16 LUT via direct addressing, so no extra instructions are charged.
+  // Compact f32 -> u16 in place on the modeled DPU (front-to-back is safe);
+  // each tasklet takes a contiguous slice. The host writes the entries
+  // straight into the widened token_table, its mirror of the u16 LUT, so
+  // the charge is the DPU's u16 store either way.
   const std::size_t total = scratch_.lut_f32.size();
   const std::size_t per = (total + ctx.n_tasklets() - 1) / ctx.n_tasklets();
   const std::size_t lo = ctx.id() * per;
   const std::size_t hi = std::min(total, lo + per);
-  const float inv = 1.f / lut_scale_;
-  const float* lut_f32 = scratch_.lut_f32.data();
-  std::uint16_t* lut_u16 = scratch_.lut_u16.data();
-  std::uint32_t* tokens = scratch_.token_table.data();
-  for (std::size_t i = lo; i < hi; ++i) {
-    const float q = common::round_nonneg(std::min(65535.f, lut_f32[i] * inv));
-    lut_u16[i] = static_cast<std::uint16_t>(q);
-    tokens[i] = static_cast<std::uint32_t>(lut_u16[i]);
-  }
-  if (hi > lo) ctx.instr((hi - lo) * kInstrQuantPerEntry);
+  if (hi <= lo) return;
+  quantize_lut(scratch_.lut_f32.data() + lo, hi - lo, 1.f / lut_scale_,
+               scratch_.token_table.data() + lo);
+  ctx.instr((hi - lo) * kInstrQuantPerEntry);
 }
 
 void QueryKernel::phase_combo_sums(const Phase& p, pim::TaskletCtx& ctx) {
@@ -427,18 +397,17 @@ void QueryKernel::phase_combo_sums(const Phase& p, pim::TaskletCtx& ctx) {
   const std::size_t hi = std::min(n, lo + per);
   if (lo >= hi) return;
 
-  const std::size_t lut_span = layout_.m * 256;
+  // Combo sums land right after the m*256 LUT entries, where the combo
+  // tokens (m*256 + slot) address them.
+  std::uint32_t* table = scratch_.token_table.data();
+  std::uint32_t* sums = table + layout_.m * 256;
   const std::uint8_t* defs =
       ctx.mram_view(cl.combos_off + lo * 4, (hi - lo) * 4);
   for (std::size_t s = lo; s < hi; ++s) {
     const std::uint8_t* d = defs + (s - lo) * 4;
     const std::size_t pos = d[0];
-    const std::uint32_t sum =
-        static_cast<std::uint32_t>(scratch_.lut_u16[pos * 256 + d[1]]) +
-        scratch_.lut_u16[(pos + 1) * 256 + d[2]] +
-        scratch_.lut_u16[(pos + 2) * 256 + d[3]];
-    scratch_.combo_sums[s] = sum;
-    scratch_.token_table[lut_span + s] = sum;
+    sums[s] = table[pos * 256 + d[1]] + table[(pos + 1) * 256 + d[2]] +
+              table[(pos + 2) * 256 + d[3]];
   }
   ctx.instr((hi - lo) * kInstrComboPerSlot);
 }
@@ -446,32 +415,10 @@ void QueryKernel::phase_combo_sums(const Phase& p, pim::TaskletCtx& ctx) {
 namespace {
 
 #if defined(__SSE2__)
-/// AVX2 token scan: 8 u16 tokens widen to u32 lanes and gather their table
-/// entries. u32 addition wraps mod 2^32 in any order, so the lane-parallel
-/// sum is exactly the scalar loop's value — the serve path stays
-/// byte-identical across SIMD levels.
-__attribute__((target("avx2"))) std::uint32_t token_sum_avx2(
-    const std::uint32_t* table, const std::uint16_t* toks, std::size_t len) {
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t t = 0;
-  for (; t + 8 <= len; t += 8) {
-    const __m128i t16 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(toks + t));
-    const __m256i idx = _mm256_cvtepu16_epi32(t16);
-    acc = _mm256_add_epi32(acc, _mm256_i32gather_epi32(
-                                    reinterpret_cast<const int*>(table), idx, 4));
-  }
-  __m128i s = _mm_add_epi32(_mm256_castsi256_si128(acc),
-                            _mm256_extracti128_si256(acc, 1));
-  s = _mm_add_epi32(s, _mm_srli_si128(s, 8));
-  s = _mm_add_epi32(s, _mm_srli_si128(s, 4));
-  std::uint32_t sum = static_cast<std::uint32_t>(_mm_cvtsi128_si32(s));
-  for (; t < len; ++t) sum += table[toks[t]];
-  return sum;
-}
-
 /// AVX2 raw-code scan: indices are pos*256 + code[pos] into the widened
-/// token table, whose first m*256 entries mirror the u16 LUT exactly.
+/// token table, whose first m*256 entries mirror the u16 LUT exactly. u32
+/// addition wraps mod 2^32 in any order, so the lane-parallel sum is
+/// exactly the scalar loop's value.
 __attribute__((target("avx2"))) std::uint32_t raw_sum_avx2(
     const std::uint32_t* table, const std::uint8_t* code, std::size_t m) {
   __m256i acc = _mm256_setzero_si256();
@@ -519,7 +466,7 @@ void QueryKernel::phase_distance(const Phase& p, pim::TaskletCtx& ctx) {
   // Mode-correct chunk working set: raw mode streams m u8 codes per record;
   // token mode adds the u16 length prefix. This is the per-tasklet WRAM
   // buffer the cost model charges — it must agree with setup()'s budget.
-  const std::size_t chunk_capacity_bytes =
+  [[maybe_unused]] const std::size_t chunk_capacity_bytes =
       kChunkRecords * (m + (raw ? 0 : 1)) * elem_size;
   assert((chunk_capacity_bytes + kChunkRecords * sizeof(std::uint32_t) + 7) /
              8 * 8 ==
@@ -545,8 +492,8 @@ void QueryKernel::phase_distance(const Phase& p, pim::TaskletCtx& ctx) {
   // Hoisted table pointers: ctx.instr / heap pushes store through other
   // members, so without locals the compiler must conservatively reload the
   // vector data pointers on every token.
-  const std::uint16_t* lut = scratch_.lut_u16.data();
   const std::uint32_t* token_table = scratch_.token_table.data();
+  std::uint32_t* prefix = scratch_.prefix.data();
   const float dist_scale = lut_scale_;
 #if defined(__SSE2__)
   const bool use_avx2 =
@@ -578,7 +525,8 @@ void QueryKernel::phase_distance(const Phase& p, pim::TaskletCtx& ctx) {
                     ? chunk_index[ci + 1]
                     : cl.stream_len;
     }
-    const std::size_t span_bytes = (elem_hi - elem_lo) * elem_size;
+    const std::size_t n_elems = elem_hi - elem_lo;
+    const std::size_t span_bytes = n_elems * elem_size;
     assert(span_bytes <= chunk_capacity_bytes);
     // View the span at the configured read granularity (fig 17's knob):
     // smaller reads => more DMA setups => higher latency. The pieces are
@@ -598,15 +546,22 @@ void QueryKernel::phase_distance(const Phase& p, pim::TaskletCtx& ctx) {
     // Scan records. Instruction charges accumulate in locals and are
     // flushed once per chunk — the charge is an additive sum, so the phase
     // totals are identical to the per-record flushes of the original loop.
-    const std::uint16_t* tokens =
-        reinterpret_cast<const std::uint16_t*>(chunk_stream);
-    std::size_t chunk_elems = 0;
     std::uint64_t chunk_pushes = 0;
-    std::size_t cursor = 0;  // element cursor within the chunk span
-    for (std::size_t r = 0; r < n_rec; ++r) {
-      std::uint32_t acc = 0;
-      if (raw) {
+    // Tombstoned slots still stream (their tokens are in the chunk) but
+    // never enter a heap: on hardware this is a compare-and-select on the
+    // id, charged once per record only when the cluster has tombstones.
+    const auto offer = [&](std::size_t r, std::uint32_t acc) {
+      const float dist = static_cast<float>(acc) * dist_scale;
+      const std::uint32_t id = ids[r];
+      if (!masked || id != kTombstoneId) {
+        if (heap.push(dist, id)) ++chunk_pushes;
+      }
+    };
+    std::size_t chunk_elems = 0;
+    if (raw) {
+      for (std::size_t r = 0; r < n_rec; ++r) {
         const std::uint8_t* code = chunk_stream + r * m;
+        std::uint32_t acc = 0;
 #if defined(__SSE2__)
         if (use_avx2) {
           acc = raw_sum_avx2(token_table, code, m);
@@ -614,36 +569,35 @@ void QueryKernel::phase_distance(const Phase& p, pim::TaskletCtx& ctx) {
 #endif
         {
           for (std::size_t pos = 0; pos < m; ++pos) {
-            acc += lut[pos * 256 + code[pos]];
+            acc += token_table[pos * 256 + code[pos]];
           }
         }
-        chunk_elems += m;
-      } else {
-        // One unconditional load per token: base tokens and combo tokens
-        // land in adjacent halves of token_table, exactly like the direct
-        // WRAM addresses they model — no per-token range branch.
-        const std::uint16_t len = tokens[cursor++];
-#if defined(__SSE2__)
-        if (use_avx2) {
-          acc = token_sum_avx2(token_table, tokens + cursor, len);
-        } else
-#endif
-        {
-          for (std::uint16_t t = 0; t < len; ++t) {
-            acc += token_table[tokens[cursor + t]];
-          }
-        }
-        cursor += len;
-        chunk_elems += len;
+        offer(r, acc);
       }
-      const float dist = static_cast<float>(acc) * dist_scale;
-      // Tombstoned slots still stream (their tokens are in the chunk) but
-      // never enter a heap: on hardware this is a compare-and-select on the
-      // id, charged once per record only when the cluster has tombstones.
-      const std::uint32_t id = ids[r];
-      if (!masked || id != kTombstoneId) {
-        if (heap.push(dist, id)) ++chunk_pushes;
+      chunk_elems = n_rec * m;
+    } else {
+      // One running u32 prefix of token_table over the whole span, length
+      // prefixes included; a record's distance is the prefix difference
+      // across its tokens. u32 sums wrap mod 2^32, so the difference is
+      // exactly the per-record sum. One unconditional load per token: base
+      // and combo tokens land in adjacent halves of token_table, exactly
+      // like the direct WRAM addresses they model — no range branch.
+      const std::uint16_t* tokens =
+          reinterpret_cast<const std::uint16_t*>(chunk_stream);
+      std::uint32_t run = 0;
+      prefix[0] = 0;
+      for (std::size_t j = 0; j < n_elems; ++j) {
+        run += token_table[tokens[j]];
+        prefix[j + 1] = run;
       }
+      std::size_t cursor = 0;  // element cursor within the chunk span
+      for (std::size_t r = 0; r < n_rec; ++r) {
+        const std::size_t first = cursor + 1;
+        cursor = first + tokens[cursor];
+        offer(r, prefix[cursor] - prefix[first]);
+      }
+      assert(cursor == n_elems);
+      chunk_elems = cursor - n_rec;  // tokens scanned, length prefixes aside
     }
     ctx.instr(chunk_elems * (raw ? kInstrRawScan : kInstrTokenScan) +
               n_rec * (kInstrRecordOverhead +

@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/topk.hpp"
@@ -77,13 +78,34 @@ struct DpuStaticLayout {
   std::size_t dsub = 0;
   std::size_t codebook_off = 0;   ///< int8, m x 256 x dsub
   std::size_t cb_scale_off = 0;   ///< float x m (dequantization scales)
+  /// Host mirror of the dequantized codebook, prescale_codebook() of the
+  /// bytes at codebook_off/cb_scale_off. Owned by the engine (one table
+  /// shared by every DPU); the kernel still charges the MRAM codebook DMA.
+  std::span<const float> cb_prescaled;
   std::vector<DpuClusterData> clusters;  ///< resident replicas (slot order)
 };
+
+/// The query-independent half of S0: out[(s*dsub + d)*256 + c] =
+/// scales[s] * float(codebook[(s*256 + c)*dsub + d]), i.e. per subspace a
+/// dimension-major [d][c] table. The kernel's LUT row is then one load,
+/// sub, mul and add per dimension, and every product is the same IEEE op
+/// the per-query dequantization performed. m = scales.size().
+std::vector<float> prescale_codebook(std::span<const std::int8_t> codebook,
+                                     std::span<const float> scales,
+                                     std::size_t dsub);
+
+/// S2 quantization of n float LUT entries into the u32 token table:
+/// out[i] = round(min(65535, lut[i] * inv)). The SSE2 path (any level above
+/// scalar) is bit-identical to the scalar reference loop.
+void quantize_lut(const float* lut, std::size_t n, float inv,
+                  std::uint32_t* out);
 
 /// Per-launch inputs, already pushed to MRAM by the host.
 struct DpuLaunchInput {
   std::size_t queries_off = 0;    ///< float x dim per unique query
-  std::uint32_t n_queries = 0;    ///< unique queries on this DPU
+  /// Batch row of each unique query on this DPU, in local (query-table)
+  /// order; the host reads result slot i back into query_rows[i].
+  std::vector<std::uint32_t> query_rows;
   std::size_t results_off = 0;    ///< k x (u32 dist, u32 id) per query
   std::size_t k = 10;
   std::size_t mram_read_bytes = 0;///< DMA granularity for the stream (fig 17)
@@ -121,13 +143,14 @@ void note_hot_path_allocation();
 struct KernelScratch {
   std::vector<float> lut_f32;
   std::vector<float> tasklet_max;      ///< per-tasklet LUT max (S1 input)
-  std::vector<std::uint16_t> lut_u16;
-  std::vector<std::uint32_t> combo_sums;
-  /// Unified token table: widened LUT entries followed by combo sums, so the
-  /// distance scan resolves any token with one unconditional load — the
-  /// functional twin of the DPU's direct-address tokens (no branch on real
-  /// hardware either).
+  /// Unified token table: the u16 LUT widened to u32, followed by the combo
+  /// partial sums — the host mirror of both WRAM tables. The distance scan
+  /// resolves any token with one unconditional load, the functional twin of
+  /// the DPU's direct-address tokens (no branch on real hardware either).
   std::vector<std::uint32_t> token_table;
+  /// Running u32 prefix of token_table over one chunk span (S4); sized
+  /// kChunkRecords * (m + 1) + 1, the longest span plus the leading zero.
+  std::vector<std::uint32_t> prefix;
   std::vector<float> residual;
   std::vector<common::Neighbor> sorted;  ///< per-tasklet sorted extract (S5)
   std::vector<common::Neighbor> result;  ///< DPU-global sorted top-k (S5)

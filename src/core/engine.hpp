@@ -258,9 +258,12 @@ class UpAnnsEngine {
   std::unique_ptr<pim::PimSystem> system_;
   std::vector<PerDpu> per_dpu_;
 
-  // Shared (all-DPU) quantized codebook image.
+  // Shared (all-DPU) quantized codebook image, plus the kernels' host
+  // mirror of it dequantized (prescale_codebook), referenced by every
+  // DpuStaticLayout.
   std::vector<std::int8_t> codebook_q_;
   std::vector<float> codebook_scales_;
+  std::vector<float> codebook_prescaled_;
 
   // Cluster encodings, shared across replicas.
   std::vector<CaeClusterEncoding> encodings_;

@@ -56,6 +56,8 @@ UpAnnsEngine::UpAnnsEngine(const ivf::IvfIndex& index,
           r < 0.f ? -common::round_nonneg(-r) : common::round_nonneg(r));
     }
   }
+  codebook_prescaled_ =
+      prescale_codebook(codebook_q_, codebook_scales_, dsub);
 
   // --- Encode every cluster once (replicas share the encoding).
   encodings_.resize(index_.n_clusters());
@@ -273,6 +275,7 @@ std::vector<std::size_t> UpAnnsEngine::load_dpus(const ivf::ClusterStats&) {
         pd.layout.dim = dim;
         pd.layout.m = m;
         pd.layout.dsub = dsub;
+        pd.layout.cb_prescaled = codebook_prescaled_;
 
         pd.layout.codebook_off =
             dpu.mram_alloc(codebook_q_.size(), "codebook");

@@ -81,7 +81,7 @@ double PushStage::run(QueryPipeline& pl, BatchContext& ctx) {
         in.mram_read_bytes = read_bytes_cfg;
 
         std::vector<std::int32_t> local_of(nq, -1);
-        std::vector<std::uint32_t> uniq;
+        std::vector<std::uint32_t>& uniq = in.query_rows;
         for (const Assignment& a : assigns) {
           if (local_of[a.query] < 0) {
             local_of[a.query] = static_cast<std::int32_t>(uniq.size());
@@ -92,7 +92,6 @@ double PushStage::run(QueryPipeline& pl, BatchContext& ctx) {
                static_cast<std::uint32_t>(
                    pl.per_dpu(d).cluster_slot[a.cluster])});
         }
-        in.n_queries = static_cast<std::uint32_t>(uniq.size());
 
         // Scratch MRAM: query table + result slots (rewound every batch).
         pim::Dpu& dpu = pl.system().dpu(d);
@@ -207,22 +206,13 @@ double GatherStage::run(QueryPipeline& pl, BatchContext& ctx) {
 
   ctx.per_query_lists.assign(nq, {});
   ctx.max_gather = 0;
+  std::vector<std::uint32_t> packed(2 * k);
   for (std::size_t d = 0; d < ndpu; ++d) {
     if (!ctx.kernels[d]) continue;
     const DpuLaunchInput& in = ctx.inputs[d];
     ctx.max_gather = std::max(
-        ctx.max_gather, static_cast<std::size_t>(in.n_queries) * k * 8);
-    std::vector<std::uint32_t> packed(2 * k);
-    // Recover the unique-query order used when building the input.
-    std::vector<std::int32_t> local_of(nq, -1);
-    std::vector<std::uint32_t> uniq;
-    for (const Assignment& a : ctx.sched.per_dpu[d]) {
-      if (local_of[a.query] < 0) {
-        local_of[a.query] = static_cast<std::int32_t>(uniq.size());
-        uniq.push_back(a.query);
-      }
-    }
-    for (std::size_t i = 0; i < uniq.size(); ++i) {
+        ctx.max_gather, in.query_rows.size() * k * 8);
+    for (std::size_t i = 0; i < in.query_rows.size(); ++i) {
       pl.system().dpu(d).host_read(in.results_off + i * k * 8, packed.data(),
                                    k * 8);
       std::vector<common::Neighbor> list;
@@ -234,7 +224,7 @@ double GatherStage::run(QueryPipeline& pl, BatchContext& ctx) {
         std::memcpy(&dist, &bits, sizeof(dist));
         list.push_back({dist, id});
       }
-      ctx.per_query_lists[uniq[i]].push_back(std::move(list));
+      ctx.per_query_lists[in.query_rows[i]].push_back(std::move(list));
     }
     px.merge_insertions += ctx.kernels[d]->merge_insertions();
     px.merge_pruned += ctx.kernels[d]->merge_pruned();

@@ -79,8 +79,9 @@ std::vector<std::vector<std::int32_t>> read_ivecs(const std::string& path,
     if (std::fread(&dim, sizeof(dim), 1, f.get()) != 1) break;
     if (dim < 0) throw std::runtime_error("bad row dim in " + path);
     std::vector<std::int32_t> row(static_cast<std::size_t>(dim));
-    if (std::fread(row.data(), sizeof(std::int32_t), row.size(), f.get()) !=
-        row.size()) {
+    // Empty rows are legal; their data() may be null, which fread rejects.
+    if (!row.empty() && std::fread(row.data(), sizeof(std::int32_t),
+                                   row.size(), f.get()) != row.size()) {
       throw std::runtime_error("truncated row in " + path);
     }
     rows.push_back(std::move(row));
@@ -102,8 +103,8 @@ void write_ivecs(const std::string& path,
   for (const auto& row : rows) {
     const auto dim = static_cast<std::int32_t>(row.size());
     if (std::fwrite(&dim, sizeof(dim), 1, f.get()) != 1 ||
-        std::fwrite(row.data(), sizeof(std::int32_t), row.size(), f.get()) !=
-            row.size()) {
+        (!row.empty() && std::fwrite(row.data(), sizeof(std::int32_t),
+                                     row.size(), f.get()) != row.size())) {
       throw std::runtime_error("short write to " + path);
     }
   }

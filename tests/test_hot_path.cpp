@@ -192,6 +192,7 @@ struct MiniKernel {
   pim::Dpu dpu{0};
   DpuStaticLayout layout;
   DpuLaunchInput input;
+  std::vector<float> prescaled;
 
   MiniKernel() {
     layout.dim = kDim;
@@ -199,11 +200,12 @@ struct MiniKernel {
     layout.dsub = kDsub;
     layout.codebook_off = dpu.mram_alloc(kM * 256 * kDsub, "codebook");
     layout.cb_scale_off = dpu.mram_alloc(kM * sizeof(float), "scales");
-    const float one = 1.f;
-    for (std::size_t s = 0; s < kM; ++s) {
-      dpu.host_write(layout.cb_scale_off + s * sizeof(float), &one,
-                     sizeof(float));
-    }
+    const std::vector<float> scales(kM, 1.f);
+    dpu.host_write(layout.cb_scale_off, scales.data(), kM * sizeof(float));
+    // The all-zero codebook MRAM image, dequantized like the engine does.
+    prescaled = prescale_codebook(std::vector<std::int8_t>(kM * 256 * kDsub),
+                                  scales, kDsub);
+    layout.cb_prescaled = prescaled;
 
     DpuClusterData cl;
     cl.n_records = kRecords;
@@ -239,7 +241,7 @@ struct MiniKernel {
     input.k = kK;
     input.queries_off = dpu.mram_alloc(kDim * sizeof(float), "query");
     input.results_off = dpu.mram_alloc(kK * 8, "results");
-    input.n_queries = 1;
+    input.query_rows = {0};
     input.items.push_back({0, 0});
   }
 

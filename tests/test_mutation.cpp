@@ -16,6 +16,9 @@
 //    survive scratch rewinds;
 //  * relocate()/ClusterStats on a mutated index: the replica layout reflects
 //    post-insert list sizes.
+//  * MRAM mirror invariant: the kernels' pre-scaled codebook equals every
+//    DPU's MRAM codebook through patches, compaction, replica adjustment
+//    and relocation.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -28,6 +31,7 @@
 #include "core/backend.hpp"
 #include "core/engine.hpp"
 #include "core/multihost.hpp"
+#include "core/pipeline.hpp"
 #include "data/query_workload.hpp"
 #include "ivf/cluster_stats.hpp"
 #include "ivf/ivf_index.hpp"
@@ -528,6 +532,75 @@ TEST(RelocateAfterMutation, ReplicaLayoutReflectsPostInsertSizes) {
   core::UpAnnsEngine fresh(static_cast<const ivf::IvfIndex&>(mut), stats,
                            opts);
   expect_same_report(engine.search(f.wl.queries), fresh.search(f.wl.queries));
+}
+
+// ---------------------------------------------------------------------------
+// The kernels' host mirror of the codebook tracks every DPU's MRAM image.
+
+/// Every DPU's pre-scaled codebook table equals scale * float(int8) of the
+/// codebook and scale bytes read back from that DPU's MRAM, bit for bit.
+void expect_prescaled_matches_mram(core::UpAnnsEngine& engine) {
+  core::QueryPipeline pl(engine);
+  const std::size_t m = engine.index().pq_m();
+  const std::size_t dsub = engine.index().pq().dsub();
+  for (std::size_t d = 0; d < engine.options().n_dpus; ++d) {
+    const core::DpuStaticLayout& layout = pl.per_dpu(d).layout;
+    const pim::Dpu& dpu = engine.system().dpu(d);
+    std::vector<std::int8_t> cb(m * 256 * dsub);
+    std::vector<float> scales(m);
+    dpu.host_read(layout.codebook_off, cb.data(), cb.size());
+    dpu.host_read(layout.cb_scale_off, scales.data(), m * sizeof(float));
+    ASSERT_EQ(layout.cb_prescaled.size(), m * dsub * 256) << "dpu " << d;
+    for (std::size_t s = 0; s < m; ++s) {
+      for (std::size_t c = 0; c < 256; ++c) {
+        for (std::size_t j = 0; j < dsub; ++j) {
+          const float want =
+              scales[s] * static_cast<float>(cb[(s * 256 + c) * dsub + j]);
+          const float got = layout.cb_prescaled[(s * dsub + j) * 256 + c];
+          ASSERT_EQ(std::memcmp(&got, &want, sizeof(float)), 0)
+              << "dpu " << d << " s=" << s << " c=" << c << " d=" << j;
+        }
+      }
+    }
+  }
+}
+
+TEST(MramInvariants, PrescaledCodebookMatchesEveryDpuImage) {
+  auto& f = fixture();
+  ivf::IvfIndex mut = f.index;
+  core::UpAnnsEngine engine(mut, f.stats, f.options());
+  expect_prescaled_matches_mram(engine);
+
+  // List patches (some relocating past their slack), compaction, replica
+  // adjustment and a full relocation all rewrite MRAM around the codebook.
+  common::Rng rng(211);
+  std::vector<std::uint32_t> ids;
+  std::vector<float> flat;
+  std::uint32_t next_id = static_cast<std::uint32_t>(f.base.n);
+  for (int i = 0; i < 400; ++i) {
+    const std::vector<float> v = perturbed_row(f, rng);
+    ids.push_back(next_id++);
+    flat.insert(flat.end(), v.begin(), v.end());
+  }
+  engine.upsert(ids, flat);
+  std::vector<std::uint32_t> dead;
+  for (std::uint32_t id = 0; id < 600; id += 3) dead.push_back(id);
+  EXPECT_EQ(engine.remove(dead), dead.size());
+  engine.patch_dpus();
+  expect_prescaled_matches_mram(engine);
+
+  EXPECT_GT(engine.compact(0.0), 0u);
+  engine.patch_dpus();
+  expect_prescaled_matches_mram(engine);
+
+  const auto added =
+      engine.apply_copy_adjustments({{0, +1}, {1, +1}}, f.stats.frequencies);
+  EXPECT_EQ(added.replicas_added, 2u);
+  expect_prescaled_matches_mram(engine);
+
+  engine.relocate(
+      ivf::collect_stats(mut, ivf::filter_batch(mut, f.wl.queries, 6)));
+  expect_prescaled_matches_mram(engine);
 }
 
 // ---------------------------------------------------------------------------

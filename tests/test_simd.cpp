@@ -1,19 +1,23 @@
 // Cross-path SIMD parity: every kernel with scalar / SSE2 / AVX2 variants
 // must return bit-identical results at every dispatch level (DESIGN.md §13
-// — the 8-chain accumulation order is part of each kernel's contract, so
-// vector width is unobservable). These tests pin that, plus the dispatch
-// plumbing itself (parse / clamp / env override) and the libm-free
-// round_nonneg helper against std::round over the uint16 LUT domain.
+// — each kernel fixes its accumulation order independently of vector
+// width, so width is unobservable). These tests pin that, plus the dispatch
+// plumbing itself (parse / clamp / env override), the libm-free
+// round_nonneg helper against std::round over the uint16 LUT domain, and
+// the kernel's vectorized LUT quantizer against its scalar reference.
 #include "common/simd_dispatch.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/fastround.hpp"
 #include "common/rng.hpp"
+#include "core/dpu_kernel.hpp"
 #include "core/engine.hpp"
 #include "data/dataset.hpp"
 #include "data/query_workload.hpp"
@@ -167,58 +171,157 @@ TEST(FastRound, MatchesStdRoundOverLutDomain) {
   }
 }
 
-// The acceptance bar for the serve path: neighbors must be byte-identical
-// at every dispatch level (float distances compared by bits, not
-// tolerance). LUT build, quantization and the integer token scans all
-// follow the fixed-order accumulation contract, so this holds exactly.
-TEST(SimdEngine, ServeNeighborsByteIdenticalAcrossLevels) {
+TEST(SimdKernels, QuantizeLutMatchesScalarReferenceAtEveryLevel) {
+  // Crafted S2 inputs: exact .5 ties and one ulp either side, entries at
+  // and above the 65535 clamp (inf included), zeros and a denormal.
+  std::vector<float> row = {0.f, 0.f, 1e-42f, 65535.f, 65535.5f, 65536.f,
+                            1e9f, INFINITY};
+  for (const float base : {0.f, 1.f, 2.f, 7.f, 1000.f, 65533.f, 65534.f}) {
+    const float tie = base + 0.5f;
+    row.push_back(tie);
+    row.push_back(std::nextafter(tie, 0.f));
+    row.push_back(std::nextafter(tie, INFINITY));
+  }
+  common::Rng rng(37);
+  const std::vector<float> noise = random_vec(rng, 373, 0.f, 70000.f);
+  row.insert(row.end(), noise.begin(), noise.end());
+  ASSERT_NE(row.size() % 4, 0u);  // leaves a tail after the 4-lane loop
+
+  const auto reference = [](float x, float inv) {
+    return static_cast<std::uint32_t>(
+        common::round_nonneg(std::min(65535.f, x * inv)));
+  };
   LevelGuard guard;
-  common::set_simd_level(common::SimdLevel::kScalar);
-
-  data::Dataset base = data::generate_synthetic(data::sift1b_like(6000, 41));
-  ivf::IvfBuildOptions bopts;
-  bopts.n_clusters = 32;
-  bopts.pq_m = 16;
-  bopts.coarse_iters = 5;
-  bopts.pq_iters = 4;
-  const ivf::IvfIndex index = ivf::IvfIndex::build(base, bopts);
-
-  data::WorkloadSpec spec;
-  spec.n_queries = 16;
-  spec.seed = 4;
-  const auto wl = data::generate_workload(base, spec);
-  data::WorkloadSpec hist = spec;
-  hist.seed = 5;
-  hist.n_queries = 64;
-  const auto hw = data::generate_workload(base, hist);
-  const auto stats =
-      ivf::collect_stats(index, ivf::filter_batch(index, hw.queries, 8));
-
-  core::UpAnnsOptions opts = core::UpAnnsOptions::upanns();
-  opts.n_dpus = 8;
-  opts.nprobe = 8;
-  opts.k = 10;
-
-  core::UpAnnsEngine engine(index, stats, opts);
-  const auto want = engine.search(wl.queries).neighbors;
-  ASSERT_EQ(want.size(), wl.queries.n);
-
   for (const auto level : supported_levels()) {
     common::set_simd_level(level);
-    const auto got = engine.search(wl.queries).neighbors;
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t q = 0; q < want.size(); ++q) {
-      ASSERT_EQ(got[q].size(), want[q].size());
-      for (std::size_t i = 0; i < want[q].size(); ++i) {
-        EXPECT_EQ(got[q][i].id, want[q][i].id)
-            << "level=" << common::simd_level_name(level) << " q=" << q;
-        EXPECT_EQ(std::memcmp(&got[q][i].dist, &want[q][i].dist,
-                              sizeof(float)),
-                  0)
-            << "level=" << common::simd_level_name(level) << " q=" << q;
+    // inv = inf turns the zeros into NaN products, which clamp to 65535.
+    for (const float inv : {1.f, 0.5f, 65000.f / 69999.f, INFINITY}) {
+      // Lengths 0..12 hit every tail size of the 4-lane loop, the 97-step
+      // sweep reaches the whole row, and offset 1 makes the loads unaligned.
+      for (std::size_t off : {0u, 1u}) {
+        for (std::size_t n = 0; n + off <= row.size(); n += (n < 12 ? 1 : 97)) {
+          std::vector<std::uint32_t> got(n + 1, 0xDEADBEEFu);
+          core::quantize_lut(row.data() + off, n, inv, got.data());
+          for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(got[i], reference(row[off + i], inv))
+                << "level=" << common::simd_level_name(level)
+                << " x=" << row[off + i] << " inv=" << inv << " n=" << n;
+          }
+          EXPECT_EQ(got[n], 0xDEADBEEFu) << "wrote past n=" << n;
+        }
       }
     }
   }
+}
+
+struct EngineCase {
+  data::Dataset base;
+  ivf::IvfIndex index;
+  data::Dataset queries;
+  ivf::ClusterStats stats;
+};
+
+EngineCase build_engine_case(const data::SyntheticSpec& spec) {
+  EngineCase c;
+  c.base = data::generate_synthetic(spec);
+  ivf::IvfBuildOptions bopts;
+  bopts.n_clusters = 32;
+  bopts.pq_m = spec.pq_m();
+  bopts.coarse_iters = 5;
+  bopts.pq_iters = 4;
+  c.index = ivf::IvfIndex::build(c.base, bopts);
+
+  data::WorkloadSpec wspec;
+  wspec.n_queries = 16;
+  wspec.seed = 4;
+  c.queries = data::generate_workload(c.base, wspec).queries;
+  data::WorkloadSpec hist = wspec;
+  hist.seed = 5;
+  hist.n_queries = 64;
+  c.stats = ivf::collect_stats(
+      c.index, ivf::filter_batch(
+                   c.index, data::generate_workload(c.base, hist).queries, 8));
+  return c;
+}
+
+core::UpAnnsOptions small_engine(core::UpAnnsOptions opts) {
+  opts.n_dpus = 8;
+  opts.nprobe = 8;
+  opts.k = 10;
+  return opts;
+}
+
+/// Search once per supported level: neighbors (distances compared by bits)
+/// and the charged instruction and DMA totals must equal the scalar run's.
+void expect_identical_across_levels(core::UpAnnsEngine& engine,
+                                    const data::Dataset& queries,
+                                    const std::string& label) {
+  LevelGuard guard;
+  common::set_simd_level(common::SimdLevel::kScalar);
+  const core::SearchReport want = engine.search(queries);
+  ASSERT_EQ(want.neighbors.size(), queries.n) << label;
+  ASSERT_GT(want.pim->total_instructions, 0u) << label;
+
+  for (const auto level : supported_levels()) {
+    common::set_simd_level(level);
+    const core::SearchReport got = engine.search(queries);
+    const std::string where =
+        label + " level=" + common::simd_level_name(level);
+    EXPECT_EQ(got.pim->total_instructions, want.pim->total_instructions)
+        << where;
+    EXPECT_EQ(got.pim->total_dma_cycles, want.pim->total_dma_cycles) << where;
+    ASSERT_EQ(got.neighbors.size(), want.neighbors.size()) << where;
+    for (std::size_t q = 0; q < want.neighbors.size(); ++q) {
+      const auto& g = got.neighbors[q];
+      const auto& w = want.neighbors[q];
+      ASSERT_EQ(g.size(), w.size()) << where << " q=" << q;
+      for (std::size_t i = 0; i < w.size(); ++i) {
+        EXPECT_EQ(g[i].id, w[i].id) << where << " q=" << q;
+        EXPECT_EQ(std::memcmp(&g[i].dist, &w[i].dist, sizeof(float)), 0)
+            << where << " q=" << q;
+      }
+    }
+  }
+}
+
+// The acceptance bar for the serve path: neighbors must be byte-identical
+// at every dispatch level (float distances compared by bits, not
+// tolerance), and so must every charged instruction and DMA cycle. LUT
+// build, quantization and the integer token scans all follow the
+// fixed-order accumulation contract, so this holds exactly. Covered: SIFT
+// (m = 16, dsub = 8) and SPACEV (m = 20, dsub = 5: a non-8 LUT row and the
+// widest chunk span) under full UpANNS and PIM-naive raw codes, plus a
+// mutated engine whose clusters carry tombstones in MRAM.
+TEST(SimdEngine, ServeNeighborsByteIdenticalAcrossLevels) {
+  for (const data::SyntheticSpec& spec :
+       {data::sift1b_like(6000, 41), data::spacev1b_like(6000, 41)}) {
+    const EngineCase c = build_engine_case(spec);
+    const std::string family = data::family_name(spec.family);
+    {
+      core::UpAnnsEngine engine(c.index, c.stats,
+                                small_engine(core::UpAnnsOptions::upanns()));
+      expect_identical_across_levels(engine, c.queries, family + " upanns");
+    }
+    {
+      core::UpAnnsEngine engine(
+          c.index, c.stats, small_engine(core::UpAnnsOptions::pim_naive()));
+      expect_identical_across_levels(engine, c.queries, family + " naive");
+    }
+  }
+
+  EngineCase c = build_engine_case(data::sift1b_like(6000, 41));
+  core::UpAnnsEngine engine(c.index, c.stats,
+                            small_engine(core::UpAnnsOptions::upanns()));
+  std::vector<std::uint32_t> dead;
+  for (std::uint32_t id = 0; id < c.base.n; id += 5) dead.push_back(id);
+  ASSERT_EQ(engine.remove(dead), dead.size());
+  engine.patch_dpus();
+  std::size_t tombstones = 0;
+  for (const ivf::InvertedList& list : c.index.lists()) {
+    tombstones += list.n_tombstones;
+  }
+  ASSERT_EQ(tombstones, dead.size());
+  expect_identical_across_levels(engine, c.queries, "sift tombstones");
 }
 
 }  // namespace
