@@ -1,6 +1,6 @@
 // Extension bench: double-buffered batch pipeline (Fig 16 setup).
 //
-// Streams a SIFT1B-like query workload through core::BatchPipeline in both
+// Streams a SIFT1B-like query workload through core::BatchStream in both
 // accounting modes. With overlap on, host filtering/scheduling of batch i+1
 // hides behind simulated DPU execution of batch i, so end-to-end simulated
 // time drops below the serial sum while per-query neighbors stay
@@ -33,13 +33,13 @@ int main() {
     const auto batches =
         core::split_batches(ctx.workload.queries, batch);
 
-    core::BatchPipeline serial(up.engine(), {.overlap = false});
+    core::BatchStream serial(up.engine(), {.overlap = false});
     const auto off = serial.run(batches);
-    core::BatchPipeline pipelined(up.engine(), {.overlap = true});
+    core::BatchStream pipelined(up.engine(), {.overlap = true});
     const auto on = pipelined.run(batches);
 
     double host_total = 0;
-    for (const auto& slot : on.slots) host_total += slot.host_seconds;
+    for (const auto& slot : on.slots) host_total += slot.pre_seconds;
     const double hidden =
         host_total > 0
             ? (off.elapsed_seconds - on.elapsed_seconds) / host_total * 100.0

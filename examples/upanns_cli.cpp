@@ -9,6 +9,7 @@
 //                     [--metrics-out metrics.json] [--prom-out metrics.prom]
 //   upanns_cli serve  --index index.bin --data base.fvecs --queries 512
 //                     --batch 64 [--hosts 4] [--no-overlap]
+//                     [--adapt[=copies|full] --adapt-window N --shift S]
 //                     [--online --target-qps 2000 --deadline-ms 2
 //                      --queue-cap 1024 --clients 4]
 //                     [--update-rate 0.05 [--compact-ratio 0.3]]
@@ -20,18 +21,20 @@
 //
 // `search` drives any backend (cpu, gpu, upanns, naive, multihost) through
 // the common core::AnnsBackend interface; `serve` streams query batches
-// through the double-buffered core::BatchPipeline — or, with `--hosts N`,
-// through the overlapped multi-host core::MultiHostBatchPipeline (network
-// modeled via --net-gbps / --net-latency-us). `serve --online` runs the
-// real-threaded continuous-batching front-end instead (src/serve/):
+// through the double-buffered core::BatchStream — or, with `--hosts N`,
+// through the same stream over a multi-host cluster (network modeled via
+// --net-gbps / --net-latency-us). `serve --online` runs the real-threaded
+// continuous-batching front-end over that stream instead (src/serve/):
 // per-client submitter threads offer Poisson traffic at --target-qps,
 // batches close at --batch requests or --deadline-ms after the oldest one,
-// the bounded queue (--queue-cap) rejects overload, and shutdown drains. `--update-rate R` mixes writes
-// into the stream (single- or multi-host): before each batch, ~R * batch_size
-// mutations are issued — half inserts of perturbed base vectors under fresh
-// ids, half removes of random live ids — then applied as one incremental
-// MRAM patch instead of a full reload; lists whose tombstone share exceeds
-// --compact-ratio are compacted along the way.
+// the bounded queue (--queue-cap) rejects overload, and shutdown drains.
+// `--update-rate R` mixes writes into the offline stream (single- or
+// multi-host): before each batch, ~R * batch_size mutations are issued —
+// half inserts of perturbed base vectors under fresh ids, half removes of
+// random live ids — then applied as one incremental MRAM patch instead of a
+// full reload; lists whose tombstone share exceeds --compact-ratio are
+// compacted along the way. `--adapt` closes the drift loop online or
+// offline, on one host or many.
 //
 // Telemetry outputs: `--trace-out` writes a Chrome/Perfetto trace of the run
 // (load at ui.perfetto.dev); `--metrics-out` writes the report plus a
@@ -54,6 +57,7 @@
 // substituted for the synthetic data at any step.
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -152,14 +156,16 @@ double checked_real(const Args& a, const std::string& key, double dflt,
 
 /// Like checked_real for count-valued flags: the whole token must parse as
 /// a base-10 integer >= `min` (strtoull's silent `abc -> 0` must not pick a
-/// thread count).
+/// thread count, nor its wrap of `-3` to a huge one).
 std::size_t checked_count(const Args& a, const std::string& key,
                           std::size_t dflt, std::size_t min = 1) {
   const auto it = a.kv.find(key);
   if (it == a.kv.end()) return dflt;
+  const char* text = it->second.c_str();
   char* end = nullptr;
-  const unsigned long long v = std::strtoull(it->second.c_str(), &end, 10);
-  if (end == it->second.c_str() || *end != '\0' || v < min) {
+  const unsigned long long v = std::strtoull(text, &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' ||
+      v < min) {
     throw UsageError("--" + key + " must be an integer >= " +
                      std::to_string(min));
   }
@@ -179,15 +185,19 @@ core::AdaptMode parse_adapt_flag(const Args& a) {
   return mode;
 }
 
-/// --adapt-window N: controller window length (and decision cooldown) in
-/// batches. checked_count rejects garbage and 0; strtoull would wrap a
-/// leading minus to a huge count, so reject that explicitly.
-std::size_t adapt_window_flag(const Args& a) {
-  const auto it = a.kv.find("adapt-window");
-  if (it != a.kv.end() && !it->second.empty() && it->second[0] == '-') {
-    throw UsageError("--adapt-window must be an integer >= 1");
-  }
-  return checked_count(a, "adapt-window", 16);
+/// --hosts N and the coordinator network model, read once for every serve
+/// and search path: N >= 1, a positive finite --net-gbps and a
+/// non-negative --net-latency-us.
+core::MultiHostOptions fleet_flags(const Args& a,
+                                   const core::UpAnnsOptions& per_host,
+                                   std::size_t default_hosts) {
+  core::MultiHostOptions mh;
+  mh.n_hosts = checked_count(a, "hosts", default_hosts);
+  mh.per_host = per_host;
+  mh.network_bandwidth = checked_real(a, "net-gbps", 25.0) * 1e9 / 8.0;
+  mh.network_latency =
+      checked_real(a, "net-latency-us", 50.0, /*allow_zero=*/true) * 1e-6;
+  return mh;
 }
 
 data::DatasetFamily family_of(const std::string& name) {
@@ -450,10 +460,8 @@ int cmd_search(const Args& a) {
   }
   std::unique_ptr<core::AnnsBackend> backend;
   if (*kind == core::BackendKind::kMultiHost) {
-    core::MultiHostOptions mh;
-    mh.n_hosts = a.num("hosts", 2);
-    mh.per_host = opts;
-    backend = core::make_multihost_backend(index, stats, mh);
+    backend = core::make_multihost_backend(index, stats,
+                                           fleet_flags(a, opts, 2));
   } else {
     backend = core::make_backend(*kind, index, stats, opts);
   }
@@ -500,13 +508,310 @@ int cmd_search(const Args& a) {
   return 0;
 }
 
+/// Parsed serve flags and the telemetry sinks behind --metrics-out,
+/// --prom-out, --stats-every and --spans-out, shared by the single-host and
+/// fleet paths.
+struct ServeContext {
+  ServeContext(const Args& a, const data::Dataset& ds,
+               const data::WorkloadSpec& wspec, const data::Dataset& queries,
+               std::size_t n_points)
+      : a(a), ds(ds), wspec(wspec), queries(queries), n_points(n_points) {}
+
+  const Args& a;
+  const data::Dataset& ds;
+  const data::WorkloadSpec& wspec;
+  const data::Dataset& queries;
+  std::size_t n_points;  ///< indexed points (--update-rate's live ids)
+  core::BatchPipelineOptions popts;
+  double update_rate = 0;
+  bool force = false;
+  std::string trace_out, metrics_out, spans_out, prom_out;
+  std::size_t stats_every = 0;
+  obs::MetricsRegistry registry;
+  obs::SpanLog spans;
+  bool want_metrics = false;
+  bool want_spans = false;
+  // --online only.
+  double target_qps = 0;
+  serve::BatchPolicy policy;
+  std::size_t queue_cap = 0;
+  std::size_t n_clients = 0;
+};
+
+// ----- How a serve run describes one host vs a fleet ----------------------
+
+void print_served(const core::BatchPipelineReport& run, core::UpAnnsEngine&) {
+  std::printf("served %zu queries in %zu batches (%s)\n", run.n_queries,
+              run.slots.size(), run.overlapped ? "overlapped" : "no-overlap");
+  std::printf("simulated elapsed %.3f ms (serial stage sum %.3f ms), "
+              "QPS=%.1f\n",
+              run.elapsed_seconds * 1e3, run.serial_seconds * 1e3, run.qps);
+}
+
+void print_served(const core::MultiHostPipelineReport& run,
+                  core::MultiHostUpAnns& cluster) {
+  std::printf("served %zu queries in %zu batches on %zu hosts "
+              "(%zu active, %s)\n",
+              run.n_queries, run.slots.size(), cluster.n_hosts(),
+              cluster.n_active_hosts(),
+              run.overlapped ? "overlapped" : "no-overlap");
+  std::printf("simulated elapsed %.3f ms (synchronous sum %.3f ms), "
+              "QPS=%.1f\n",
+              run.elapsed_seconds * 1e3, run.serial_seconds * 1e3, run.qps);
+}
+
+/// Tail of the patch/adapt summary lines.
+std::string summary_scope(core::UpAnnsEngine& engine) {
+  return " (full image " + std::to_string(engine.load_image_bytes()) +
+         " bytes)";
+}
+std::string summary_scope(core::MultiHostUpAnns&) {
+  return " across the fleet";
+}
+
+void print_slot(std::size_t i, const core::BatchSlot& slot) {
+  if (slot.patch_seconds > 0) {
+    std::printf("  batch %2zu: patch %.4f ms, host %.4f ms, device %.4f ms\n",
+                i, slot.patch_seconds * 1e3, slot.pre_seconds * 1e3,
+                slot.device_seconds * 1e3);
+  } else {
+    std::printf("  batch %2zu: host %.4f ms, device %.4f ms\n", i,
+                slot.pre_seconds * 1e3, slot.device_seconds * 1e3);
+  }
+}
+
+void print_slot(std::size_t i, const core::MultiHostBatchSlot& slot) {
+  std::printf("  batch %2zu: pre %.4f ms, device %.4f ms, post %.4f ms\n", i,
+              slot.pre_seconds * 1e3, slot.device_seconds * 1e3,
+              slot.post_seconds * 1e3);
+}
+
+obs::PipelineTrace trace_of(const core::BatchPipelineReport& run) {
+  return obs::pipeline_trace(run);
+}
+obs::PipelineTrace trace_of(const core::MultiHostPipelineReport& run) {
+  return obs::multihost_trace(run);
+}
+
+void write_run_metrics(ServeContext& c, const core::BatchPipelineReport& run) {
+  write_metrics_json(c.metrics_out, "batch_pipeline",
+                     obs::batch_pipeline_json(run), c.registry.snapshot(),
+                     c.force);
+}
+void write_run_metrics(ServeContext& c,
+                       const core::MultiHostPipelineReport& run) {
+  write_metrics_json(c.metrics_out, "multihost_pipeline",
+                     obs::multi_host_pipeline_json(run), c.registry.snapshot(),
+                     c.force);
+}
+
+// ----- Shared by both -----------------------------------------------------
+
+/// The patch and adapt summary lines of a run.
+template <class Report, class Target>
+void print_drain_work(const ServeContext& c,
+                      const core::StreamReport<Report>& run, Target& target,
+                      const UpdateStream* updates) {
+  const std::string scope = summary_scope(target);
+  if (updates != nullptr) {
+    std::uint64_t patch_bytes = 0;
+    double patch_ms = 0;
+    for (const auto& slot : run.slots) {
+      patch_bytes += slot.patch_bytes;
+      patch_ms += slot.patch_seconds * 1e3;
+    }
+    std::printf("writes: %zu upserts, %zu removes; %llu patch bytes in "
+                "%.3f ms%s\n",
+                updates->n_upserts, updates->n_removes,
+                static_cast<unsigned long long>(patch_bytes), patch_ms,
+                scope.c_str());
+  }
+  if (c.popts.adapt != core::AdaptMode::kOff) {
+    std::uint64_t adapt_bytes = 0;
+    double adapt_ms = 0;
+    std::size_t actions = 0;
+    for (const auto& slot : run.slots) {
+      adapt_bytes += slot.adapt_bytes;
+      adapt_ms += slot.adapt_seconds * 1e3;
+      if (slot.adapt_action != core::AdaptAction::kNone) ++actions;
+    }
+    std::printf("adapt(%s, window %zu): %zu actions, %llu bytes in %.3f ms%s\n",
+                core::adapt_mode_name(c.popts.adapt),
+                c.popts.adaptive.window_batches, actions,
+                static_cast<unsigned long long>(adapt_bytes), adapt_ms,
+                scope.c_str());
+  }
+}
+
+/// --trace-out: the run's simulated timeline, nesting the spans recorded
+/// so far.
+template <class Report>
+void write_run_trace(ServeContext& c, const core::StreamReport<Report>& run) {
+  if (c.trace_out.empty()) return;
+  obs::write_text_file_guarded(
+      c.trace_out,
+      obs::trace_json(trace_of(run), c.want_spans ? &c.spans : nullptr),
+      c.force);
+  std::printf("wrote Perfetto trace to %s (load at ui.perfetto.dev)\n",
+              c.trace_out.c_str());
+}
+
+/// --spans-out, --metrics-out (`write_metrics` renders the artifact) and
+/// --prom-out.
+template <class WriteMetrics>
+void write_run_exports(ServeContext& c, const WriteMetrics& write_metrics) {
+  if (c.want_spans) {
+    obs::write_text_file_guarded(c.spans_out, obs::span_log_json(c.spans),
+                                 c.force);
+    std::printf("wrote %zu spans to %s\n", c.spans.size(), c.spans_out.c_str());
+  }
+  if (!c.metrics_out.empty()) write_metrics();
+  if (!c.prom_out.empty()) {
+    obs::write_text_file_guarded(
+        c.prom_out, obs::prometheus_text(c.registry.snapshot()), c.force);
+    std::printf("wrote Prometheus text to %s\n", c.prom_out.c_str());
+  }
+}
+
+/// --online: real-threaded continuous batching. Per-client submitter
+/// threads push single queries at --target-qps (open-loop Poisson); the
+/// server's batcher thread closes each batch at --batch requests or
+/// --deadline-ms after its oldest request — whichever first — and executes
+/// it through the same batch stream as offline serve, so neighbors are
+/// bit-identical to pre-formed batches.
+template <class Stream, class Target>
+int serve_online(ServeContext& c, Target& target) {
+  const serve::BatchPolicy& policy = c.policy;
+  const std::size_t n_clients = c.n_clients;
+  // Wall-clock request latency is booked by the server below; the stream
+  // must not also book its simulated per-query latency.
+  core::BatchPipelineOptions popts = c.popts;
+  popts.book_query_latency = false;
+  Stream stream(target, popts);
+
+  serve::ServeOptions sopts;
+  sopts.dim = c.queries.dim;
+  sopts.policy = policy;
+  sopts.queue_capacity = c.queue_cap;
+  sopts.metrics = c.want_metrics ? &c.registry : nullptr;
+  serve::Server server(serve::stream_executor(stream), sopts);
+
+  // Each client owns an equal share of the offered rate and pulls the next
+  // workload row from a shared counter; rejections (try_submit -> nullopt)
+  // are the backpressure signal and are counted by the server.
+  std::atomic<std::size_t> next_row{0};
+  const double per_client_qps =
+      c.target_qps / static_cast<double>(n_clients);
+  std::vector<std::thread> clients;
+  clients.reserve(n_clients);
+  for (std::size_t k = 0; k < n_clients; ++k) {
+    clients.emplace_back([&, k] {
+      common::Rng rng(c.wspec.seed * 1000003 + k);
+      for (;;) {
+        const std::size_t i = next_row.fetch_add(1, std::memory_order_relaxed);
+        if (i >= c.queries.n) break;
+        std::this_thread::sleep_for(std::chrono::duration<double>(
+            -std::log1p(-rng.uniform()) / per_client_qps));
+        (void)server.try_submit({c.queries.row(i), c.queries.dim});
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  server.drain();
+
+  const serve::ServeStats sstats = server.stats();
+  const serve::ServeSummary summary =
+      serve::summarize(server.request_log(), server.batch_log(), policy);
+  std::printf("online serve: %zu offered, %llu accepted, %llu rejected, "
+              "%llu completed, %llu failed (%zu clients)\n",
+              c.queries.n, static_cast<unsigned long long>(sstats.accepted),
+              static_cast<unsigned long long>(sstats.rejected),
+              static_cast<unsigned long long>(sstats.completed),
+              static_cast<unsigned long long>(sstats.failed), n_clients);
+  std::printf("batches: %llu (%llu full, %llu deadline, %llu drain), "
+              "mean fill %.2f\n",
+              static_cast<unsigned long long>(sstats.batches),
+              static_cast<unsigned long long>(sstats.full_closes),
+              static_cast<unsigned long long>(sstats.deadline_closes),
+              static_cast<unsigned long long>(sstats.drain_closes),
+              summary.mean_batch_fill);
+  std::printf("latency: p50 %.3f ms, p99 %.3f ms, mean %.3f ms, max "
+              "%.3f ms (mean queue wait %.3f ms)\n",
+              summary.p50 * 1e3, summary.p99 * 1e3, summary.mean * 1e3,
+              summary.max * 1e3, summary.mean_queue_wait * 1e3);
+  std::printf("achieved %.1f qps of %.1f offered\n", summary.achieved_qps,
+              c.target_qps);
+
+  // Close the stream first: the Perfetto trace carries the stream's
+  // *simulated* timeline, so the wall-clock request spans appended after it
+  // go to --spans-out only.
+  const auto run = stream.finish();
+  print_drain_work(c, run, target, nullptr);
+  write_run_trace(c, run);
+  if (c.want_spans) serve::append_request_spans(c.spans, server.request_log());
+  write_run_exports(c, [&] {
+    write_metrics_json(c.metrics_out, "serve_report",
+                       serve::serve_report_json(summary, sstats),
+                       c.registry.snapshot(), c.force);
+  });
+  return 0;
+}
+
+/// Offline serve: pre-formed batches of --batch queries, optionally mixed
+/// with --update-rate writes, through the overlapped batch stream.
+template <class Stream, class Target>
+int serve_offline(ServeContext& c, Target& target) {
+  const Args& a = c.a;
+  const auto batches = core::split_batches(c.queries, a.num("batch", 64));
+  const double compact_ratio = a.real("compact-ratio", 0.3);
+  UpdateStream updates(c.ds, batches, c.update_rate, compact_ratio,
+                       a.num("seed", 5), c.n_points);
+
+  core::MutationHook hook;
+  if (c.update_rate > 0) {
+    hook = [&](std::size_t b) { updates.issue(target, b); };
+  }
+  Stream stream(target, c.popts);
+  const auto run = stream.run(batches, hook);
+
+  print_served(run, target);
+  print_drain_work(c, run, target, c.update_rate > 0 ? &updates : nullptr);
+  for (std::size_t i = 0; i < run.slots.size(); ++i) {
+    print_slot(i, run.slots[i]);
+    if (i >= 3 && run.slots.size() > 5) {
+      std::printf("  ... (%zu more batches)\n", run.slots.size() - i - 1);
+      break;
+    }
+  }
+  write_run_trace(c, run);
+  write_run_exports(c, [&] { write_run_metrics(c, run); });
+  if (c.stats_every > 0) {
+    const std::vector<core::PhaseWindows> timeline = core::batch_timeline(run);
+    std::vector<BatchSample> samples(timeline.size());
+    for (std::size_t i = 0; i < timeline.size(); ++i) {
+      samples[i] = {timeline[i].done,
+                    timeline[i].done - timeline[i].pre_start, batches[i].n};
+    }
+    replay_window_stats(c.registry.window_options(), c.stats_every, samples);
+  }
+  return 0;
+}
+
+template <class Stream, class Target>
+int serve_on(ServeContext& c, Target& target) {
+  if (c.want_metrics) target.set_metrics(&c.registry);
+  if (c.want_spans) target.set_spans(&c.spans);
+  return c.a.flag("online") ? serve_online<Stream>(c, target)
+                            : serve_offline<Stream>(c, target);
+}
+
 int cmd_serve(const Args& a) {
   // Non-const: --update-rate mutates the index between batches.
   ivf::IvfIndex index = ivf::IvfIndex::load(a.str("index", "index.bin"));
   const data::Dataset ds = data::read_fvecs(a.str("data", "base.fvecs"));
   // Drift controls, validated up front so a typo exits 2 before any work.
   const core::AdaptMode adapt = parse_adapt_flag(a);
-  const std::size_t adapt_window = adapt_window_flag(a);
+  const std::size_t adapt_window = checked_count(a, "adapt-window", 16);
   data::WorkloadSpec wspec;
   wspec.n_queries = a.num("queries", 512);
   wspec.seed = a.num("seed", 5);
@@ -529,410 +834,53 @@ int cmd_serve(const Args& a) {
   opts.n_dpus = a.num("dpus", 128);
   opts.nprobe = nprobe;
   opts.k = a.num("k", 10);
+  const core::MultiHostOptions mh = fleet_flags(a, opts, 1);
 
-  const bool force = a.flag("force");
-  const std::string trace_out = a.str("trace-out", "");
-  const std::string metrics_out = a.str("metrics-out", "");
-  const std::string spans_out = a.str("spans-out", "");
-  const std::string prom_out = a.str("prom-out", "");
-  const std::size_t stats_every = a.num("stats-every", 0);
-  guard_outputs({trace_out, metrics_out, spans_out, prom_out}, force);
+  ServeContext c(a, ds, wspec, wl.queries, index.n_points());
+  c.popts.overlap = !a.flag("no-overlap");
+  c.popts.adapt = adapt;
+  c.popts.adaptive.window_batches = adapt_window;
+  c.force = a.flag("force");
+  c.trace_out = a.str("trace-out", "");
+  c.metrics_out = a.str("metrics-out", "");
+  c.spans_out = a.str("spans-out", "");
+  c.prom_out = a.str("prom-out", "");
+  c.stats_every = a.num("stats-every", 0);
+  guard_outputs({c.trace_out, c.metrics_out, c.spans_out, c.prom_out},
+                c.force);
 
-  obs::MetricsRegistry registry;
-  registry.set_window_options(
+  c.registry.set_window_options(
       {checked_real(a, "window-seconds", 10.0), a.num("window-slots", 20)});
   // The registry is attached only when some output actually consumes it —
   // a plain `--trace-out` run stays sink-free and byte-identical to a run
   // with no telemetry flags at all.
-  const bool want_metrics =
-      !metrics_out.empty() || !prom_out.empty() || stats_every > 0;
-  obs::SpanLog spans;
-  const bool want_spans = !spans_out.empty();
+  c.want_metrics =
+      !c.metrics_out.empty() || !c.prom_out.empty() || c.stats_every > 0;
+  c.want_spans = !c.spans_out.empty();
 
-  const double update_rate =
-      checked_real(a, "update-rate", 0.0, /*allow_zero=*/true);
-
-  // --online: real-threaded continuous batching. Per-client submitter
-  // threads push single queries at --target-qps (open-loop Poisson); the
-  // server's batcher thread closes each batch at --batch requests or
-  // --deadline-ms after its oldest request — whichever first — and executes
-  // it through the same engine entry points as offline serve, so neighbors
-  // are bit-identical to pre-formed batches.
+  c.update_rate = checked_real(a, "update-rate", 0.0, /*allow_zero=*/true);
   if (a.flag("online")) {
-    if (update_rate > 0) {
+    if (c.update_rate > 0) {
       throw UsageError("--update-rate is not supported with --online");
     }
-    const double target_qps = checked_real(a, "target-qps", 2000.0);
-    serve::BatchPolicy policy;
-    policy.max_batch = a.num("batch", 64);
-    policy.deadline_seconds = checked_real(a, "deadline-ms", 2.0) * 1e-3;
-    if (policy.max_batch == 0) throw UsageError("--batch must be positive");
-    const std::size_t queue_cap = a.num("queue-cap", 1024);
-    const std::size_t n_clients =
-        std::max<std::size_t>(1, a.num("clients", 4));
-    const std::size_t hosts = a.num("hosts", 1);
-
-    std::unique_ptr<core::MultiHostUpAnns> cluster;
-    std::unique_ptr<core::UpAnnsBackend> backend;
-    std::unique_ptr<core::BatchStream> stream;
-    serve::BatchExecutor exec;
-    if (hosts > 1) {
-      if (!trace_out.empty()) {
-        throw UsageError(
-            "--trace-out requires the single-host pipeline (drop --hosts "
-            "or --online)");
-      }
-      if (adapt != core::AdaptMode::kOff) {
-        // The online multi-host executor calls cluster.search() directly —
-        // there is no batch stream to host the drift loop.
-        throw UsageError(
-            "--adapt with --online requires the single-host pipeline "
-            "(drop --hosts)");
-      }
-      core::MultiHostOptions mh;
-      mh.n_hosts = hosts;
-      mh.per_host = opts;
-      mh.network_bandwidth = a.real("net-gbps", 25.0) * 1e9 / 8.0;
-      mh.network_latency = a.real("net-latency-us", 50.0) * 1e-6;
-      cluster = std::make_unique<core::MultiHostUpAnns>(index, stats, mh);
-      if (want_metrics) cluster->set_metrics(&registry);
-      exec = [&c = *cluster](const data::Dataset& batch) {
-        core::MultiHostReport r = c.search(batch);
-        return serve::ExecResult{std::move(r.neighbors), r.seconds};
-      };
-    } else {
-      backend = std::make_unique<core::UpAnnsBackend>(index, stats, opts);
-      if (want_metrics) backend->set_metrics(&registry);
-      if (want_spans) backend->engine().set_spans(&spans);
-      core::BatchPipelineOptions popts;
-      popts.overlap = !a.flag("no-overlap");
-      popts.adapt = adapt;
-      popts.adaptive.window_batches = adapt_window;
-      // Wall-clock request latency is booked by the server below; the
-      // stream must not also book its simulated per-query latency.
-      popts.book_query_latency = false;
-      stream = std::make_unique<core::BatchStream>(backend->engine(), popts);
-      exec = serve::stream_executor(*stream);
-    }
-
-    serve::ServeOptions sopts;
-    sopts.dim = wl.queries.dim;
-    sopts.policy = policy;
-    sopts.queue_capacity = queue_cap;
-    sopts.metrics = want_metrics ? &registry : nullptr;
-    serve::Server server(std::move(exec), sopts);
-
-    // Each client owns an equal share of the offered rate and pulls the
-    // next workload row from a shared counter; rejections (try_submit ->
-    // nullopt) are the backpressure signal and are counted by the server.
-    std::atomic<std::size_t> next_row{0};
-    const double per_client_qps =
-        target_qps / static_cast<double>(n_clients);
-    std::vector<std::thread> clients;
-    clients.reserve(n_clients);
-    for (std::size_t c = 0; c < n_clients; ++c) {
-      clients.emplace_back([&, c] {
-        common::Rng rng(wspec.seed * 1000003 + c);
-        for (;;) {
-          const std::size_t i =
-              next_row.fetch_add(1, std::memory_order_relaxed);
-          if (i >= wl.queries.n) break;
-          std::this_thread::sleep_for(std::chrono::duration<double>(
-              -std::log1p(-rng.uniform()) / per_client_qps));
-          (void)server.try_submit({wl.queries.row(i), wl.queries.dim});
-        }
-      });
-    }
-    for (auto& t : clients) t.join();
-    server.drain();
-
-    const serve::ServeStats sstats = server.stats();
-    const serve::ServeSummary summary =
-        serve::summarize(server.request_log(), server.batch_log(), policy);
-    std::printf("online serve: %zu offered, %llu accepted, %llu rejected, "
-                "%llu completed, %llu failed (%zu clients)\n",
-                wl.queries.n,
-                static_cast<unsigned long long>(sstats.accepted),
-                static_cast<unsigned long long>(sstats.rejected),
-                static_cast<unsigned long long>(sstats.completed),
-                static_cast<unsigned long long>(sstats.failed), n_clients);
-    std::printf("batches: %llu (%llu full, %llu deadline, %llu drain), "
-                "mean fill %.2f\n",
-                static_cast<unsigned long long>(sstats.batches),
-                static_cast<unsigned long long>(sstats.full_closes),
-                static_cast<unsigned long long>(sstats.deadline_closes),
-                static_cast<unsigned long long>(sstats.drain_closes),
-                summary.mean_batch_fill);
-    std::printf("latency: p50 %.3f ms, p99 %.3f ms, mean %.3f ms, max "
-                "%.3f ms (mean queue wait %.3f ms)\n",
-                summary.p50 * 1e3, summary.p99 * 1e3, summary.mean * 1e3,
-                summary.max * 1e3, summary.mean_queue_wait * 1e3);
-    std::printf("achieved %.1f qps of %.1f offered\n", summary.achieved_qps,
-                target_qps);
-
-    // Close the stream first: the Perfetto trace carries the pipeline's
-    // *simulated* timeline, so the wall-clock request spans appended after
-    // it go to --spans-out only.
-    if (stream) {
-      const auto run = stream->finish();
-      if (adapt != core::AdaptMode::kOff) {
-        std::uint64_t adapt_bytes = 0;
-        double adapt_ms = 0;
-        std::size_t actions = 0;
-        for (const auto& slot : run.slots) {
-          adapt_bytes += slot.adapt_bytes;
-          adapt_ms += slot.adapt_seconds * 1e3;
-          if (slot.adapt_action != core::AdaptAction::kNone) ++actions;
-        }
-        std::printf("adapt(%s, window %zu): %zu actions, %llu bytes in "
-                    "%.3f ms (full image %llu bytes)\n",
-                    core::adapt_mode_name(adapt), adapt_window, actions,
-                    static_cast<unsigned long long>(adapt_bytes), adapt_ms,
-                    static_cast<unsigned long long>(
-                        backend->engine().load_image_bytes()));
-      }
-      if (!trace_out.empty()) {
-        const auto trace = obs::pipeline_trace(run);
-        obs::write_text_file_guarded(
-            trace_out, obs::trace_json(trace, want_spans ? &spans : nullptr),
-            force);
-        std::printf("wrote Perfetto trace to %s (load at ui.perfetto.dev)\n",
-                    trace_out.c_str());
-      }
-    }
-    if (want_spans) {
-      serve::append_request_spans(spans, server.request_log());
-      obs::write_text_file_guarded(spans_out, obs::span_log_json(spans),
-                                   force);
-      std::printf("wrote %zu spans to %s\n", spans.size(), spans_out.c_str());
-    }
-    if (!metrics_out.empty()) {
-      write_metrics_json(metrics_out, "serve_report",
-                         serve::serve_report_json(summary, sstats),
-                         registry.snapshot(), force);
-    }
-    if (!prom_out.empty()) {
-      obs::write_text_file_guarded(
-          prom_out, obs::prometheus_text(registry.snapshot()), force);
-      std::printf("wrote Prometheus text to %s\n", prom_out.c_str());
-    }
-    return 0;
+    c.target_qps = checked_real(a, "target-qps", 2000.0);
+    c.policy.max_batch = a.num("batch", 64);
+    c.policy.deadline_seconds = checked_real(a, "deadline-ms", 2.0) * 1e-3;
+    if (c.policy.max_batch == 0) throw UsageError("--batch must be positive");
+    c.queue_cap = a.num("queue-cap", 1024);
+    c.n_clients = std::max<std::size_t>(1, a.num("clients", 4));
   }
 
-  const auto batches = core::split_batches(wl.queries, a.num("batch", 64));
-  const double compact_ratio = a.real("compact-ratio", 0.3);
-  UpdateStream updates(ds, batches, update_rate, compact_ratio,
-                       a.num("seed", 5), index.n_points());
-
-  // --hosts N > 1: shard across a simulated multi-host cluster and stream
-  // the batches through the overlapped multi-host pipeline.
-  if (const std::size_t hosts = a.num("hosts", 1); hosts > 1) {
-    core::MultiHostOptions mh;
-    mh.n_hosts = hosts;
-    mh.per_host = opts;
-    mh.network_bandwidth = a.real("net-gbps", 25.0) * 1e9 / 8.0;
-    mh.network_latency = a.real("net-latency-us", 50.0) * 1e-6;
-    // `index` is a non-const lvalue, so this picks the updatable cluster —
-    // identical to read-only serving until a mutation is actually issued.
+  // --hosts N > 1: shard across a simulated multi-host cluster and serve
+  // through the fleet stream. `index` is a non-const lvalue, so both picks
+  // are updatable — identical to read-only serving until a mutation is
+  // actually issued.
+  if (mh.n_hosts > 1) {
     core::MultiHostUpAnns cluster(index, stats, mh);
-    if (want_metrics) cluster.set_metrics(&registry);
-    if (want_spans) cluster.set_spans(&spans);
-
-    core::MultiHostBatchPipeline::MutationHook hook;
-    if (update_rate > 0) {
-      hook = [&](std::size_t b) { updates.issue(cluster, b); };
-    }
-    core::MultiHostPipelineOptions popts;
-    popts.overlap = !a.flag("no-overlap");
-    popts.adapt = adapt;
-    popts.adaptive.window_batches = adapt_window;
-    core::MultiHostBatchPipeline pipeline(cluster, popts);
-    const auto run = pipeline.run(batches, hook);
-
-    std::printf("served %zu queries in %zu batches on %zu hosts "
-                "(%zu active, %s)\n",
-                run.n_queries, run.slots.size(), cluster.n_hosts(),
-                cluster.n_active_hosts(),
-                run.overlapped ? "overlapped" : "no-overlap");
-    std::printf("simulated elapsed %.3f ms (synchronous sum %.3f ms), "
-                "QPS=%.1f\n",
-                run.elapsed_seconds * 1e3, run.serial_seconds * 1e3, run.qps);
-    if (update_rate > 0) {
-      std::uint64_t patch_bytes = 0;
-      double patch_ms = 0;
-      for (const auto& slot : run.slots) {
-        patch_bytes += slot.patch_bytes;
-        patch_ms += slot.patch_seconds * 1e3;
-      }
-      std::printf("writes: %zu upserts, %zu removes; %llu patch bytes in "
-                  "%.3f ms across the fleet\n",
-                  updates.n_upserts, updates.n_removes,
-                  static_cast<unsigned long long>(patch_bytes), patch_ms);
-    }
-    if (adapt != core::AdaptMode::kOff) {
-      std::uint64_t adapt_bytes = 0;
-      double adapt_ms = 0;
-      std::size_t actions = 0;
-      for (const auto& slot : run.slots) {
-        adapt_bytes += slot.adapt_bytes;
-        adapt_ms += slot.adapt_seconds * 1e3;
-        if (slot.adapt_action != core::AdaptAction::kNone) ++actions;
-      }
-      std::printf("adapt(%s, window %zu): %zu actions, %llu bytes in "
-                  "%.3f ms across the fleet\n",
-                  core::adapt_mode_name(adapt), adapt_window, actions,
-                  static_cast<unsigned long long>(adapt_bytes), adapt_ms);
-    }
-    for (std::size_t i = 0; i < run.slots.size(); ++i) {
-      std::printf("  batch %2zu: pre %.4f ms, device %.4f ms, post %.4f ms\n",
-                  i, run.slots[i].pre_seconds * 1e3,
-                  run.slots[i].device_seconds * 1e3,
-                  run.slots[i].post_seconds * 1e3);
-      if (i >= 3 && run.slots.size() > 5) {
-        std::printf("  ... (%zu more batches)\n", run.slots.size() - i - 1);
-        break;
-      }
-    }
-    if (!trace_out.empty()) {
-      const auto trace = obs::multihost_trace(run);
-      obs::write_text_file_guarded(
-          trace_out, obs::trace_json(trace, want_spans ? &spans : nullptr),
-          force);
-      std::printf("wrote Perfetto trace to %s (load at ui.perfetto.dev)\n",
-                  trace_out.c_str());
-    }
-    if (!spans_out.empty()) {
-      obs::write_text_file_guarded(spans_out, obs::span_log_json(spans), force);
-      std::printf("wrote %zu spans to %s\n", spans.size(), spans_out.c_str());
-    }
-    if (!metrics_out.empty()) {
-      write_metrics_json(metrics_out, "multihost_pipeline",
-                         obs::multi_host_pipeline_json(run),
-                         registry.snapshot(), force);
-    }
-    if (!prom_out.empty()) {
-      obs::write_text_file_guarded(prom_out,
-                                   obs::prometheus_text(registry.snapshot()),
-                                   force);
-      std::printf("wrote Prometheus text to %s\n", prom_out.c_str());
-    }
-    if (stats_every > 0) {
-      const auto timeline = core::multihost_timeline(run);
-      std::vector<BatchSample> samples(timeline.size());
-      for (std::size_t i = 0; i < timeline.size(); ++i) {
-        samples[i] = {timeline[i].post_end,
-                      timeline[i].post_end - timeline[i].pre_start,
-                      batches[i].n};
-      }
-      replay_window_stats(registry.window_options(), stats_every, samples);
-    }
-    return 0;
+    return serve_on<core::MultiHostBatchPipeline>(c, cluster);
   }
-
-  // `index` is a non-const lvalue, so this picks the updatable backend —
-  // identical to read-only serving until a mutation is actually issued.
-  core::UpAnnsBackend backend(index, stats, opts);
-  if (want_metrics) backend.set_metrics(&registry);
-  if (want_spans) backend.engine().set_spans(&spans);
-
-  core::BatchPipelineOptions popts;
-  popts.overlap = !a.flag("no-overlap");
-  popts.adapt = adapt;
-  popts.adaptive.window_batches = adapt_window;
-  core::BatchPipeline pipeline(backend.engine(), popts);
-
-  core::BatchPipeline::MutationHook hook;
-  if (update_rate > 0) {
-    hook = [&](std::size_t b) { updates.issue(backend.engine(), b); };
-  }
-  const auto run = pipeline.run(batches, hook);
-
-  std::printf("served %zu queries in %zu batches (%s)\n", run.n_queries,
-              run.slots.size(), run.overlapped ? "overlapped" : "no-overlap");
-  std::printf("simulated elapsed %.3f ms (serial stage sum %.3f ms), "
-              "QPS=%.1f\n",
-              run.elapsed_seconds * 1e3, run.serial_seconds * 1e3, run.qps);
-  if (update_rate > 0) {
-    std::uint64_t patch_bytes = 0;
-    double patch_ms = 0;
-    for (const auto& slot : run.slots) {
-      patch_bytes += slot.patch_bytes;
-      patch_ms += slot.patch_seconds * 1e3;
-    }
-    std::printf("writes: %zu upserts, %zu removes; %llu patch bytes in "
-                "%.3f ms (full image %llu bytes)\n",
-                updates.n_upserts, updates.n_removes,
-                static_cast<unsigned long long>(patch_bytes), patch_ms,
-                static_cast<unsigned long long>(
-                    backend.engine().load_image_bytes()));
-  }
-  if (adapt != core::AdaptMode::kOff) {
-    std::uint64_t adapt_bytes = 0;
-    double adapt_ms = 0;
-    std::size_t actions = 0;
-    for (const auto& slot : run.slots) {
-      adapt_bytes += slot.adapt_bytes;
-      adapt_ms += slot.adapt_seconds * 1e3;
-      if (slot.adapt_action != core::AdaptAction::kNone) ++actions;
-    }
-    std::printf("adapt(%s, window %zu): %zu actions, %llu bytes in %.3f ms "
-                "(full image %llu bytes)\n",
-                core::adapt_mode_name(adapt), adapt_window, actions,
-                static_cast<unsigned long long>(adapt_bytes), adapt_ms,
-                static_cast<unsigned long long>(
-                    backend.engine().load_image_bytes()));
-  }
-  for (std::size_t i = 0; i < run.slots.size(); ++i) {
-    if (run.slots[i].patch_seconds > 0) {
-      std::printf("  batch %2zu: patch %.4f ms, host %.4f ms, "
-                  "device %.4f ms\n",
-                  i, run.slots[i].patch_seconds * 1e3,
-                  run.slots[i].host_seconds * 1e3,
-                  run.slots[i].device_seconds * 1e3);
-    } else {
-      std::printf("  batch %2zu: host %.4f ms, device %.4f ms\n", i,
-                  run.slots[i].host_seconds * 1e3,
-                  run.slots[i].device_seconds * 1e3);
-    }
-    if (i >= 3 && run.slots.size() > 5) {
-      std::printf("  ... (%zu more batches)\n", run.slots.size() - i - 1);
-      break;
-    }
-  }
-  if (!trace_out.empty()) {
-    const auto trace = obs::pipeline_trace(run);
-    obs::write_text_file_guarded(
-        trace_out, obs::trace_json(trace, want_spans ? &spans : nullptr),
-        force);
-    std::printf("wrote Perfetto trace to %s (load at ui.perfetto.dev)\n",
-                trace_out.c_str());
-  }
-  if (!spans_out.empty()) {
-    obs::write_text_file_guarded(spans_out, obs::span_log_json(spans), force);
-    std::printf("wrote %zu spans to %s\n", spans.size(), spans_out.c_str());
-  }
-  if (!metrics_out.empty()) {
-    write_metrics_json(metrics_out, "batch_pipeline",
-                       obs::batch_pipeline_json(run), registry.snapshot(),
-                       force);
-  }
-  if (!prom_out.empty()) {
-    obs::write_text_file_guarded(prom_out,
-                                 obs::prometheus_text(registry.snapshot()),
-                                 force);
-    std::printf("wrote Prometheus text to %s\n", prom_out.c_str());
-  }
-  if (stats_every > 0) {
-    const auto timeline = obs::pipeline_timeline(run);
-    std::vector<BatchSample> samples(timeline.size());
-    for (std::size_t i = 0; i < timeline.size(); ++i) {
-      samples[i] = {timeline[i].device_end,
-                    timeline[i].device_end - timeline[i].host_start,
-                    batches[i].n};
-    }
-    replay_window_stats(registry.window_options(), stats_every, samples);
-  }
-  return 0;
+  core::UpAnnsEngine engine(index, stats, opts);
+  return serve_on<core::BatchStream>(c, engine);
 }
 
 /// Render one metrics snapshot (parsed back from a metrics JSON artifact)
@@ -1039,7 +987,8 @@ int usage() {
                "         [--trace-out T.json] [--metrics-out M.json]\n"
                "  tune   --index I.bin --data F.fvecs --recall R --k K\n"
                "  search --index I.bin --data F.fvecs --nprobe P --queries Q\n"
-               "         --system cpu|gpu|upanns|naive|multihost [--hosts N]\n"
+               "         --system cpu|gpu|upanns|naive|multihost\n"
+               "         [--hosts N --net-gbps G --net-latency-us U]\n"
                "         [--metrics-out M.json] [--prom-out M.prom]\n"
                "  serve  --index I.bin --data F.fvecs --queries Q --batch B\n"
                "         [--hosts N --net-gbps G --net-latency-us U]\n"

@@ -191,16 +191,12 @@ UpAnnsBackend::UpAnnsBackend(ivf::IvfIndex& index,
 UpAnnsBackend::~UpAnnsBackend() = default;
 
 SearchReport UpAnnsBackend::search(const data::Dataset& queries) {
-  // Lazy write-visibility: any index mutations since the last sync land on
-  // the DPUs as an incremental patch before the batch runs.
-  if (engine_->needs_patch()) engine_->patch_dpus();
   return engine_->search(queries);
 }
 
 SearchReport UpAnnsBackend::search_with_probes(
     const data::Dataset& queries,
     const std::vector<std::vector<std::uint32_t>>& probes) {
-  if (engine_->needs_patch()) engine_->patch_dpus();
   return engine_->search_with_probes(queries, probes);
 }
 

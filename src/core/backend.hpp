@@ -179,13 +179,13 @@ class AnnsBackend {
 
 /// UpANNS (or PIM-naive, depending on options) behind the common interface.
 /// Exposed concretely because the serving extensions — adaptive relocation
-/// and the double-buffered BatchPipeline — are PIM-engine features.
+/// and the double-buffered BatchStream — are PIM-engine features.
 class UpAnnsBackend final : public AnnsBackend {
  public:
   UpAnnsBackend(const ivf::IvfIndex& index, const ivf::ClusterStats& stats,
                 const UpAnnsOptions& options, const char* label = "UpANNS");
-  /// Updatable variant: accepts upsert/remove and lazily patches the MRAM
-  /// images before the next search. With no writes issued it serves
+  /// Updatable variant: accepts upsert/remove; the engine patches the MRAM
+  /// images before its next search. With no writes issued it serves
   /// bit-identically to the read-only overload.
   UpAnnsBackend(ivf::IvfIndex& index, const ivf::ClusterStats& stats,
                 const UpAnnsOptions& options, const char* label = "UpANNS");

@@ -10,7 +10,7 @@
 // launch, gather, host merge — run by core::QueryPipeline. All timing is
 // simulated (see DESIGN.md): the report contains the four-stage breakdown,
 // a per-stage trace, per-DPU busy times, balance ratio, energy metrics and
-// CAE statistics. `core::BatchPipeline` streams multiple batches through the
+// CAE statistics. `core::BatchStream` streams multiple batches through the
 // stages with host/device double-buffering.
 //
 // Every optimization can be toggled independently, which is how the ablation
@@ -97,13 +97,26 @@ class UpAnnsEngine {
   UpAnnsEngine(ivf::IvfIndex& index, const ivf::ClusterStats& stats,
                UpAnnsOptions options);
 
-  /// Search one batch.
+  /// The owned QueryPipeline holds a reference back to the engine, so an
+  /// engine never moves.
+  UpAnnsEngine(const UpAnnsEngine&) = delete;
+  UpAnnsEngine& operator=(const UpAnnsEngine&) = delete;
+  ~UpAnnsEngine();
+
+  /// Search one batch. Pending mutations are applied first (patch_dpus),
+  /// so a search always sees every write issued before it.
   SearchReport search(const data::Dataset& queries);
 
-  /// Search with externally computed probe lists (shared with baselines).
+  /// Search with externally computed probe lists (shared with baselines);
+  /// applies pending mutations like search().
   SearchReport search_with_probes(
       const data::Dataset& queries,
       const std::vector<std::vector<std::uint32_t>>& probes);
+
+  /// The engine's own query pipeline and kernel pool, reused by every
+  /// search. The batch streams run it directly after patching explicitly,
+  /// so they can charge the patch to a slot.
+  QueryPipeline& pipeline() { return *pipeline_; }
 
   const UpAnnsOptions& options() const { return options_; }
 
@@ -127,7 +140,7 @@ class UpAnnsEngine {
 
   /// Attach (or detach) a span log. The pipeline then stamps
   /// SearchReport::query_costs (batch/query ids + per-query device shares)
-  /// so obs::append_pipeline_spans can assemble per-query spans post hoc;
+  /// so obs::append_spans can assemble per-query spans post hoc;
   /// with no log attached the capture is skipped entirely and reports are
   /// bit-identical. The log must outlive the engine or a set_spans(nullptr).
   void set_spans(obs::SpanLog* spans) { spans_ = spans; }
@@ -153,7 +166,8 @@ class UpAnnsEngine {
   /// reload, without retraining the index). Returns the reload cost so the
   /// online pipelines can charge it to a batch slot: bytes_written is the
   /// full image, seconds the per-DPU batch push; callers that relocate
-  /// between workloads may ignore it.
+  /// between workloads may ignore it. Drops the pipeline's pooled kernels,
+  /// which referenced the old per-DPU layouts.
   PatchStats relocate(const ivf::ClusterStats& stats);
 
   /// Result of one apply_copy_adjustments() pass. Retires are host-side
@@ -191,7 +205,9 @@ class UpAnnsEngine {
 
   /// Mutate the index through the engine so dirty-list tracking stays
   /// coherent. Throw std::logic_error on a read-only engine. The MRAM
-  /// images go stale until patch_dpus() (search() applies it lazily).
+  /// images go stale until patch_dpus(), which search() and
+  /// search_with_probes() apply lazily; the batch streams call it
+  /// explicitly to charge its cost to the next slot.
   void upsert(std::span<const std::uint32_t> ids,
               std::span<const float> vectors);
   std::size_t remove(std::span<const std::uint32_t> ids);
@@ -278,6 +294,8 @@ class UpAnnsEngine {
   std::uint64_t patch_bytes_total_ = 0;
 
   KernelMode mode_ = KernelMode::kCae;
+
+  std::unique_ptr<QueryPipeline> pipeline_;
 };
 
 }  // namespace upanns::core

@@ -10,6 +10,7 @@
 #include "common/fastround.hpp"
 #include "common/thread_pool.hpp"
 #include "core/engine.hpp"
+#include "core/pipeline.hpp"
 #include "pim/transfer.hpp"
 
 namespace upanns::core {
@@ -24,7 +25,9 @@ UpAnnsEngine::UpAnnsEngine(ivf::IvfIndex& index, const ivf::ClusterStats& stats,
 UpAnnsEngine::UpAnnsEngine(const ivf::IvfIndex& index,
                            const ivf::ClusterStats& stats,
                            UpAnnsOptions options)
-    : index_(index), options_(std::move(options)) {
+    : index_(index),
+      options_(std::move(options)),
+      pipeline_(std::make_unique<QueryPipeline>(*this)) {
   if (options_.n_dpus == 0) throw std::invalid_argument("n_dpus == 0");
   options_.placement.n_dpus = options_.n_dpus;
 
@@ -83,6 +86,8 @@ UpAnnsEngine::UpAnnsEngine(const ivf::IvfIndex& index,
   load_dpus(stats);
 }
 
+UpAnnsEngine::~UpAnnsEngine() = default;
+
 void UpAnnsEngine::set_placement_frequencies(
     const std::vector<double>& frequencies) {
   placement_frequencies_ = frequencies;
@@ -128,6 +133,7 @@ UpAnnsEngine::PatchStats UpAnnsEngine::relocate(const ivf::ClusterStats& stats) 
                                   options_.seed);
   set_placement_frequencies(stats.frequencies);
   const std::vector<std::size_t> dpu_bytes = load_dpus(stats);
+  pipeline_->reset_kernels();  // pooled kernels referenced the old layouts
 
   // Charge the reload like every other host->DPU push so the online
   // pipelines can fold a drain-point relocation into a batch slot.

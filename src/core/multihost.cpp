@@ -8,9 +8,7 @@
 
 #include "baselines/cpu_cost_model.hpp"
 #include "common/hw_specs.hpp"
-#include "core/pipeline.hpp"
 #include "obs/metrics.hpp"
-#include "obs/span.hpp"
 
 namespace upanns::core {
 
@@ -180,9 +178,6 @@ MultiHostReport MultiHostUpAnns::search(const data::Dataset& queries) {
 MultiHostReport MultiHostUpAnns::search_with_probes(
     const data::Dataset& queries,
     const std::vector<std::vector<std::uint32_t>>& probes) {
-  // Lazily apply pending mutations, mirroring UpAnnsBackend::search — the
-  // pipeline patches (and charges) explicitly before it gets here.
-  if (updatable() && needs_patch()) patch_hosts();
   MultiHostReport report;
   const std::size_t nq = queries.n;
   const std::size_t k = options_.per_host.k;
@@ -227,7 +222,8 @@ MultiHostReport MultiHostUpAnns::search_with_probes(
     // The engine's report books its own copy of the shared coordinator
     // filter as the first trace entry; strip it from the per-host share so
     // the pass is charged once (coord_filter_seconds above), then split the
-    // remainder at the host/device boundary exactly like BatchPipeline.
+    // remainder at the host/device boundary exactly like BatchStream. The
+    // engine applies its own pending MRAM patch first.
     double filter_seconds = 0;
     for (const StageStep& step : r.trace) {
       if (step.side != StageSide::kHost) break;
@@ -298,272 +294,6 @@ void MultiHostUpAnns::set_metrics(obs::MetricsRegistry* registry) {
   metrics_ = registry;
   for (auto& engine : engines_) {
     if (engine) engine->set_metrics(registry);
-  }
-}
-
-std::vector<MultiHostBatchWindows> multihost_timeline(
-    const MultiHostPipelineReport& report) {
-  std::vector<MultiHostBatchWindows> out;
-  out.reserve(report.slots.size());
-  if (!report.overlapped) {
-    double t = 0;
-    for (const MultiHostBatchSlot& slot : report.slots) {
-      MultiHostBatchWindows w;
-      w.pre_start = t;
-      w.pre_end = w.pre_start + slot.pre_seconds;
-      w.device_start = w.pre_end;
-      w.device_end = w.device_start + slot.device_seconds;
-      w.post_start = w.device_end;
-      w.post_end = w.post_start + slot.post_seconds;
-      t = w.post_end;
-      out.push_back(w);
-    }
-    return out;
-  }
-
-  // Two resources: the coordinator runs pre(0), pre(1), post(0), pre(2),
-  // post(1), ... (ready the next batch first, then merge the finished one);
-  // the host fleet runs device phases in batch order. device(i) additionally
-  // waits for pre(i), post(i) for device(i).
-  double coord_free = 0;
-  double device_free = 0;
-  for (std::size_t i = 0; i < report.slots.size(); ++i) {
-    MultiHostBatchWindows w;
-    w.pre_start = coord_free;
-    w.pre_end = w.pre_start + report.slots[i].pre_seconds;
-    coord_free = w.pre_end;
-    w.device_start = std::max(w.pre_end, device_free);
-    w.device_end = w.device_start + report.slots[i].device_seconds;
-    device_free = w.device_end;
-    out.push_back(w);
-    if (i >= 1) {
-      MultiHostBatchWindows& prev = out[i - 1];
-      prev.post_start = std::max(coord_free, prev.device_end);
-      prev.post_end = prev.post_start + report.slots[i - 1].post_seconds;
-      coord_free = prev.post_end;
-    }
-  }
-  if (!out.empty()) {
-    MultiHostBatchWindows& last = out.back();
-    last.post_start = std::max(coord_free, last.device_end);
-    last.post_end = last.post_start + report.slots.back().post_seconds;
-  }
-  return out;
-}
-
-MultiHostBatchPipeline::MultiHostBatchPipeline(MultiHostUpAnns& cluster,
-                                               MultiHostPipelineOptions opts)
-    : cluster_(cluster), opts_(opts) {}
-
-MultiHostPipelineReport MultiHostBatchPipeline::run(
-    const std::vector<data::Dataset>& batches) {
-  return run(batches, MutationHook{});
-}
-
-MultiHostPipelineReport MultiHostBatchPipeline::run(
-    const std::vector<data::Dataset>& batches, const MutationHook& mutate) {
-  MultiHostPipelineReport out;
-  out.overlapped = opts_.overlap;
-  const bool adapting = opts_.adapt != AdaptMode::kOff;
-
-  for (std::size_t b = 0; b < batches.size(); ++b) {
-    const data::Dataset& batch = batches[b];
-    MultiHostBatchSlot slot;
-    if (mutate) mutate(b);
-    if (cluster_.updatable() && cluster_.needs_patch()) {
-      const UpAnnsEngine::PatchStats ps = cluster_.patch_hosts();
-      slot.patch_seconds = ps.seconds;
-      slot.patch_bytes = ps.bytes_written;
-    }
-    // Mutations land first so adaptive replicas build from fresh encodings;
-    // the adaptation is a fleet-wide drain point between batches.
-    if (adapting) apply_pending_adaptation(slot);
-    std::vector<std::vector<std::uint32_t>> probes;
-    if (adapting) {
-      // One coordinator probe pass, shared by the search and by every
-      // host's controller. search_with_probes charges the same simulated
-      // filter time search() would, so a quiet controller keeps the run
-      // bit-identical to the non-adaptive path.
-      probes = ivf::filter_batch(cluster_.index(), batch,
-                                 cluster_.options().per_host.nprobe);
-      slot.report = cluster_.search_with_probes(batch, probes);
-    } else {
-      slot.report = cluster_.search(batch);
-    }
-    slot.pre_seconds =
-        slot.report.coord_filter_seconds + slot.report.broadcast_seconds;
-    // The fleet-wide patch (and any drift adaptation) occupies the hosts'
-    // MRAM buses, so it leads the device phase like the single-host
-    // pipeline's patch; adding 0.0 keeps read-only runs bit-identical.
-    slot.device_seconds = slot.report.slowest_host_seconds +
-                          slot.patch_seconds + slot.adapt_seconds;
-    slot.post_seconds =
-        slot.report.gather_seconds + slot.report.coord_merge_seconds;
-    out.n_queries += batch.n;
-    out.serial_seconds +=
-        slot.report.seconds + slot.patch_seconds + slot.adapt_seconds;
-    out.slots.push_back(std::move(slot));
-    if (adapting) observe_and_decide(probes);
-  }
-
-  if (!opts_.overlap || out.slots.empty()) {
-    out.elapsed_seconds = out.serial_seconds;
-  } else {
-    out.elapsed_seconds = multihost_timeline(out).back().post_end;
-  }
-  out.qps = out.elapsed_seconds > 0
-                ? static_cast<double>(out.n_queries) / out.elapsed_seconds
-                : 0;
-
-  obs::MetricsSink sink(cluster_.metrics());
-  if (sink.enabled()) {
-    const std::vector<MultiHostBatchWindows> timeline = multihost_timeline(out);
-    for (std::size_t i = 0; i < out.slots.size(); ++i) {
-      const MultiHostBatchSlot& slot = out.slots[i];
-      sink.observe("multihost_pipeline.slot.pre_seconds", slot.pre_seconds);
-      sink.observe("multihost_pipeline.slot.device_seconds",
-                   slot.device_seconds);
-      sink.observe("multihost_pipeline.slot.post_seconds", slot.post_seconds);
-      // Only written when a patch actually ran, so read-only runs keep a
-      // byte-identical metrics report.
-      if (slot.patch_seconds > 0) {
-        sink.observe("multihost_pipeline.slot.patch_seconds",
-                     slot.patch_seconds);
-        sink.count("multihost_pipeline.patch_bytes", slot.patch_bytes);
-      }
-      if (slot.adapt_seconds > 0) {
-        sink.observe("multihost_pipeline.slot.adapt_seconds",
-                     slot.adapt_seconds);
-        sink.count("multihost_pipeline.adapt_bytes", slot.adapt_bytes);
-      }
-      // Per-query latency (submission to merge completion) under the same
-      // timeline the exporter draws, into the cumulative histogram and the
-      // rolling window at the batch's completion time.
-      const double latency = timeline[i].post_end - timeline[i].pre_start;
-      const std::uint64_t nq = slot.report.neighbors.size();
-      sink.observe_n("query.latency_seconds", latency, nq);
-      sink.observe_window("query.latency_seconds", timeline[i].post_end,
-                          latency, nq);
-    }
-    sink.count("multihost_pipeline.runs");
-    sink.set("multihost_pipeline.overlap_saved_seconds",
-             out.serial_seconds - out.elapsed_seconds);
-    sink.set("multihost_pipeline.qps", out.qps);
-  }
-  if (cluster_.spans() != nullptr) {
-    obs::append_multihost_spans(*cluster_.spans(), out);
-  }
-  return out;
-}
-
-void MultiHostBatchPipeline::apply_pending_adaptation(
-    MultiHostBatchSlot& slot) {
-  bool applied = false;
-  for (std::size_t h = 0; h < adapt_.size(); ++h) {
-    HostAdapt& ha = adapt_[h];
-    if (!ha.controller || ha.pending.action == AdaptAction::kNone) continue;
-    UpAnnsEngine& engine = cluster_.host_engine(h);
-    double seconds = 0;
-    std::uint64_t bytes = 0;
-    if (ha.pending.action == AdaptAction::kRelocate) {
-      // Per-host Algorithm-1 re-placement over this host's resident shard:
-      // foreign and never-placed clusters keep size 0, so shard ownership —
-      // and with it every neighbor list — is unchanged.
-      ivf::ClusterStats stats;
-      stats.sizes = cluster_.index().list_sizes();
-      stats.frequencies = ha.pending_freqs;
-      for (std::size_t c = 0; c < stats.sizes.size(); ++c) {
-        if (engine.placement().cluster_dpus[c].empty()) stats.sizes[c] = 0;
-      }
-      stats.workloads.resize(stats.sizes.size());
-      for (std::size_t c = 0; c < stats.sizes.size(); ++c) {
-        stats.workloads[c] =
-            static_cast<double>(stats.sizes[c]) * stats.frequencies[c];
-      }
-      const UpAnnsEngine::PatchStats ps = engine.relocate(stats);
-      seconds = ps.seconds;
-      bytes = ps.bytes_written;
-    } else {
-      const UpAnnsEngine::AdaptStats as = engine.apply_copy_adjustments(
-          ha.pending.adjustments, ha.pending_freqs);
-      seconds = as.seconds;
-      bytes = as.bytes_written;
-    }
-    // Hosts adapt their own MRAM buses concurrently: slot time is the
-    // slowest host's, volume sums, and the slot keeps the most severe
-    // action (relocate > adjust-copies) with the largest drift.
-    slot.adapt_seconds = std::max(slot.adapt_seconds, seconds);
-    slot.adapt_bytes += bytes;
-    if (static_cast<int>(ha.pending.action) >
-        static_cast<int>(slot.adapt_action)) {
-      slot.adapt_action = ha.pending.action;
-    }
-    slot.adapt_drift = std::max(slot.adapt_drift, ha.pending.drift);
-
-    obs::MetricsSink sink(cluster_.metrics());
-    if (sink.enabled()) {
-      sink.count(std::string("adapt.actions.") +
-                 adapt_action_name(ha.pending.action));
-      sink.set("adapt.drift", ha.pending.drift);
-    }
-
-    // This host's placement now matches the decided profile.
-    ha.controller->set_baseline(ha.pending_freqs);
-    ha.pending = AdaptReport{};
-    ha.pending_freqs.clear();
-    applied = true;
-  }
-  if (applied) observed_since_action_ = 0;
-}
-
-void MultiHostBatchPipeline::observe_and_decide(
-    const std::vector<std::vector<std::uint32_t>>& probes) {
-  if (adapt_.empty()) {
-    adapt_.resize(cluster_.n_hosts());
-    for (std::size_t h = 0; h < cluster_.n_hosts(); ++h) {
-      if (!cluster_.host_active(h)) continue;
-      adapt_[h].controller = std::make_unique<AdaptiveController>(
-          cluster_.index().n_clusters(), opts_.adaptive);
-      adapt_[h].controller->set_baseline(
-          cluster_.host_engine(h).placement_frequencies());
-    }
-  }
-  for (HostAdapt& ha : adapt_) {
-    if (ha.controller) ha.controller->observe_batch(probes);
-  }
-  ++observed_since_action_;
-
-  for (const HostAdapt& ha : adapt_) {
-    // Awaiting the fleet-wide drain point: no new decisions while any host
-    // still has one pending.
-    if (ha.pending.action != AdaptAction::kNone) return;
-  }
-  if (observed_since_action_ < opts_.adaptive.window_batches) return;
-
-  const std::vector<std::size_t> sizes = cluster_.index().list_sizes();
-  for (std::size_t h = 0; h < adapt_.size(); ++h) {
-    HostAdapt& ha = adapt_[h];
-    if (!ha.controller) continue;
-    const Placement& placement = cluster_.host_engine(h).placement();
-    std::vector<std::size_t> copies(sizes.size(), 0);
-    std::vector<std::size_t> resident_sizes = sizes;
-    const std::vector<double> freqs = ha.controller->window_mean();
-    double total_workload = 0;
-    for (std::size_t c = 0; c < sizes.size(); ++c) {
-      copies[c] = placement.cluster_dpus[c].size();
-      // Foreign and never-placed clusters have no resident replica here;
-      // masking them to size 0 keeps each host inside its own shard.
-      if (copies[c] == 0) resident_sizes[c] = 0;
-      total_workload += static_cast<double>(resident_sizes[c]) * freqs[c];
-    }
-    const double w_bar =
-        total_workload / static_cast<double>(placement.n_dpus());
-    AdaptReport rep = ha.controller->recommend(
-        resident_sizes, copies, w_bar,
-        /*allow_relocate=*/opts_.adapt == AdaptMode::kFull);
-    if (rep.action == AdaptAction::kNone) continue;
-    ha.pending = std::move(rep);
-    ha.pending_freqs = freqs;
   }
 }
 

@@ -19,24 +19,22 @@
 // one per-host payload *per host*) plus the gather of every host's top-k,
 // and coord_merge is the coordinator-side k-way merge across host lists.
 //
-// MultiHostBatchPipeline streams query batches through the cluster the same
-// way core::BatchPipeline streams them through one engine: the coordinator
-// phases of batch i (gather + inter-host merge) and of batch i+1 (filter +
-// broadcast) overlap the host fleet's schedule/device phase of the batch in
-// flight. Execution stays serial — overlap changes only the simulated time
-// accounting, so per-query neighbors are bit-identical with overlap on or
-// off, and --no-overlap reproduces the synchronous per-batch `seconds` sums
-// exactly.
+// MultiHostBatchPipeline is core::BatchStream over the cluster: the
+// coordinator phases of batch i (gather + inter-host merge) and of batch i+1
+// (filter + broadcast) overlap the host fleet's schedule/device phase of the
+// batch in flight. Execution stays serial — overlap changes only the
+// simulated time accounting, so per-query neighbors are bit-identical with
+// overlap on or off, and --no-overlap reproduces the synchronous per-batch
+// `seconds` sums exactly.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
 
-#include "core/adaptive.hpp"
 #include "core/engine.hpp"
+#include "core/pipeline.hpp"
 
 namespace upanns::core {
 
@@ -122,7 +120,7 @@ class MultiHostUpAnns {
   obs::MetricsRegistry* metrics() const { return metrics_; }
 
   /// Attach (or detach) a span log: MultiHostBatchPipeline then assembles
-  /// coordinator/host/per-query spans post hoc (obs::append_multihost_spans).
+  /// coordinator/host/per-query spans post hoc (obs::append_spans).
   void set_spans(obs::SpanLog* spans) { spans_ = spans; }
   obs::SpanLog* spans() const { return spans_; }
 
@@ -146,7 +144,8 @@ class MultiHostUpAnns {
 
   /// Patch every active host's MRAM images. Hosts patch concurrently, so
   /// the simulated seconds are the slowest host's; bytes/lists/moves are
-  /// summed across hosts. search() applies this lazily like UpAnnsBackend.
+  /// summed across hosts. search() needs no explicit call: every host
+  /// engine applies its pending patch when it searches.
   UpAnnsEngine::PatchStats patch_hosts();
 
  private:
@@ -162,111 +161,19 @@ class MultiHostUpAnns {
   std::size_t n_active_ = 0;
 };
 
-struct MultiHostPipelineOptions {
-  /// Overlap the coordinator phases with the host fleet's device phase.
-  /// False reproduces the synchronous per-batch totals exactly (CLI
-  /// --no-overlap).
-  bool overlap = true;
-  /// Online drift adaptation, mirroring BatchPipelineOptions: every host
-  /// runs its own controller over the coordinator's shared probe stream and
-  /// adjusts the replicas of its own shard at batch drain points. kOff runs
-  /// no controller code at all — byte-identical to builds without one.
-  AdaptMode adapt = AdaptMode::kOff;
-  /// Controller tuning; window_batches doubles as the decision cooldown.
-  AdaptiveOptions adaptive{};
-};
-
-/// One scheduled batch in a multi-host pipeline run. The three phases
-/// always sum to report.seconds:
-///   pre    coordinator filter + broadcast fan-out
-///   device slowest host's schedule + device remainder
-///   post   gather + coordinator inter-host merge
-struct MultiHostBatchSlot {
-  double pre_seconds = 0;
-  double device_seconds = 0;
-  double post_seconds = 0;
-  /// Incremental MRAM patch applied across the host fleet before this
-  /// batch (updatable clusters with pending mutations only; folded into
-  /// device_seconds — the patch occupies the MRAM buses, so it leads the
-  /// fleet's device phase like the single-host pipeline's patch).
-  double patch_seconds = 0;
-  std::uint64_t patch_bytes = 0;
-  /// Drift-controller replication patch applied across the fleet before this
-  /// batch, after the mutation patch (folded into device_seconds the same
-  /// way). Hosts adapt their own MRAM buses concurrently: seconds is the
-  /// slowest host's, bytes sum; action/drift record the most severe host.
-  double adapt_seconds = 0;
-  std::uint64_t adapt_bytes = 0;
-  AdaptAction adapt_action = AdaptAction::kNone;
-  double adapt_drift = 0;
-  MultiHostReport report;
-};
-
-struct MultiHostPipelineReport {
-  std::vector<MultiHostBatchSlot> slots;
-  double serial_seconds = 0;   ///< sum of per-batch totals (no-overlap time)
-  double elapsed_seconds = 0;  ///< simulated end-to-end time of this run
-  bool overlapped = true;
-  std::size_t n_queries = 0;
-  double qps = 0;              ///< n_queries / elapsed_seconds
-};
-
-/// Simulated-time windows of one batch on the coordinator and host-fleet
-/// lanes, under the pipeline's accounting (used by the Perfetto exporter
-/// and by elapsed_seconds itself, so the two can never drift).
-struct MultiHostBatchWindows {
-  double pre_start = 0, pre_end = 0;        ///< coordinator lane
-  double device_start = 0, device_end = 0;  ///< host-fleet lanes
-  double post_start = 0, post_end = 0;      ///< coordinator lane
-};
-
-/// Lay every batch out under the two-resource model: the coordinator is one
-/// serial resource running pre(0), pre(1), post(0), pre(2), post(1), ...;
-/// the host fleet is the other, running device phases in batch order. Each
-/// phase additionally waits for its input: device(i) needs pre(i), post(i)
-/// needs device(i). The last window's post_end equals
-/// MultiHostPipelineReport::elapsed_seconds bit-for-bit. Serial runs lay
-/// the three phases of every batch back to back instead.
-std::vector<MultiHostBatchWindows> multihost_timeline(
-    const MultiHostPipelineReport& report);
-
-/// Streams query batches through a MultiHostUpAnns cluster with the
-/// double-buffered accounting described in the file comment. Execution
-/// itself stays serial, so per-query neighbors are bit-identical with
-/// overlap on or off.
-class MultiHostBatchPipeline {
- public:
-  explicit MultiHostBatchPipeline(MultiHostUpAnns& cluster,
-                                  MultiHostPipelineOptions opts = {});
-
-  MultiHostPipelineReport run(const std::vector<data::Dataset>& batches);
-
-  /// Mixed read/write workload, mirroring BatchPipeline: `mutate(i)` runs
-  /// before batch i and may issue cluster upsert/remove/compact calls;
-  /// pending mutations are applied as one fleet-wide MRAM patch
-  /// (patch_hosts) charged to the slot's device phase. A null hook (or one
-  /// that never mutates) reproduces the read-only run bit-for-bit.
-  using MutationHook = std::function<void(std::size_t batch_index)>;
-  MultiHostPipelineReport run(const std::vector<data::Dataset>& batches,
-                              const MutationHook& mutate);
-
- private:
-  void apply_pending_adaptation(MultiHostBatchSlot& slot);
-  void observe_and_decide(
-      const std::vector<std::vector<std::uint32_t>>& probes);
-
-  /// Per-host drift state: every host watches the same coordinator probe
-  /// stream but sizes replica counts against its own shard's placement.
-  struct HostAdapt {
-    std::unique_ptr<AdaptiveController> controller;
-    AdaptReport pending;
-    std::vector<double> pending_freqs;
-  };
-
-  MultiHostUpAnns& cluster_;
-  MultiHostPipelineOptions opts_;
-  std::vector<HostAdapt> adapt_;
-  std::size_t observed_since_action_ = 0;
-};
+/// The fleet stream is the single-host stream over a cluster (pipeline.hpp):
+/// one options struct, slot type, drift loop per active host and timeline.
+/// Its slots split each batch into
+///   pre     coordinator filter + broadcast fan-out
+///   device  slowest host's schedule + device remainder
+///   post    gather + coordinator inter-host merge
+/// and its run() hook mutates the cluster (upsert/remove/compact); pending
+/// mutations become one fleet-wide MRAM patch charged to the device phase.
+/// Hosts run in order 0..n-1 on every batch.
+using MultiHostPipelineOptions = BatchPipelineOptions;
+using MultiHostBatchSlot = StreamSlot<MultiHostReport>;
+using MultiHostPipelineReport = StreamReport<MultiHostReport>;
+using MultiHostBatchPipeline =
+    BasicBatchStream<MultiHostUpAnns, MultiHostReport>;
 
 }  // namespace upanns::core

@@ -1,6 +1,8 @@
 // Online half of UpAnnsEngine (see pipeline.hpp). The stage bodies are the
 // former UpAnnsEngine::search_with_probes monolith, split so every step is
 // named and individually timed; the simulated-time arithmetic is unchanged.
+// Below them: the shared batch timeline, the per-engine drift loop, and the
+// one batch stream both BatchStream and MultiHostBatchPipeline instantiate.
 #include "core/pipeline.hpp"
 
 #include <algorithm>
@@ -13,8 +15,8 @@
 #include "common/hw_specs.hpp"
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
+#include "core/multihost.hpp"
 #include "obs/span.hpp"
-#include "obs/trace.hpp"
 #include "pim/transfer.hpp"
 
 namespace upanns::core {
@@ -373,13 +375,15 @@ SearchReport QueryPipeline::run(
 }
 
 SearchReport UpAnnsEngine::search(const data::Dataset& queries) {
-  return QueryPipeline(*this).run(queries, nullptr);
+  if (needs_patch()) patch_dpus();
+  return pipeline_->run(queries, nullptr);
 }
 
 SearchReport UpAnnsEngine::search_with_probes(
     const data::Dataset& queries,
     const std::vector<std::vector<std::uint32_t>>& probes) {
-  return QueryPipeline(*this).run(queries, &probes);
+  if (needs_patch()) patch_dpus();
+  return pipeline_->run(queries, &probes);
 }
 
 double leading_host_seconds(const SearchReport& report) {
@@ -391,56 +395,76 @@ double leading_host_seconds(const SearchReport& report) {
   return seconds;
 }
 
-BatchStream::BatchStream(UpAnnsEngine& engine, BatchPipelineOptions opts)
-    : engine_(engine), opts_(opts), pipeline_(engine) {
-  out_.overlapped = opts_.overlap;
-}
-
-const BatchSlot& BatchStream::run_batch(const data::Dataset& batch) {
-  BatchSlot slot;
-  if (engine_.updatable() && engine_.needs_patch()) {
-    const UpAnnsEngine::PatchStats ps = engine_.patch_dpus();
-    slot.patch_seconds = ps.seconds;
-    slot.patch_bytes = ps.bytes_written;
+template <class Report>
+std::vector<PhaseWindows> batch_timeline(const StreamReport<Report>& report) {
+  std::vector<PhaseWindows> out;
+  out.reserve(report.slots.size());
+  const auto close = [&](std::size_t i) {
+    PhaseWindows& w = out[i];
+    w.done = report.slots[i].post_seconds > 0 ? w.post_end : w.device_end;
+  };
+  if (!report.overlapped) {
+    double t = 0;
+    for (std::size_t i = 0; i < report.slots.size(); ++i) {
+      const StreamSlot<Report>& slot = report.slots[i];
+      PhaseWindows& w = out.emplace_back();
+      w.pre_start = t;
+      w.pre_end = w.pre_start + slot.pre_seconds;
+      w.device_start = w.pre_end;
+      w.device_end = w.device_start + slot.device_seconds;
+      w.post_start = w.device_end;
+      w.post_end = w.post_start + slot.post_seconds;
+      t = w.post_end;
+      close(i);
+    }
+    return out;
   }
-  // Mutations land first so an adaptive replica added below is built from
-  // fresh encodings; the adaptation itself is a drain point — the previous
-  // batch fully finished, the next has not started.
-  const bool adapting = opts_.adapt != AdaptMode::kOff;
-  if (adapting) apply_pending_adaptation(slot);
 
-  std::vector<std::vector<std::uint32_t>> probes;
-  slot.report = pipeline_.run(batch, nullptr, out_.slots.size(),
-                              first_query_id_, adapting ? &probes : nullptr);
-  first_query_id_ += batch.n;
-
-  // Host prefix = the leading kHost trace entries (filter + schedule);
-  // the device phase is the exact remainder of the batch total plus any
-  // MRAM patch or adaptation work, so host + device always reproduces
-  // times.total() (+ patch + adapt) bit-for-bit. With no mutations pending
-  // and no controller action both extras are 0 and the accounting matches
-  // the read-only overload exactly.
-  slot.host_seconds = leading_host_seconds(slot.report);
-  slot.device_seconds = slot.report.times.total() - slot.host_seconds +
-                        slot.patch_seconds + slot.adapt_seconds;
-
-  out_.n_queries += batch.n;
-  out_.serial_seconds +=
-      slot.report.times.total() + slot.patch_seconds + slot.adapt_seconds;
-  out_.slots.push_back(std::move(slot));
-  if (adapting) observe_and_decide(probes, out_.slots.back());
-  return out_.slots.back();
+  // Two resources: the host/coordinator runs pre(0), pre(1), post(0),
+  // pre(2), post(1), ... (ready the next batch first, then finish the
+  // previous one); the device runs device phases in batch order. device(i)
+  // additionally waits for pre(i), post(i) for device(i). With post = 0 this
+  // is the one-host recurrence: pre(i+1) starts when device(i) does.
+  double coord_free = 0;
+  double device_free = 0;
+  for (std::size_t i = 0; i < report.slots.size(); ++i) {
+    PhaseWindows& w = out.emplace_back();
+    w.pre_start = coord_free;
+    w.pre_end = w.pre_start + report.slots[i].pre_seconds;
+    coord_free = w.pre_end;
+    w.device_start = std::max(w.pre_end, device_free);
+    w.device_end = w.device_start + report.slots[i].device_seconds;
+    device_free = w.device_end;
+    if (i >= 1) {
+      PhaseWindows& prev = out[i - 1];
+      prev.post_start = std::max(coord_free, prev.device_end);
+      prev.post_end = prev.post_start + report.slots[i - 1].post_seconds;
+      coord_free = prev.post_end;
+      close(i - 1);
+    }
+  }
+  if (!out.empty()) {
+    PhaseWindows& last = out.back();
+    last.post_start = std::max(coord_free, last.device_end);
+    last.post_end = last.post_start + report.slots.back().post_seconds;
+    close(out.size() - 1);
+  }
+  return out;
 }
 
-void BatchStream::apply_pending_adaptation(BatchSlot& slot) {
-  if (pending_.action == AdaptAction::kNone) return;
-  const double balance_pre = adapt_ ? adapt_->busy_balance() : 0.0;
+DriftLoop::DriftLoop(UpAnnsEngine& engine, AdaptMode mode,
+                     AdaptiveOptions options)
+    : engine_(engine), mode_(mode), options_(options) {}
 
+DriftLoop::Applied DriftLoop::apply_pending() {
+  if (!pending()) return {};
+  const double balance_pre = controller_->busy_balance();
+  Applied out;
   if (pending_.action == AdaptAction::kRelocate) {
     // Major drift: full Algorithm-1 re-placement over the *resident* cluster
-    // set (never-placed clusters stay out, so the searchable set — and with
-    // it every neighbor list — is unchanged), sized for the profile the
-    // controller decided on.
+    // set (never-placed and, on a fleet, foreign clusters stay out, so the
+    // searchable set — and with it every neighbor list — is unchanged),
+    // sized for the profile the controller decided on.
     ivf::ClusterStats stats;
     stats.sizes = engine_.index().list_sizes();
     stats.frequencies = pending_freqs_;
@@ -453,71 +477,68 @@ void BatchStream::apply_pending_adaptation(BatchSlot& slot) {
           static_cast<double>(stats.sizes[c]) * stats.frequencies[c];
     }
     const UpAnnsEngine::PatchStats ps = engine_.relocate(stats);
-    pipeline_.reset_kernels();  // pooled kernels referenced the old layouts
-    slot.adapt_seconds = ps.seconds;
-    slot.adapt_bytes = ps.bytes_written;
+    out.seconds = ps.seconds;
+    out.bytes = ps.bytes_written;
   } else {
     const UpAnnsEngine::AdaptStats as =
         engine_.apply_copy_adjustments(pending_.adjustments, pending_freqs_);
-    slot.adapt_seconds = as.seconds;
-    slot.adapt_bytes = as.bytes_written;
+    out.seconds = as.seconds;
+    out.bytes = as.bytes_written;
   }
-  slot.adapt_action = pending_.action;
-  slot.adapt_drift = pending_.drift;
+  out.action = pending_.action;
+  out.drift = pending_.drift;
 
   obs::MetricsSink sink = engine_.metrics();
   if (sink.enabled()) {
     sink.count(std::string("adapt.actions.") +
                adapt_action_name(pending_.action));
     sink.set("adapt.drift", pending_.drift);
-    sink.set("adapt.balance_pre", balance_pre);
+    if (busy_fed_) sink.set("adapt.balance_pre", balance_pre);
   }
 
   // The placement now matches the decided profile: restart drift from it.
-  adapt_->set_baseline(pending_freqs_);
+  controller_->set_baseline(pending_freqs_);
   pending_ = AdaptReport{};
   pending_freqs_.clear();
-  observed_since_action_ = 0;
-  adapt_applied_last_ = true;
+  book_balance_post_ = true;
+  return out;
 }
 
-void BatchStream::observe_and_decide(
-    const std::vector<std::vector<std::uint32_t>>& probes,
-    const BatchSlot& slot) {
-  if (!adapt_) {
-    adapt_ = std::make_unique<AdaptiveController>(
-        engine_.index().n_clusters(), opts_.adaptive);
-    adapt_->set_baseline(engine_.placement_frequencies());
+void DriftLoop::observe(const std::vector<std::vector<std::uint32_t>>& probes,
+                        const SearchReport* busy) {
+  if (!controller_) {
+    controller_ = std::make_unique<AdaptiveController>(
+        engine_.index().n_clusters(), options_);
+    controller_->set_baseline(engine_.placement_frequencies());
   }
-  adapt_->observe_batch(probes);
-  if (slot.report.pim) {
-    adapt_->observe_busy(slot.report.pim->dpu_busy_seconds);
-    if (adapt_applied_last_) {
+  controller_->observe_batch(probes);
+  if (busy != nullptr && busy->pim) {
+    busy_fed_ = true;
+    controller_->observe_busy(busy->pim->dpu_busy_seconds);
+    if (book_balance_post_) {
       // First batch served on the adjusted placement: record the post-action
       // balance next to the pre-action one booked at apply time.
       obs::MetricsSink sink = engine_.metrics();
       if (sink.enabled()) {
-        sink.set("adapt.balance_post", slot.report.pim->balance_ratio);
+        sink.set("adapt.balance_post", busy->pim->balance_ratio);
       }
-      adapt_applied_last_ = false;
+      book_balance_post_ = false;
     }
   }
-  ++observed_since_action_;
+}
 
-  if (pending_.action != AdaptAction::kNone) return;  // awaiting drain point
-  if (observed_since_action_ < opts_.adaptive.window_batches) return;
-
+void DriftLoop::decide() {
   const std::vector<std::size_t> sizes = engine_.index().list_sizes();
   const Placement& placement = engine_.placement();
   std::vector<std::size_t> copies(sizes.size(), 0);
   std::vector<std::size_t> resident_sizes = sizes;
   double total_workload = 0;
-  const std::vector<double> freqs = adapt_->window_mean();
+  const std::vector<double> freqs = controller_->window_mean();
   for (std::size_t c = 0; c < sizes.size(); ++c) {
     copies[c] = placement.cluster_dpus[c].size();
     // Only clusters with a resident replica participate: adopting a
     // never-placed cluster online would change the searchable set (and in a
-    // multi-host shard would steal another host's clusters).
+    // fleet would steal another host's clusters).
     if (copies[c] == 0) resident_sizes[c] = 0;
     total_workload += static_cast<double>(resident_sizes[c]) * freqs[c];
   }
@@ -525,96 +546,243 @@ void BatchStream::observe_and_decide(
       total_workload / static_cast<double>(placement.n_dpus());
 
   AdaptReport rep =
-      adapt_->recommend(resident_sizes, copies, w_bar,
-                        /*allow_relocate=*/opts_.adapt == AdaptMode::kFull);
+      controller_->recommend(resident_sizes, copies, w_bar,
+                             /*allow_relocate=*/mode_ == AdaptMode::kFull);
   if (rep.action == AdaptAction::kNone) return;
   pending_ = std::move(rep);
   pending_freqs_ = freqs;
 }
 
-BatchPipelineReport BatchStream::finish() {
-  BatchPipelineReport out = std::move(out_);
-  out_ = BatchPipelineReport{};
+namespace {
+
+// ----- What differs between one host and a fleet --------------------------
+
+using Probes = std::vector<std::vector<std::uint32_t>>;
+
+std::vector<UpAnnsEngine*> hosts_of(UpAnnsEngine& engine) { return {&engine}; }
+
+std::vector<UpAnnsEngine*> hosts_of(MultiHostUpAnns& cluster) {
+  std::vector<UpAnnsEngine*> hosts;
+  for (std::size_t h = 0; h < cluster.n_hosts(); ++h) {
+    if (cluster.host_active(h)) hosts.push_back(&cluster.host_engine(h));
+  }
+  return hosts;
+}
+
+UpAnnsEngine::PatchStats patch(UpAnnsEngine& engine) {
+  return engine.patch_dpus();
+}
+
+UpAnnsEngine::PatchStats patch(MultiHostUpAnns& cluster) {
+  return cluster.patch_hosts();
+}
+
+SearchReport search_batch(UpAnnsEngine& engine, const data::Dataset& batch,
+                          std::uint64_t batch_id, std::uint64_t first_query_id,
+                          Probes* probes_out) {
+  return engine.pipeline().run(batch, nullptr, batch_id, first_query_id,
+                               probes_out);
+}
+
+MultiHostReport search_batch(MultiHostUpAnns& cluster,
+                             const data::Dataset& batch, std::uint64_t,
+                             std::uint64_t, Probes* probes_out) {
+  // One coordinator probe pass, shared by every host's search and, when
+  // adapting, by every host's controller (MultiHostUpAnns::search's path).
+  Probes probes = ivf::filter_batch(cluster.index(), batch,
+                                    cluster.options().per_host.nprobe);
+  MultiHostReport report = cluster.search_with_probes(batch, probes);
+  if (probes_out != nullptr) *probes_out = std::move(probes);
+  return report;
+}
+
+/// A report's pre / device / post split and its serial total.
+struct Phases {
+  double pre, device, post, total;
+};
+
+Phases phases_of(const SearchReport& r) {
+  const double pre = leading_host_seconds(r);
+  const double total = r.times.total();
+  return {pre, total - pre, 0.0, total};
+}
+
+Phases phases_of(const MultiHostReport& r) {
+  return {r.coord_filter_seconds + r.broadcast_seconds, r.slowest_host_seconds,
+          r.gather_seconds + r.coord_merge_seconds, r.seconds};
+}
+
+/// Only a single host feeds per-DPU busy time to its drift loop.
+const SearchReport* busy_of(const SearchReport& r) { return &r; }
+const SearchReport* busy_of(const MultiHostReport&) { return nullptr; }
+
+/// Slot metric names: `<prefix>.slot.<phase>_seconds`.
+void book_phases(obs::MetricsSink& sink, const BatchSlot& slot) {
+  sink.observe("batch_pipeline.slot.host_seconds", slot.pre_seconds);
+  sink.observe("batch_pipeline.slot.device_seconds", slot.device_seconds);
+}
+
+void book_phases(obs::MetricsSink& sink, const MultiHostBatchSlot& slot) {
+  sink.observe("multihost_pipeline.slot.pre_seconds", slot.pre_seconds);
+  sink.observe("multihost_pipeline.slot.device_seconds", slot.device_seconds);
+  sink.observe("multihost_pipeline.slot.post_seconds", slot.post_seconds);
+}
+
+/// Stream-level metrics live under `<prefix>.*`.
+const char* metric_prefix(const BatchPipelineReport&) {
+  return "batch_pipeline";
+}
+const char* metric_prefix(const MultiHostPipelineReport&) {
+  return "multihost_pipeline";
+}
+
+}  // namespace
+
+template <class Target, class Report>
+BasicBatchStream<Target, Report>::BasicBatchStream(Target& target,
+                                                   BatchPipelineOptions opts)
+    : target_(target), opts_(opts) {
+  out_.overlapped = opts_.overlap;
+  if (opts_.adapt == AdaptMode::kOff) return;
+  for (UpAnnsEngine* host : hosts_of(target)) {
+    loops_.emplace_back(*host, opts_.adapt, opts_.adaptive);
+  }
+}
+
+template <class Target, class Report>
+auto BasicBatchStream<Target, Report>::run_batch(const data::Dataset& batch)
+    -> const Slot& {
+  Slot slot;
+  if (target_.needs_patch()) {
+    const UpAnnsEngine::PatchStats ps = patch(target_);
+    slot.patch_seconds = ps.seconds;
+    slot.patch_bytes = ps.bytes_written;
+  }
+  // Mutations land first so an adaptive replica added below is built from
+  // fresh encodings; the adaptation itself is a drain point — the previous
+  // batch fully finished, the next has not started. Hosts adapt their own
+  // MRAM buses concurrently, like they patch: the slot takes the slowest
+  // host's seconds, sums the bytes and keeps the most severe action
+  // (relocate > adjust-copies) with the largest drift.
+  bool adapted = false;
+  for (DriftLoop& loop : loops_) {
+    const DriftLoop::Applied a = loop.apply_pending();
+    if (a.action == AdaptAction::kNone) continue;
+    slot.adapt_seconds = std::max(slot.adapt_seconds, a.seconds);
+    slot.adapt_bytes += a.bytes;
+    if (static_cast<int>(a.action) > static_cast<int>(slot.adapt_action)) {
+      slot.adapt_action = a.action;
+    }
+    slot.adapt_drift = std::max(slot.adapt_drift, a.drift);
+    adapted = true;
+  }
+  if (adapted) observed_since_action_ = 0;
+
+  const bool adapting = !loops_.empty();
+  Probes probes;
+  slot.report = search_batch(target_, batch, out_.slots.size(),
+                             first_query_id_, adapting ? &probes : nullptr);
+  first_query_id_ += batch.n;
+
+  // The device phase carries any MRAM patch or adaptation work, so the
+  // three phases always reproduce the report total (+ patch + adapt)
+  // bit-for-bit; with neither, adding 0.0 keeps read-only runs identical.
+  const Phases p = phases_of(slot.report);
+  slot.pre_seconds = p.pre;
+  slot.device_seconds = p.device + slot.patch_seconds + slot.adapt_seconds;
+  slot.post_seconds = p.post;
+  out_.n_queries += batch.n;
+  out_.serial_seconds += p.total + slot.patch_seconds + slot.adapt_seconds;
+  out_.slots.push_back(std::move(slot));
+  if (!adapting) return out_.slots.back();
+
+  const SearchReport* busy = busy_of(out_.slots.back().report);
+  for (DriftLoop& loop : loops_) loop.observe(probes, busy);
+  ++observed_since_action_;
+  // No new decisions while any host awaits its drain point, nor within the
+  // cooldown after the last action.
+  for (const DriftLoop& loop : loops_) {
+    if (loop.pending()) return out_.slots.back();
+  }
+  if (observed_since_action_ < opts_.adaptive.window_batches) {
+    return out_.slots.back();
+  }
+  for (DriftLoop& loop : loops_) loop.decide();
+  return out_.slots.back();
+}
+
+template <class Target, class Report>
+auto BasicBatchStream<Target, Report>::finish() -> RunReport {
+  RunReport out = std::move(out_);
+  out_ = RunReport{};
   out_.overlapped = opts_.overlap;
   first_query_id_ = 0;
 
-  if (!opts_.overlap || out.slots.empty()) {
-    out.elapsed_seconds = out.serial_seconds;
-  } else {
-    // Two-phase software pipeline: while batch i occupies the device, the
-    // host prepares batch i+1. elapsed = h_0 + sum max(d_i, h_{i+1}) + d_n.
-    out.elapsed_seconds = out.slots.front().host_seconds;
-    for (std::size_t i = 0; i + 1 < out.slots.size(); ++i) {
-      out.elapsed_seconds += std::max(out.slots[i].device_seconds,
-                                      out.slots[i + 1].host_seconds);
-    }
-    out.elapsed_seconds += out.slots.back().device_seconds;
-  }
+  const std::vector<PhaseWindows> timeline = batch_timeline(out);
+  // Serial runs keep the exact serial sum: the timeline re-associates the
+  // three phases and can differ from it by a few ulps.
+  out.elapsed_seconds = !out.overlapped || timeline.empty()
+                            ? out.serial_seconds
+                            : timeline.back().post_end;
   out.qps = out.elapsed_seconds > 0
                 ? static_cast<double>(out.n_queries) / out.elapsed_seconds
                 : 0;
 
-  obs::MetricsSink sink = engine_.metrics();
+  obs::MetricsSink sink = target_.metrics();
   if (sink.enabled()) {
-    // The same deterministic timeline the Perfetto exporter draws gives
-    // every batch a completion time, which is what the rolling windows key
-    // on (all time is simulated — there is no wall clock to sample).
-    const std::vector<obs::BatchWindows> timeline = obs::pipeline_timeline(out);
+    const std::string prefix = metric_prefix(out);
     for (std::size_t i = 0; i < out.slots.size(); ++i) {
-      const BatchSlot& slot = out.slots[i];
-      sink.observe("batch_pipeline.slot.host_seconds", slot.host_seconds);
-      sink.observe("batch_pipeline.slot.device_seconds", slot.device_seconds);
+      const Slot& slot = out.slots[i];
+      book_phases(sink, slot);
       // Only written when a patch actually ran, so read-only runs keep a
       // byte-identical metrics report.
       if (slot.patch_seconds > 0) {
-        sink.observe("batch_pipeline.slot.patch_seconds", slot.patch_seconds);
-        sink.count("batch_pipeline.patch_bytes", slot.patch_bytes);
+        sink.observe(prefix + ".slot.patch_seconds", slot.patch_seconds);
+        sink.count(prefix + ".patch_bytes", slot.patch_bytes);
       }
       if (slot.adapt_seconds > 0) {
-        sink.observe("batch_pipeline.slot.adapt_seconds", slot.adapt_seconds);
-        sink.count("batch_pipeline.adapt_bytes", slot.adapt_bytes);
+        sink.observe(prefix + ".slot.adapt_seconds", slot.adapt_seconds);
+        sink.count(prefix + ".adapt_bytes", slot.adapt_bytes);
       }
-      // Per-query latency under the pipeline's accounting: submission to
-      // batch completion, recorded once per query of the batch, both
-      // cumulatively and into the rolling window at its completion time.
-      // The serve layer books measured latencies instead (see
-      // BatchPipelineOptions::book_query_latency).
+      // Per-query latency under the stream's accounting: submission to
+      // batch completion on the same timeline the Perfetto exporter draws,
+      // recorded once per query, cumulatively and into the rolling window
+      // at the completion time. The serve layer books measured latencies
+      // instead (BatchPipelineOptions::book_query_latency).
       if (opts_.book_query_latency) {
-        const double latency = timeline[i].device_end - timeline[i].host_start;
+        const double latency = timeline[i].done - timeline[i].pre_start;
         const std::uint64_t nq = slot.report.neighbors.size();
         sink.observe_n("query.latency_seconds", latency, nq);
-        sink.observe_window("query.latency_seconds", timeline[i].device_end,
+        sink.observe_window("query.latency_seconds", timeline[i].done,
                             latency, nq);
       }
     }
-    sink.count("batch_pipeline.runs");
-    sink.set("batch_pipeline.overlap_saved_seconds",
+    sink.count(prefix + ".runs");
+    sink.set(prefix + ".overlap_saved_seconds",
              out.serial_seconds - out.elapsed_seconds);
-    sink.set("batch_pipeline.qps", out.qps);
+    sink.set(prefix + ".qps", out.qps);
   }
-  if (engine_.spans() != nullptr) {
-    obs::append_pipeline_spans(*engine_.spans(), out);
-  }
+  if (target_.spans() != nullptr) obs::append_spans(*target_.spans(), out);
   return out;
 }
 
-BatchPipeline::BatchPipeline(UpAnnsEngine& engine, BatchPipelineOptions opts)
-    : engine_(engine), opts_(opts) {}
-
-BatchPipelineReport BatchPipeline::run(
-    const std::vector<data::Dataset>& batches) {
-  return run(batches, MutationHook{});
-}
-
-BatchPipelineReport BatchPipeline::run(
-    const std::vector<data::Dataset>& batches, const MutationHook& mutate) {
-  BatchStream stream(engine_, opts_);
+template <class Target, class Report>
+auto BasicBatchStream<Target, Report>::run(
+    const std::vector<data::Dataset>& batches, const MutationHook& mutate)
+    -> RunReport {
   for (std::size_t b = 0; b < batches.size(); ++b) {
     if (mutate) mutate(b);
-    stream.run_batch(batches[b]);
+    run_batch(batches[b]);
   }
-  return stream.finish();
+  return finish();
 }
+
+template std::vector<PhaseWindows> batch_timeline(
+    const StreamReport<SearchReport>&);
+template std::vector<PhaseWindows> batch_timeline(
+    const StreamReport<MultiHostReport>&);
+template class BasicBatchStream<UpAnnsEngine, SearchReport>;
+template class BasicBatchStream<MultiHostUpAnns, MultiHostReport>;
 
 std::vector<data::Dataset> split_batches(const data::Dataset& queries,
                                          std::size_t batch_size) {

@@ -13,7 +13,7 @@
 // SearchReport::times and reports the same seconds in the SearchReport
 // trace, so the trace always sums to times.total().
 //
-// BatchPipeline streams a sequence of query batches through the stages with
+// BatchStream streams a sequence of query batches through the stages with
 // double-buffering: the leading host stages (filter + schedule) of batch
 // i+1 overlap the device-bound remainder of batch i, the classic two-phase
 // software pipeline of the paper's Fig 5 host orchestration. Simulated
@@ -21,6 +21,7 @@
 // disabled (--no-overlap in the CLI) it is exactly the serial sum of the
 // per-batch totals. Results are bit-identical either way — overlap changes
 // only the time accounting, never the execution order of a batch's stages.
+// The multi-host stream (core/multihost.hpp) is the same class over a fleet.
 #pragma once
 
 #include <cstdint>
@@ -112,7 +113,9 @@ class MergeStage final : public QueryStage {
 };
 
 /// Runs one batch through the six stages. Engine internals funnel through
-/// the accessors below (the engine befriends only this class).
+/// the accessors below (the engine befriends only this class). Every engine
+/// owns one (UpAnnsEngine::pipeline()), so its kernel pool lives as long as
+/// the engine and serves every batch, stream or standalone search.
 class QueryPipeline {
  public:
   explicit QueryPipeline(UpAnnsEngine& engine);
@@ -150,9 +153,10 @@ class QueryPipeline {
   /// pointer stays owned by the pipeline and must not outlive it.
   QueryKernel* acquire_kernel(std::size_t d, const DpuLaunchInput& input);
 
-  /// Drop every pooled kernel. Required after UpAnnsEngine::relocate(): a
-  /// relocation rebuilds the per-DPU layout objects the pooled kernels hold
-  /// references into, so they must be reconstructed on next use.
+  /// Drop every pooled kernel. UpAnnsEngine::relocate() calls this on the
+  /// pipeline it owns: a relocation rebuilds the per-DPU layout objects the
+  /// pooled kernels hold references into, so they must be reconstructed on
+  /// next use.
   void reset_kernels() { kernel_pool_.clear(); }
 
  private:
@@ -162,7 +166,8 @@ class QueryPipeline {
 };
 
 struct BatchPipelineOptions {
-  /// Overlap host stages of batch i+1 with device stages of batch i. False
+  /// Overlap host stages of batch i+1 with device stages of batch i (on a
+  /// fleet: the coordinator phases with the hosts' device phase). False
   /// reproduces the serial per-batch totals exactly (CLI --no-overlap).
   bool overlap = true;
   /// Book per-query `query.latency_seconds` (cumulative + rolling window)
@@ -171,41 +176,55 @@ struct BatchPipelineOptions {
   /// latencies under the same name instead, so the metric never mixes the
   /// simulated and wall-clock time bases.
   bool book_query_latency = true;
-  /// Online adaptive replication (paper Sec 4.1.2): after each batch the
-  /// stream feeds the probe histogram and per-DPU busy seconds into an
-  /// AdaptiveController; a recommendation made at the end of batch i is
-  /// applied before batch i+1 runs (a drain point), its MRAM cost folded
-  /// into that slot's device phase like a mutation patch. kOff (the
-  /// default) skips the controller entirely and is byte-identical to a
-  /// build without the feature.
+  /// Online adaptive replication (paper Sec 4.1.2): after each batch every
+  /// serving engine's DriftLoop observes the probe histogram; a
+  /// recommendation made at the end of batch i is applied before batch i+1
+  /// runs (a drain point), its MRAM cost folded into that slot's device
+  /// phase like a mutation patch. kOff (the default) skips the controller
+  /// entirely and is byte-identical to a build without the feature.
   AdaptMode adapt = AdaptMode::kOff;
   /// Controller tuning when adapt != kOff. window_batches doubles as the
   /// decision cooldown: at least that many batches are observed after every
-  /// action (or stream start) before the controller may act again.
+  /// action (or stream start) before any controller may act again.
   AdaptiveOptions adaptive{};
 };
 
-/// One scheduled batch in a pipeline run.
-struct BatchSlot {
-  double host_seconds = 0;    ///< leading host stages (filter + schedule)
-  double device_seconds = 0;  ///< everything after the host prefix
+/// One scheduled batch of a stream run. Its three phases always sum to the
+/// batch's serial cost (report total + patch + adapt):
+///   pre     one host: the leading host stages (filter + schedule);
+///           fleet: coordinator filter + broadcast fan-out
+///   device  the rest of the batch on the PIM side (one host: push, launch,
+///           gather, merge; fleet: the slowest host's schedule + device
+///           remainder), led by any MRAM patch and adaptation work
+///   post    fleet only: gather + coordinator inter-host merge (0 on one
+///           host, which has no coordinator)
+template <class Report>
+struct StreamSlot {
+  double pre_seconds = 0;
+  double device_seconds = 0;
+  double post_seconds = 0;
   /// Incremental MRAM patch applied before this batch (updatable engines
-  /// with pending mutations only; folded into device_seconds).
+  /// with pending mutations only; folded into device_seconds — the patch
+  /// occupies the MRAM bus, so it leads the device phase). On a fleet the
+  /// hosts patch concurrently: seconds is the slowest host's, bytes sum.
   double patch_seconds = 0;
   std::uint64_t patch_bytes = 0;
-  /// Adaptive-replication work applied before this batch — a copy-adjust
-  /// MRAM load or a full relocation, decided at the end of an earlier batch
-  /// (BatchPipelineOptions::adapt). Folded into device_seconds like the
-  /// mutation patch; zero whenever the controller did not act.
+  /// Drift-loop work applied before this batch, after the mutation patch —
+  /// a copy-adjust MRAM load or a full relocation decided at the end of an
+  /// earlier batch (BatchPipelineOptions::adapt), folded into
+  /// device_seconds the same way; zero whenever no controller acted. Fleet
+  /// hosts adapt concurrently: seconds is the slowest host's, bytes sum,
+  /// action/drift record the most severe host.
   double adapt_seconds = 0;
   std::uint64_t adapt_bytes = 0;
   AdaptAction adapt_action = AdaptAction::kNone;
   double adapt_drift = 0;  ///< controller drift at decision time
-  SearchReport report;
+  Report report;
 };
 
-struct BatchPipelineReport {
-  std::vector<BatchSlot> slots;
+template <class Report>
+struct StreamReport {
+  std::vector<StreamSlot<Report>> slots;
   double serial_seconds = 0;   ///< sum of per-batch totals (no-overlap time)
   double elapsed_seconds = 0;  ///< simulated end-to-end time of this run
   bool overlapped = true;
@@ -213,83 +232,142 @@ struct BatchPipelineReport {
   double qps = 0;              ///< n_queries / elapsed_seconds
 };
 
+using BatchSlot = StreamSlot<SearchReport>;
+using BatchPipelineReport = StreamReport<SearchReport>;
+
+/// Simulated-time windows of one batch: pre and post on the host (fleet:
+/// coordinator) lane, device on the device (fleet: host) lanes.
+struct PhaseWindows {
+  double pre_start = 0, pre_end = 0;
+  double device_start = 0, device_end = 0;
+  double post_start = 0, post_end = 0;
+  /// When the batch's results are complete: the end of its last phase with
+  /// work. A zero-length post (always, on one host) completes with the
+  /// device phase — its window would otherwise inherit the coordinator's
+  /// wait for the next batch's pre phase.
+  double done = 0;
+};
+
+/// Lay every batch out under the two-resource model both streams share:
+/// the host (fleet: coordinator) is one serial resource running pre(0),
+/// pre(1), post(0), pre(2), post(1), ...; the device (fleet: the hosts)
+/// runs device phases in batch order. Each phase also waits for its input:
+/// device(i) needs pre(i), post(i) needs device(i). Overlapped runs end at
+/// elapsed_seconds bit-for-bit (the stream computes elapsed from this);
+/// serial runs lay the three phases of every batch back to back, which can
+/// differ from serial_seconds by a few ulps.
+template <class Report>
+std::vector<PhaseWindows> batch_timeline(const StreamReport<Report>& report);
+
 /// Sum of the leading StageSide::kHost trace entries of a report — the host
-/// prefix (filter + schedule) that the batch pipelines overlap with the
-/// previous batch's device phase. Shared by BatchPipeline and the
-/// multi-host per-host accounting (core/multihost.cpp).
+/// prefix (filter + schedule) that the streams overlap with the previous
+/// batch's device phase.
 double leading_host_seconds(const SearchReport& report);
 
-/// Incremental (continuous) variant of BatchPipeline: batches are fed one
-/// at a time as they become available — the entry point the online serve
-/// layer (src/serve/) uses, where batch boundaries are decided by a
-/// deadline batcher instead of known up front. Accounting is identical to
-/// BatchPipeline::run over the same batch sequence (BatchPipeline is
-/// implemented on top of this class), including pending-mutation MRAM
-/// patches, slot metrics, span assembly and the overlap recurrence.
-class BatchStream {
+/// The Sec 4.1.2 drift loop of one serving engine: the controller, the
+/// decision pending until the next drain point, resident-copy sizing, and
+/// the relocate / copy-adjust apply with its `adapt.*` bookings. A stream
+/// holds one per engine it serves (each fleet host watches the shared
+/// coordinator probe stream but sizes replicas against its own shard).
+class DriftLoop {
  public:
-  explicit BatchStream(UpAnnsEngine& engine, BatchPipelineOptions opts = {});
+  DriftLoop(UpAnnsEngine& engine, AdaptMode mode, AdaptiveOptions options);
 
-  /// Apply any pending mutations as one MRAM patch, then run `batch`
-  /// through the six stages. The returned slot reference stays valid until
+  bool pending() const { return pending_.action != AdaptAction::kNone; }
+
+  /// What apply_pending() shipped; action kNone when nothing was pending.
+  struct Applied {
+    double seconds = 0;
+    std::uint64_t bytes = 0;
+    AdaptAction action = AdaptAction::kNone;
+    double drift = 0;
+  };
+  /// Drain point: apply the pending decision (relocate or copy adjust) and
+  /// restart drift from the decided profile.
+  Applied apply_pending();
+
+  /// Feed one batch's probe lists. `busy` (one host only) also feeds the
+  /// per-DPU busy seconds, which books adapt.balance_pre/post around
+  /// actions.
+  void observe(const std::vector<std::vector<std::uint32_t>>& probes,
+               const SearchReport* busy);
+
+  /// Size resident replica counts from the window mean and pend the
+  /// controller's recommendation, if any.
+  void decide();
+
+ private:
+  UpAnnsEngine& engine_;
+  AdaptMode mode_;
+  AdaptiveOptions options_;
+  // Created on the first observation; survives stream finish() so a reused
+  // stream keeps its traffic estimate across runs.
+  std::unique_ptr<AdaptiveController> controller_;
+  AdaptReport pending_;                ///< decision awaiting the drain point
+  std::vector<double> pending_freqs_;  ///< profile the decision was sized for
+  bool busy_fed_ = false;              ///< observe() has seen busy seconds
+  bool book_balance_post_ = false;     ///< first batch after an action
+};
+
+/// Mixed read/write workload hook: `mutate(i)` runs before batch i and may
+/// issue upsert/remove/compact calls on the stream's target. Pending
+/// mutations are then applied as one incremental MRAM patch whose cost is
+/// charged to the slot's device phase — the patch occupies the MRAM bus, so
+/// it cannot overlap the batch's own device stages, but the next batch's
+/// pre phase still overlaps it like any device work. A null hook (or one
+/// that never mutates) reproduces the read-only run bit-for-bit.
+using MutationHook = std::function<void(std::size_t batch_index)>;
+
+/// The one serving loop, over a single engine (BatchStream) or a
+/// MultiHostUpAnns fleet (MultiHostBatchPipeline, core/multihost.hpp).
+/// Batches are fed one at a time — the entry point the online serve layer
+/// (src/serve/) uses, where a deadline batcher decides the boundaries — or
+/// all at once through run(). Execution stays serial, so per-query
+/// neighbors are bit-identical with overlap on or off; overlap changes only
+/// the time accounting (batch_timeline).
+template <class Target, class Report>
+class BasicBatchStream {
+ public:
+  using Slot = StreamSlot<Report>;
+  using RunReport = StreamReport<Report>;
+  using MutationHook = core::MutationHook;
+
+  explicit BasicBatchStream(Target& target, BatchPipelineOptions opts = {});
+  /// Serving executors hold the stream's address.
+  BasicBatchStream(const BasicBatchStream&) = delete;
+  BasicBatchStream& operator=(const BasicBatchStream&) = delete;
+
+  /// Apply any pending mutations as one MRAM patch, then any pending
+  /// adaptation, then search `batch`, split its phases and let the drift
+  /// loops observe it. The returned slot reference stays valid until
   /// finish(). Query/batch telemetry ids continue across calls.
-  const BatchSlot& run_batch(const data::Dataset& batch);
+  const Slot& run_batch(const data::Dataset& batch);
+
+  /// Close the stream: compute the elapsed time, book the slot metrics and
+  /// spans, and return the report. The stream resets and can be reused for
+  /// a fresh run afterwards.
+  RunReport finish();
+
+  /// run_batch over `batches` (calling `mutate(i)` before batch i), then
+  /// finish().
+  RunReport run(const std::vector<data::Dataset>& batches,
+                const MutationHook& mutate = {});
 
   std::size_t n_batches() const { return out_.slots.size(); }
   std::size_t n_queries() const { return out_.n_queries; }
-  UpAnnsEngine& engine() { return engine_; }
-
-  /// Close the stream: compute the overlapped elapsed time, book the
-  /// pipeline metrics and spans, and return the report. The stream resets
-  /// and can be reused for a fresh run afterwards.
-  BatchPipelineReport finish();
 
  private:
-  void apply_pending_adaptation(BatchSlot& slot);
-  void observe_and_decide(
-      const std::vector<std::vector<std::uint32_t>>& probes,
-      const BatchSlot& slot);
-
-  UpAnnsEngine& engine_;
+  Target& target_;
   BatchPipelineOptions opts_;
-  QueryPipeline pipeline_;
-  BatchPipelineReport out_;
+  RunReport out_;
   std::uint64_t first_query_id_ = 0;
-
-  // Drift-loop state (adapt != kOff only). The controller survives finish()
-  // so a reused stream keeps its traffic estimate across runs.
-  std::unique_ptr<AdaptiveController> adapt_;
-  AdaptReport pending_;             ///< decision awaiting the next drain point
-  std::vector<double> pending_freqs_;  ///< profile the decision was sized for
-  std::size_t observed_since_action_ = 0;
-  bool adapt_applied_last_ = false;  ///< book post-action balance next batch
+  /// One per active host, in host order; empty when adapt is off.
+  std::vector<DriftLoop> loops_;
+  std::size_t observed_since_action_ = 0;  ///< shared decision cooldown
 };
 
-/// Streams query batches through the engine with double-buffered time
-/// accounting (see file comment). Execution itself stays serial, so
-/// per-query neighbors are bit-identical with overlap on or off.
-class BatchPipeline {
- public:
-  explicit BatchPipeline(UpAnnsEngine& engine, BatchPipelineOptions opts = {});
-
-  BatchPipelineReport run(const std::vector<data::Dataset>& batches);
-
-  /// Mixed read/write workload: `mutate(i)` runs before batch i and may
-  /// issue engine upsert/remove/compact calls. Pending mutations are then
-  /// applied as one incremental MRAM patch (UpAnnsEngine::patch_dpus) whose
-  /// cost is charged to the slot's device phase — the patch occupies the
-  /// MRAM bus, so it cannot overlap the batch's own device stages, but the
-  /// next batch's host prefix still overlaps it like any device work. A
-  /// null hook (or one that never mutates) reproduces the read-only run
-  /// bit-for-bit.
-  using MutationHook = std::function<void(std::size_t batch_index)>;
-  BatchPipelineReport run(const std::vector<data::Dataset>& batches,
-                          const MutationHook& mutate);
-
- private:
-  UpAnnsEngine& engine_;
-  BatchPipelineOptions opts_;
-};
+/// The single-host stream: filter + schedule form the pre phase, post is 0.
+using BatchStream = BasicBatchStream<UpAnnsEngine, SearchReport>;
 
 /// Split a query set into consecutive batches of `batch_size` (the last one
 /// may be short). Rows are copied; the input stays valid independently.

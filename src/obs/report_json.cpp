@@ -69,41 +69,6 @@ void append_search_report(JsonWriter& w, const core::SearchReport& r) {
   w.end_object();
 }
 
-void append_batch_pipeline_report(JsonWriter& w,
-                                  const core::BatchPipelineReport& r) {
-  w.begin_object();
-  w.kv("overlapped", r.overlapped);
-  w.kv("n_queries", r.n_queries);
-  w.kv("qps", r.qps);
-  w.kv("serial_seconds", r.serial_seconds);
-  w.kv("elapsed_seconds", r.elapsed_seconds);
-  w.key("slots").begin_array();
-  for (const core::BatchSlot& slot : r.slots) {
-    w.begin_object();
-    w.kv("host_seconds", slot.host_seconds);
-    w.kv("device_seconds", slot.device_seconds);
-    // Patch keys only when a patch actually ran, so read-only runs stay
-    // byte-identical to the pre-patch schema.
-    if (slot.patch_seconds > 0) {
-      w.kv("patch_seconds", slot.patch_seconds);
-      w.kv("patch_bytes", slot.patch_bytes);
-    }
-    // Adapt keys likewise only when the drift controller acted, so runs
-    // with --adapt=off (or a quiet controller) serialize byte-identically.
-    if (slot.adapt_seconds > 0) {
-      w.kv("adapt_seconds", slot.adapt_seconds);
-      w.kv("adapt_bytes", slot.adapt_bytes);
-      w.kv("adapt_action", core::adapt_action_name(slot.adapt_action));
-      w.kv("adapt_drift", slot.adapt_drift);
-    }
-    w.key("report");
-    append_search_report(w, slot.report);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-}
-
 void append_multi_host_report(JsonWriter& w, const core::MultiHostReport& r) {
   w.begin_object();
   w.kv("n_queries", r.neighbors.size());
@@ -131,8 +96,32 @@ void append_multi_host_report(JsonWriter& w, const core::MultiHostReport& r) {
   w.end_object();
 }
 
-void append_multi_host_pipeline_report(JsonWriter& w,
-                                       const core::MultiHostPipelineReport& r) {
+namespace {
+
+// The stream report envelope both schemas share; only the slot phase keys
+// and the per-batch report differ between one host and a fleet.
+void append_phases(JsonWriter& w, const core::BatchSlot& slot) {
+  w.kv("host_seconds", slot.pre_seconds);
+  w.kv("device_seconds", slot.device_seconds);
+}
+
+void append_phases(JsonWriter& w, const core::MultiHostBatchSlot& slot) {
+  w.kv("pre_seconds", slot.pre_seconds);
+  w.kv("device_seconds", slot.device_seconds);
+  w.kv("post_seconds", slot.post_seconds);
+}
+
+void append_report(JsonWriter& w, const core::SearchReport& r) {
+  append_search_report(w, r);
+}
+
+void append_report(JsonWriter& w, const core::MultiHostReport& r) {
+  append_multi_host_report(w, r);
+}
+
+template <class Report>
+void append_stream_report(JsonWriter& w,
+                          const core::StreamReport<Report>& r) {
   w.begin_object();
   w.kv("overlapped", r.overlapped);
   w.kv("n_queries", r.n_queries);
@@ -140,15 +129,17 @@ void append_multi_host_pipeline_report(JsonWriter& w,
   w.kv("serial_seconds", r.serial_seconds);
   w.kv("elapsed_seconds", r.elapsed_seconds);
   w.key("slots").begin_array();
-  for (const core::MultiHostBatchSlot& slot : r.slots) {
+  for (const core::StreamSlot<Report>& slot : r.slots) {
     w.begin_object();
-    w.kv("pre_seconds", slot.pre_seconds);
-    w.kv("device_seconds", slot.device_seconds);
-    w.kv("post_seconds", slot.post_seconds);
+    append_phases(w, slot);
+    // Patch keys only when a patch actually ran, so read-only runs stay
+    // byte-identical to the pre-patch schema.
     if (slot.patch_seconds > 0) {
       w.kv("patch_seconds", slot.patch_seconds);
       w.kv("patch_bytes", slot.patch_bytes);
     }
+    // Adapt keys likewise only when the drift controller acted, so runs
+    // with --adapt=off (or a quiet controller) serialize byte-identically.
     if (slot.adapt_seconds > 0) {
       w.kv("adapt_seconds", slot.adapt_seconds);
       w.kv("adapt_bytes", slot.adapt_bytes);
@@ -156,12 +147,14 @@ void append_multi_host_pipeline_report(JsonWriter& w,
       w.kv("adapt_drift", slot.adapt_drift);
     }
     w.key("report");
-    append_multi_host_report(w, slot.report);
+    append_report(w, slot.report);
     w.end_object();
   }
   w.end_array();
   w.end_object();
 }
+
+}  // namespace
 
 void append_snapshot(JsonWriter& w, const MetricsSnapshot& s) {
   w.begin_object();
@@ -282,13 +275,13 @@ std::string search_report_json(const core::SearchReport& r) {
   return render(r, append_search_report);
 }
 std::string batch_pipeline_json(const core::BatchPipelineReport& r) {
-  return render(r, append_batch_pipeline_report);
+  return render(r, append_stream_report<core::SearchReport>);
 }
 std::string multi_host_report_json(const core::MultiHostReport& r) {
   return render(r, append_multi_host_report);
 }
 std::string multi_host_pipeline_json(const core::MultiHostPipelineReport& r) {
-  return render(r, append_multi_host_pipeline_report);
+  return render(r, append_stream_report<core::MultiHostReport>);
 }
 std::string snapshot_json(const MetricsSnapshot& s) {
   return render(s, append_snapshot);

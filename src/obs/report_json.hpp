@@ -1,6 +1,7 @@
 // Machine-readable JSON for the serving reports: SearchReport (stage times,
 // trace, PIM extras including per-DPU stage seconds and balance ratios),
-// BatchPipelineReport (per-slot host/device split + per-batch reports),
+// the two stream reports (per-slot phase split + per-batch reports; one
+// envelope, host/device keys on one host and pre/device/post on a fleet),
 // MultiHostReport, and MetricsRegistry snapshots. Benches and CI consume
 // these instead of scraping the stdout tables; doubles are written with
 // round-trip precision so parsed values compare bit-equal (test_obs).
@@ -10,7 +11,6 @@
 
 #include "core/backend.hpp"
 #include "core/multihost.hpp"
-#include "core/pipeline.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 
@@ -19,11 +19,7 @@ namespace upanns::obs {
 void append_stage_times(JsonWriter& w, const baselines::StageTimes& t);
 void append_pim_extras(JsonWriter& w, const core::PimExtras& px);
 void append_search_report(JsonWriter& w, const core::SearchReport& r);
-void append_batch_pipeline_report(JsonWriter& w,
-                                  const core::BatchPipelineReport& r);
 void append_multi_host_report(JsonWriter& w, const core::MultiHostReport& r);
-void append_multi_host_pipeline_report(JsonWriter& w,
-                                       const core::MultiHostPipelineReport& r);
 void append_snapshot(JsonWriter& w, const MetricsSnapshot& s);
 
 /// Inverse of append_snapshot: rebuild a MetricsSnapshot from its parsed

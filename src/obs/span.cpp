@@ -2,7 +2,6 @@
 
 #include "obs/json.hpp"
 #include "obs/provenance.hpp"
-#include "obs/trace.hpp"
 
 namespace upanns::obs {
 
@@ -26,15 +25,33 @@ Span make_span(std::uint64_t parent, const char* name, const char* category,
   return s;
 }
 
+/// The mram-patch / adapt-patch spans that lead a batch's device phase from
+/// `start`; returns where the rest of the phase starts. Both share the
+/// "patch" category, so the span accounting identity (query spans + patch
+/// spans == serial_seconds) keeps holding.
+template <class Report>
+double push_patch_spans(SpanLog& log, std::uint64_t root, std::int64_t batch,
+                        double start, const core::StreamSlot<Report>& slot) {
+  if (slot.patch_seconds > 0) {
+    log.push(make_span(root, "mram-patch", "patch", batch, start,
+                       slot.patch_seconds));
+  }
+  start += slot.patch_seconds;
+  if (slot.adapt_seconds > 0) {
+    log.push(make_span(root, "adapt-patch", "patch", batch, start,
+                       slot.adapt_seconds));
+  }
+  return start + slot.adapt_seconds;
+}
+
 }  // namespace
 
-void append_pipeline_spans(SpanLog& log,
-                           const core::BatchPipelineReport& report) {
-  const std::vector<BatchWindows> windows = pipeline_timeline(report);
+void append_spans(SpanLog& log, const core::BatchPipelineReport& report) {
+  const std::vector<core::PhaseWindows> windows = core::batch_timeline(report);
   std::uint64_t first_qid = 0;
   for (std::size_t b = 0; b < report.slots.size(); ++b) {
     const core::BatchSlot& slot = report.slots[b];
-    const BatchWindows& w = windows[b];
+    const core::PhaseWindows& w = windows[b];
     const std::size_t nq = slot.report.neighbors.size();
     const std::int64_t bi = static_cast<std::int64_t>(b);
     // Prefer the id the pipeline stamped at run time; a report assembled
@@ -44,39 +61,26 @@ void append_pipeline_spans(SpanLog& log,
     }
 
     const std::uint64_t root = log.push(make_span(0, "batch", "batch", bi,
-                                                  w.host_start,
-                                                  w.device_end - w.host_start))
+                                                  w.pre_start,
+                                                  w.done - w.pre_start))
                                    .id;
 
     // Lay the stages out exactly like the Perfetto exporter: host prefix
-    // from host_start, then (patch +) the remainder from device_start.
+    // from pre_start, then (patch +) the remainder from device_start.
     struct Placed {
       const core::StageStep* step;
       double start;
     };
     std::vector<Placed> placed;
     std::size_t step = 0;
-    double cursor = w.host_start;
+    double cursor = w.pre_start;
     for (; step < slot.report.trace.size(); ++step) {
       const core::StageStep& s = slot.report.trace[step];
       if (s.side != core::StageSide::kHost) break;
       placed.push_back({&s, cursor});
       cursor += s.seconds;
     }
-    cursor = w.device_start;
-    if (slot.patch_seconds > 0) {
-      log.push(make_span(root, "mram-patch", "patch", bi, cursor,
-                         slot.patch_seconds));
-      cursor += slot.patch_seconds;
-    }
-    // Drift-controller replication patch follows the mutation patch; it
-    // shares the "patch" category so the span accounting identity
-    // (query spans + patch spans == serial_seconds) keeps holding.
-    if (slot.adapt_seconds > 0) {
-      log.push(make_span(root, "adapt-patch", "patch", bi, cursor,
-                         slot.adapt_seconds));
-      cursor += slot.adapt_seconds;
-    }
+    cursor = push_patch_spans(log, root, bi, w.device_start, slot);
     for (; step < slot.report.trace.size(); ++step) {
       const core::StageStep& s = slot.report.trace[step];
       placed.push_back({&s, cursor});
@@ -104,7 +108,7 @@ void append_pipeline_spans(SpanLog& log,
         total += p.step->seconds *
                  (p.step->side == core::StageSide::kHost ? uniform : dev_share);
       }
-      Span qs = make_span(root, "query", "query", bi, w.host_start, total);
+      Span qs = make_span(root, "query", "query", bi, w.pre_start, total);
       qs.query = gid;
       const std::uint64_t qid = log.push(std::move(qs)).id;
       for (const Placed& p : placed) {
@@ -120,21 +124,19 @@ void append_pipeline_spans(SpanLog& log,
   }
 }
 
-void append_multihost_spans(SpanLog& log,
-                            const core::MultiHostPipelineReport& report) {
-  const std::vector<core::MultiHostBatchWindows> windows =
-      core::multihost_timeline(report);
+void append_spans(SpanLog& log, const core::MultiHostPipelineReport& report) {
+  const std::vector<core::PhaseWindows> windows = core::batch_timeline(report);
   std::uint64_t first_qid = 0;
   for (std::size_t b = 0; b < report.slots.size(); ++b) {
     const core::MultiHostBatchSlot& slot = report.slots[b];
     const core::MultiHostReport& r = slot.report;
-    const core::MultiHostBatchWindows& w = windows[b];
+    const core::PhaseWindows& w = windows[b];
     const std::int64_t bi = static_cast<std::int64_t>(b);
     const std::size_t nq = r.neighbors.size();
 
     const std::uint64_t root = log.push(make_span(0, "batch", "batch", bi,
                                                   w.pre_start,
-                                                  w.post_end - w.pre_start))
+                                                  w.done - w.pre_start))
                                    .id;
 
     log.push(make_span(root, "cluster-filter", "coord", bi, w.pre_start,
@@ -142,19 +144,10 @@ void append_multihost_spans(SpanLog& log,
     log.push(make_span(root, "broadcast", "net", bi,
                        w.pre_start + r.coord_filter_seconds,
                        r.broadcast_seconds));
-    // The fleet-wide MRAM patch leads the device phase (same position the
-    // single-host pipeline gives it).
+    // The fleet-wide patch work leads the device phase (same position the
+    // single-host stream gives it).
     const double fleet_start =
-        w.device_start + slot.patch_seconds + slot.adapt_seconds;
-    if (slot.patch_seconds > 0) {
-      log.push(make_span(root, "mram-patch", "patch", bi, w.device_start,
-                         slot.patch_seconds));
-    }
-    if (slot.adapt_seconds > 0) {
-      log.push(make_span(root, "adapt-patch", "patch", bi,
-                         w.device_start + slot.patch_seconds,
-                         slot.adapt_seconds));
-    }
+        push_patch_spans(log, root, bi, w.device_start, slot);
     for (std::size_t h = 0; h < r.host_slots.size(); ++h) {
       const core::MultiHostHostSlot& hs = r.host_slots[h];
       if (!hs.active) continue;

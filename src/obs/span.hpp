@@ -12,9 +12,9 @@
 //                                                      each phase)
 //
 // Like the Perfetto exporter, spans are assembled *post hoc* from the batch
-// pipeline reports and the same deterministic timelines
-// (pipeline_timeline / multihost_timeline) — nothing runs inside the
-// stages, so a detached run stays byte-identical to main. The only run-time
+// stream reports and the same deterministic timeline (core::batch_timeline)
+// — nothing runs inside the stages, so a detached run stays byte-identical
+// to main. The only run-time
 // hook is SearchReport::query_costs, which the pipeline fills (when a
 // SpanLog is attached to the engine) with the batch/query ids and the
 // per-query share of the device phase derived from the Alg-2 schedule.
@@ -53,7 +53,7 @@ struct Span {
 
 /// Append-only span collection. Attach one to an engine (set_spans) to make
 /// the pipeline record per-query cost shares, then assemble with the
-/// append_*_spans builders below.
+/// append_spans builders below (the batch streams call them from finish()).
 class SpanLog {
  public:
   /// Append `s` with the next id assigned; returns the stored span.
@@ -68,20 +68,18 @@ class SpanLog {
   std::vector<Span> spans_;
 };
 
-/// Build the span forest of a single-host batch pipeline run (see file
-/// comment). Per-query device shares come from SearchReport::query_costs;
-/// batches without it fall back to uniform shares, so the accounting
-/// identity holds either way.
-void append_pipeline_spans(SpanLog& log,
-                           const core::BatchPipelineReport& report);
+/// Build the span forest of a single-host stream run (see file comment).
+/// Per-query device shares come from SearchReport::query_costs; batches
+/// without it fall back to uniform shares, so the accounting identity holds
+/// either way.
+void append_spans(SpanLog& log, const core::BatchPipelineReport& report);
 
 /// Build the span forest of a multi-host run: coordinator phases
 /// (cluster-filter / interhost-merge, category "coord"), the network
 /// fan-out ("net"), per-host schedule + device phases ("host"), the
-/// mram-patch lead-in ("patch"), and uniform per-query shares of the five
-/// serial phases.
-void append_multihost_spans(SpanLog& log,
-                            const core::MultiHostPipelineReport& report);
+/// mram-patch / adapt-patch lead-in ("patch"), and uniform per-query shares
+/// of the five serial phases.
+void append_spans(SpanLog& log, const core::MultiHostPipelineReport& report);
 
 /// Serialize to the SpanLog JSON schema: {"provenance": {...},
 /// "n_spans": N, "spans": [...]} with round-trip doubles.

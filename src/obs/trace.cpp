@@ -10,73 +10,79 @@
 
 namespace upanns::obs {
 
-std::vector<BatchWindows> pipeline_timeline(
-    const core::BatchPipelineReport& report) {
-  std::vector<BatchWindows> out;
-  out.reserve(report.slots.size());
-  double device_free = 0;  // when the device finished the previous batch
-  double host_free = 0;    // when the host may start the next prefix
-  for (const core::BatchSlot& slot : report.slots) {
-    BatchWindows w;
-    w.host_start = host_free;
-    w.host_end = w.host_start + slot.host_seconds;
-    if (report.overlapped) {
-      // Device waits for both its input (host prefix) and the device itself;
-      // the next host prefix starts as soon as this device phase does.
-      w.device_start = std::max(w.host_end, device_free);
-      host_free = w.device_start;
-    } else {
-      w.device_start = w.host_end;
-      host_free = w.device_start + slot.device_seconds;
+namespace {
+
+/// The mram-patch / adapt-patch slices that lead a batch's device phase
+/// (device_seconds already includes them), parked on lane 0 until every
+/// other lane is known.
+class PatchLanes {
+ public:
+  /// Lay the batch's patch slices from `start`; returns where the rest of
+  /// its device phase starts.
+  template <class Report>
+  double add(PipelineTrace& t, std::size_t b, double start,
+             const core::StreamSlot<Report>& slot) {
+    if (slot.patch_seconds > 0) {
+      patch_.push_back(t.slices.size());
+      t.slices.push_back(
+          {"mram-patch", "patch", 0, start, slot.patch_seconds, b});
     }
-    w.device_end = w.device_start + slot.device_seconds;
-    device_free = w.device_end;
-    out.push_back(w);
+    start += slot.patch_seconds;
+    // A replication patch from the drift controller (copy adjust or
+    // relocate) follows the mutation patch.
+    if (slot.adapt_seconds > 0) {
+      adapt_.push_back(t.slices.size());
+      t.slices.push_back(
+          {"adapt-patch", "patch", 0, start, slot.adapt_seconds, b});
+    }
+    return start + slot.adapt_seconds;
   }
-  return out;
-}
+
+  /// Patch and adapt lanes only exist when some batch actually used them,
+  /// so read-only (and adapt-off) runs export a byte-identical trace.
+  void finish(PipelineTrace& t, int next_lane) const {
+    if (!patch_.empty()) {
+      for (std::size_t i : patch_) t.slices[i].lane = next_lane;
+      t.lanes.emplace_back(next_lane, "mram-patch");
+      ++next_lane;
+    }
+    if (!adapt_.empty()) {
+      for (std::size_t i : adapt_) t.slices[i].lane = next_lane;
+      t.lanes.emplace_back(next_lane, "adapt-patch");
+    }
+  }
+
+ private:
+  std::vector<std::size_t> patch_, adapt_;
+};
+
+}  // namespace
 
 PipelineTrace pipeline_trace(const core::BatchPipelineReport& report) {
   PipelineTrace t;
   t.lanes.emplace_back(0, "host");
   t.lanes.emplace_back(1, "device");
   std::size_t max_dpu_lane = 0;
-  std::vector<std::size_t> patch_slices;  // lane fixed up once lanes are known
-  std::vector<std::size_t> adapt_slices;
+  PatchLanes patches;
 
-  const std::vector<BatchWindows> windows = pipeline_timeline(report);
+  const std::vector<core::PhaseWindows> windows = core::batch_timeline(report);
   for (std::size_t b = 0; b < report.slots.size(); ++b) {
     const core::BatchSlot& slot = report.slots[b];
-    const BatchWindows& w = windows[b];
+    const core::PhaseWindows& w = windows[b];
 
     // Host prefix = the leading kHost trace entries, then the device-bound
-    // remainder — the same split BatchPipeline::run uses for host_seconds.
+    // remainder — the same split the stream uses for pre_seconds.
     std::size_t step = 0;
-    double cursor = w.host_start;
+    double cursor = w.pre_start;
     for (; step < slot.report.trace.size(); ++step) {
       const core::StageStep& s = slot.report.trace[step];
       if (s.side != core::StageSide::kHost) break;
       t.slices.push_back({s.name, "host", 0, cursor, s.seconds, b});
       cursor += s.seconds;
     }
-    cursor = w.device_start;
-    // An incremental MRAM patch (mutations since the previous batch) leads
-    // the device phase: device_seconds already includes it, so the stage
-    // slices start after it and still end exactly at w.device_end.
-    if (slot.patch_seconds > 0) {
-      patch_slices.push_back(t.slices.size());
-      t.slices.push_back(
-          {"mram-patch", "patch", 0, cursor, slot.patch_seconds, b});
-      cursor += slot.patch_seconds;
-    }
-    // A replication patch from the drift controller (copy adjust or
-    // relocate) follows the mutation patch; device_seconds covers it too.
-    if (slot.adapt_seconds > 0) {
-      adapt_slices.push_back(t.slices.size());
-      t.slices.push_back(
-          {"adapt-patch", "patch", 0, cursor, slot.adapt_seconds, b});
-      cursor += slot.adapt_seconds;
-    }
+    // The stage slices start after any patch work and still end exactly at
+    // w.device_end.
+    cursor = patches.add(t, b, w.device_start, slot);
     double launch_start = cursor;
     for (; step < slot.report.trace.size(); ++step) {
       const core::StageStep& s = slot.report.trace[step];
@@ -101,18 +107,7 @@ PipelineTrace pipeline_trace(const core::BatchPipelineReport& report) {
     t.lanes.emplace_back(static_cast<int>(2 + d),
                          "dpu-" + std::to_string(d));
   }
-  // Patch and adapt lanes only exist when some batch actually used them, so
-  // read-only (and adapt-off) runs export a byte-identical trace.
-  int next_lane = static_cast<int>(2 + max_dpu_lane + 1);
-  if (!patch_slices.empty()) {
-    for (std::size_t i : patch_slices) t.slices[i].lane = next_lane;
-    t.lanes.emplace_back(next_lane, "mram-patch");
-    ++next_lane;
-  }
-  if (!adapt_slices.empty()) {
-    for (std::size_t i : adapt_slices) t.slices[i].lane = next_lane;
-    t.lanes.emplace_back(next_lane, "adapt-patch");
-  }
+  patches.finish(t, static_cast<int>(2 + max_dpu_lane + 1));
   return t;
 }
 
@@ -198,37 +193,22 @@ PipelineTrace multihost_trace(const core::MultiHostPipelineReport& report) {
   t.lanes.emplace_back(0, "coordinator");
   t.lanes.emplace_back(1, "network");
   std::size_t max_host_lane = 0;
-  std::vector<std::size_t> patch_slices;  // lane fixed up once lanes are known
-  std::vector<std::size_t> adapt_slices;
+  PatchLanes patches;
 
-  const std::vector<core::MultiHostBatchWindows> windows =
-      core::multihost_timeline(report);
+  const std::vector<core::PhaseWindows> windows = core::batch_timeline(report);
   for (std::size_t b = 0; b < report.slots.size(); ++b) {
     const core::MultiHostBatchSlot& slot = report.slots[b];
     const core::MultiHostReport& r = slot.report;
-    const core::MultiHostBatchWindows& w = windows[b];
+    const core::PhaseWindows& w = windows[b];
 
     t.slices.push_back({"cluster-filter", "host", 0, w.pre_start,
                         r.coord_filter_seconds, b});
     t.slices.push_back({"broadcast", "network", 1,
                         w.pre_start + r.coord_filter_seconds,
                         r.broadcast_seconds, b});
-    // A fleet-wide MRAM patch leads the device phase (device_seconds
-    // already includes it), so the host slices start after it and still end
+    // The host slices start after any fleet-wide patch work and still end
     // exactly at w.device_end.
-    const double fleet_start =
-        w.device_start + slot.patch_seconds + slot.adapt_seconds;
-    if (slot.patch_seconds > 0) {
-      patch_slices.push_back(t.slices.size());
-      t.slices.push_back({"mram-patch", "patch", 0, w.device_start,
-                          slot.patch_seconds, b});
-    }
-    if (slot.adapt_seconds > 0) {
-      adapt_slices.push_back(t.slices.size());
-      t.slices.push_back({"adapt-patch", "patch", 0,
-                          w.device_start + slot.patch_seconds,
-                          slot.adapt_seconds, b});
-    }
+    const double fleet_start = patches.add(t, b, w.device_start, slot);
     for (std::size_t h = 0; h < r.host_slots.size(); ++h) {
       const core::MultiHostHostSlot& s = r.host_slots[h];
       if (!s.active) continue;
@@ -255,24 +235,8 @@ PipelineTrace multihost_trace(const core::MultiHostPipelineReport& report) {
     t.lanes.emplace_back(static_cast<int>(2 + h),
                          "host-" + std::to_string(h));
   }
-  // Patch and adapt lanes only exist when some batch actually used them, so
-  // read-only (and adapt-off) runs export a byte-identical trace.
-  int next_lane = static_cast<int>(2 + max_host_lane + 1);
-  if (!patch_slices.empty()) {
-    for (std::size_t i : patch_slices) t.slices[i].lane = next_lane;
-    t.lanes.emplace_back(next_lane, "mram-patch");
-    ++next_lane;
-  }
-  if (!adapt_slices.empty()) {
-    for (std::size_t i : adapt_slices) t.slices[i].lane = next_lane;
-    t.lanes.emplace_back(next_lane, "adapt-patch");
-  }
+  patches.finish(t, static_cast<int>(2 + max_host_lane + 1));
   return t;
-}
-
-void write_multihost_trace_file(const std::string& path,
-                                const core::MultiHostPipelineReport& report) {
-  write_text_file(path, trace_json(multihost_trace(report)));
 }
 
 PipelineTrace build_trace(const ivf::BuildStats& stats) {
@@ -313,11 +277,6 @@ void write_text_file_guarded(const std::string& path,
                              " (pass --force to overwrite)");
   }
   write_text_file(path, content);
-}
-
-void write_trace_file(const std::string& path,
-                      const core::BatchPipelineReport& report) {
-  write_text_file(path, trace_json(pipeline_trace(report)));
 }
 
 }  // namespace upanns::obs

@@ -1,12 +1,12 @@
-// Chrome/Perfetto trace export of a BatchPipeline run.
+// Chrome/Perfetto trace export of a batch stream run.
 //
-// The timeline is derived from exactly the numbers the pipeline's
-// double-buffered accounting uses (core/pipeline.hpp): batch 0's host prefix
-// starts at t=0; each batch's device phase starts when both the device is
-// free and its own host prefix is done; batch i+1's host prefix starts when
-// batch i's device phase starts. Because IEEE rounding is monotone,
-// max(fl(a+b), fl(a+c)) == fl(a + max(b, c)), so the final device-phase end
-// reproduces elapsed_seconds = h_0 + sum_i max(d_i, h_{i+1}) + d_last
+// The windows come from core::batch_timeline, the recurrence the stream's
+// elapsed_seconds itself comes from (core/pipeline.hpp): batch 0's host
+// prefix starts at t=0; each batch's device phase starts when both the
+// device is free and its own host prefix is done; batch i+1's host prefix
+// starts when batch i's device phase starts. Because IEEE rounding is
+// monotone, max(fl(a+b), fl(a+c)) == fl(a + max(b, c)), so the final
+// device-phase end equals h_0 + sum_i max(d_i, h_{i+1}) + d_last
 // bit-for-bit for overlapped runs (asserted in test_obs).
 //
 // Lanes (Chrome trace "threads" of one process):
@@ -19,13 +19,13 @@
 // Load the file at ui.perfetto.dev (or chrome://tracing): batch i+1's host
 // slices visibly overlap batch i's device slices.
 // Multi-host runs (core::MultiHostBatchPipeline) export through the same
-// slice/lane machinery with a different lane map:
+// slice/lane machinery and timeline with a different lane map:
 //   tid 0          coordinator — cluster-filter + interhost-merge per batch
 //   tid 1          network     — broadcast / gather fan-out transfers
 //   tid 2+h        host-<h>    — that host's schedule + device phase
-// The windows come from core::multihost_timeline, the exact recurrence the
-// pipeline's elapsed_seconds uses, so the last merge slice ends at
-// elapsed_seconds for overlapped runs.
+// so the last merge slice ends at elapsed_seconds for overlapped runs. Both
+// maps append an mram-patch and an adapt-patch lane after the others when
+// some batch patched or adapted.
 #pragma once
 
 #include <string>
@@ -38,18 +38,6 @@
 namespace upanns::obs {
 
 class SpanLog;
-
-/// Simulated-time windows of one batch on the host and device lanes.
-struct BatchWindows {
-  double host_start = 0, host_end = 0;
-  double device_start = 0, device_end = 0;
-};
-
-/// Lay every batch out on the two lanes under the pipeline's accounting.
-/// For overlapped reports the last window's device_end equals
-/// elapsed_seconds bit-for-bit; serial runs lay batches back to back.
-std::vector<BatchWindows> pipeline_timeline(
-    const core::BatchPipelineReport& report);
 
 /// One "complete" (ph "X") slice on a lane.
 struct TraceSlice {
@@ -81,20 +69,11 @@ PipelineTrace pipeline_trace(const core::BatchPipelineReport& report);
 std::string trace_json(const PipelineTrace& trace,
                        const SpanLog* spans = nullptr);
 
-/// pipeline_trace + trace_json + write to `path` (throws std::runtime_error
-/// when the file cannot be written).
-void write_trace_file(const std::string& path,
-                      const core::BatchPipelineReport& report);
-
 /// Build the multi-host slice set (see file comment): per batch, the
 /// coordinator filter and inter-host merge on the coordinator lane, the
 /// broadcast/gather fan-out on the network lane, and one schedule + one
 /// device slice per active host on that host's lane.
 PipelineTrace multihost_trace(const core::MultiHostPipelineReport& report);
-
-/// multihost_trace + trace_json + write to `path`.
-void write_multihost_trace_file(const std::string& path,
-                                const core::MultiHostPipelineReport& report);
 
 /// One-lane wall-clock trace of the offline build phase: the BuildStats
 /// substages (coarse-kmeans, coarse-assign, residual, pq-train, encode)

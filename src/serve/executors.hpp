@@ -11,16 +11,18 @@
 
 namespace upanns::serve {
 
-/// Executor over a core::BatchStream — the standard single-host online
-/// path (MRAM patching, slot metrics and spans included). The stream keeps
-/// its slots alive until finish(), so neighbors are copied out. The stream
-/// must outlive the returned executor.
-inline BatchExecutor stream_executor(core::BatchStream& stream) {
+/// Executor over a batch stream — core::BatchStream on one host or
+/// core::MultiHostBatchPipeline on a fleet — the standard online path
+/// (MRAM patching, adaptation, slot metrics and spans included). The stream
+/// keeps its slots alive until finish(), so neighbors are copied out. The
+/// stream must outlive the returned executor.
+template <class Target, class Report>
+BatchExecutor stream_executor(core::BasicBatchStream<Target, Report>& stream) {
   return [&stream](const data::Dataset& batch) {
-    const core::BatchSlot& slot = stream.run_batch(batch);
+    const auto& slot = stream.run_batch(batch);
     ExecResult r;
     r.neighbors = slot.report.neighbors;
-    r.sim_seconds = slot.host_seconds + slot.device_seconds;
+    r.sim_seconds = slot.pre_seconds + slot.device_seconds + slot.post_seconds;
     return r;
   };
 }

@@ -3,7 +3,7 @@
 //  * once warm, repeating a batch through a reused QueryPipeline grows no
 //    scratch arena (hot_path_allocations() stays flat) and reproduces the
 //    seed path's SearchReport bit for bit;
-//  * BatchPipeline's pooled kernels are transparent — each slot's report
+//  * BatchStream's pooled kernels are transparent — each slot's report
 //    equals a fresh-engine search of the same batch;
 //  * the chunk-index DMA accounting in phase_distance charges exactly one
 //    slice DMA per tasklet (the seed double-charged a tasklet-0 staging
@@ -118,7 +118,7 @@ TEST(HotPath, BatchPipelineSlotsMatchFreshEngineSearch) {
   UpAnnsEngine engine(f.index, f.stats, f.options());
   const auto batches = split_batches(f.wl.queries, 16);
 
-  BatchPipeline pipeline(engine);
+  BatchStream pipeline(engine);
   const BatchPipelineReport report = pipeline.run(batches);
   ASSERT_EQ(report.slots.size(), batches.size());
 

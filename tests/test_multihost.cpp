@@ -292,7 +292,7 @@ TEST(MultiHostPipeline, TimelineReproducesElapsedBitForBit) {
   MultiHostUpAnns mh(f.index, f.stats, f.opts(2));
   MultiHostBatchPipeline pipeline(mh, {.overlap = true});
   const auto run = pipeline.run(fixture_batches(4));
-  const auto windows = multihost_timeline(run);
+  const auto windows = batch_timeline(run);
   ASSERT_EQ(windows.size(), run.slots.size());
   EXPECT_EQ(windows.back().post_end, run.elapsed_seconds);
   // Coordinator and device phases never run backwards in time.
@@ -358,7 +358,13 @@ TEST(MultiHostPipeline, QuietAdaptIsByteIdentical) {
   }
 }
 
-TEST(MultiHostPipeline, AdaptFiresAndPreservesNeighbors) {
+/// Fleet adaptation in both online modes. kFull relocates inside the fleet,
+/// where each host engine must drop its own pooled kernels (their per-DPU
+/// layouts are rebuilt); the sanitizer legs catch a stale one.
+class MultiHostPipelineAdapt : public ::testing::TestWithParam<AdaptMode> {};
+
+TEST_P(MultiHostPipelineAdapt, AdaptFiresAndPreservesNeighbors) {
+  const AdaptMode mode = GetParam();
   auto& f = fixture();
   const auto batches = multihost_drift_batches(f);
 
@@ -367,19 +373,26 @@ TEST(MultiHostPipeline, AdaptFiresAndPreservesNeighbors) {
   const auto off_run = off.run(batches);
 
   MultiHostUpAnns on_mh(f.index, f.stats, f.opts(2));
-  MultiHostBatchPipeline on(on_mh,
-                            {.overlap = true,
-                             .adapt = AdaptMode::kCopies,
-                             .adaptive = {.window_batches = 2,
-                                          .minor_threshold = 0.01,
-                                          .copy_change_fraction = 0.01}});
+  // kFull gets a major threshold the drift crosses, so it relocates.
+  MultiHostBatchPipeline on(
+      on_mh, {.overlap = true,
+              .adapt = mode,
+              .adaptive = {.window_batches = 2,
+                           .minor_threshold = 0.01,
+                           .major_threshold =
+                               mode == AdaptMode::kFull ? 0.02 : 0.35,
+                           .copy_change_fraction = 0.01}});
   const auto on_run = on.run(batches);
 
-  std::size_t fired = 0;
+  std::size_t fired = 0, relocated = 0;
   for (const auto& slot : on_run.slots) {
     if (slot.adapt_action != AdaptAction::kNone) ++fired;
+    if (slot.adapt_action == AdaptAction::kRelocate) ++relocated;
   }
   EXPECT_GE(fired, 1u);
+  if (mode == AdaptMode::kFull) {
+    EXPECT_GE(relocated, 1u);
+  }
 
   // Replica churn on any host must never change what the fleet retrieves.
   ASSERT_EQ(on_run.slots.size(), off_run.slots.size());
@@ -401,6 +414,13 @@ TEST(MultiHostPipeline, AdaptFiresAndPreservesNeighbors) {
   }
   EXPECT_NEAR(on_run.serial_seconds, serial, 1e-12);
 }
+
+INSTANTIATE_TEST_SUITE_P(Modes, MultiHostPipelineAdapt,
+                         ::testing::Values(AdaptMode::kCopies,
+                                           AdaptMode::kFull),
+                         [](const ::testing::TestParamInfo<AdaptMode>& i) {
+                           return std::string(adapt_mode_name(i.param));
+                         });
 
 TEST(MultiHostBackend, ServesThroughCommonInterface) {
   auto& f = fixture();

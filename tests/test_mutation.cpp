@@ -275,6 +275,46 @@ TEST(EngineParity, PatchedImagesMatchFreshLoadMidStream) {
   expect_same_report(engine.search(f.wl.queries), fresh.search(f.wl.queries));
 }
 
+TEST(EngineParity, SearchAppliesPendingWritesLazily) {
+  // Writes with no explicit patch: both search entry points must sync the
+  // MRAM images first, serving exactly what a twin that called patch_dpus()
+  // serves. Each of the first 8 queries is upserted as an exact-match
+  // vector, so stale images would miss them.
+  auto& f = fixture();
+  ivf::IvfIndex lazy_index = f.index;
+  ivf::IvfIndex twin_index = f.index;
+  core::UpAnnsEngine lazy(lazy_index, f.stats, f.options());
+  core::UpAnnsEngine twin(twin_index, f.stats, f.options());
+
+  std::uint32_t next_id = static_cast<std::uint32_t>(f.base.n);
+  const auto write = [&](std::size_t first_query) {
+    std::vector<std::uint32_t> ids;
+    std::vector<float> flat;
+    for (std::size_t q = first_query; q < first_query + 8; ++q) {
+      ids.push_back(next_id++);
+      flat.insert(flat.end(), f.wl.queries.row(q),
+                  f.wl.queries.row(q) + f.wl.queries.dim);
+    }
+    const std::uint32_t dead = static_cast<std::uint32_t>(first_query + 3);
+    for (core::UpAnnsEngine* e : {&lazy, &twin}) {
+      e->upsert(ids, flat);
+      EXPECT_EQ(e->remove({&dead, 1}), 1u);
+    }
+    ASSERT_TRUE(lazy.needs_patch());
+    twin.patch_dpus();
+  };
+
+  write(0);
+  expect_same_report(lazy.search(f.wl.queries), twin.search(f.wl.queries));
+  EXPECT_FALSE(lazy.needs_patch());
+
+  write(8);
+  const auto probes = ivf::filter_batch(lazy_index, f.wl.queries, 6);
+  expect_same_report(lazy.search_with_probes(f.wl.queries, probes),
+                     twin.search_with_probes(f.wl.queries, probes));
+  EXPECT_FALSE(lazy.needs_patch());
+}
+
 TEST(EngineParity, CompactedEngineMatchesRebuiltIndexBitForBit) {
   auto& f = fixture();
   ivf::IvfIndex mut = f.index;

@@ -271,7 +271,7 @@ struct Fixture {
                                           bool overlap = true) {
     core::UpAnnsEngine engine(index, stats, options());
     engine.set_metrics(reg);
-    core::BatchPipeline pipeline(engine, {.overlap = overlap});
+    core::BatchStream pipeline(engine, {.overlap = overlap});
     return pipeline.run(core::split_batches(wl.queries, 16));
   }
 
@@ -303,29 +303,29 @@ TEST(Trace, TimelineReproducesOverlappedElapsedBitExact) {
   ASSERT_EQ(run.slots.size(), 3u);
   ASSERT_TRUE(run.overlapped);
 
-  const auto windows = pipeline_timeline(run);
+  const auto windows = core::batch_timeline(run);
   ASSERT_EQ(windows.size(), 3u);
-  EXPECT_DOUBLE_EQ(windows.back().device_end, run.elapsed_seconds);
+  EXPECT_EQ(windows.back().device_end, run.elapsed_seconds);
 
   // Batch i+1's host prefix starts exactly when batch i's device phase does
   // (that is the overlap), and every device phase starts no earlier than its
   // own host prefix ends.
   for (std::size_t i = 0; i < windows.size(); ++i) {
-    EXPECT_GE(windows[i].device_start, windows[i].host_end);
+    EXPECT_GE(windows[i].device_start, windows[i].pre_end);
     if (i + 1 < windows.size()) {
-      EXPECT_DOUBLE_EQ(windows[i + 1].host_start, windows[i].device_start);
+      EXPECT_DOUBLE_EQ(windows[i + 1].pre_start, windows[i].device_start);
     }
   }
-  EXPECT_DOUBLE_EQ(windows[0].host_start, 0.0);
+  EXPECT_DOUBLE_EQ(windows[0].pre_start, 0.0);
 }
 
 TEST(Trace, SerialTimelineLaysBatchesBackToBack) {
   auto& f = fixture();
   const auto run = f.three_batches(nullptr, /*overlap=*/false);
-  const auto windows = pipeline_timeline(run);
+  const auto windows = core::batch_timeline(run);
   ASSERT_EQ(windows.size(), 3u);
   for (std::size_t i = 0; i + 1 < windows.size(); ++i) {
-    EXPECT_DOUBLE_EQ(windows[i + 1].host_start, windows[i].device_end);
+    EXPECT_DOUBLE_EQ(windows[i + 1].pre_start, windows[i].device_end);
   }
   EXPECT_NEAR(windows.back().device_end, run.elapsed_seconds,
               1e-12 * run.elapsed_seconds);
@@ -415,7 +415,7 @@ TEST(Trace, MultiHostTraceCoversEveryPhaseOnNamedLanes) {
   // The multi-host exporter lays coordinator work on lane 0, the network on
   // lane 1, and each active host on lane 2+h; slice durations reconstruct
   // the per-batch phase split, and the last coordinator slice ends at
-  // elapsed_seconds bit-for-bit (both come from core::multihost_timeline).
+  // elapsed_seconds bit-for-bit (both come from core::batch_timeline).
   auto& f = fixture();
   const auto run = f.multihost_batches();
   ASSERT_EQ(run.slots.size(), 3u);
@@ -444,7 +444,7 @@ TEST(Trace, MultiHostTraceCoversEveryPhaseOnNamedLanes) {
   // Slice ends re-associate (start + gather) + merge, so compare to a few
   // ulps; the timeline itself is the bit-exact source of elapsed_seconds.
   EXPECT_DOUBLE_EQ(last_end, run.elapsed_seconds);
-  EXPECT_EQ(core::multihost_timeline(run).back().post_end,
+  EXPECT_EQ(core::batch_timeline(run).back().post_end,
             run.elapsed_seconds);
 
   const JsonValue doc = json_parse(trace_json(trace));
@@ -546,7 +546,7 @@ TEST(ReportJson, BatchPipelineReportRoundTripsBitExact) {
   for (std::size_t i = 0; i < 3; ++i) {
     const JsonValue& slot = v.at("slots").at(i);
     EXPECT_TRUE(
-        bits_eq(slot.at("host_seconds").number, run.slots[i].host_seconds));
+        bits_eq(slot.at("host_seconds").number, run.slots[i].pre_seconds));
     EXPECT_TRUE(bits_eq(slot.at("device_seconds").number,
                         run.slots[i].device_seconds));
     EXPECT_TRUE(bits_eq(slot.at("report").at("times").at("total").number,
@@ -568,7 +568,7 @@ TEST(Parity, AttachingARegistryChangesNothing) {
   for (std::size_t i = 0; i < plain.slots.size(); ++i) {
     const auto& a = plain.slots[i];
     const auto& b = instrumented.slots[i];
-    EXPECT_DOUBLE_EQ(a.host_seconds, b.host_seconds);
+    EXPECT_DOUBLE_EQ(a.pre_seconds, b.pre_seconds);
     EXPECT_DOUBLE_EQ(a.device_seconds, b.device_seconds);
     EXPECT_EQ(a.report.neighbors, b.report.neighbors);
     EXPECT_DOUBLE_EQ(a.report.times.total(), b.report.times.total());

@@ -115,7 +115,7 @@ TEST(Pipeline, EmptyBatchListIsANoOp) {
   auto& f = fixture();
   UpAnnsEngine engine(f.index, f.stats, f.options());
   for (const bool overlap : {false, true}) {
-    BatchPipeline pipeline(engine, {.overlap = overlap});
+    BatchStream pipeline(engine, {.overlap = overlap});
     const auto run = pipeline.run({});
     EXPECT_TRUE(run.slots.empty());
     EXPECT_EQ(run.n_queries, 0u);
@@ -138,7 +138,7 @@ TEST(Pipeline, NoOverlapEqualsSerialStageSums) {
     serial_sum += engine.search(b).times.total();
   }
 
-  BatchPipeline pipeline(engine, {.overlap = false});
+  BatchStream pipeline(engine, {.overlap = false});
   const auto run = pipeline.run(batches);
   EXPECT_FALSE(run.overlapped);
   EXPECT_DOUBLE_EQ(run.elapsed_seconds, serial_sum);
@@ -150,13 +150,13 @@ TEST(Pipeline, SlotSplitReconstructsBatchTotal) {
   auto& f = fixture();
   UpAnnsEngine engine(f.index, f.stats, f.options());
   const auto batches = split_batches(f.wl.queries, 16);
-  BatchPipeline pipeline(engine, {.overlap = true});
+  BatchStream pipeline(engine, {.overlap = true});
   const auto run = pipeline.run(batches);
   ASSERT_EQ(run.slots.size(), batches.size());
   for (const auto& slot : run.slots) {
-    EXPECT_GT(slot.host_seconds, 0.0);
+    EXPECT_GT(slot.pre_seconds, 0.0);
     EXPECT_GT(slot.device_seconds, 0.0);
-    EXPECT_DOUBLE_EQ(slot.host_seconds + slot.device_seconds,
+    EXPECT_DOUBLE_EQ(slot.pre_seconds + slot.device_seconds,
                      slot.report.times.total());
   }
 }
@@ -169,9 +169,9 @@ TEST(Pipeline, OverlapStrictlyFasterWithIdenticalResults) {
   const auto batches = split_batches(f.wl.queries, 16);
   ASSERT_GE(batches.size(), 4u);
 
-  BatchPipeline serial(engine, {.overlap = false});
+  BatchStream serial(engine, {.overlap = false});
   const auto off = serial.run(batches);
-  BatchPipeline overlapped(engine, {.overlap = true});
+  BatchStream overlapped(engine, {.overlap = true});
   const auto on = overlapped.run(batches);
 
   EXPECT_LT(on.elapsed_seconds, off.elapsed_seconds);
@@ -193,13 +193,13 @@ TEST(Pipeline, OverlapElapsedMatchesTwoPhaseFormula) {
   auto& f = fixture();
   UpAnnsEngine engine(f.index, f.stats, f.options());
   const auto batches = split_batches(f.wl.queries, 16);
-  BatchPipeline pipeline(engine, {.overlap = true});
+  BatchStream pipeline(engine, {.overlap = true});
   const auto run = pipeline.run(batches);
 
-  double expect = run.slots.front().host_seconds;
+  double expect = run.slots.front().pre_seconds;
   for (std::size_t i = 0; i + 1 < run.slots.size(); ++i) {
     expect += std::max(run.slots[i].device_seconds,
-                       run.slots[i + 1].host_seconds);
+                       run.slots[i + 1].pre_seconds);
   }
   expect += run.slots.back().device_seconds;
   EXPECT_DOUBLE_EQ(run.elapsed_seconds, expect);
@@ -266,11 +266,11 @@ TEST(Pipeline, QuietAdaptControllerIsByteIdentical) {
   const auto batches = drifted_batches(f);
 
   UpAnnsEngine off_engine(f.index, f.stats, f.options());
-  BatchPipeline off(off_engine, {.overlap = true});
+  BatchStream off(off_engine, {.overlap = true});
   const auto off_run = off.run(batches);
 
   UpAnnsEngine quiet_engine(f.index, f.stats, f.options());
-  BatchPipeline quiet(quiet_engine,
+  BatchStream quiet(quiet_engine,
                       {.overlap = true,
                        .adapt = AdaptMode::kCopies,
                        // TV distance is <= 1, so thresholds of 2 can never
@@ -294,11 +294,11 @@ TEST(Pipeline, AdaptCopiesPreservesNeighborsAndAccounting) {
   const auto batches = drifted_batches(f);
 
   UpAnnsEngine off_engine(f.index, f.stats, f.options());
-  BatchPipeline off(off_engine, {.overlap = true});
+  BatchStream off(off_engine, {.overlap = true});
   const auto off_run = off.run(batches);
 
   UpAnnsEngine on_engine(f.index, f.stats, f.options());
-  BatchPipeline on(on_engine,
+  BatchStream on(on_engine,
                    {.overlap = true,
                     .adapt = AdaptMode::kCopies,
                     .adaptive = {.window_batches = 2,
@@ -335,7 +335,7 @@ TEST(Pipeline, AdaptCopiesPreservesNeighborsAndAccounting) {
   // total, exactly like a mutation patch.
   double serial = 0;
   for (const auto& slot : on_run.slots) {
-    EXPECT_NEAR(slot.host_seconds + slot.device_seconds,
+    EXPECT_NEAR(slot.pre_seconds + slot.device_seconds,
                 slot.report.times.total() + slot.patch_seconds +
                     slot.adapt_seconds,
                 1e-12);
@@ -350,11 +350,11 @@ TEST(Pipeline, AdaptFullRelocatesOnMajorDriftWithIdenticalNeighbors) {
   const auto batches = drifted_batches(f);
 
   UpAnnsEngine off_engine(f.index, f.stats, f.options());
-  BatchPipeline off(off_engine, {.overlap = true});
+  BatchStream off(off_engine, {.overlap = true});
   const auto off_run = off.run(batches);
 
   UpAnnsEngine on_engine(f.index, f.stats, f.options());
-  BatchPipeline on(on_engine,
+  BatchStream on(on_engine,
                    {.overlap = true,
                     .adapt = AdaptMode::kFull,
                     .adaptive = {.window_batches = 2,

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "core/engine.hpp"
+#include "core/multihost.hpp"
 #include "core/pipeline.hpp"
 #include "data/query_workload.hpp"
 #include "ivf/cluster_stats.hpp"
@@ -391,34 +392,33 @@ EngineFixture& engine_fixture() {
   return f;
 }
 
-TEST(ServeEngine, OnlineNeighborsBitIdenticalToPreformedBatches) {
-  auto& f = engine_fixture();
-
+/// Serve `queries` one by one through a Server over `Stream` on `target`
+/// (a deadline batcher picks batch boundaries unlike `ref`'s pre-formed
+/// batches of 16) and expect every neighbor list bit-identical to `ref`'s.
+template <class Stream, class Target>
+void expect_online_matches_preformed(Target& ref, Target& target,
+                                     const data::Dataset& queries) {
   // Reference: the whole workload as pre-formed batches of 16.
-  core::UpAnnsEngine ref_engine(f.index, f.stats, f.options());
-  core::BatchPipeline ref_pipeline(ref_engine, {});
-  const auto ref =
-      ref_pipeline.run(core::split_batches(f.wl.queries, 16));
+  Stream ref_pipeline(ref, {});
+  const auto ref_run = ref_pipeline.run(core::split_batches(queries, 16));
   std::vector<std::vector<common::Neighbor>> expected;
-  for (const auto& slot : ref.slots) {
+  for (const auto& slot : ref_run.slots) {
     expected.insert(expected.end(), slot.report.neighbors.begin(),
                     slot.report.neighbors.end());
   }
-  ASSERT_EQ(expected.size(), f.wl.queries.n);
+  ASSERT_EQ(expected.size(), queries.n);
 
   // Online: same queries submitted one by one through the server; the
   // deadline batcher decides the (different) batch boundaries.
-  core::UpAnnsEngine engine(f.index, f.stats, f.options());
-  core::BatchStream stream(engine, {.book_query_latency = false});
+  Stream stream(target, {.book_query_latency = false});
   ServeOptions sopts;
-  sopts.dim = f.wl.queries.dim;
+  sopts.dim = queries.dim;
   sopts.policy.max_batch = 7;  // deliberately != 16 and != divisor of 48
   sopts.policy.deadline_seconds = 1e-3;
   Server server(stream_executor(stream), sopts);
   std::vector<std::future<RequestResult>> futures;
-  for (std::size_t i = 0; i < f.wl.queries.n; ++i) {
-    auto fut = server.try_submit(
-        {f.wl.queries.row(i), f.wl.queries.dim});
+  for (std::size_t i = 0; i < queries.n; ++i) {
+    auto fut = server.try_submit({queries.row(i), queries.dim});
     ASSERT_TRUE(fut.has_value());
     futures.push_back(std::move(*fut));
   }
@@ -443,6 +443,33 @@ TEST(ServeEngine, OnlineNeighborsBitIdenticalToPreformedBatches) {
   }
   stream.finish();
 }
+
+/// Online serving over one host (BatchStream) and over a fleet
+/// (MultiHostBatchPipeline) — the parameter is the host count.
+class ServeEngineHosts : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(ServeEngineHosts, OnlineNeighborsBitIdenticalToPreformedBatches) {
+  auto& f = engine_fixture();
+  if (GetParam() == 1) {
+    core::UpAnnsEngine ref(f.index, f.stats, f.options());
+    core::UpAnnsEngine engine(f.index, f.stats, f.options());
+    expect_online_matches_preformed<core::BatchStream>(ref, engine,
+                                                       f.wl.queries);
+    return;
+  }
+  core::MultiHostOptions mh;
+  mh.n_hosts = GetParam();
+  mh.per_host = f.options();
+  core::MultiHostUpAnns ref(f.index, f.stats, mh);
+  core::MultiHostUpAnns cluster(f.index, f.stats, mh);
+  expect_online_matches_preformed<core::MultiHostBatchPipeline>(ref, cluster,
+                                                                f.wl.queries);
+}
+
+INSTANTIATE_TEST_SUITE_P(Hosts, ServeEngineHosts, ::testing::Values(1u, 2u),
+                         [](const ::testing::TestParamInfo<std::size_t>& i) {
+                           return "hosts" + std::to_string(i.param);
+                         });
 
 TEST(ServeEngine, LoadgenMatchesBatchPipelineNeighborsViaExecutor) {
   // The DES path reuses the same executor; one full-pool run must execute

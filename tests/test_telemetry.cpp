@@ -346,7 +346,7 @@ struct Fixture {
     core::UpAnnsEngine engine(index, stats, options());
     engine.set_metrics(reg);
     engine.set_spans(spans);
-    core::BatchPipeline pipeline(engine, {.overlap = true});
+    core::BatchStream pipeline(engine, {.overlap = true});
     return pipeline.run(batches());
   }
 
@@ -363,9 +363,9 @@ struct Fixture {
                                                 ivf::IvfIndex& mut) {
     core::UpAnnsEngine engine(mut, stats, options());
     engine.set_spans(spans);
-    core::BatchPipeline pipeline(engine, {.overlap = true});
+    core::BatchStream pipeline(engine, {.overlap = true});
     common::Rng rng(321);
-    const core::BatchPipeline::MutationHook hook = [&](std::size_t b) {
+    const core::BatchStream::MutationHook hook = [&](std::size_t b) {
       if (b == 0) return;
       std::vector<std::uint32_t> ids;
       std::vector<float> flat;
