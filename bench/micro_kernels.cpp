@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include "common/rng.hpp"
+#include "common/simd_dispatch.hpp"
 #include "common/topk.hpp"
 #include "core/cae.hpp"
 #include "core/dpu_kernel.hpp"
@@ -14,6 +15,7 @@
 #include "ivf/cluster_stats.hpp"
 #include "pim/cost_model.hpp"
 #include "pim/dpu.hpp"
+#include "quant/kmeans.hpp"
 #include "quant/pq.hpp"
 
 namespace {
@@ -63,6 +65,38 @@ void BM_LutBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LutBuild);
+
+// The build-phase kernel (k-means Lloyd steps, coarse assignment, PQ
+// encode) at its two shapes, per SIMD level: args are dim, k and the level.
+// Levels the CPU lacks are skipped.
+void BM_NearestCentroid(benchmark::State& state) {
+  const auto dim = static_cast<std::size_t>(state.range(0));
+  const auto k = static_cast<std::size_t>(state.range(1));
+  const auto level = static_cast<common::SimdLevel>(state.range(2));
+  if (static_cast<int>(level) >
+      static_cast<int>(common::simd_max_supported())) {
+    state.SkipWithError("SIMD level not supported");
+    return;
+  }
+  const auto centroids = random_vecs(k, dim, 40);
+  quant::BlockMajor tctr(quant::pad8(k) * dim);
+  quant::transpose_centroids(centroids.data(), k, dim, tctr.data());
+  const auto points = random_vecs(256, dim, 41);
+  const common::SimdLevel prev = common::simd_active_level();
+  common::set_simd_level(level);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto best = quant::nearest_centroid_t(
+        points.data() + (i++ % 256) * dim, tctr.data(), k, dim);
+    benchmark::DoNotOptimize(best);
+  }
+  common::set_simd_level(prev);
+  state.SetLabel(common::simd_level_name(level));
+}
+BENCHMARK(BM_NearestCentroid)
+    ->ArgNames({"dim", "k", "level"})
+    ->ArgsProduct({{128}, {512}, {0, 1, 2}})
+    ->ArgsProduct({{8}, {256}, {0, 1, 2}});
 
 void BM_AdcScan(benchmark::State& state) {
   const auto& pq = shared_pq();

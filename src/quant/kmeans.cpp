@@ -28,6 +28,12 @@ inline float combine8(const float* ch) {
          ((ch[4] + ch[5]) + (ch[6] + ch[7]));
 }
 
+/// Offset of centroid c's dimension 0 in the block-major layout
+/// [c / 8][d][c % 8]; dimension d sits d * 8 floats further on.
+inline std::size_t lane_offset(std::size_t c, std::size_t dim) {
+  return (c / 8) * dim * 8 + c % 8;
+}
+
 double now_seconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -162,57 +168,107 @@ std::pair<std::uint32_t, float> nearest_centroid(const float* point,
 }
 
 void transpose_centroids(const float* centroids, std::size_t k,
-                         std::size_t dim, std::vector<float>& out) {
-  const std::size_t k_pad = pad8(k);
-  out.assign(dim * k_pad, 0.f);
+                         std::size_t dim, float* out) {
+  std::fill_n(out, pad8(k) * dim, 0.f);
   for (std::size_t c = 0; c < k; ++c) {
     const float* row = centroids + c * dim;
-    for (std::size_t d = 0; d < dim; ++d) out[d * k_pad + c] = row[d];
+    float* lane = out + lane_offset(c, dim);
+    for (std::size_t d = 0; d < dim; ++d) lane[d * 8] = row[d];
   }
 }
 
 namespace {
 
 // ---------------------------------------------------------------------------
-// Blocked distance kernels over the transposed (dimension-major) layout.
-// Lanes are centroids; each lane accumulates the same 8-chain / fixed-tree
-// sequence as l2_sq, so per-centroid distances are bit-identical to the
-// row-major path at every SIMD level.
+// Blocked distance kernels over the block-major layout. Lanes are centroids;
+// each lane accumulates the same 8-chain / fixed-tree sequence as l2_sq, so
+// per-centroid distances are bit-identical to the row-major path at every
+// SIMD level. The vector bodies hold the eight chains in named registers:
+// an unrolled x8 body feeds chain j with dimension d + j, and the dim % 8
+// tail feeds chains 0..tail-1.
+
+float lane_dist_scalar(const float* p, const float* lane, std::size_t dim) {
+  float ch[8] = {0.f, 0.f, 0.f, 0.f, 0.f, 0.f, 0.f, 0.f};
+  for (std::size_t d = 0; d < dim; ++d) {
+    const float x = p[d] - lane[d * 8];
+    ch[d & 7] += x * x;
+  }
+  return combine8(ch);
+}
 
 void dists_t_scalar(const float* p, const float* t, std::size_t k,
-                    std::size_t k_pad, std::size_t dim, float* out) {
+                    std::size_t dim, float* out) {
   for (std::size_t c = 0; c < k; ++c) {
-    const float* col = t + c;
-    float ch[8] = {0.f, 0.f, 0.f, 0.f, 0.f, 0.f, 0.f, 0.f};
-    for (std::size_t d = 0; d < dim; ++d) {
-      const float x = p[d] - col[d * k_pad];
-      ch[d & 7] += x * x;
-    }
-    out[c] = combine8(ch);
+    out[c] = lane_dist_scalar(p, t + lane_offset(c, dim), dim);
   }
+}
+
+/// The reference selection: index order, strict-less compare, so ties break
+/// to the lowest index and an all-+inf (or NaN) scan returns (0, +inf).
+std::pair<std::uint32_t, float> nearest_t_scalar(const float* p,
+                                                 const float* t, std::size_t k,
+                                                 std::size_t dim) {
+  std::uint32_t best = 0;
+  float best_d = std::numeric_limits<float>::infinity();
+  for (std::size_t c = 0; c < k; ++c) {
+    const float d = lane_dist_scalar(p, t + lane_offset(c, dim), dim);
+    if (d < best_d) {
+      best_d = d;
+      best = static_cast<std::uint32_t>(c);
+    }
+  }
+  return {best, best_d};
 }
 
 #if defined(UPANNS_X86)
 
-/// SSE2: four centroid lanes per block, eight chain accumulators.
+// The fused argmin keeps centroid indices as float lanes (exact below 2^24)
+// so one compare mask selects both the distance and its index.
+constexpr std::size_t kMaxFusedK = std::size_t{1} << 24;
+
+inline __m128 step_sse2(__m128 acc, const float* p, const float* c) {
+  const __m128 x = _mm_sub_ps(_mm_set1_ps(*p), _mm_loadu_ps(c));
+  return _mm_add_ps(acc, _mm_mul_ps(x, x));
+}
+
+/// SSE2: four lanes of one block (`half` points at lane 0 or lane 4).
+inline __m128 half_block_sse2(const float* p, const float* half,
+                              std::size_t dim) {
+  __m128 a0 = _mm_setzero_ps(), a1 = a0, a2 = a0, a3 = a0, a4 = a0, a5 = a0,
+         a6 = a0, a7 = a0;
+  const std::size_t full = dim & ~std::size_t{7};
+  std::size_t d = 0;
+  for (; d < full; d += 8) {
+    const float* r = half + d * 8;
+    a0 = step_sse2(a0, p + d, r);
+    a1 = step_sse2(a1, p + d + 1, r + 8);
+    a2 = step_sse2(a2, p + d + 2, r + 16);
+    a3 = step_sse2(a3, p + d + 3, r + 24);
+    a4 = step_sse2(a4, p + d + 4, r + 32);
+    a5 = step_sse2(a5, p + d + 5, r + 40);
+    a6 = step_sse2(a6, p + d + 6, r + 48);
+    a7 = step_sse2(a7, p + d + 7, r + 56);
+  }
+  const float* r = half + d * 8;
+  switch (dim - d) {
+    case 7: a6 = step_sse2(a6, p + d + 6, r + 48); [[fallthrough]];
+    case 6: a5 = step_sse2(a5, p + d + 5, r + 40); [[fallthrough]];
+    case 5: a4 = step_sse2(a4, p + d + 4, r + 32); [[fallthrough]];
+    case 4: a3 = step_sse2(a3, p + d + 3, r + 24); [[fallthrough]];
+    case 3: a2 = step_sse2(a2, p + d + 2, r + 16); [[fallthrough]];
+    case 2: a1 = step_sse2(a1, p + d + 1, r + 8); [[fallthrough]];
+    case 1: a0 = step_sse2(a0, p + d, r); [[fallthrough]];
+    default: break;
+  }
+  return _mm_add_ps(_mm_add_ps(_mm_add_ps(a0, a1), _mm_add_ps(a2, a3)),
+                    _mm_add_ps(_mm_add_ps(a4, a5), _mm_add_ps(a6, a7)));
+}
+
 void dists_t_sse2(const float* p, const float* t, std::size_t k,
-                  std::size_t k_pad, std::size_t dim, float* out) {
+                  std::size_t dim, float* out) {
   alignas(16) float buf[4];
   for (std::size_t c0 = 0; c0 < k; c0 += 4) {
-    __m128 acc[8];
-    for (auto& a : acc) a = _mm_setzero_ps();
-    const float* col = t + c0;
-    for (std::size_t d = 0; d < dim; ++d) {
-      const __m128 pv = _mm_set1_ps(p[d]);
-      const __m128 cv = _mm_loadu_ps(col + d * k_pad);
-      const __m128 diff = _mm_sub_ps(pv, cv);
-      acc[d & 7] = _mm_add_ps(acc[d & 7], _mm_mul_ps(diff, diff));
-    }
-    const __m128 t0123 = _mm_add_ps(_mm_add_ps(acc[0], acc[1]),
-                                    _mm_add_ps(acc[2], acc[3]));
-    const __m128 t4567 = _mm_add_ps(_mm_add_ps(acc[4], acc[5]),
-                                    _mm_add_ps(acc[6], acc[7]));
-    const __m128 total = _mm_add_ps(t0123, t4567);
+    const __m128 total = half_block_sse2(p, t + lane_offset(c0, dim), dim);
     if (c0 + 4 <= k) {
       _mm_storeu_ps(out + c0, total);
     } else {
@@ -222,27 +278,89 @@ void dists_t_sse2(const float* p, const float* t, std::size_t k,
   }
 }
 
-/// AVX2: eight centroid lanes per block, eight chain accumulators.
+/// Lane-wise mask select without SSE4.1's blendv.
+inline __m128 select_sse2(__m128 mask, __m128 a, __m128 b) {
+  return _mm_or_ps(_mm_and_ps(mask, a), _mm_andnot_ps(mask, b));
+}
+
+/// Broadcast the minimum of four lanes.
+inline __m128 hmin_sse2(__m128 v) {
+  v = _mm_min_ps(v, _mm_shuffle_ps(v, v, _MM_SHUFFLE(1, 0, 3, 2)));
+  return _mm_min_ps(v, _mm_shuffle_ps(v, v, _MM_SHUFFLE(2, 3, 0, 1)));
+}
+
+/// Fused argmin: a running minimum per lane (padding lanes at +inf), then
+/// the lowest index among the lanes that hold the overall minimum.
+std::pair<std::uint32_t, float> nearest_t_sse2(const float* p, const float* t,
+                                               std::size_t k,
+                                               std::size_t dim) {
+  const __m128 inf = _mm_set1_ps(std::numeric_limits<float>::infinity());
+  const __m128 kv = _mm_set1_ps(static_cast<float>(k));
+  __m128 best_d = inf;
+  __m128 best_i = _mm_setzero_ps();
+  __m128 idx = _mm_setr_ps(0.f, 1.f, 2.f, 3.f);
+  for (std::size_t c0 = 0; c0 < k; c0 += 4) {
+    __m128 dv = half_block_sse2(p, t + lane_offset(c0, dim), dim);
+    if (c0 + 4 > k) dv = select_sse2(_mm_cmplt_ps(idx, kv), dv, inf);
+    const __m128 lt = _mm_cmplt_ps(dv, best_d);  // ordered: NaN never wins
+    best_d = _mm_min_ps(dv, best_d);
+    best_i = select_sse2(lt, idx, best_i);
+    idx = _mm_add_ps(idx, _mm_set1_ps(4.f));
+  }
+  const __m128 m = hmin_sse2(best_d);
+  const __m128 i =
+      hmin_sse2(select_sse2(_mm_cmpeq_ps(best_d, m), best_i, inf));
+  return {static_cast<std::uint32_t>(_mm_cvtss_f32(i)), _mm_cvtss_f32(m)};
+}
+
+__attribute__((target("avx2"))) inline __m256 step_avx2(__m256 acc,
+                                                       const float* p,
+                                                       const float* c) {
+  const __m256 x = _mm256_sub_ps(_mm256_set1_ps(*p), _mm256_loadu_ps(c));
+  return _mm256_add_ps(acc, _mm256_mul_ps(x, x));
+}
+
+/// AVX2: all eight lanes of one block.
+__attribute__((target("avx2"))) inline __m256 block_avx2(const float* p,
+                                                        const float* blk,
+                                                        std::size_t dim) {
+  __m256 a0 = _mm256_setzero_ps(), a1 = a0, a2 = a0, a3 = a0, a4 = a0,
+         a5 = a0, a6 = a0, a7 = a0;
+  const std::size_t full = dim & ~std::size_t{7};
+  std::size_t d = 0;
+  for (; d < full; d += 8) {
+    const float* r = blk + d * 8;
+    a0 = step_avx2(a0, p + d, r);
+    a1 = step_avx2(a1, p + d + 1, r + 8);
+    a2 = step_avx2(a2, p + d + 2, r + 16);
+    a3 = step_avx2(a3, p + d + 3, r + 24);
+    a4 = step_avx2(a4, p + d + 4, r + 32);
+    a5 = step_avx2(a5, p + d + 5, r + 40);
+    a6 = step_avx2(a6, p + d + 6, r + 48);
+    a7 = step_avx2(a7, p + d + 7, r + 56);
+  }
+  const float* r = blk + d * 8;
+  switch (dim - d) {
+    case 7: a6 = step_avx2(a6, p + d + 6, r + 48); [[fallthrough]];
+    case 6: a5 = step_avx2(a5, p + d + 5, r + 40); [[fallthrough]];
+    case 5: a4 = step_avx2(a4, p + d + 4, r + 32); [[fallthrough]];
+    case 4: a3 = step_avx2(a3, p + d + 3, r + 24); [[fallthrough]];
+    case 3: a2 = step_avx2(a2, p + d + 2, r + 16); [[fallthrough]];
+    case 2: a1 = step_avx2(a1, p + d + 1, r + 8); [[fallthrough]];
+    case 1: a0 = step_avx2(a0, p + d, r); [[fallthrough]];
+    default: break;
+  }
+  return _mm256_add_ps(
+      _mm256_add_ps(_mm256_add_ps(a0, a1), _mm256_add_ps(a2, a3)),
+      _mm256_add_ps(_mm256_add_ps(a4, a5), _mm256_add_ps(a6, a7)));
+}
+
 __attribute__((target("avx2"))) void dists_t_avx2(const float* p,
                                                   const float* t, std::size_t k,
-                                                  std::size_t k_pad,
                                                   std::size_t dim, float* out) {
   alignas(32) float buf[8];
-  for (std::size_t c0 = 0; c0 < k; c0 += 8) {
-    __m256 acc[8];
-    for (auto& a : acc) a = _mm256_setzero_ps();
-    const float* col = t + c0;
-    for (std::size_t d = 0; d < dim; ++d) {
-      const __m256 pv = _mm256_set1_ps(p[d]);
-      const __m256 cv = _mm256_loadu_ps(col + d * k_pad);
-      const __m256 diff = _mm256_sub_ps(pv, cv);
-      acc[d & 7] = _mm256_add_ps(acc[d & 7], _mm256_mul_ps(diff, diff));
-    }
-    const __m256 t0123 = _mm256_add_ps(_mm256_add_ps(acc[0], acc[1]),
-                                       _mm256_add_ps(acc[2], acc[3]));
-    const __m256 t4567 = _mm256_add_ps(_mm256_add_ps(acc[4], acc[5]),
-                                       _mm256_add_ps(acc[6], acc[7]));
-    const __m256 total = _mm256_add_ps(t0123, t4567);
+  for (std::size_t c0 = 0; c0 < k; c0 += 8, t += dim * 8) {
+    const __m256 total = block_avx2(p, t, dim);
     if (c0 + 8 <= k) {
       _mm256_storeu_ps(out + c0, total);
     } else {
@@ -252,49 +370,70 @@ __attribute__((target("avx2"))) void dists_t_avx2(const float* p,
   }
 }
 
+/// Broadcast the minimum of eight lanes.
+__attribute__((target("avx2"))) inline __m256 hmin_avx2(__m256 v) {
+  v = _mm256_min_ps(v, _mm256_permute2f128_ps(v, v, 1));
+  v = _mm256_min_ps(v, _mm256_shuffle_ps(v, v, _MM_SHUFFLE(1, 0, 3, 2)));
+  return _mm256_min_ps(v, _mm256_shuffle_ps(v, v, _MM_SHUFFLE(2, 3, 0, 1)));
+}
+
+/// The fused argmin of nearest_t_sse2 over eight lanes.
+__attribute__((target("avx2"))) std::pair<std::uint32_t, float>
+nearest_t_avx2(const float* p, const float* t, std::size_t k,
+               std::size_t dim) {
+  const __m256 inf = _mm256_set1_ps(std::numeric_limits<float>::infinity());
+  const __m256 kv = _mm256_set1_ps(static_cast<float>(k));
+  __m256 best_d = inf;
+  __m256 best_i = _mm256_setzero_ps();
+  __m256 idx = _mm256_setr_ps(0.f, 1.f, 2.f, 3.f, 4.f, 5.f, 6.f, 7.f);
+  for (std::size_t c0 = 0; c0 < k; c0 += 8, t += dim * 8) {
+    __m256 dv = block_avx2(p, t, dim);
+    if (c0 + 8 > k) {
+      dv = _mm256_blendv_ps(inf, dv, _mm256_cmp_ps(idx, kv, _CMP_LT_OQ));
+    }
+    const __m256 lt = _mm256_cmp_ps(dv, best_d, _CMP_LT_OQ);
+    best_d = _mm256_min_ps(dv, best_d);
+    best_i = _mm256_blendv_ps(best_i, idx, lt);
+    idx = _mm256_add_ps(idx, _mm256_set1_ps(8.f));
+  }
+  const __m256 m = hmin_avx2(best_d);
+  const __m256 i = hmin_avx2(
+      _mm256_blendv_ps(inf, best_i, _mm256_cmp_ps(best_d, m, _CMP_EQ_OQ)));
+  return {static_cast<std::uint32_t>(_mm256_cvtss_f32(i)),
+          _mm256_cvtss_f32(m)};
+}
+
 #endif  // UPANNS_X86
 
 }  // namespace
 
 void squared_dists_t(const float* point, const float* tctr, std::size_t k,
-                     std::size_t k_pad, std::size_t dim, float* out) {
-  // k_pad is the lane stride of the transposed layout; callers may scan a
-  // sub-window (k < k_pad) as long as full 8-lane blocks stay in bounds.
-  assert(k_pad % 8 == 0 && k_pad >= k);
+                     std::size_t dim, float* out) {
 #if defined(UPANNS_X86)
   switch (common::simd_active_level()) {
     case common::SimdLevel::kAvx2:
-      return dists_t_avx2(point, tctr, k, k_pad, dim, out);
+      return dists_t_avx2(point, tctr, k, dim, out);
     case common::SimdLevel::kSse2:
-      return dists_t_sse2(point, tctr, k, k_pad, dim, out);
+      return dists_t_sse2(point, tctr, k, dim, out);
     case common::SimdLevel::kScalar: break;
   }
 #endif
-  dists_t_scalar(point, tctr, k, k_pad, dim, out);
+  dists_t_scalar(point, tctr, k, dim, out);
 }
 
 std::pair<std::uint32_t, float> nearest_centroid_t(const float* point,
                                                    const float* tctr,
                                                    std::size_t k,
-                                                   std::size_t k_pad,
                                                    std::size_t dim) {
-  // Selection walks distances in index order with a strict-less compare, so
-  // ties break to the lowest index — identical to nearest_centroid. Scanning
-  // a small stack buffer per 64-lane stripe keeps the working set in L1.
-  float stripe[64];
-  std::uint32_t best = 0;
-  float best_d = std::numeric_limits<float>::infinity();
-  for (std::size_t c0 = 0; c0 < k; c0 += 64) {
-    const std::size_t span = std::min<std::size_t>(64, k - c0);
-    squared_dists_t(point, tctr + c0, span, k_pad, dim, stripe);
-    for (std::size_t j = 0; j < span; ++j) {
-      if (stripe[j] < best_d) {
-        best_d = stripe[j];
-        best = static_cast<std::uint32_t>(c0 + j);
-      }
-    }
+#if defined(UPANNS_X86)
+  assert(k <= kMaxFusedK);
+  switch (common::simd_active_level()) {
+    case common::SimdLevel::kAvx2: return nearest_t_avx2(point, tctr, k, dim);
+    case common::SimdLevel::kSse2: return nearest_t_sse2(point, tctr, k, dim);
+    case common::SimdLevel::kScalar: break;
   }
-  return {best, best_d};
+#endif
+  return nearest_t_scalar(point, tctr, k, dim);
 }
 
 namespace {
@@ -370,6 +509,38 @@ std::vector<float> seed_plus_plus(std::span<const float> data, std::size_t n,
   return centroids;
 }
 
+struct Workers {
+  common::ThreadPool* pool;
+  bool threaded;
+};
+
+Workers workers_for(const KMeansOptions& opts) {
+  common::ThreadPool* pool =
+      opts.pool ? opts.pool : &common::ThreadPool::global();
+  const std::size_t eff_threads =
+      opts.use_threads ? (opts.n_threads ? opts.n_threads : pool->size()) : 1;
+  return {pool, eff_threads > 1};
+}
+
+/// Label n points with their nearest of k row-major centroids, over the
+/// block-major kernel and the fixed chunk grid.
+std::vector<std::uint32_t> label_points(const float* data, std::size_t n,
+                                        std::size_t dim,
+                                        const float* centroids, std::size_t k,
+                                        Workers w) {
+  BlockMajor tctr(pad8(k) * dim);
+  transpose_centroids(centroids, k, dim, tctr.data());
+  std::vector<std::uint32_t> labels(n);
+  detail::run_indexed(w.pool, w.threaded, chunk_count(n), [&](std::size_t ci) {
+    const std::size_t lo = ci * kReduceChunk;
+    const std::size_t hi = std::min(n, lo + kReduceChunk);
+    for (std::size_t i = lo; i < hi; ++i) {
+      labels[i] = nearest_centroid_t(data + i * dim, tctr.data(), k, dim).first;
+    }
+  });
+  return labels;
+}
+
 }  // namespace
 
 std::vector<std::uint32_t> assign_labels(std::span<const float> data,
@@ -377,35 +548,18 @@ std::vector<std::uint32_t> assign_labels(std::span<const float> data,
                                          std::span<const float> centroids,
                                          std::size_t n_clusters,
                                          bool use_threads) {
-  std::vector<std::uint32_t> labels(n);
-  std::vector<float> tctr;
-  transpose_centroids(centroids.data(), n_clusters, dim, tctr);
-  const std::size_t k_pad = pad8(n_clusters);
-  auto body = [&](std::size_t i) {
-    labels[i] = nearest_centroid_t(data.data() + i * dim, tctr.data(),
-                                   n_clusters, k_pad, dim)
-                    .first;
-  };
-  if (use_threads) {
-    common::ThreadPool::global().parallel_for(0, n, body, 256);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) body(i);
-  }
-  return labels;
+  return label_points(data.data(), n, dim, centroids.data(), n_clusters,
+                      {&common::ThreadPool::global(), use_threads});
 }
 
-KMeansResult kmeans(std::span<const float> data, std::size_t n, std::size_t dim,
-                    const KMeansOptions& opts) {
+KMeansResult kmeans_train(std::span<const float> data, std::size_t n,
+                          std::size_t dim, const KMeansOptions& opts) {
   assert(n > 0 && dim > 0 && opts.n_clusters > 0);
   assert(data.size() >= n * dim);
   const double t_start = now_seconds();
   const std::size_t k = std::min(opts.n_clusters, n);
   common::Rng rng(opts.seed);
-
-  common::ThreadPool* pool = opts.pool ? opts.pool : &common::ThreadPool::global();
-  const std::size_t eff_threads =
-      opts.use_threads ? (opts.n_threads ? opts.n_threads : pool->size()) : 1;
-  const bool threaded = eff_threads > 1;
+  const Workers w = workers_for(opts);
 
   // Optional subsampling keeps training tractable for large synthetic sets.
   std::vector<float> sample_storage;
@@ -426,8 +580,7 @@ KMeansResult kmeans(std::span<const float> data, std::size_t n, std::size_t dim,
   result.dim = dim;
   result.n_clusters = k;
   result.centroids =
-      seed_plus_plus(train, n_train, dim, k, rng, pool, threaded);
-  const std::size_t k_pad = pad8(k);
+      seed_plus_plus(train, n_train, dim, k, rng, w.pool, w.threaded);
 
   // Mini-batch mode: each iteration samples ceil(f * n_train) points with
   // replacement (sampled on this thread so the rng stream is identical for
@@ -444,10 +597,9 @@ KMeansResult kmeans(std::span<const float> data, std::size_t n, std::size_t dim,
   // Scratch hoisted out of the iteration loop and reused throughout.
   const std::size_t n_chunks = chunk_count(n_iter_pts);
   std::vector<std::uint32_t> labels(n_iter_pts, 0);
-  std::vector<float> dists(n_iter_pts);
   std::vector<std::uint32_t> sample_idx(mini_batch ? n_iter_pts : 0);
   std::vector<double> chunk_inertia(n_chunks);
-  std::vector<float> tctr;
+  BlockMajor tctr(pad8(k) * dim);
   std::vector<double> acc;
   std::vector<std::uint32_t> counts;
   std::vector<double> chunk_acc;
@@ -464,7 +616,7 @@ KMeansResult kmeans(std::span<const float> data, std::size_t n, std::size_t dim,
 
   for (std::size_t iter = 0; iter < opts.max_iters; ++iter) {
     result.iterations = iter + 1;
-    transpose_centroids(result.centroids.data(), k, dim, tctr);
+    transpose_centroids(result.centroids.data(), k, dim, tctr.data());
 
     if (mini_batch) {
       for (std::size_t j = 0; j < n_iter_pts; ++j) {
@@ -473,10 +625,10 @@ KMeansResult kmeans(std::span<const float> data, std::size_t n, std::size_t dim,
     }
 
     // Assignment step, chunked over the pool. Each chunk writes its own
-    // slice of labels/dists and a private inertia partial (and, for the
+    // slice of labels and a private inertia partial (and, for the
     // full-batch update, private per-cluster sums) — merged afterwards in
     // fixed chunk order for run-to-run determinism.
-    detail::run_indexed(pool, threaded, n_chunks, [&](std::size_t ci) {
+    detail::run_indexed(w.pool, w.threaded, n_chunks, [&](std::size_t ci) {
       const std::size_t lo = ci * kReduceChunk;
       const std::size_t hi = std::min(n_iter_pts, lo + kReduceChunk);
       double inertia_part = 0.0;
@@ -490,9 +642,8 @@ KMeansResult kmeans(std::span<const float> data, std::size_t n, std::size_t dim,
       for (std::size_t j = lo; j < hi; ++j) {
         const std::size_t i = mini_batch ? sample_idx[j] : j;
         const float* p = train.data() + i * dim;
-        auto [c, d] = nearest_centroid_t(p, tctr.data(), k, k_pad, dim);
+        auto [c, d] = nearest_centroid_t(p, tctr.data(), k, dim);
         labels[j] = c;
-        dists[j] = d;
         inertia_part += d;
         if (!mini_batch) {
           ++cnt_part[c];
@@ -556,21 +707,17 @@ KMeansResult kmeans(std::span<const float> data, std::size_t n, std::size_t dim,
     prev_inertia = inertia;
   }
   result.train_seconds = now_seconds() - t_start;
+  return result;
+}
 
-  // Final labels/sizes for the *full* dataset (not the training subsample),
-  // over the same transposed kernel and fixed chunk grid.
+KMeansResult kmeans(std::span<const float> data, std::size_t n, std::size_t dim,
+                    const KMeansOptions& opts) {
+  KMeansResult result = kmeans_train(data, n, dim, opts);
+  // Final labels/sizes for the *full* dataset (not the training subsample).
   const double t_assign = now_seconds();
-  transpose_centroids(result.centroids.data(), k, dim, tctr);
-  result.labels.resize(n);
-  detail::run_indexed(pool, threaded, chunk_count(n), [&](std::size_t ci) {
-    const std::size_t lo = ci * kReduceChunk;
-    const std::size_t hi = std::min(n, lo + kReduceChunk);
-    for (std::size_t i = lo; i < hi; ++i) {
-      result.labels[i] = nearest_centroid_t(data.data() + i * dim, tctr.data(),
-                                            k, k_pad, dim)
-                             .first;
-    }
-  });
+  const std::size_t k = result.n_clusters;
+  result.labels = label_points(data.data(), n, dim, result.centroids.data(),
+                               k, workers_for(opts));
   result.sizes.assign(k, 0);
   for (auto l : result.labels) ++result.sizes[l];
   result.assign_seconds = now_seconds() - t_assign;

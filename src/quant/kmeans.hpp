@@ -7,11 +7,12 @@
 // index ≡ j mod 8, in increasing order) which are combined with the fixed
 // tree ((c0+c1)+(c2+c3)) + ((c4+c5)+(c6+c7)). Scalar, SSE2 and AVX2 all
 // perform that exact IEEE op sequence — no FMA contraction — so results are
-// bit-identical across levels and across the row-major / transposed paths.
+// bit-identical across levels and across the row-major / block-major paths.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <new>
 #include <span>
 #include <vector>
 
@@ -45,7 +46,7 @@ struct KMeansOptions {
 
 struct KMeansResult {
   std::vector<float> centroids;       ///< n_clusters x dim, row-major
-  std::vector<std::uint32_t> labels;  ///< per training point
+  std::vector<std::uint32_t> labels;  ///< per input point (all n)
   std::vector<std::uint32_t> sizes;   ///< points per cluster
   double inertia = 0.0;               ///< sum of squared distances
   std::size_t iterations = 0;
@@ -66,30 +67,61 @@ std::pair<std::uint32_t, float> nearest_centroid(const float* point,
                                                  std::size_t n,
                                                  std::size_t dim);
 
-/// Centroid count padded for the transposed (dimension-major) layout.
+/// Centroid count padded to whole 8-centroid blocks.
 inline std::size_t pad8(std::size_t k) { return (k + 7) & ~std::size_t{7}; }
 
-/// Transpose row-major centroids (k x dim) into the dimension-major layout
-/// the blocked kernels scan: out[d * pad8(k) + c], zero-padded lanes.
-/// `out` is resized to dim * pad8(k).
-void transpose_centroids(const float* centroids, std::size_t k,
-                         std::size_t dim, std::vector<float>& out);
+/// Allocator that starts a buffer on a cache line. Every block-major block
+/// is a multiple of 32 bytes long, so from an aligned start no 32-byte lane
+/// load straddles two lines.
+template <class T>
+struct CacheLineAllocator {
+  using value_type = T;
+  static constexpr std::align_val_t kAlign{64};
+  CacheLineAllocator() = default;
+  template <class U>
+  CacheLineAllocator(const CacheLineAllocator<U>&) noexcept {}
+  T* allocate(std::size_t n) {
+    return static_cast<T*>(::operator new(n * sizeof(T), kAlign));
+  }
+  void deallocate(T* p, std::size_t) noexcept { ::operator delete(p, kAlign); }
+  template <class U>
+  bool operator==(const CacheLineAllocator<U>&) const noexcept {
+    return true;
+  }
+};
 
-/// Nearest centroid over a transposed layout (k_pad must be pad8(k)).
-/// Distances are bit-identical to l2_sq against the row-major centroid;
-/// ties break to the lowest index, exactly like nearest_centroid.
+/// Storage for centroids in the block-major layout.
+using BlockMajor = std::vector<float, CacheLineAllocator<float>>;
+
+/// Transpose row-major centroids (k x dim) into the block-major layout the
+/// blocked kernels scan: out[(c / 8) * dim * 8 + d * 8 + c % 8], so each
+/// 8-centroid block is one contiguous dim x 32-byte stripe. Writes
+/// pad8(k) * dim floats; the padding lanes of the last block are zero.
+void transpose_centroids(const float* centroids, std::size_t k,
+                         std::size_t dim, float* out);
+
+/// Nearest centroid over a block-major layout of k centroids. Distances are
+/// bit-identical to l2_sq against the row-major centroid; ties break to the
+/// lowest index, padding lanes never win, and when no distance is below
+/// +inf the result is (0, +inf) — exactly like nearest_centroid.
 std::pair<std::uint32_t, float> nearest_centroid_t(const float* point,
                                                    const float* tctr,
                                                    std::size_t k,
-                                                   std::size_t k_pad,
                                                    std::size_t dim);
 
-/// All k squared distances over a transposed layout, bit-identical to
+/// All k squared distances over a block-major layout, bit-identical to
 /// calling l2_sq per row-major centroid. Used by the LUT build.
 void squared_dists_t(const float* point, const float* tctr, std::size_t k,
-                     std::size_t k_pad, std::size_t dim, float* out);
+                     std::size_t dim, float* out);
 
-/// Train k-means on `n` points of dimension `dim` (row-major `data`).
+/// Seeding plus the Lloyd / mini-batch iterations only: fills centroids,
+/// n_clusters, dim, inertia, iterations and train_seconds and leaves labels
+/// and sizes empty. For callers that keep only the centroids (PQ training).
+KMeansResult kmeans_train(std::span<const float> data, std::size_t n,
+                          std::size_t dim, const KMeansOptions& opts);
+
+/// Train k-means on `n` points of dimension `dim` (row-major `data`): the
+/// kmeans_train result plus labels and sizes for all n input points.
 /// Deterministic for a fixed seed and SIMD level: identical output for any
 /// use_threads / n_threads / pool-size combination.
 KMeansResult kmeans(std::span<const float> data, std::size_t n, std::size_t dim,

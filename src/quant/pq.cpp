@@ -59,7 +59,7 @@ void ProductQuantizer::train(std::span<const float> data, std::size_t n,
     ko.batch_fraction = opts.batch_fraction;
     ko.use_threads = false;
     std::span<const float> sub(slices.data() + s * n * dsub_, n * dsub_);
-    KMeansResult res = kmeans(sub, n, dsub_, ko);
+    KMeansResult res = kmeans_train(sub, n, dsub_, ko);
     // If n < 256 the trained centroid count is smaller; tile the trained
     // centroids so every code in [0,255] decodes to something sensible.
     for (std::size_t c = 0; c < kPqKsub; ++c) {
@@ -73,13 +73,11 @@ void ProductQuantizer::train(std::span<const float> data, std::size_t n,
 }
 
 void ProductQuantizer::rebuild_transposed() {
-  tcodebooks_.assign(m_ * dsub_ * kPqKsub, 0.f);
+  tcodebooks_.resize(codebooks_.size());
   for (std::size_t s = 0; s < m_; ++s) {
-    const float* cb = codebooks_.data() + s * kPqKsub * dsub_;
-    float* t = tcodebooks_.data() + s * dsub_ * kPqKsub;
-    for (std::size_t c = 0; c < kPqKsub; ++c) {
-      for (std::size_t d = 0; d < dsub_; ++d) t[d * kPqKsub + c] = cb[c * dsub_ + d];
-    }
+    const std::size_t off = s * kPqKsub * dsub_;
+    transpose_centroids(codebooks_.data() + off, kPqKsub, dsub_,
+                        tcodebooks_.data() + off);
   }
 }
 
@@ -87,10 +85,8 @@ void ProductQuantizer::encode(const float* vec, std::uint8_t* codes) const {
   assert(trained());
   for (std::size_t s = 0; s < m_; ++s) {
     const float* tcb = tcodebooks_.data() + s * dsub_ * kPqKsub;
-    auto [c, d] =
-        nearest_centroid_t(vec + s * dsub_, tcb, kPqKsub, kPqKsub, dsub_);
-    (void)d;
-    codes[s] = static_cast<std::uint8_t>(c);
+    codes[s] = static_cast<std::uint8_t>(
+        nearest_centroid_t(vec + s * dsub_, tcb, kPqKsub, dsub_).first);
   }
 }
 
@@ -115,8 +111,7 @@ void ProductQuantizer::compute_lut(const float* query, float* lut) const {
   assert(trained());
   for (std::size_t s = 0; s < m_; ++s) {
     const float* tcb = tcodebooks_.data() + s * dsub_ * kPqKsub;
-    squared_dists_t(query + s * dsub_, tcb, kPqKsub, kPqKsub, dsub_,
-                    lut + s * kPqKsub);
+    squared_dists_t(query + s * dsub_, tcb, kPqKsub, dsub_, lut + s * kPqKsub);
   }
 }
 

@@ -94,15 +94,16 @@ class ProductQuantizer {
   static ProductQuantizer load_from(std::istream& is);
 
  private:
-  /// Rebuild the dimension-major codebook mirror the blocked encode / LUT
-  /// kernels scan. Called after train() and load_from().
+  /// Rebuild the block-major codebook mirror (transpose_centroids per
+  /// subspace) the blocked encode / LUT kernels scan. Called after train()
+  /// and load_from().
   void rebuild_transposed();
 
   std::size_t dim_ = 0;
   std::size_t m_ = 0;
   std::size_t dsub_ = 0;
   std::vector<float> codebooks_;   // m x 256 x dsub
-  std::vector<float> tcodebooks_;  // m x dsub x 256 (transposed per subspace)
+  BlockMajor tcodebooks_;  // m x 256 x dsub, block-major per subspace
 };
 
 }  // namespace upanns::quant

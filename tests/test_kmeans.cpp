@@ -95,6 +95,13 @@ TEST(KMeans, SubsamplingStillLabelsAll) {
   EXPECT_EQ(res.labels.size(), 800u);
   // Blobs are separated enough that subsampled training still works.
   EXPECT_LT(res.inertia / 100.0, 2.0);
+  // kmeans is kmeans_train plus the labelling: same centroids, and the
+  // train-only result labels nothing.
+  const auto trained = kmeans_train(data, 800, 2, opts);
+  EXPECT_EQ(trained.centroids, res.centroids);
+  EXPECT_EQ(trained.inertia, res.inertia);
+  EXPECT_TRUE(trained.labels.empty());
+  EXPECT_TRUE(trained.sizes.empty());
 }
 
 TEST(KMeans, SingleCluster) {

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "data/dataset.hpp"
 #include "data/query_workload.hpp"
 #include "ivf/cluster_stats.hpp"
+#include "ivf/ivf_index.hpp"
 #include "quant/kmeans.hpp"
 #include "quant/pq.hpp"
 
@@ -116,43 +118,124 @@ TEST(SimdKernels, DispatchedL2SqMatchesScalarAtEveryLevel) {
   }
 }
 
+/// Block-major copy of row-major centroids (k x dim).
+std::vector<float> block_major(const std::vector<float>& centroids,
+                               std::size_t k, std::size_t dim) {
+  std::vector<float> t(quant::pad8(k) * dim);
+  quant::transpose_centroids(centroids.data(), k, dim, t.data());
+  return t;
+}
+
+/// nearest_centroid_t at every supported level must return the scalar
+/// row-major nearest_centroid's (index, distance bits) for this query.
+void expect_nearest_matches(const std::vector<float>& centroids,
+                            const std::vector<float>& q, std::size_t k,
+                            std::size_t dim, const std::string& label) {
+  LevelGuard guard;
+  const std::vector<float> tctr = block_major(centroids, k, dim);
+  common::set_simd_level(common::SimdLevel::kScalar);
+  const auto [want_idx, want_d] =
+      quant::nearest_centroid(q.data(), centroids.data(), k, dim);
+  for (const auto level : supported_levels()) {
+    common::set_simd_level(level);
+    const auto [idx, d] =
+        quant::nearest_centroid_t(q.data(), tctr.data(), k, dim);
+    const std::string where = label + " k=" + std::to_string(k) +
+                              " dim=" + std::to_string(dim) +
+                              " level=" + common::simd_level_name(level);
+    EXPECT_EQ(idx, want_idx) << where;
+    EXPECT_EQ(std::memcmp(&d, &want_d, sizeof(float)), 0) << where;
+  }
+}
+
+// Dims cover the unrolled x8 body alone (8, 16, 96, 128), the dim % 8 tail
+// alone (1, 2, 5, 7) and both (9, 12, 17, 100); k covers partial and whole
+// 8-centroid blocks up to the coarse quantizer's 512.
 TEST(SimdKernels, TransposedDistsMatchRowMajorAtEveryLevel) {
   LevelGuard guard;
   common::Rng rng(29);
   for (const std::size_t k :
        {std::size_t{1}, std::size_t{3}, std::size_t{8}, std::size_t{17},
-        std::size_t{64}, std::size_t{100}, std::size_t{256}}) {
-    for (const std::size_t dim : {std::size_t{2}, std::size_t{8},
-                                  std::size_t{16}}) {
+        std::size_t{64}, std::size_t{100}, std::size_t{256},
+        std::size_t{509}, std::size_t{512}}) {
+    for (const std::size_t dim :
+         {std::size_t{1}, std::size_t{2}, std::size_t{5}, std::size_t{7},
+          std::size_t{8}, std::size_t{9}, std::size_t{12}, std::size_t{16},
+          std::size_t{17}, std::size_t{96}, std::size_t{100},
+          std::size_t{128}}) {
       const auto centroids = random_vec(rng, k * dim);
       const auto q = random_vec(rng, dim);
-      std::vector<float> tctr;
-      quant::transpose_centroids(centroids.data(), k, dim, tctr);
-      const std::size_t k_pad = quant::pad8(k);
+      const std::vector<float> tctr = block_major(centroids, k, dim);
 
-      // Reference: the row-major kernels at scalar level.
+      // Reference: the row-major kernel at scalar level.
       common::set_simd_level(common::SimdLevel::kScalar);
       std::vector<float> want(k);
       for (std::size_t c = 0; c < k; ++c) {
         want[c] = quant::l2_sq(q.data(), centroids.data() + c * dim, dim);
       }
-      const auto [want_idx, want_d] =
-          quant::nearest_centroid(q.data(), centroids.data(), k, dim);
 
       for (const auto level : supported_levels()) {
         common::set_simd_level(level);
-        std::vector<float> got(k_pad);
-        quant::squared_dists_t(q.data(), tctr.data(), k, k_pad, dim,
-                               got.data());
+        std::vector<float> got(k + 1, -1.f);
+        quant::squared_dists_t(q.data(), tctr.data(), k, dim, got.data());
         EXPECT_EQ(std::memcmp(want.data(), got.data(), k * sizeof(float)), 0)
             << "k=" << k << " dim=" << dim << " level="
             << common::simd_level_name(level);
-        const auto [idx, d] =
-            quant::nearest_centroid_t(q.data(), tctr.data(), k, k_pad, dim);
-        EXPECT_EQ(idx, want_idx);
-        EXPECT_EQ(std::memcmp(&d, &want_d, sizeof(float)), 0);
+        EXPECT_EQ(got[k], -1.f) << "wrote past k=" << k;
       }
+      expect_nearest_matches(centroids, q, k, dim, "random");
     }
+  }
+}
+
+// The fused argmin's edge rules, each checked against nearest_centroid at
+// every level: exact ties go to the lowest index wherever the copies sit,
+// the zero padding lanes of a partial last block never win, and a scan
+// with no distance below +inf (NaN included) returns (0, +inf).
+TEST(SimdKernels, FusedArgminTiesPaddingAndInfAtEveryLevel) {
+  common::Rng rng(41);
+  for (const std::size_t dim :
+       {std::size_t{1}, std::size_t{8}, std::size_t{12}, std::size_t{128}}) {
+    const std::size_t k = 21;  // two whole blocks plus five lanes
+    const auto q = random_vec(rng, dim, -1.f, 1.f);
+    std::vector<float> near = q;
+    for (auto& x : near) x += 0.25f;
+    // Copies of `near` at: two lanes of one block; the same lane of two
+    // blocks; a later lane of an earlier block before an earlier lane of a
+    // later one; and three copies spread over all three blocks.
+    const std::vector<std::vector<std::size_t>> copies = {
+        {3, 5}, {2, 10}, {6, 9}, {14, 17, 20}};
+    for (const auto& at : copies) {
+      auto centroids = random_vec(rng, k * dim, 10.f, 20.f);
+      for (std::size_t c : at) {
+        std::copy(near.begin(), near.end(), centroids.begin() + c * dim);
+      }
+      const auto [want, d] =
+          quant::nearest_centroid(q.data(), centroids.data(), k, dim);
+      ASSERT_EQ(want, at.front());
+      expect_nearest_matches(centroids, q, k, dim,
+                             "tie at " + std::to_string(at.front()));
+    }
+
+    // A query nearer the origin than every centroid: the padding lanes'
+    // distance |q|^2 is the smallest in the scan.
+    for (const std::size_t kk :
+         {std::size_t{1}, std::size_t{13}, std::size_t{253}}) {
+      const auto centroids = random_vec(rng, kk * dim, 5.f, 10.f);
+      const auto origin_q = random_vec(rng, dim, -0.01f, 0.01f);
+      expect_nearest_matches(centroids, origin_q, kk, dim, "origin");
+    }
+
+    // Every distance overflows to +inf, one is NaN, and the padding lanes
+    // (distance 0 to a zero query) must still not win.
+    std::vector<float> huge(k * dim, 3e19f);
+    huge[4 * dim] = std::numeric_limits<float>::quiet_NaN();
+    const std::vector<float> zero_q(dim, 0.f);
+    const auto [idx, d] =
+        quant::nearest_centroid(zero_q.data(), huge.data(), k, dim);
+    ASSERT_EQ(idx, 0u);
+    ASSERT_EQ(d, std::numeric_limits<float>::infinity());
+    expect_nearest_matches(huge, zero_q, k, dim, "all inf");
   }
 }
 
@@ -322,6 +405,59 @@ TEST(SimdEngine, ServeNeighborsByteIdenticalAcrossLevels) {
   }
   ASSERT_EQ(tombstones, dead.size());
   expect_identical_across_levels(engine, c.queries, "sift tombstones");
+}
+
+/// FNV-1a over raw bytes.
+std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t bytes) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < bytes; ++i) {
+    h = (h ^ p[i]) * 0x100000001b3ull;
+  }
+  return h;
+}
+
+std::uint64_t index_hash(const ivf::IvfIndex& index) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto centroids = index.centroids();
+  h = fnv1a(h, centroids.data(), centroids.size_bytes());
+  const auto codebooks = index.pq().codebooks();
+  h = fnv1a(h, codebooks.data(), codebooks.size_bytes());
+  for (const ivf::InvertedList& list : index.lists()) {
+    h = fnv1a(h, list.ids.data(), list.ids.size() * sizeof(std::uint32_t));
+    h = fnv1a(h, list.codes.data(), list.codes.size());
+  }
+  return h;
+}
+
+// The built index itself, pinned against a constant rather than only
+// compared across levels, so a change that moved every level the same way
+// still fails. Uniform data needs no libm, so the hash does not depend on
+// the C library's log/sin/cos the Gaussian generator uses. The constant was
+// recorded before the block-major kernels replaced the [d][k] layout.
+TEST(SimdBuild, IndexHashMatchesGoldenAtEveryLevel) {
+  constexpr std::uint64_t kGolden = 0x68f46c05a2c5b0dfull;
+  data::Dataset base;
+  base.n = 4000;
+  base.dim = 128;
+  base.values.resize(base.n * base.dim);
+  common::Rng rng(2025);
+  for (auto& v : base.values) v = rng.uniform(-1.f, 1.f);
+  ivf::IvfBuildOptions opts;
+  opts.n_clusters = 32;
+  opts.pq_m = 16;
+  opts.coarse_iters = 6;
+  opts.pq_iters = 5;
+
+  LevelGuard guard;
+  for (const auto level : supported_levels()) {
+    common::set_simd_level(level);
+    for (const std::size_t threads : {std::size_t{0}, std::size_t{1}}) {
+      opts.n_threads = threads;
+      EXPECT_EQ(index_hash(ivf::IvfIndex::build(base, opts)), kGolden)
+          << "level=" << common::simd_level_name(level)
+          << " threads=" << threads;
+    }
+  }
 }
 
 }  // namespace
