@@ -131,23 +131,20 @@ struct Args {
     const auto it = kv.find(key);
     return it == kv.end() ? dflt : it->second;
   }
-  std::size_t num(const std::string& key, std::size_t dflt) const {
-    const auto it = kv.find(key);
-    return it == kv.end() ? dflt : std::strtoull(it->second.c_str(), nullptr, 10);
-  }
-  double real(const std::string& key, double dflt) const {
-    const auto it = kv.find(key);
-    return it == kv.end() ? dflt : std::strtod(it->second.c_str(), nullptr);
-  }
 };
 
-/// Read a numeric flag and reject NaN/inf/out-of-range values up front —
-/// a mistyped `--deadline-ms abc` (strtod -> 0) must not silently serve
-/// with a zero deadline.
+/// Read a numeric flag and reject garbage, NaN/inf and out-of-range values
+/// up front: the whole token must parse, so a mistyped `--deadline-ms abc`
+/// (strtod -> 0) must not silently serve with a zero deadline.
 double checked_real(const Args& a, const std::string& key, double dflt,
                     bool allow_zero = false) {
-  const double v = a.real(key, dflt);
-  if (!std::isfinite(v) || (allow_zero ? v < 0 : !(v > 0))) {
+  const auto it = a.kv.find(key);
+  if (it == a.kv.end()) return dflt;
+  const char* text = it->second.c_str();
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(v) ||
+      (allow_zero ? v < 0 : !(v > 0))) {
     throw UsageError("--" + key + " must be a finite " +
                      (allow_zero ? "non-negative" : "positive") + " number");
   }
@@ -331,8 +328,8 @@ int cmd_gen(const Args& a) {
   const auto family = family_of(a.str("family", "sift"));
   data::SyntheticSpec spec;
   spec.family = family;
-  spec.n = a.num("n", 50'000);
-  spec.seed = a.num("seed", 7);
+  spec.n = checked_count(a, "n", 50'000);
+  spec.seed = checked_count(a, "seed", 7, /*min=*/0);
   spec.size_sigma = data::family_size_sigma(family);
   spec.dense_core_frac = data::family_dense_core_frac(family);
   // Cluster-contiguous storage makes `serve --shift` a real cluster-level
@@ -349,9 +346,10 @@ int cmd_gen(const Args& a) {
 int cmd_build(const Args& a) {
   const data::Dataset ds = data::read_fvecs(a.str("data", "base.fvecs"));
   ivf::IvfBuildOptions opts;
-  opts.n_clusters = a.num("clusters", 128);
-  opts.pq_m = a.num("m", ds.dim % 16 == 0 ? 16 : ds.dim % 12 == 0 ? 12 : 20);
-  opts.seed = a.num("seed", 2024);
+  opts.n_clusters = checked_count(a, "clusters", 128);
+  opts.pq_m = checked_count(
+      a, "m", ds.dim % 16 == 0 ? 16 : ds.dim % 12 == 0 ? 12 : 20);
+  opts.seed = checked_count(a, "seed", 2024, /*min=*/0);
   // --build-threads 1 forces serial training; N > 1 pins a dedicated pool.
   // Output is identical either way (DESIGN.md §13), so this is purely a
   // resource knob.
@@ -405,12 +403,13 @@ int cmd_tune(const Args& a) {
   const ivf::IvfIndex index = ivf::IvfIndex::load(a.str("index", "index.bin"));
   const data::Dataset ds = data::read_fvecs(a.str("data", "base.fvecs"));
   data::WorkloadSpec wspec;
-  wspec.n_queries = a.num("queries", 32);
-  wspec.seed = a.num("seed", 99);
+  wspec.n_queries = checked_count(a, "queries", 32);
+  wspec.seed = checked_count(a, "seed", 99, /*min=*/0);
   const auto wl = data::generate_workload(ds, wspec);
   core::TuneOptions topts;
-  topts.target_recall = a.real("recall", 0.9);
-  topts.k = a.num("k", 10);
+  topts.target_recall = checked_real(a, "recall", 0.9);
+  if (topts.target_recall > 1.0) throw UsageError("--recall must be in (0, 1]");
+  topts.k = checked_count(a, "k", 10);
   const auto gt = data::exact_topk(ds, wl.queries, topts.k);
   const auto result = core::tune_nprobe(index, wl.queries, gt, topts);
   metrics::Table table({"nprobe", "recall@" + std::to_string(topts.k)});
@@ -432,11 +431,11 @@ int cmd_search(const Args& a) {
   const ivf::IvfIndex index = ivf::IvfIndex::load(a.str("index", "index.bin"));
   const data::Dataset ds = data::read_fvecs(a.str("data", "base.fvecs"));
   data::WorkloadSpec wspec;
-  wspec.n_queries = a.num("queries", 64);
-  wspec.seed = a.num("seed", 5);
+  wspec.n_queries = checked_count(a, "queries", 64);
+  wspec.seed = checked_count(a, "seed", 5, /*min=*/0);
   const auto wl = data::generate_workload(ds, wspec);
 
-  const std::size_t nprobe = a.num("nprobe", 16);
+  const std::size_t nprobe = checked_count(a, "nprobe", 16);
   data::WorkloadSpec hist = wspec;
   hist.seed = wspec.seed + 1;
   hist.n_queries = 4 * wspec.n_queries;
@@ -445,10 +444,10 @@ int cmd_search(const Args& a) {
       index, ivf::filter_batch(index, hw_wl.queries, nprobe));
 
   core::UpAnnsOptions opts = core::UpAnnsOptions::upanns();
-  opts.n_dpus = a.num("dpus", 128);
-  opts.n_tasklets = static_cast<unsigned>(a.num("tasklets", 11));
+  opts.n_dpus = checked_count(a, "dpus", 128);
+  opts.n_tasklets = static_cast<unsigned>(checked_count(a, "tasklets", 11));
   opts.nprobe = nprobe;
-  opts.k = a.num("k", 10);
+  opts.k = checked_count(a, "k", 10);
 
   const std::string system = a.str("system", "upanns");
   const auto kind = core::backend_kind_of(system);
@@ -762,10 +761,12 @@ int serve_online(ServeContext& c, Target& target) {
 template <class Stream, class Target>
 int serve_offline(ServeContext& c, Target& target) {
   const Args& a = c.a;
-  const auto batches = core::split_batches(c.queries, a.num("batch", 64));
-  const double compact_ratio = a.real("compact-ratio", 0.3);
+  const auto batches =
+      core::split_batches(c.queries, checked_count(a, "batch", 64));
+  const double compact_ratio =
+      checked_real(a, "compact-ratio", 0.3, /*allow_zero=*/true);
   UpdateStream updates(c.ds, batches, c.update_rate, compact_ratio,
-                       a.num("seed", 5), c.n_points);
+                       checked_count(a, "seed", 5, /*min=*/0), c.n_points);
 
   core::MutationHook hook;
   if (c.update_rate > 0) {
@@ -813,16 +814,16 @@ int cmd_serve(const Args& a) {
   const core::AdaptMode adapt = parse_adapt_flag(a);
   const std::size_t adapt_window = checked_count(a, "adapt-window", 16);
   data::WorkloadSpec wspec;
-  wspec.n_queries = a.num("queries", 512);
-  wspec.seed = a.num("seed", 5);
+  wspec.n_queries = checked_count(a, "queries", 512);
+  wspec.seed = checked_count(a, "seed", 5, /*min=*/0);
   // --shift rotates the Zipf popularity ranking of the *served* queries
   // only; the placement below is still built from unshifted history, so a
   // nonzero shift serves a deterministically drifted workload — the drift
   // controller's natural trigger.
-  wspec.popularity_shift = a.num("shift", 0);
+  wspec.popularity_shift = checked_count(a, "shift", 0, /*min=*/0);
   const auto wl = data::generate_workload(ds, wspec);
 
-  const std::size_t nprobe = a.num("nprobe", 16);
+  const std::size_t nprobe = checked_count(a, "nprobe", 16);
   data::WorkloadSpec hist = wspec;
   hist.seed = wspec.seed + 1;
   hist.popularity_shift = 0;
@@ -831,9 +832,9 @@ int cmd_serve(const Args& a) {
       index, ivf::filter_batch(index, hw_wl.queries, nprobe));
 
   core::UpAnnsOptions opts = core::UpAnnsOptions::upanns();
-  opts.n_dpus = a.num("dpus", 128);
+  opts.n_dpus = checked_count(a, "dpus", 128);
   opts.nprobe = nprobe;
-  opts.k = a.num("k", 10);
+  opts.k = checked_count(a, "k", 10);
   const core::MultiHostOptions mh = fleet_flags(a, opts, 1);
 
   ServeContext c(a, ds, wspec, wl.queries, index.n_points());
@@ -845,12 +846,13 @@ int cmd_serve(const Args& a) {
   c.metrics_out = a.str("metrics-out", "");
   c.spans_out = a.str("spans-out", "");
   c.prom_out = a.str("prom-out", "");
-  c.stats_every = a.num("stats-every", 0);
+  c.stats_every = checked_count(a, "stats-every", 0, /*min=*/0);
   guard_outputs({c.trace_out, c.metrics_out, c.spans_out, c.prom_out},
                 c.force);
 
   c.registry.set_window_options(
-      {checked_real(a, "window-seconds", 10.0), a.num("window-slots", 20)});
+      {checked_real(a, "window-seconds", 10.0),
+       checked_count(a, "window-slots", 20)});
   // The registry is attached only when some output actually consumes it —
   // a plain `--trace-out` run stays sink-free and byte-identical to a run
   // with no telemetry flags at all.
@@ -864,11 +866,10 @@ int cmd_serve(const Args& a) {
       throw UsageError("--update-rate is not supported with --online");
     }
     c.target_qps = checked_real(a, "target-qps", 2000.0);
-    c.policy.max_batch = a.num("batch", 64);
+    c.policy.max_batch = checked_count(a, "batch", 64);
     c.policy.deadline_seconds = checked_real(a, "deadline-ms", 2.0) * 1e-3;
-    if (c.policy.max_batch == 0) throw UsageError("--batch must be positive");
-    c.queue_cap = a.num("queue-cap", 1024);
-    c.n_clients = std::max<std::size_t>(1, a.num("clients", 4));
+    c.queue_cap = checked_count(a, "queue-cap", 1024, /*min=*/0);
+    c.n_clients = checked_count(a, "clients", 4);
   }
 
   // --hosts N > 1: shard across a simulated multi-host cluster and serve
@@ -933,10 +934,12 @@ int cmd_stats(const Args& a) {
   const bool force = a.flag("force");
   const bool watch = a.flag("watch");
   const std::string prom_out = a.str("prom-out", "");
-  const std::size_t interval_ms = a.num("interval-ms", 1000);
+  const std::size_t interval_ms =
+      checked_count(a, "interval-ms", 1000, /*min=*/0);
   // --watch with no --iterations tails forever (ctrl-C to stop); a bare
   // `stats` prints once.
-  const std::size_t iterations = a.num("iterations", watch ? 0 : 1);
+  const std::size_t iterations =
+      checked_count(a, "iterations", watch ? 0 : 1, /*min=*/0);
   guard_outputs({prom_out}, force);
 
   std::size_t iter = 0;

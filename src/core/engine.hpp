@@ -3,7 +3,8 @@
 // Offline (build, engine_build.cpp): collect cluster stats from a query
 // history, encode every cluster (Opt3), place replicas across DPUs (Opt1),
 // and load MRAM images (codebooks, centroids, id arrays, token streams,
-// combo tables).
+// combo tables). One writer, sync_dpu() in engine_mutate.cpp, renders every
+// replica image: at load, on list patches and on copy adjustments.
 //
 // Online (search, pipeline.cpp): the query path is a sequence of named stage
 // objects — cluster filter, Alg-2 scheduling, uniform-size transfer, kernel
@@ -240,8 +241,8 @@ class UpAnnsEngine {
   friend class QueryPipeline;  ///< online path reads layouts, rewinds MRAM
 
   /// Host-side byte image of one cluster's MRAM regions — the single source
-  /// both the full loader and the incremental patcher write from, so a
-  /// patched replica is byte-identical to a freshly loaded one.
+  /// the replica writer renders from, so a patched replica is byte-identical
+  /// to a freshly loaded one.
   struct ClusterImage {
     std::vector<std::uint32_t> ids;     ///< tombstoned slots already sentineled
     std::vector<std::uint8_t> stream;   ///< u16 tokens or raw codes, as bytes
@@ -252,9 +253,40 @@ class UpAnnsEngine {
     std::uint32_t n_tombstones = 0;
   };
 
-  /// Full MRAM image load; returns the bytes pushed per DPU (relocate turns
-  /// them into simulated transfer seconds, the constructor discards them).
-  std::vector<std::size_t> load_dpus(const ivf::ClusterStats& stats);
+  /// One operation of the replica writer.
+  struct ReplicaOp {
+    enum class Kind : std::uint8_t {
+      kLoad,    ///< write a new replica into fresh regions
+      kSync,    ///< bring a resident replica up to date with its list
+      kRetire,  ///< release a resident replica's regions
+    };
+    Kind kind;
+    std::uint32_t cluster;
+  };
+
+  /// What the replica writer did, on one DPU or summed over all of them.
+  struct ReplicaCounts {
+    std::size_t bytes = 0;  ///< MRAM bytes pushed
+    std::size_t loaded = 0;
+    std::size_t synced = 0;
+    std::size_t retired = 0;
+    std::size_t regions_moved = 0;  ///< synced regions that outgrew their cap
+  };
+
+  /// The only writer of replica MRAM images: runs `ops` on DPU d in order.
+  /// Each region is diffed in place while the image fits its reservation,
+  /// else written whole into a fresh slack-padded region (a new replica's
+  /// regions start with none). Keeps descriptors, cluster_slot and the
+  /// static mark current.
+  ReplicaCounts sync_dpu(std::size_t d, std::span<const ReplicaOp> ops);
+  /// sync_dpu(d, ops[d]) on every DPU in parallel. Fills the bytes pushed
+  /// per DPU and returns the counts summed over DPUs.
+  ReplicaCounts sync_replicas(const std::vector<std::vector<ReplicaOp>>& ops,
+                              std::vector<std::size_t>& dpu_bytes);
+  /// Full MRAM image load onto a fresh PimSystem: the codebook, then every
+  /// placed replica. Returns the bytes pushed per DPU (relocate turns them
+  /// into simulated transfer seconds, the constructor discards them).
+  std::vector<std::size_t> load_dpus();
   void encode_cluster(std::size_t c);
   /// Bring encodings_[c] up to date with the list: full re-encode after a
   /// compaction, cheap direct-token append after pure inserts.

@@ -1,10 +1,9 @@
 // Offline half of UpAnnsEngine: codebook quantization, cluster encoding
-// (Opt3), replica placement (Opt1) and MRAM image construction. The online
-// query path lives in core/pipeline.cpp.
+// (Opt3), replica placement (Opt1) and the full MRAM load, which writes the
+// codebook and hands every placed replica to the replica writer, sync_dpu()
+// (engine_mutate.cpp). The online query path lives in core/pipeline.cpp.
 #include <algorithm>
-#include <cassert>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 
 #include "common/fastround.hpp"
@@ -83,7 +82,7 @@ UpAnnsEngine::UpAnnsEngine(const ivf::IvfIndex& index,
                    : place_random(index_, stats, options_.placement,
                                   options_.seed);
   set_placement_frequencies(stats.frequencies);
-  load_dpus(stats);
+  load_dpus();
 }
 
 UpAnnsEngine::~UpAnnsEngine() = default;
@@ -132,7 +131,7 @@ UpAnnsEngine::PatchStats UpAnnsEngine::relocate(const ivf::ClusterStats& stats) 
                    : place_random(index_, stats, options_.placement,
                                   options_.seed);
   set_placement_frequencies(stats.frequencies);
-  const std::vector<std::size_t> dpu_bytes = load_dpus(stats);
+  const std::vector<std::size_t> dpu_bytes = load_dpus();
   pipeline_->reset_kernels();  // pooled kernels referenced the old layouts
 
   // Charge the reload like every other host->DPU push so the online
@@ -196,61 +195,6 @@ void UpAnnsEngine::refresh_encoding(std::size_t c) {
   }
 }
 
-std::size_t UpAnnsEngine::slack_bytes(std::size_t bytes) const {
-  const double s = std::max(0.0, options_.mram_list_slack);
-  const auto padded = static_cast<std::size_t>(
-      std::ceil(static_cast<double>(bytes) * (1.0 + s)));
-  return (padded + 7) / 8 * 8;
-}
-
-void UpAnnsEngine::build_cluster_image(std::uint32_t c,
-                                       ClusterImage& out) const {
-  const ivf::InvertedList& list = index_.list(c);
-  const CaeClusterEncoding& enc = encodings_[c];
-  assert(enc.n_records == list.size());
-  out.n_records = static_cast<std::uint32_t>(list.size());
-  out.n_tombstones = list.n_tombstones;
-
-  out.ids.assign(list.ids.begin(), list.ids.end());
-  if (list.has_tombstones()) {
-    for (std::size_t i = 0; i < out.ids.size(); ++i) {
-      if (list.is_dead(i)) out.ids[i] = kTombstoneId;
-    }
-  }
-
-  out.chunk_index.clear();
-  out.combos.clear();
-  if (mode_ == KernelMode::kNaiveRaw) {
-    out.stream.assign(list.codes.begin(), list.codes.end());
-    out.stream_elems = list.codes.size();
-    return;
-  }
-  out.stream.resize(enc.tokens.size() * sizeof(std::uint16_t));
-  if (!enc.tokens.empty()) {
-    std::memcpy(out.stream.data(), enc.tokens.data(), out.stream.size());
-  }
-  out.stream_elems = enc.tokens.size();
-
-  // Chunk index: element offset of every kChunkRecords-th record.
-  std::size_t off = 0;
-  for (std::size_t r = 0; r < enc.n_records; ++r) {
-    if (r % kChunkRecords == 0) {
-      out.chunk_index.push_back(static_cast<std::uint32_t>(off));
-    }
-    off += 1 + enc.tokens[off];
-  }
-
-  if (!enc.combos.empty()) {
-    out.combos.resize(enc.combos.size() * 4);
-    for (std::size_t i = 0; i < enc.combos.size(); ++i) {
-      out.combos[4 * i + 0] = enc.combos[i].pos;
-      out.combos[4 * i + 1] = enc.combos[i].c0;
-      out.combos[4 * i + 2] = enc.combos[i].c1;
-      out.combos[4 * i + 3] = enc.combos[i].c2;
-    }
-  }
-}
-
 void UpAnnsEngine::snapshot_loaded_state() {
   loaded_gen_.resize(index_.n_clusters());
   enc_compact_.resize(index_.n_clusters());
@@ -261,98 +205,40 @@ void UpAnnsEngine::snapshot_loaded_state() {
   loaded_epoch_ = index_.mutation_epoch();
 }
 
-std::vector<std::size_t> UpAnnsEngine::load_dpus(const ivf::ClusterStats&) {
+std::vector<std::size_t> UpAnnsEngine::load_dpus() {
   system_ = std::make_unique<pim::PimSystem>(options_.n_dpus);
   system_->set_metrics(metrics_);  // relocate() rebuilds the system
   per_dpu_.assign(options_.n_dpus, PerDpu{});
 
-  const std::size_t m = index_.pq_m();
-  const std::size_t dsub = index_.pq().dsub();
-  const std::size_t dim = index_.dim();
-
+  const std::size_t scales_bytes = codebook_scales_.size() * sizeof(float);
   std::vector<std::size_t> dpu_bytes(options_.n_dpus, 0);
   common::ThreadPool::global().parallel_for(
       0, options_.n_dpus,
       [&](std::size_t d) {
         pim::Dpu& dpu = system_->dpu(d);
         PerDpu& pd = per_dpu_[d];
-        std::uint64_t bytes = 0;
         pd.cluster_slot.assign(index_.n_clusters(), -1);
-        pd.layout.dim = dim;
-        pd.layout.m = m;
-        pd.layout.dsub = dsub;
+        pd.layout.dim = index_.dim();
+        pd.layout.m = index_.pq_m();
+        pd.layout.dsub = index_.pq().dsub();
         pd.layout.cb_prescaled = codebook_prescaled_;
-
         pd.layout.codebook_off =
             dpu.mram_alloc(codebook_q_.size(), "codebook");
         dpu.host_write(pd.layout.codebook_off, codebook_q_.data(),
                        codebook_q_.size());
-        bytes += codebook_q_.size();
-        pd.layout.cb_scale_off =
-            dpu.mram_alloc(codebook_scales_.size() * sizeof(float), "cb-scales");
+        pd.layout.cb_scale_off = dpu.mram_alloc(scales_bytes, "cb-scales");
         dpu.host_write(pd.layout.cb_scale_off, codebook_scales_.data(),
-                       codebook_scales_.size() * sizeof(float));
-        bytes += codebook_scales_.size() * sizeof(float);
-
-        // List regions are over-allocated by mram_list_slack so streaming
-        // inserts patch in place. The slack is pure address-space: DMA costs
-        // are charged per byte moved, never per offset, so read-only results
-        // are unchanged by it.
-        ClusterImage img;
-        for (std::uint32_t c : placement_.dpu_clusters[d]) {
-          build_cluster_image(c, img);
-          DpuClusterData cd;
-          cd.cluster_id = c;
-          cd.n_records = img.n_records;
-          cd.n_tombstones = img.n_tombstones;
-
-          const std::size_t ids_bytes = img.ids.size() * sizeof(std::uint32_t);
-          cd.ids_cap = slack_bytes(ids_bytes);
-          cd.ids_off = dpu.mram_alloc(cd.ids_cap, "ids");
-          if (ids_bytes > 0) {
-            dpu.host_write(cd.ids_off, img.ids.data(), ids_bytes);
-          }
-          bytes += ids_bytes;
-
-          cd.stream_cap = slack_bytes(img.stream.size());
-          cd.stream_off = dpu.mram_alloc(
-              cd.stream_cap, mode_ == KernelMode::kNaiveRaw ? "codes" : "tokens");
-          if (!img.stream.empty()) {
-            dpu.host_write(cd.stream_off, img.stream.data(), img.stream.size());
-          }
-          cd.stream_len = img.stream_elems;
-          bytes += img.stream.size();
-
-          const std::size_t chunk_bytes =
-              img.chunk_index.size() * sizeof(std::uint32_t);
-          cd.n_chunks = static_cast<std::uint32_t>(img.chunk_index.size());
-          if (chunk_bytes > 0) {
-            cd.chunk_cap = slack_bytes(chunk_bytes);
-            cd.chunk_index_off = dpu.mram_alloc(cd.chunk_cap, "chunk-index");
-            dpu.host_write(cd.chunk_index_off, img.chunk_index.data(),
-                           chunk_bytes);
-            bytes += chunk_bytes;
-          }
-
-          cd.n_combos = static_cast<std::uint32_t>(img.combos.size() / 4);
-          if (!img.combos.empty()) {
-            cd.combos_cap = slack_bytes(img.combos.size());
-            cd.combos_off = dpu.mram_alloc(cd.combos_cap, "combos");
-            dpu.host_write(cd.combos_off, img.combos.data(), img.combos.size());
-            bytes += img.combos.size();
-          }
-
-          cd.centroid_off = dpu.mram_alloc(dim * sizeof(float), "centroid");
-          dpu.host_write(cd.centroid_off, index_.centroid(c),
-                         dim * sizeof(float));
-          bytes += dim * sizeof(float);
-
-          pd.cluster_slot[c] =
-              static_cast<std::int32_t>(pd.layout.clusters.size());
-          pd.layout.clusters.push_back(cd);
-        }
+                       scales_bytes);
         pd.static_mark = dpu.mram_mark();
-        dpu_bytes[d] = static_cast<std::size_t>(bytes);
+
+        // Replicas load in the codebook's task, so each DPU's MRAM vector
+        // grows on one thread (a separate pass raised peak RSS).
+        std::vector<ReplicaOp> ops;
+        for (std::uint32_t c : placement_.dpu_clusters[d]) {
+          ops.push_back({ReplicaOp::Kind::kLoad, c});
+        }
+        dpu_bytes[d] =
+            codebook_q_.size() + scales_bytes + sync_dpu(d, ops).bytes;
       },
       1);
 

@@ -19,10 +19,16 @@
 //  * MRAM mirror invariant: the kernels' pre-scaled codebook equals every
 //    DPU's MRAM codebook through patches, compaction, replica adjustment
 //    and relocation.
+//  * replica-image invariants: descriptors, replica maps, region bounds,
+//    MRAM accounting and replica bytes hold after every transition of the
+//    one replica writer, in all three stream formats.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
+#include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -641,6 +647,216 @@ TEST(MramInvariants, PrescaledCodebookMatchesEveryDpuImage) {
   engine.relocate(
       ivf::collect_stats(mut, ivf::filter_batch(mut, f.wl.queries, 6)));
   expect_prescaled_matches_mram(engine);
+}
+
+// ---------------------------------------------------------------------------
+// Replica MRAM images stay consistent through every writer transition.
+
+/// One replica's MRAM image, read back from its DPU.
+struct ReplicaImage {
+  std::uint32_t n_records = 0;
+  std::uint32_t n_tombstones = 0;
+  std::vector<std::uint8_t> ids, stream, chunk_index, combos, centroid;
+  bool operator==(const ReplicaImage&) const = default;
+};
+
+std::vector<std::uint8_t> read_region(const pim::Dpu& dpu, std::size_t off,
+                                      std::size_t bytes) {
+  std::vector<std::uint8_t> out(bytes);
+  if (bytes > 0) dpu.host_read(off, out.data(), bytes);
+  return out;
+}
+
+ReplicaImage read_replica(core::UpAnnsEngine& engine, std::size_t d,
+                          const core::DpuClusterData& cd) {
+  const pim::Dpu& dpu = engine.system().dpu(d);
+  const std::size_t elem =
+      engine.options().naive_raw_codes ? 1 : sizeof(std::uint16_t);
+  return {cd.n_records,
+          cd.n_tombstones,
+          read_region(dpu, cd.ids_off, cd.n_records * sizeof(std::uint32_t)),
+          read_region(dpu, cd.stream_off, cd.stream_len * elem),
+          read_region(dpu, cd.chunk_index_off,
+                      cd.n_chunks * sizeof(std::uint32_t)),
+          read_region(dpu, cd.combos_off, cd.n_combos * 4u),
+          read_region(dpu, cd.centroid_off,
+                      engine.index().dim() * sizeof(float))};
+}
+
+/// The replica-image invariants of every DPU: descriptors match their
+/// lists; cluster_slot agrees with placement(); every region fits its
+/// reservation; the regions (codebook included) never overlap and end below
+/// the static mark; live plus released bytes equal the static mark, so
+/// nothing leaks; and all replicas of a cluster hold identical bytes. With
+/// `against_fresh`, those bytes also equal what a fresh engine over the same
+/// index loads.
+void expect_replica_invariants(core::UpAnnsEngine& engine,
+                               bool against_fresh) {
+  const ivf::IvfIndex& index = engine.index();
+  const std::size_t centroid_bytes = index.dim() * sizeof(float);
+  const std::size_t elem =
+      engine.options().naive_raw_codes ? 1 : sizeof(std::uint16_t);
+  const auto align8 = [](std::size_t b) { return (b + 7) / 8 * 8; };
+  core::QueryPipeline pl(engine);
+  std::map<std::uint32_t, ReplicaImage> images;  // cluster -> replica bytes
+  for (std::size_t d = 0; d < engine.options().n_dpus; ++d) {
+    SCOPED_TRACE("dpu " + std::to_string(d));
+    const core::UpAnnsEngine::PerDpu& pd = pl.per_dpu(d);
+    const core::DpuStaticLayout& layout = pd.layout;
+
+    ASSERT_EQ(pd.cluster_slot.size(), index.n_clusters());
+    std::vector<std::uint32_t> resident;
+    for (std::uint32_t c = 0; c < index.n_clusters(); ++c) {
+      const std::int32_t slot = pd.cluster_slot[c];
+      if (slot < 0) continue;
+      ASSERT_LT(static_cast<std::size_t>(slot), layout.clusters.size());
+      EXPECT_EQ(layout.clusters[static_cast<std::size_t>(slot)].cluster_id,
+                c);
+      resident.push_back(c);
+    }
+    EXPECT_EQ(resident.size(), layout.clusters.size());
+    std::vector<std::uint32_t> placed = engine.placement().dpu_clusters[d];
+    std::sort(placed.begin(), placed.end());
+    EXPECT_EQ(resident, placed);
+
+    // (offset, bytes) of every region allocated below the static mark.
+    std::vector<std::pair<std::size_t, std::size_t>> regions = {
+        {layout.codebook_off, layout.m * 256 * layout.dsub},
+        {layout.cb_scale_off, layout.m * sizeof(float)}};
+    for (const core::DpuClusterData& cd : layout.clusters) {
+      SCOPED_TRACE("cluster " + std::to_string(cd.cluster_id));
+      const ivf::InvertedList& list = index.list(cd.cluster_id);
+      EXPECT_EQ(cd.n_records, list.size());
+      EXPECT_EQ(cd.n_tombstones, list.n_tombstones);
+      EXPECT_LE(cd.n_records * sizeof(std::uint32_t), cd.ids_cap);
+      EXPECT_LE(cd.stream_len * elem, cd.stream_cap);
+      EXPECT_LE(cd.n_chunks * sizeof(std::uint32_t), cd.chunk_cap);
+      EXPECT_LE(cd.n_combos * 4u, cd.combos_cap);
+      regions.insert(regions.end(), {{cd.ids_off, cd.ids_cap},
+                                     {cd.stream_off, cd.stream_cap},
+                                     {cd.chunk_index_off, cd.chunk_cap},
+                                     {cd.combos_off, cd.combos_cap},
+                                     {cd.centroid_off, centroid_bytes}});
+      const ReplicaImage image = read_replica(engine, d, cd);
+      const auto [it, first] = images.emplace(cd.cluster_id, image);
+      if (!first) {
+        EXPECT_TRUE(image == it->second) << "replicas differ";
+      }
+    }
+
+    std::sort(regions.begin(), regions.end());
+    std::size_t live = 0;
+    std::size_t end = 0;
+    for (const auto& [off, bytes] : regions) {
+      if (bytes == 0) continue;
+      EXPECT_GE(off, end) << "regions overlap";
+      end = off + align8(bytes);
+      live += align8(bytes);
+    }
+    EXPECT_LE(end, pd.static_mark);
+    EXPECT_EQ(live + engine.system().dpu(d).mram_released_bytes(),
+              pd.static_mark)
+        << "MRAM leaked";
+  }
+  if (!against_fresh) return;
+
+  core::UpAnnsEngine fresh(index, fixture().stats, engine.options());
+  core::QueryPipeline fresh_pl(fresh);
+  std::set<std::uint32_t> compared;
+  for (std::size_t d = 0; d < fresh.options().n_dpus; ++d) {
+    for (const core::DpuClusterData& cd : fresh_pl.per_dpu(d).layout.clusters) {
+      const auto it = images.find(cd.cluster_id);
+      if (it == images.end()) continue;
+      EXPECT_TRUE(read_replica(fresh, d, cd) == it->second)
+          << "cluster " << cd.cluster_id << " differs from a fresh load";
+      compared.insert(cd.cluster_id);
+    }
+  }
+  EXPECT_EQ(compared.size(), images.size());
+}
+
+TEST(MramInvariants, ReplicaImagesHoldThroughEveryWriterTransition) {
+  // Load, a patch that outgrows a slack reservation, compaction, a copy add,
+  // a copy retire, a patch over the reused regions, and a relocation — in
+  // all three stream formats. CAE appends direct tokens where a fresh load
+  // would re-mine combos, so only the other two must match a fresh engine.
+  auto& f = fixture();
+  core::UpAnnsOptions direct = f.options();
+  direct.opt_cae = false;
+  core::UpAnnsOptions raw = core::UpAnnsOptions::pim_naive();
+  raw.n_dpus = direct.n_dpus;
+  raw.nprobe = direct.nprobe;
+  raw.k = direct.k;
+  struct Mode {
+    const char* name;
+    core::UpAnnsOptions options;
+    bool exact;
+  };
+  for (const Mode& mode : {Mode{"cae", f.options(), false},
+                           Mode{"direct", direct, true},
+                           Mode{"raw", raw, true}}) {
+    SCOPED_TRACE(mode.name);
+    ivf::IvfIndex mut = f.index;
+    core::UpAnnsEngine engine(mut, f.stats, mode.options);
+    const auto check = [&](const char* step) {
+      SCOPED_TRACE(step);
+      expect_replica_invariants(engine, mode.exact);
+    };
+    check("load");
+    engine.search(f.wl.queries);  // leaves scratch past the static marks
+
+    // Upsert `n` points next to cluster `c`'s centroid, so all land on it.
+    common::Rng rng(307);
+    std::uint32_t next_id = static_cast<std::uint32_t>(f.base.n);
+    const auto grow = [&](std::uint32_t c, std::size_t n) {
+      std::vector<std::uint32_t> ids;
+      std::vector<float> flat;
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < mut.dim(); ++j) {
+          flat.push_back(mut.centroid(c)[j] + rng.uniform(-1e-3f, 1e-3f));
+        }
+        ids.push_back(next_id++);
+      }
+      engine.upsert(ids, flat);
+    };
+
+    std::uint32_t biggest = 0;
+    for (std::uint32_t c = 0; c < mut.n_clusters(); ++c) {
+      if (mut.list(c).size() > mut.list(biggest).size()) biggest = c;
+    }
+    grow(biggest, mut.list(biggest).size() / 2 + 16);
+    std::vector<std::uint32_t> dead;
+    for (std::uint32_t id = 0; id < 600; id += 5) dead.push_back(id);
+    EXPECT_EQ(engine.remove(dead), dead.size());
+    EXPECT_GT(engine.patch_dpus().regions_moved, 0u);
+    check("patch past slack");
+
+    EXPECT_GT(engine.compact(0.0), 0u);
+    engine.patch_dpus();
+    check("compact");
+
+    EXPECT_EQ(engine.apply_copy_adjustments({{0, +1}, {1, +1}},
+                                            f.stats.frequencies)
+                  .replicas_added,
+              2u);
+    check("copy add");
+
+    EXPECT_EQ(
+        engine.apply_copy_adjustments({{0, -1}}, f.stats.frequencies)
+            .replicas_retired,
+        1u);
+    check("copy retire");
+
+    grow(0, 24);
+    const std::vector<std::uint32_t> more_dead = {601, 606};
+    EXPECT_EQ(engine.remove(more_dead), more_dead.size());
+    engine.patch_dpus();
+    check("write after adjust");
+
+    engine.relocate(
+        ivf::collect_stats(mut, ivf::filter_batch(mut, f.wl.queries, 6)));
+    check("relocate");
+  }
 }
 
 // ---------------------------------------------------------------------------
