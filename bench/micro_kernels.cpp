@@ -139,22 +139,37 @@ void BM_QuantizedAdcScan(benchmark::State& state) {
 }
 BENCHMARK(BM_QuantizedAdcScan);
 
+// Top-k fills of `pushes` random candidates each, refilling one cleared
+// buffer: k 10 over 18 pushes is a batch_paper tasklet's S4 share of a
+// cluster, k 64 over 512 is the cluster filter (nprobe of 512 centroids),
+// and 65536 pushes measure the steady rejecting state.
 void BM_HeapPush(benchmark::State& state) {
   common::Rng rng(8);
   const std::size_t k = static_cast<std::size_t>(state.range(0));
+  const std::size_t pushes = static_cast<std::size_t>(state.range(1));
   std::vector<float> dists(65536);
   for (auto& d : dists) d = rng.uniform(0.f, 1.f);
+  const std::size_t fills = dists.size() / pushes;
+  common::TopK top(k);
   for (auto _ : state) {
-    common::BoundedMaxHeap heap(k);
-    for (std::size_t i = 0; i < dists.size(); ++i) {
-      heap.push(dists[i], static_cast<std::uint32_t>(i));
+    for (std::size_t f = 0; f < fills; ++f) {
+      top.clear();
+      const float* d = dists.data() + f * pushes;
+      for (std::size_t i = 0; i < pushes; ++i) {
+        top.push(d[i], static_cast<std::uint32_t>(i));
+      }
+      benchmark::DoNotOptimize(top.worst());
     }
-    benchmark::DoNotOptimize(heap);
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(dists.size()));
+                          static_cast<std::int64_t>(fills * pushes));
 }
-BENCHMARK(BM_HeapPush)->Arg(10)->Arg(100);
+BENCHMARK(BM_HeapPush)
+    ->ArgNames({"k", "pushes"})
+    ->Args({10, 18})
+    ->Args({64, 512})
+    ->Args({10, 65536})
+    ->Args({100, 65536});
 
 ivf::InvertedList patterned_list(std::size_t n) {
   common::Rng rng(9);
@@ -278,7 +293,7 @@ void run_kernel_scan(benchmark::State& state, core::KernelMode mode) {
 void BM_AdcScanTokens(benchmark::State& state) {
   run_kernel_scan(state, core::KernelMode::kDirectTokens);
 }
-BENCHMARK(BM_AdcScanTokens)->Arg(1024)->Arg(8192);
+BENCHMARK(BM_AdcScanTokens)->Arg(128)->Arg(1024)->Arg(8192);
 
 void BM_AdcScanRaw(benchmark::State& state) {
   run_kernel_scan(state, core::KernelMode::kNaiveRaw);
@@ -293,41 +308,40 @@ void BM_KernelLut(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelLut)->Arg(16);
 
-// The S5 merge pattern in isolation: refill per-tasklet heaps, extract them
-// min-first into a reused buffer (take_sorted_into keeps every capacity),
-// then prune-merge into the DPU-global heap.
+// The S4 + S5 top-k pattern in isolation: refill per-tasklet buffers with
+// `per_tasklet` candidates each, then walk each one min-first in place and
+// prune-merge it into the DPU-wide buffer. 18 per tasklet is batch_paper's
+// shape (~195 records per cluster over 11 tasklets).
 void BM_HeapMergePruned(benchmark::State& state) {
   constexpr std::size_t kTasklets = 11;
   constexpr std::size_t kK = 10;
-  constexpr std::size_t kPerTasklet = 64;
+  const auto per_tasklet = static_cast<std::size_t>(state.range(0));
   common::Rng rng(31);
-  std::vector<float> dists(kTasklets * kPerTasklet);
+  std::vector<float> dists(kTasklets * per_tasklet);
   for (auto& d : dists) d = rng.uniform(0.f, 1.f);
 
-  std::vector<common::BoundedMaxHeap> locals;
-  for (std::size_t t = 0; t < kTasklets; ++t) locals.emplace_back(kK);
-  common::BoundedMaxHeap global(kK);
-  std::vector<common::Neighbor> sorted;
+  std::vector<common::TopK> locals(kTasklets, common::TopK(kK));
+  common::TopK global(kK);
 
   for (auto _ : state) {
     global.clear();
     for (std::size_t t = 0; t < kTasklets; ++t) {
-      for (std::size_t i = 0; i < kPerTasklet; ++i) {
-        locals[t].push(dists[t * kPerTasklet + i],
+      locals[t].clear();
+      for (std::size_t i = 0; i < per_tasklet; ++i) {
+        locals[t].push(dists[t * per_tasklet + i],
                        static_cast<std::uint32_t>(i));
       }
-      locals[t].take_sorted_into(sorted);
-      for (const common::Neighbor& nb : sorted) {
-        if (global.full() && !(nb < global.worst())) break;
-        global.push(nb);
+      for (const std::uint64_t key : locals[t].keys()) {
+        if (global.full() && !(key < global.worst())) break;
+        global.push(key);
       }
     }
-    benchmark::DoNotOptimize(global);
+    benchmark::DoNotOptimize(global.worst());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(dists.size()));
 }
-BENCHMARK(BM_HeapMergePruned);
+BENCHMARK(BM_HeapMergePruned)->Arg(18)->Arg(64);
 
 void BM_MramLatencyModel(benchmark::State& state) {
   for (auto _ : state) {

@@ -30,7 +30,7 @@ CpuSearchResult CpuIvfpqSearcher::search_with_probes(
       0, queries.n,
       [&](std::size_t q) {
         const float* qv = queries.row(q);
-        common::BoundedMaxHeap heap(params.k);
+        common::TopK top(params.k);
         std::vector<float> residual(dim);
         std::vector<float> lut(m * quant::kPqKsub);
         std::size_t scanned = 0;
@@ -44,7 +44,7 @@ CpuSearchResult CpuIvfpqSearcher::search_with_probes(
             for (std::size_t i = 0; i < list.size(); ++i) {
               const float d =
                   index_.pq().adc_distance(lut.data(), list.code(i, m));
-              heap.push(d, list.ids[i]);
+              top.push(d, list.ids[i]);
             }
             scanned += list.size();
           } else {
@@ -55,14 +55,14 @@ CpuSearchResult CpuIvfpqSearcher::search_with_probes(
               if (list.is_dead(i)) continue;
               const float d =
                   index_.pq().adc_distance(lut.data(), list.code(i, m));
-              heap.push(d, list.ids[i]);
+              top.push(d, list.ids[i]);
               ++live;
             }
             scanned += live;
           }
           local_max = std::max(local_max, list.size());
         }
-        out.neighbors[q] = heap.take_sorted();
+        out.neighbors[q] = top.sorted();
         total_candidates.fetch_add(scanned, std::memory_order_relaxed);
         std::size_t prev = max_cluster.load(std::memory_order_relaxed);
         while (local_max > prev &&

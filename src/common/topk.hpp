@@ -1,15 +1,14 @@
-// Bounded top-k containers used on every architecture path:
-//  - BoundedMaxHeap: the classic "keep the k smallest distances" max-heap, as
-//    maintained per thread (tasklet) during the distance-calculation stage.
-//  - The heap can be converted in place to ascending order (heapsort), which
-//    is the min-heap traversal order the Top-K Pruning stage (paper 4.4)
-//    consumes when merging thread-local heaps into the DPU-global heap.
+// The one top-k structure of every architecture path (DPU kernel S4/S5,
+// host and fleet merges, cluster filter, CPU baseline, exact ground truth):
+// a sorted array of u64 keys whose integer order is Neighbor order, so the
+// Top-K Pruning merge (paper 4.4) walks it min-first in place.
 #pragma once
 
-#include <algorithm>
+#include <cassert>
+#include <cmath>
 #include <cstdint>
-#include <limits>
-#include <utility>
+#include <cstring>
+#include <span>
 #include <vector>
 
 namespace upanns::common {
@@ -29,95 +28,99 @@ struct Neighbor {
   }
 };
 
-/// Fixed-capacity max-heap keeping the k best (smallest) candidates.
-/// push() is O(log k) once full, O(log size) while filling.
-class BoundedMaxHeap {
+/// Fixed-capacity buffer of the k best (smallest) candidates, ascending.
+/// push() shifts larger keys one slot back, O(size) per accepted push, which
+/// beats a heap's O(log k) moves for the small k and short streams of the
+/// kernel; capacity never changes after construction.
+class TopK {
  public:
-  explicit BoundedMaxHeap(std::size_t k) : k_(k) { data_.reserve(k); }
+  explicit TopK(std::size_t k) : keys_(k) {}
 
-  std::size_t capacity() const { return k_; }
-  std::size_t size() const { return data_.size(); }
-  bool full() const { return data_.size() == k_; }
-  bool empty() const { return data_.empty(); }
-
-  /// Current worst (largest) retained distance; +inf while not full.
-  float threshold() const {
-    return full() ? data_.front().dist : std::numeric_limits<float>::infinity();
+  /// Sort key (float_bits(dist) << 32) | id. A float with a clear sign bit
+  /// orders like its bits, so for the non-negative distances every caller
+  /// produces (sums of squares, u32 x a positive scale) key order is
+  /// Neighbor::operator<, id tie-break included. NaN keys sort after +inf
+  /// whatever their sign bit (x86's default NaN has it set), so unchecked
+  /// inputs still order deterministically.
+  static std::uint64_t pack(float dist, std::uint32_t id) {
+    assert(!std::signbit(dist) || std::isnan(dist));
+    std::uint32_t bits;
+    std::memcpy(&bits, &dist, sizeof(bits));
+    return (std::uint64_t{bits} << 32) | id;
+  }
+  static Neighbor unpack(std::uint64_t key) {
+    const auto bits = static_cast<std::uint32_t>(key >> 32);
+    float dist;
+    std::memcpy(&dist, &bits, sizeof(dist));
+    return {dist, static_cast<std::uint32_t>(key)};
   }
 
-  /// The worst retained candidate (heap root). Only valid when non-empty;
-  /// `n < worst()` is the exact acceptance test push() applies when full,
-  /// including the id tie-break — pruning must use this, not threshold(),
-  /// to stay result-identical.
-  const Neighbor& worst() const { return data_.front(); }
+  std::size_t capacity() const { return keys_.size(); }
+  std::size_t size() const { return n_; }
+  bool full() const { return n_ == keys_.size(); }
+  bool empty() const { return n_ == 0; }
 
-  /// Insert a candidate if it beats the current threshold.
+  /// Retained keys, ascending.
+  std::span<const std::uint64_t> keys() const { return {keys_.data(), n_}; }
+  /// The worst retained key; only valid when non-empty. `key < worst()` is
+  /// the exact acceptance test push() applies when full, so pruning by it
+  /// stays result-identical.
+  std::uint64_t worst() const { return keys_[n_ - 1]; }
+
+  /// Retain the candidate if the buffer is not full or it beats worst().
   /// Returns true if the candidate was retained.
-  bool push(Neighbor n) {
-    if (k_ == 0) return false;
-    if (!full()) {
-      data_.push_back(n);
-      std::push_heap(data_.begin(), data_.end());
-      return true;
+  bool push(std::uint64_t key) {
+    std::size_t i = n_;
+    if (i == keys_.size()) {
+      if (i == 0 || !(key < keys_[i - 1])) return false;
+      --i;  // the worst's slot is overwritten
+    } else {
+      ++n_;
     }
-    if (!(n < data_.front())) return false;
-    std::pop_heap(data_.begin(), data_.end());
-    data_.back() = n;
-    std::push_heap(data_.begin(), data_.end());
+    insert(i, key);
     return true;
   }
+  bool push(float dist, std::uint32_t id) { return push(pack(dist, id)); }
+  bool push(Neighbor n) { return push(pack(n.dist, n.id)); }
 
-  bool push(float dist, std::uint32_t id) { return push(Neighbor{dist, id}); }
-
-  const std::vector<Neighbor>& raw() const { return data_; }
-
-  /// Destructively extract candidates sorted by ascending distance.
-  std::vector<Neighbor> take_sorted() {
-    std::sort_heap(data_.begin(), data_.end());
-    return std::exchange(data_, {});
-  }
-
-  /// Destructively extract into a caller-owned buffer (ascending order).
-  /// Unlike take_sorted(), both the heap's storage and `out` keep their
-  /// capacity, so repeated extract/refill cycles allocate nothing once
-  /// warm — the DPU-kernel merge stage depends on this.
-  void take_sorted_into(std::vector<Neighbor>& out) {
-    std::sort_heap(data_.begin(), data_.end());
-    out.assign(data_.begin(), data_.end());
-    data_.clear();
-  }
-
-  /// Non-destructive sorted copy.
+  /// Retained candidates, ascending.
   std::vector<Neighbor> sorted() const {
-    std::vector<Neighbor> out = data_;
-    std::sort(out.begin(), out.end());
+    std::vector<Neighbor> out;
+    out.reserve(n_);
+    for (const std::uint64_t key : keys()) out.push_back(unpack(key));
     return out;
   }
 
-  void clear() { data_.clear(); }
+  void clear() { n_ = 0; }
 
  private:
-  std::size_t k_;
-  std::vector<Neighbor> data_;
+  /// Shift the keys above `key` one slot back, from slot i down, and place
+  /// it. Out of line on purpose: inlined into the kernel's scan loop it
+  /// slowed the reject path that dominates long streams by ~30%
+  /// (BM_AdcScanTokens/8192), for no gain on short ones.
+  __attribute__((noinline)) void insert(std::size_t i, std::uint64_t key) {
+    for (; i > 0 && keys_[i - 1] > key; --i) keys_[i] = keys_[i - 1];
+    keys_[i] = key;
+  }
+
+  std::vector<std::uint64_t> keys_;
+  std::size_t n_ = 0;
 };
 
 /// Merge several ascending-sorted candidate lists into the k best overall.
-/// This mirrors the host-side final aggregation across DPUs.
-std::vector<Neighbor> merge_sorted_topk(
-    const std::vector<std::vector<Neighbor>>& lists, std::size_t k);
-
+/// This mirrors the host-side final aggregation across DPUs and hosts.
 inline std::vector<Neighbor> merge_sorted_topk(
     const std::vector<std::vector<Neighbor>>& lists, std::size_t k) {
-  BoundedMaxHeap heap(k);
+  TopK top(k);
   for (const auto& list : lists) {
     for (const auto& n : list) {
-      // Lists are ascending: once one entry fails the threshold, the rest of
-      // this list cannot contribute (the same early-exit the DPU merge uses).
-      if (heap.full() && !(n.dist < heap.threshold())) break;
-      heap.push(n);
+      // Lists are ascending: once push() rejects an entry (it is full and
+      // !(n < worst)), the rest of this list cannot contribute either (the
+      // same early exit the DPU merge uses).
+      if (!top.push(n)) break;
     }
   }
-  return heap.take_sorted();
+  return top.sorted();
 }
 
 }  // namespace upanns::common

@@ -58,7 +58,7 @@ QueryKernel::QueryKernel(const DpuStaticLayout& layout,
       input_(&input),
       mode_(mode),
       prune_topk_(prune_topk),
-      global_heap_(input.k) {
+      global_topk_(input.k) {
   // Constructing a kernel (LaunchStage pool growth) is a hot-path
   // allocation event; a warm serving loop rebinds instead.
   detail::note_hot_path_allocation();
@@ -146,20 +146,18 @@ void QueryKernel::setup(pim::Dpu& dpu, unsigned n_tasklets) {
   KernelScratch::assign(scratch_.residual, layout_.dim, 0.f);
   KernelScratch::assign(scratch_.tasklet_max,
                         static_cast<std::size_t>(n_tasklets), 0.f);
-  if (local_heaps_.size() != n_tasklets ||
-      (!local_heaps_.empty() && local_heaps_.front().capacity() != k)) {
+  if (local_topk_.size() != n_tasklets ||
+      (!local_topk_.empty() && local_topk_.front().capacity() != k)) {
     detail::note_hot_path_allocation();
-    local_heaps_.clear();
-    local_heaps_.reserve(n_tasklets);
-    for (unsigned t = 0; t < n_tasklets; ++t) local_heaps_.emplace_back(k);
+    local_topk_.assign(n_tasklets, common::TopK(k));
   } else {
-    for (auto& h : local_heaps_) h.clear();
+    for (auto& t : local_topk_) t.clear();
   }
-  if (global_heap_.capacity() != k) {
+  if (global_topk_.capacity() != k) {
     detail::note_hot_path_allocation();
-    global_heap_ = common::BoundedMaxHeap(k);
+    global_topk_ = common::TopK(k);
   } else {
-    global_heap_.clear();
+    global_topk_.clear();
   }
 
   // Per-launch statistics restart with every run — reused kernel objects
@@ -347,11 +345,43 @@ void QueryKernel::phase_lut_reduce(pim::TaskletCtx& ctx) {
   ctx.instr(scratch_.tasklet_max.size() + 6);
 }
 
+namespace {
+
+#if defined(__SSE2__)
+// The 8-lane S2 body: the SSE2 loop's lane ops at twice the width. minps's
+// NaN rule (return the second operand) and the ordered compare carry over
+// unchanged, so every entry rounds exactly as the scalar reference does.
+// Returns the first index it did not quantize.
+__attribute__((target("avx2"))) std::size_t quantize_lut_avx2(
+    const float* lut, std::size_t n, float inv, std::uint32_t* out) {
+  const __m256 inv_v = _mm256_set1_ps(inv);
+  const __m256 cap = _mm256_set1_ps(65535.f);
+  const __m256 half = _mm256_set1_ps(0.5f);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 x =
+        _mm256_min_ps(_mm256_mul_ps(_mm256_loadu_ps(lut + i), inv_v), cap);
+    const __m256i t = _mm256_cvttps_epi32(_mm256_add_ps(x, half));
+    const __m256 over = _mm256_cmp_ps(
+        _mm256_sub_ps(_mm256_cvtepi32_ps(t), half), x, _CMP_GT_OQ);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
+                        _mm256_add_epi32(t, _mm256_castps_si256(over)));
+  }
+  return i;
+}
+#endif  // __SSE2__
+
+}  // namespace
+
 void quantize_lut(const float* lut, std::size_t n, float inv,
                   std::uint32_t* out) {
   std::size_t i = 0;
 #if defined(__SSE2__)
-  if (common::simd_active_level() != common::SimdLevel::kScalar) {
+  const common::SimdLevel simd = common::simd_active_level();
+  if (simd == common::SimdLevel::kAvx2) {
+    i = quantize_lut_avx2(lut, n, inv, out);
+  }
+  if (simd != common::SimdLevel::kScalar) {
     // round_nonneg lane-wise: truncate x + 0.5, then step down by one where
     // float(t) - 0.5 > x (the compare mask is all-ones, i.e. -1). minps
     // returns its second operand on NaN, exactly like std::min(65535, x).
@@ -457,7 +487,7 @@ void QueryKernel::phase_distance(const Phase& p, pim::TaskletCtx& ctx) {
                                            input_->mram_read_bytes)
                                      : hw::kMramMaxTransfer;
   const std::uint64_t push_cost = heap_push_cost(k);
-  common::BoundedMaxHeap& heap = local_heaps_[ctx.id()];
+  common::TopK& top = local_topk_[ctx.id()];
   // Tombstone masking is hoisted per cluster: fully live clusters (the
   // read-only serving case) take the exact pre-mutability path — no extra
   // branch, no extra instruction charge.
@@ -489,7 +519,7 @@ void QueryKernel::phase_distance(const Phase& p, pim::TaskletCtx& ctx) {
         ctx.mram_view(cl.chunk_index_off, own_bytes));
   }
 
-  // Hoisted table pointers: ctx.instr / heap pushes store through other
+  // Hoisted table pointers: ctx.instr / top-k pushes store through other
   // members, so without locals the compiler must conservatively reload the
   // vector data pointers on every token.
   const std::uint32_t* token_table = scratch_.token_table.data();
@@ -554,7 +584,7 @@ void QueryKernel::phase_distance(const Phase& p, pim::TaskletCtx& ctx) {
       const float dist = static_cast<float>(acc) * dist_scale;
       const std::uint32_t id = ids[r];
       if (!masked || id != kTombstoneId) {
-        if (heap.push(dist, id)) ++chunk_pushes;
+        if (top.push(dist, id)) ++chunk_pushes;
       }
     };
     std::size_t chunk_elems = 0;
@@ -616,14 +646,12 @@ void QueryKernel::phase_merge(const Phase& p, pim::TaskletCtx& ctx) {
   const std::size_t k = input_->k;
   const std::uint64_t push_cost = heap_push_cost(k);
 
-  // Convert this tasklet's max-heap to ascending (min-first) order — the
-  // paper's min-heap trick that enables pruning — then feed the DPU heap
-  // under the semaphore. The extraction reuses the arena's sorted buffer.
-  common::BoundedMaxHeap& heap = local_heaps_[ctx.id()];
-  const std::size_t n = heap.size();
-  if (n > scratch_.sorted.capacity()) detail::note_hot_path_allocation();
-  heap.take_sorted_into(scratch_.sorted);
-  const std::vector<common::Neighbor>& sorted = scratch_.sorted;
+  // The modelled tasklet converts its max-heap to ascending (min-first)
+  // order — the paper's min-heap trick that enables pruning — then feeds
+  // the DPU heap under the semaphore. The host buffer is already ascending
+  // and is read in place; the conversion is still charged.
+  const std::span<const std::uint64_t> local = local_topk_[ctx.id()].keys();
+  const std::size_t n = local.size();
   if (n > 1) {
     std::uint64_t lg = 1;
     while ((1ull << lg) < n) ++lg;
@@ -636,19 +664,19 @@ void QueryKernel::phase_merge(const Phase& p, pim::TaskletCtx& ctx) {
   // whole remainder of the heap at the first failure; this is the "68% of
   // redundant comparisons" Opt4 skips.
   constexpr std::uint64_t kNaiveInsertOverhead = 8;
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     if (prune_topk_) {
       ctx.critical_instr(2);  // sem_take + threshold compare
-      if (global_heap_.full() && !(sorted[i] < global_heap_.worst())) {
-        // `sorted` is ascending in the same total order the heap rejects
+      if (global_topk_.full() && !(local[i] < global_topk_.worst())) {
+        // `local` is ascending in the same key order the DPU buffer rejects
         // by, so everything after the first failing entry prunes wholesale.
-        merge_pruned_ += sorted.size() - i;
+        merge_pruned_ += n - i;
         break;
       }
     } else {
       ctx.critical_instr(kNaiveInsertOverhead);
     }
-    if (global_heap_.push(sorted[i])) {
+    if (global_topk_.push(local[i])) {
       ctx.critical_instr(push_cost);
     }
     ++merge_insertions_;
@@ -657,16 +685,12 @@ void QueryKernel::phase_merge(const Phase& p, pim::TaskletCtx& ctx) {
   // The last tasklet (runs last in the simulator's deterministic order)
   // flushes the aggregated top-k to MRAM for the host to gather.
   if (ctx.id() + 1 == ctx.n_tasklets()) {
-    if (global_heap_.size() > scratch_.result.capacity()) {
-      detail::note_hot_path_allocation();
-    }
-    global_heap_.take_sorted_into(scratch_.result);
     KernelScratch::assign(scratch_.packed, 2 * k, 0xFFFFFFFFu);
-    for (std::size_t i = 0; i < scratch_.result.size(); ++i) {
-      std::uint32_t bits;
-      std::memcpy(&bits, &scratch_.result[i].dist, sizeof(bits));
-      scratch_.packed[2 * i] = bits;
-      scratch_.packed[2 * i + 1] = scratch_.result[i].id;
+    const std::span<const std::uint64_t> top = global_topk_.keys();
+    for (std::size_t i = 0; i < top.size(); ++i) {
+      const common::Neighbor nb = common::TopK::unpack(top[i]);
+      std::memcpy(&scratch_.packed[2 * i], &nb.dist, sizeof(nb.dist));
+      scratch_.packed[2 * i + 1] = nb.id;
     }
     const std::size_t slot =
         input_->results_off +
@@ -674,7 +698,8 @@ void QueryKernel::phase_merge(const Phase& p, pim::TaskletCtx& ctx) {
     ctx.mram_write(slot, scratch_.packed.data(),
                    scratch_.packed.size() * sizeof(std::uint32_t));
     ctx.instr(2 * k);
-    for (auto& h : local_heaps_) h.clear();
+    global_topk_.clear();
+    for (auto& t : local_topk_) t.clear();
   }
 }
 

@@ -95,8 +95,9 @@ std::vector<float> prescale_codebook(std::span<const std::int8_t> codebook,
                                      std::size_t dsub);
 
 /// S2 quantization of n float LUT entries into the u32 token table:
-/// out[i] = round(min(65535, lut[i] * inv)). The SSE2 path (any level above
-/// scalar) is bit-identical to the scalar reference loop.
+/// out[i] = round(min(65535, lut[i] * inv)). The vector paths (8 lanes at
+/// avx2, then 4 lanes above scalar) are bit-identical to the scalar
+/// reference loop.
 void quantize_lut(const float* lut, std::size_t n, float inv,
                   std::uint32_t* out);
 
@@ -136,9 +137,9 @@ void note_hot_path_allocation();
 }  // namespace detail
 
 /// Reusable per-kernel scratch arena: the functional mirrors of WRAM state
-/// plus the merge-stage extraction buffers. Everything is assigned (never
-/// reconstructed) so capacity persists across phases, tasklets and launches;
-/// capacity growth bumps hot_path_allocations(). Tasklets of one DPU run
+/// plus the S5 result image. Everything is assigned (never reconstructed)
+/// so capacity persists across phases, tasklets and launches; capacity
+/// growth bumps hot_path_allocations(). Tasklets of one DPU run
 /// sequentially in the simulator, so one arena per kernel suffices.
 struct KernelScratch {
   std::vector<float> lut_f32;
@@ -152,9 +153,7 @@ struct KernelScratch {
   /// kChunkRecords * (m + 1) + 1, the longest span plus the leading zero.
   std::vector<std::uint32_t> prefix;
   std::vector<float> residual;
-  std::vector<common::Neighbor> sorted;  ///< per-tasklet sorted extract (S5)
-  std::vector<common::Neighbor> result;  ///< DPU-global sorted top-k (S5)
-  std::vector<std::uint32_t> packed;     ///< MRAM result image (S5)
+  std::vector<std::uint32_t> packed;   ///< MRAM result image (S5)
 
   /// assign() that records capacity growth in hot_path_allocations().
   template <typename T>
@@ -227,13 +226,14 @@ class QueryKernel final : public pim::DpuKernel {
   std::size_t wram_codebook_off = 0;
   std::size_t per_tasklet_buf_bytes_ = 0;
 
-  // Functional state mirroring WRAM contents lives in the scratch arena;
-  // heaps are modeled functionally but their WRAM footprint is charged in
-  // setup(). All of it keeps capacity across launches.
+  // Functional state mirroring WRAM contents lives in the scratch arena.
+  // The modelled tasklet and DPU heaps are mirrored by sorted TopK buffers
+  // that accept exactly what the heaps would; the heaps' WRAM footprint is
+  // charged in setup(). All of it keeps capacity across launches.
   KernelScratch scratch_;
   float lut_scale_ = 1.f;
-  std::vector<common::BoundedMaxHeap> local_heaps_;
-  common::BoundedMaxHeap global_heap_;
+  std::vector<common::TopK> local_topk_;  ///< one per tasklet (S4)
+  common::TopK global_topk_;              ///< DPU-wide (S5)
 
   std::uint64_t merge_insertions_ = 0;
   std::uint64_t merge_pruned_ = 0;

@@ -17,13 +17,13 @@ std::vector<std::vector<common::Neighbor>> exact_topk(const Dataset& base,
   common::ThreadPool::global().parallel_for(
       0, queries.n,
       [&](std::size_t q) {
-        common::BoundedMaxHeap heap(k);
+        common::TopK top(k);
         const float* qv = queries.row(q);
         for (std::size_t i = 0; i < base.n; ++i) {
           const float d = quant::l2_sq(qv, base.row(i), base.dim);
-          heap.push(d, static_cast<std::uint32_t>(i));
+          top.push(d, static_cast<std::uint32_t>(i));
         }
-        out[q] = heap.take_sorted();
+        out[q] = top.sorted();
       },
       1);
   return out;

@@ -158,14 +158,16 @@ std::vector<std::size_t> IvfIndex::list_sizes() const {
 std::vector<std::uint32_t> IvfIndex::filter_clusters(const float* query,
                                                      std::size_t nprobe) const {
   nprobe = std::min(nprobe, n_clusters_);
-  common::BoundedMaxHeap heap(nprobe);
+  common::TopK top(nprobe);
   for (std::size_t c = 0; c < n_clusters_; ++c) {
     const float d = quant::l2_sq(query, centroid(c), dim_);
-    heap.push(d, static_cast<std::uint32_t>(c));
+    top.push(d, static_cast<std::uint32_t>(c));
   }
-  auto sorted = heap.take_sorted();
-  std::vector<std::uint32_t> ids(sorted.size());
-  for (std::size_t i = 0; i < sorted.size(); ++i) ids[i] = sorted[i].id;
+  std::vector<std::uint32_t> ids;
+  ids.reserve(top.size());
+  for (const std::uint64_t key : top.keys()) {
+    ids.push_back(common::TopK::unpack(key).id);
+  }
   return ids;
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "data/ground_truth.hpp"
 #include "data/query_workload.hpp"
 #include "ivf/cluster_stats.hpp"
@@ -66,18 +68,20 @@ TEST(CpuIvfpq, MatchesBruteForceOverProbedClusters) {
 
   const std::size_t m = f.index.pq_m();
   for (std::size_t q = 0; q < 4; ++q) {
-    common::BoundedMaxHeap ref(p.k);
+    std::vector<common::Neighbor> ref;  // sort-and-truncate reference
     std::vector<float> residual(f.index.dim()), lut(m * 256);
     for (auto c : probes[q]) {
       f.index.residual(f.wl.queries.row(q), c, residual.data());
       f.index.pq().compute_lut(residual.data(), lut.data());
       const auto& list = f.index.list(c);
       for (std::size_t i = 0; i < list.size(); ++i) {
-        ref.push(f.index.pq().adc_distance(lut.data(), list.code(i, m)),
-                 list.ids[i]);
+        ref.push_back({f.index.pq().adc_distance(lut.data(), list.code(i, m)),
+                       list.ids[i]});
       }
     }
-    EXPECT_EQ(res.neighbors[q], ref.take_sorted());
+    std::sort(ref.begin(), ref.end());
+    ref.resize(std::min(p.k, ref.size()));
+    EXPECT_EQ(res.neighbors[q], ref);
   }
 }
 

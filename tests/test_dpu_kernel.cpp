@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/engine.hpp"
@@ -71,7 +72,9 @@ std::vector<common::Neighbor> oracle_topk(const ivf::IvfIndex& index,
     }
   }
 
-  common::BoundedMaxHeap heap(k);
+  // Sort-and-truncate over every candidate: independent of the kernel's
+  // TopK buffers.
+  std::vector<common::Neighbor> all;
   std::vector<float> residual(dim), lut(m * 256);
   for (std::uint32_t c : probes) {
     const auto& list = index.list(c);
@@ -99,10 +102,12 @@ std::vector<common::Neighbor> oracle_topk(const ivf::IvfIndex& index,
         acc += static_cast<std::uint16_t>(
             std::min(65535.f, std::round(lut[s * 256 + code[s]] / scale)));
       }
-      heap.push(static_cast<float>(acc) * scale, list.ids[i]);
+      all.push_back({static_cast<float>(acc) * scale, list.ids[i]});
     }
   }
-  return heap.take_sorted();
+  std::sort(all.begin(), all.end());
+  all.resize(std::min(k, all.size()));
+  return all;
 }
 
 UpAnnsOptions tiny_options(bool naive) {

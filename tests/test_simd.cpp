@@ -266,9 +266,11 @@ TEST(SimdKernels, QuantizeLutMatchesScalarReferenceAtEveryLevel) {
     row.push_back(std::nextafter(tie, INFINITY));
   }
   common::Rng rng(37);
-  const std::vector<float> noise = random_vec(rng, 373, 0.f, 70000.f);
+  const std::vector<float> noise = random_vec(rng, 378, 0.f, 70000.f);
   row.insert(row.end(), noise.begin(), noise.end());
-  ASSERT_NE(row.size() % 4, 0u);  // leaves a tail after the 4-lane loop
+  // The whole row leaves a tail after the 8-lane body that takes one step
+  // of the 4-lane loop and then the scalar loop.
+  ASSERT_GT(row.size() % 8, 4u);
 
   const auto reference = [](float x, float inv) {
     return static_cast<std::uint32_t>(
@@ -279,10 +281,17 @@ TEST(SimdKernels, QuantizeLutMatchesScalarReferenceAtEveryLevel) {
     common::set_simd_level(level);
     // inv = inf turns the zeros into NaN products, which clamp to 65535.
     for (const float inv : {1.f, 0.5f, 65000.f / 69999.f, INFINITY}) {
-      // Lengths 0..12 hit every tail size of the 4-lane loop, the 97-step
-      // sweep reaches the whole row, and offset 1 makes the loads unaligned.
+      // Lengths 0..16 hit every tail of the 8-lane body and of the 4-lane
+      // loop after it, a 97-step sweep runs on to the whole row, and
+      // offset 1 makes the loads unaligned.
       for (std::size_t off : {0u, 1u}) {
-        for (std::size_t n = 0; n + off <= row.size(); n += (n < 12 ? 1 : 97)) {
+        std::vector<std::size_t> lengths;
+        for (std::size_t n = 0; n <= 16; ++n) lengths.push_back(n);
+        for (std::size_t n = 113; n < row.size() - off; n += 97) {
+          lengths.push_back(n);
+        }
+        lengths.push_back(row.size() - off);
+        for (const std::size_t n : lengths) {
           std::vector<std::uint32_t> got(n + 1, 0xDEADBEEFu);
           core::quantize_lut(row.data() + off, n, inv, got.data());
           for (std::size_t i = 0; i < n; ++i) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -10,8 +12,24 @@
 namespace upanns::common {
 namespace {
 
+constexpr float kInf = std::numeric_limits<float>::infinity();
+
+float from_bits(std::uint32_t bits) {
+  float f;
+  std::memcpy(&f, &bits, sizeof(f));
+  return f;
+}
+
+std::uint32_t bits_of(float f) {
+  std::uint32_t bits;
+  std::memcpy(&bits, &f, sizeof(bits));
+  return bits;
+}
+
+// The BoundedMaxHeap and HeapPropertyTest suite names predate TopK; the
+// contract they pin is unchanged.
 TEST(BoundedMaxHeap, KeepsKSmallest) {
-  BoundedMaxHeap h(3);
+  TopK h(3);
   for (float d : {9.f, 1.f, 5.f, 3.f, 7.f, 2.f}) {
     h.push(d, static_cast<std::uint32_t>(d));
   }
@@ -23,18 +41,18 @@ TEST(BoundedMaxHeap, KeepsKSmallest) {
 }
 
 TEST(BoundedMaxHeap, ThresholdIsWorstRetained) {
-  BoundedMaxHeap h(2);
-  EXPECT_EQ(h.threshold(), std::numeric_limits<float>::infinity());
+  TopK h(2);
   h.push(4.f, 0);
-  EXPECT_EQ(h.threshold(), std::numeric_limits<float>::infinity());
+  EXPECT_EQ(h.worst(), TopK::pack(4.f, 0));
   h.push(2.f, 1);
-  EXPECT_FLOAT_EQ(h.threshold(), 4.f);
+  EXPECT_EQ(h.worst(), TopK::pack(4.f, 0));
   h.push(1.f, 2);
-  EXPECT_FLOAT_EQ(h.threshold(), 2.f);
+  EXPECT_EQ(h.worst(), TopK::pack(2.f, 1));
+  EXPECT_EQ(TopK::unpack(h.worst()), (Neighbor{2.f, 1}));
 }
 
 TEST(BoundedMaxHeap, RejectsWorseThanThreshold) {
-  BoundedMaxHeap h(1);
+  TopK h(1);
   EXPECT_TRUE(h.push(3.f, 0));
   EXPECT_FALSE(h.push(5.f, 1));
   EXPECT_TRUE(h.push(1.f, 2));
@@ -42,13 +60,14 @@ TEST(BoundedMaxHeap, RejectsWorseThanThreshold) {
 }
 
 TEST(BoundedMaxHeap, ZeroCapacity) {
-  BoundedMaxHeap h(0);
+  TopK h(0);
   EXPECT_FALSE(h.push(1.f, 0));
   EXPECT_TRUE(h.empty());
+  EXPECT_TRUE(h.full());
 }
 
 TEST(BoundedMaxHeap, TieBreaksOnId) {
-  BoundedMaxHeap h(2);
+  TopK h(2);
   h.push(1.f, 9);
   h.push(1.f, 3);
   h.push(1.f, 5);  // ties: ids 3 and 5 must win over 9
@@ -57,24 +76,19 @@ TEST(BoundedMaxHeap, TieBreaksOnId) {
   EXPECT_EQ(s[1].id, 5u);
 }
 
-TEST(BoundedMaxHeap, TakeSortedEmptiesHeap) {
-  BoundedMaxHeap h(4);
-  h.push(2.f, 0);
-  h.push(1.f, 1);
-  auto s = h.take_sorted();
-  EXPECT_EQ(s.size(), 2u);
-  EXPECT_TRUE(h.empty());
-}
-
 TEST(BoundedMaxHeap, ClearResets) {
-  BoundedMaxHeap h(2);
+  TopK h(2);
   h.push(1.f, 0);
+  h.push(2.f, 1);
   h.clear();
   EXPECT_TRUE(h.empty());
-  EXPECT_EQ(h.threshold(), std::numeric_limits<float>::infinity());
+  EXPECT_FALSE(h.full());
+  EXPECT_EQ(h.capacity(), 2u);
+  EXPECT_TRUE(h.push(7.f, 3));  // not full again: any candidate enters
+  EXPECT_EQ(h.keys().size(), 1u);
 }
 
-// Property: heap output equals sort-and-truncate for random streams.
+// Property: TopK output equals sort-and-truncate for random streams.
 class HeapPropertyTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(HeapPropertyTest, MatchesSortTruncate) {
@@ -83,7 +97,7 @@ TEST_P(HeapPropertyTest, MatchesSortTruncate) {
   for (int trial = 0; trial < 20; ++trial) {
     const std::size_t n = 1 + rng.below(500);
     std::vector<Neighbor> all;
-    BoundedMaxHeap h(k);
+    TopK h(k);
     for (std::size_t i = 0; i < n; ++i) {
       Neighbor nb{rng.uniform(0.f, 100.f), static_cast<std::uint32_t>(i)};
       all.push_back(nb);
@@ -91,12 +105,111 @@ TEST_P(HeapPropertyTest, MatchesSortTruncate) {
     }
     std::sort(all.begin(), all.end());
     all.resize(std::min(k, all.size()));
-    EXPECT_EQ(h.take_sorted(), all) << "k=" << k << " n=" << n;
+    EXPECT_EQ(h.sorted(), all) << "k=" << k << " n=" << n;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Capacities, HeapPropertyTest,
                          ::testing::Values(1, 2, 5, 10, 64, 100));
+
+// The contract every caller relies on: push() accepts exactly when the
+// reference rule `size < k || n < worst` holds on a sorted vector of what
+// was kept. The kernel charges one heap push per accepted candidate
+// (chunk_pushes), so the accept sequence is part of the simulated clock,
+// not only the final set. Streams are tie-heavy: distances sit on a coarse
+// u32 x scale grid like the kernel's, and ids repeat.
+class TopKContractTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(TopKContractTest, PushSequenceMatchesReferenceRule) {
+  const std::size_t k = GetParam();
+  Rng rng(500 + k);
+  for (const float scale : {1.f, 0.0123f, 3.7e4f}) {
+    for (int trial = 0; trial < 12; ++trial) {
+      const std::size_t n = rng.below(4 * k + 64);
+      const std::size_t grid = 1 + rng.below(2 * k + 4);
+      const std::size_t id_range = 1 + rng.below(8 * k + 8);
+      TopK top(k);
+      std::vector<Neighbor> ref;
+      for (std::size_t i = 0; i < n; ++i) {
+        const Neighbor nb{
+            static_cast<float>(static_cast<std::uint32_t>(rng.below(grid))) *
+                scale,
+            static_cast<std::uint32_t>(rng.below(id_range))};
+        const bool want = ref.size() < k || nb < ref.back();
+        ASSERT_EQ(top.push(nb), want)
+            << "k=" << k << " scale=" << scale << " push " << i << " ("
+            << nb.dist << ", " << nb.id << ")";
+        if (want) {
+          ref.insert(std::upper_bound(ref.begin(), ref.end(), nb), nb);
+          if (ref.size() > k) ref.pop_back();
+        }
+      }
+      ASSERT_EQ(top.sorted(), ref) << "k=" << k << " scale=" << scale;
+      if (!ref.empty()) {
+        EXPECT_EQ(TopK::unpack(top.worst()), ref.back());
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Capacities, TopKContractTest,
+                         ::testing::Values(1, 2, 10, 64, 100));
+
+TEST(TopK, KeyOrderEqualsNeighborOrder) {
+  // For every non-negative, non-NaN distance (+0 and +inf included) the
+  // integer key order is Neighbor::operator<, id tie-break included.
+  const std::vector<float> dists = {0.f,         1e-42f, 1e-30f, 0.5f, 1.f,
+                                    1.0000001f, 65535.f, 3e38f,  kInf};
+  for (const float a : dists) {
+    for (const float b : dists) {
+      for (const std::uint32_t ia : {0u, 7u, 0xFFFFFFFEu}) {
+        for (const std::uint32_t ib : {0u, 7u, 0xFFFFFFFEu}) {
+          const Neighbor x{a, ia}, y{b, ib};
+          EXPECT_EQ(TopK::pack(a, ia) < TopK::pack(b, ib), x < y)
+              << a << "/" << ia << " vs " << b << "/" << ib;
+          EXPECT_EQ(TopK::unpack(TopK::pack(a, ia)), x);
+        }
+      }
+    }
+  }
+}
+
+TEST(TopK, ZeroInfAndNanOrderDeterministically) {
+  // NaN sorts after +inf whatever its sign bit; x86's default NaN (what
+  // 0/0 or inf - inf produce at run time) has the sign bit set.
+  const float qnan = std::numeric_limits<float>::quiet_NaN();
+  const float default_nan = from_bits(0xFFC00000u);
+  ASSERT_EQ(bits_of(qnan), 0x7FC00000u);
+  const std::vector<Neighbor> expected = {
+      {0.f, 2}, {0.f, 5}, {1.f, 1}, {kInf, 0}, {kInf, 4}, {qnan, 3},
+      {default_nan, 6}};
+  std::vector<std::size_t> order(expected.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  for (const std::size_t k :
+       {std::size_t{3}, std::size_t{5}, expected.size()}) {
+    // Every arrival order keeps the same k and the same key sequence.
+    std::sort(order.begin(), order.end());
+    do {
+      TopK top(k);
+      for (const std::size_t i : order) top.push(expected[i]);
+      ASSERT_EQ(top.size(), k);
+      for (std::size_t i = 0; i < k; ++i) {
+        const Neighbor got = TopK::unpack(top.keys()[i]);
+        ASSERT_EQ(bits_of(got.dist), bits_of(expected[i].dist))
+            << "k=" << k << " rank " << i;
+        ASSERT_EQ(got.id, expected[i].id) << "k=" << k << " rank " << i;
+      }
+    } while (std::next_permutation(order.begin(), order.end()));
+  }
+  // A full buffer of finite distances rejects both NaNs and +inf.
+  TopK top(2);
+  top.push(1.f, 0);
+  top.push(2.f, 1);
+  EXPECT_FALSE(top.push(qnan, 2));
+  EXPECT_FALSE(top.push(default_nan, 3));
+  EXPECT_FALSE(top.push(kInf, 4));
+  EXPECT_TRUE(top.push(0.f, 5));
+}
 
 TEST(MergeSortedTopk, MergesAcrossLists) {
   std::vector<std::vector<Neighbor>> lists = {
@@ -111,11 +224,41 @@ TEST(MergeSortedTopk, MergesAcrossLists) {
 TEST(MergeSortedTopk, EmptyLists) {
   EXPECT_TRUE(merge_sorted_topk({}, 5).empty());
   EXPECT_TRUE(merge_sorted_topk({{}, {}}, 5).empty());
+  EXPECT_TRUE(merge_sorted_topk({{{1.f, 1}}}, 0).empty());
 }
 
 TEST(MergeSortedTopk, FewerThanK) {
   const auto merged = merge_sorted_topk({{{1.f, 1}}}, 10);
   EXPECT_EQ(merged.size(), 1u);
+}
+
+TEST(MergeSortedTopk, TiesAcrossListsIndependentOfListOrder) {
+  // A candidate with the worst's distance and a lower id beats the worst,
+  // so the answer must not depend on the order the hosts' or DPUs' lists
+  // arrive in.
+  EXPECT_EQ(merge_sorted_topk({{{1.f, 5}}, {{1.f, 3}}}, 1),
+            (std::vector<Neighbor>{{1.f, 3}}));
+  EXPECT_EQ(merge_sorted_topk({{{1.f, 3}}, {{1.f, 5}}}, 1),
+            (std::vector<Neighbor>{{1.f, 3}}));
+
+  std::vector<std::vector<Neighbor>> lists = {
+      {{0.5f, 9}, {1.f, 8}, {1.f, 12}, {2.f, 1}},
+      {{1.f, 4}, {1.f, 7}, {2.f, 0}},
+      {{0.5f, 2}, {1.f, 6}, {1.f, 11}}};
+  std::vector<Neighbor> all;
+  for (const auto& list : lists) {
+    all.insert(all.end(), list.begin(), list.end());
+  }
+  std::sort(all.begin(), all.end());
+  for (const std::size_t k : {1u, 3u, 4u, 6u, 8u}) {
+    const std::vector<Neighbor> want(all.begin(), all.begin() + k);
+    std::vector<std::size_t> order = {0, 1, 2};
+    do {
+      std::vector<std::vector<Neighbor>> permuted;
+      for (const std::size_t i : order) permuted.push_back(lists[i]);
+      EXPECT_EQ(merge_sorted_topk(permuted, k), want) << "k=" << k;
+    } while (std::next_permutation(order.begin(), order.end()));
+  }
 }
 
 TEST(MergeSortedTopk, PropertyMatchesGlobalSort) {
