@@ -11,6 +11,7 @@
 #include "core/dpu_kernel.hpp"
 #include "core/placement.hpp"
 #include "core/scheduler.hpp"
+#include "data/dataset.hpp"
 #include "data/query_workload.hpp"
 #include "ivf/cluster_stats.hpp"
 #include "pim/cost_model.hpp"
@@ -97,6 +98,58 @@ BENCHMARK(BM_NearestCentroid)
     ->ArgNames({"dim", "k", "level"})
     ->ArgsProduct({{128}, {512}, {0, 1, 2}})
     ->ArgsProduct({{8}, {256}, {0, 1, 2}});
+
+/// The training sets of the two k-means shapes of a batch_paper build: 40k
+/// sift-like points for the coarse quantizer (dim 128, k 512), and for PQ
+/// (dim 8, k 256) the first 8 columns of 30k of their coarse residuals.
+struct TrainShape {
+  std::vector<float> data;
+  std::size_t n = 0, dim = 0, k = 0;
+};
+
+const TrainShape& train_shape(std::size_t dim) {
+  static const std::vector<TrainShape> shapes = [] {
+    const data::Dataset base =
+        data::generate_synthetic(data::sift1b_like(40'000, 7));
+    quant::KMeansOptions opts;
+    opts.n_clusters = 512;
+    opts.max_iters = 2;
+    const quant::KMeansResult coarse =
+        quant::kmeans(base.values, base.n, base.dim, opts);
+    TrainShape pq{std::vector<float>(30'000 * 8), 30'000, 8, 256};
+    for (std::size_t i = 0; i < pq.n; ++i) {
+      const float* c = coarse.centroids.data() + coarse.labels[i] * base.dim;
+      for (std::size_t d = 0; d < pq.dim; ++d) {
+        pq.data[i * pq.dim + d] = base.row(i)[d] - c[d];
+      }
+    }
+    return std::vector<TrainShape>{{base.values, base.n, base.dim, 512}, pq};
+  }();
+  return shapes[dim == 8 ? 1 : 0];
+}
+
+// Serial kmeans_train at the coarse and the PQ shape: args are dim and the
+// Lloyd step cap (8, as perfbench builds; 0 times the k-means++ seeding
+// alone). `computed` is the share of point-centroid distances computed out
+// of what an unpruned run computes.
+void BM_KMeansTrain(benchmark::State& state) {
+  const TrainShape& s = train_shape(static_cast<std::size_t>(state.range(0)));
+  quant::KMeansOptions opts;
+  opts.n_clusters = s.k;
+  opts.max_iters = static_cast<std::size_t>(state.range(1));
+  opts.use_threads = false;
+  quant::KMeansResult res;
+  for (auto _ : state) {
+    res = quant::kmeans_train(s.data, s.n, s.dim, opts);
+    benchmark::DoNotOptimize(res.centroids.data());
+  }
+  state.counters["computed"] = static_cast<double>(res.distances) /
+                               static_cast<double>(res.full_scan_distances);
+}
+BENCHMARK(BM_KMeansTrain)
+    ->ArgNames({"dim", "iters"})
+    ->ArgsProduct({{128, 8}, {0, 8}})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_AdcScan(benchmark::State& state) {
   const auto& pq = shared_pq();

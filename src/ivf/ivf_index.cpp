@@ -78,6 +78,12 @@ IvfIndex IvfIndex::build(const data::Dataset& base, const IvfBuildOptions& opts,
 
   BuildStats bs;
   bs.kmeans_seconds = coarse.train_seconds;
+  bs.seed_seconds = coarse.seed_seconds;
+  bs.kmeans_distance_share =
+      coarse.full_scan_distances == 0
+          ? 0.0
+          : static_cast<double>(coarse.distances) /
+                static_cast<double>(coarse.full_scan_distances);
   bs.assign_seconds = coarse.assign_seconds;
 
   // 2. Residuals for PQ training (subsampled implicitly by PQ options).
@@ -128,6 +134,8 @@ IvfIndex IvfIndex::build(const data::Dataset& base, const IvfBuildOptions& opts,
   if (opts.metrics) {
     obs::MetricsRegistry& reg = *opts.metrics;
     reg.gauge("build.kmeans_seconds").set(bs.kmeans_seconds);
+    reg.gauge("build.kmeans_seed_seconds").set(bs.seed_seconds);
+    reg.gauge("build.kmeans_distance_share").set(bs.kmeans_distance_share);
     reg.gauge("build.assign_seconds").set(bs.assign_seconds);
     reg.gauge("build.residual_seconds").set(bs.residual_seconds);
     reg.gauge("build.pq_train_seconds").set(bs.pq_train_seconds);

@@ -50,6 +50,10 @@ struct IvfBuildOptions {
 /// metrics and the `build` trace lane.
 struct BuildStats {
   double kmeans_seconds = 0.0;    ///< coarse k-means++ seeding + iterations
+  double seed_seconds = 0.0;      ///< the seeding part of kmeans_seconds
+  /// Coarse k-means point-centroid distances computed, as a share of what
+  /// unpruned seeding and full Lloyd scans compute.
+  double kmeans_distance_share = 0.0;
   double assign_seconds = 0.0;    ///< coarse full-dataset labeling
   double residual_seconds = 0.0;  ///< residual materialization
   double pq_train_seconds = 0.0;  ///< PQ codebook training (m subspaces)

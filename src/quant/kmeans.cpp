@@ -40,11 +40,8 @@ double now_seconds() {
       .count();
 }
 
-}  // namespace
-
-namespace detail {
-
-float l2_sq_scalar(const float* a, const float* b, std::size_t dim) {
+/// The scalar 8-chain distance, inlinable into loops that run it per point.
+inline float l2_sq_chains(const float* a, const float* b, std::size_t dim) {
   float ch[8] = {0.f, 0.f, 0.f, 0.f, 0.f, 0.f, 0.f, 0.f};
   const std::size_t full = dim & ~std::size_t{7};
   std::size_t i = 0;
@@ -59,6 +56,14 @@ float l2_sq_scalar(const float* a, const float* b, std::size_t dim) {
     ch[j] += d * d;
   }
   return combine8(ch);
+}
+
+}  // namespace
+
+namespace detail {
+
+float l2_sq_scalar(const float* a, const float* b, std::size_t dim) {
+  return l2_sq_chains(a, b, dim);
 }
 
 #if defined(UPANNS_X86)
@@ -447,38 +452,118 @@ std::size_t chunk_count(std::size_t n) {
   return n == 0 ? 0 : (n - 1) / kReduceChunk + 1;
 }
 
+struct Workers {
+  common::ThreadPool* pool;
+  bool threaded;
+};
+
+Workers workers_for(const KMeansOptions& opts) {
+  common::ThreadPool* pool =
+      opts.pool ? opts.pool : &common::ThreadPool::global();
+  const std::size_t eff_threads =
+      opts.use_threads ? (opts.n_threads ? opts.n_threads : pool->size()) : 1;
+  return {pool, eff_threads > 1};
+}
+
+// ---------------------------------------------------------------------------
+// Exact bound pruning (DESIGN.md §13): a distance is skipped only when a
+// triangle-inequality bound proves its computed value could not change the
+// output. Bounds are in true (not squared) distance units. kEps covers the
+// rounding of every computed squared distance (relative error below 3.1e-5
+// up to kMaxPrunedDim); a squared distance under kTinySq, where underflow
+// may have cost its relative precision, yields no bound.
+
+constexpr float kInf = std::numeric_limits<float>::infinity();
+constexpr float kEps = 1e-3f;
+constexpr float kTinySq = 1e-30f;
+constexpr std::size_t kMaxPrunedDim = 4096;
+/// Seeding skips x when min_d[x] <= cc * kSeedScale, cc = d(c_a, c_new)^2.
+constexpr float kSeedScale = 0.25f / (1.f + kEps);
+/// Centroids per Lloyd bound group: four 8-lane blocks, one
+/// squared_dists_t call.
+constexpr std::size_t kGroup = 32;
+/// 1 - 2^-22: pulls a drift-lowered bound below the subtraction's rounding.
+constexpr float kShrink = 1.f - 0x1p-22f;
+
+bool bound_pruned(std::size_t dim) {
+  return dim >= kBoundPruneMinDim && dim <= kMaxPrunedDim;
+}
+
+/// A lower bound on the true distance behind computed squared distance s;
+/// 0 (no bound) when s is tiny, +inf or NaN.
+inline float lower_dist(float s) {
+  return s >= kTinySq && s < kInf ? std::sqrt(s) * (1.f - kEps) : 0.f;
+}
+
+/// An upper bound on the true distance behind finite squared distance s.
+inline float upper_dist(float s) {
+  return std::sqrt(std::max(s, kTinySq)) * (1.f + kEps);
+}
+
 // k-means++ seeding: spread initial centroids proportional to squared
 // distance from already-chosen seeds. The per-seed O(n·dim) sweep runs
 // chunked over the pool; the weighted pick first scans chunk sums, then
 // replays the chosen chunk's additions in the same order, so the selection
 // is exact and thread-count independent.
-std::vector<float> seed_plus_plus(std::span<const float> data, std::size_t n,
+//
+// A pruned sweep skips x when its nearest seed so far, a, has
+// d(c_a, c_new)^2 >= 4(1+eps) min_d[x]: then d(x, c_new) >= d(x, c_a), so
+// min_d[x] cannot drop. lim[a] is that threshold; 0 lets only min_d = 0
+// skip, which no distance can lower. Below the pruning dimension the sweep
+// runs the scalar 8-chain distance inline, bit-identical to every level.
+std::vector<float> seed_plus_plus(const float* data, std::size_t n,
                                   std::size_t dim, std::size_t k,
-                                  common::Rng& rng, common::ThreadPool* pool,
-                                  bool threaded) {
+                                  common::Rng& rng, Workers w,
+                                  std::uint64_t& distances) {
   std::vector<float> centroids(k * dim);
-  std::vector<float> min_d(n, std::numeric_limits<float>::infinity());
+  std::vector<float> min_d(n, kInf);
+  const bool prune = bound_pruned(dim);
+  std::vector<std::uint32_t> near(prune ? n : 0, 0);
+  std::vector<float> lim(prune ? k : 0, 0.f);
   const std::size_t n_chunks = chunk_count(n);
   std::vector<double> chunk_sum(n_chunks);
+  std::vector<std::uint64_t> chunk_dists(n_chunks);
 
   std::size_t first = rng.below(n);
-  std::copy_n(data.data() + first * dim, dim, centroids.begin());
+  std::copy_n(data + first * dim, dim, centroids.begin());
 
   for (std::size_t c = 1; c < k; ++c) {
     const float* last = centroids.data() + (c - 1) * dim;
-    detail::run_indexed(pool, threaded, n_chunks, [&](std::size_t ci) {
+    if (prune) {
+      for (std::size_t a = 0; a + 1 < c; ++a) {
+        const float cc = l2_sq(centroids.data() + a * dim, last, dim);
+        lim[a] = cc >= kTinySq && cc < kInf ? cc * kSeedScale : 0.f;
+      }
+    }
+    detail::run_indexed(w.pool, w.threaded, n_chunks, [&](std::size_t ci) {
       const std::size_t lo = ci * kReduceChunk;
       const std::size_t hi = std::min(n, lo + kReduceChunk);
       double s = 0.0;
-      for (std::size_t i = lo; i < hi; ++i) {
-        const float d = l2_sq(data.data() + i * dim, last, dim);
-        min_d[i] = std::min(min_d[i], d);
-        s += min_d[i];
+      std::uint64_t computed = hi - lo;
+      if (prune) {
+        for (std::size_t i = lo; i < hi; ++i) {
+          if (min_d[i] <= lim[near[i]]) {
+            --computed;
+          } else if (const float d = l2_sq(data + i * dim, last, dim);
+                     d < min_d[i]) {
+            min_d[i] = d;
+            near[i] = static_cast<std::uint32_t>(c - 1);
+          }
+          s += min_d[i];
+        }
+      } else {
+        for (std::size_t i = lo; i < hi; ++i) {
+          const float d = l2_sq_chains(data + i * dim, last, dim);
+          min_d[i] = std::min(min_d[i], d);
+          s += min_d[i];
+        }
       }
       chunk_sum[ci] = s;
+      chunk_dists[ci] = computed;
     });
     double total = 0.0;
     for (double s : chunk_sum) total += s;
+    for (std::uint64_t v : chunk_dists) distances += v;
 
     std::size_t chosen;
     if (total > 0) {
@@ -504,22 +589,100 @@ std::vector<float> seed_plus_plus(std::span<const float> data, std::size_t n,
     } else {
       chosen = rng.below(n);
     }
-    std::copy_n(data.data() + chosen * dim, dim, centroids.begin() + c * dim);
+    std::copy_n(data + chosen * dim, dim, centroids.begin() + c * dim);
   }
   return centroids;
 }
 
-struct Workers {
-  common::ThreadPool* pool;
-  bool threaded;
+/// The centroids one bound-pruned Lloyd assignment step reads.
+struct BoundedStep {
+  const float* tctr;       ///< block-major centroids
+  const float* centroids;  ///< the same, row-major
+  const float* drift;      ///< per group: upper bound on its centroids' moves
+  std::size_t k;
+  std::size_t dim;
+  std::size_t groups;
+  bool first;  ///< no labels or bounds yet: scan everything
 };
 
-Workers workers_for(const KMeansOptions& opts) {
-  common::ThreadPool* pool =
-      opts.pool ? opts.pool : &common::ThreadPool::global();
-  const std::size_t eff_threads =
-      opts.use_threads ? (opts.n_threads ? opts.n_threads : pool->size()) : 1;
-  return {pool, eff_threads > 1};
+/// Bound-pruned nearest centroid: the same (index, distance) as
+/// nearest_centroid_t. `label` and `lb` (per group of kGroup centroids, a
+/// lower bound on the distance to each of them but the label) carry over
+/// from the previous step. The label's exact distance, which inertia needs
+/// anyway, is the upper bound; only groups whose lowered bound does not
+/// exceed it are scanned, ties break to the lowest index, and a non-finite
+/// distance or bound scans everything it could hide. `dist` (k floats) and
+/// `scanned` (one flag per group) are scratch.
+std::pair<std::uint32_t, float> bounded_nearest(const BoundedStep& st,
+                                                const float* p,
+                                                std::uint32_t label,
+                                                float* lb, float* dist,
+                                                std::uint8_t* scanned,
+                                                std::uint64_t& computed) {
+  const std::size_t dim = st.dim;
+  std::uint32_t best = 0;
+  float best_d = kInf;
+  float ub = kInf;
+  float label_d = kInf;
+  if (!st.first) {
+    label_d = l2_sq(p, st.centroids + static_cast<std::size_t>(label) * dim,
+                    dim);
+    ++computed;
+    for (std::size_t g = 0; g < st.groups; ++g) {
+      lb[g] = (lb[g] - st.drift[g]) * kShrink;
+    }
+    if (label_d < kInf) {
+      best = label;
+      best_d = label_d;
+      ub = upper_dist(label_d);
+    }
+  }
+  for (std::size_t g = 0; g < st.groups; ++g) {
+    scanned[g] = st.first || !(lb[g] > ub);
+    if (!scanned[g]) continue;
+    const std::size_t c0 = g * kGroup;
+    const std::size_t c1 = std::min(st.k, c0 + kGroup);
+    squared_dists_t(p, st.tctr + c0 * dim, c1 - c0, dim, dist + c0);
+    computed += c1 - c0;
+    for (std::size_t c = c0; c < c1; ++c) {
+      if (dist[c] < best_d || (dist[c] == best_d && c < best)) {
+        best = static_cast<std::uint32_t>(c);
+        best_d = dist[c];
+      }
+    }
+  }
+  for (std::size_t g = 0; g < st.groups; ++g) {
+    if (!scanned[g]) continue;
+    const std::size_t c0 = g * kGroup;
+    const std::size_t c1 = std::min(st.k, c0 + kGroup);
+    float m = kInf;
+    bool others = false;
+    for (std::size_t c = c0; c < c1; ++c) {
+      if (c == best) continue;
+      others = true;
+      m = std::min(m, dist[c]);  // a NaN never lowers m
+    }
+    lb[g] = others ? lower_dist(m) : kInf;
+  }
+  if (!st.first && best != label && !scanned[label / kGroup]) {
+    float& l = lb[label / kGroup];
+    l = std::min(l, lower_dist(label_d));
+  }
+  return {best, best_d};
+}
+
+/// Per group, an upper bound on how far its centroids moved from `prev` to
+/// `next` (both row-major); +inf when a move is not finite.
+void group_drift(const float* prev, const float* next, std::size_t k,
+                 std::size_t dim, float* drift) {
+  for (std::size_t g = 0; g * kGroup < k; ++g) {
+    float m = 0.f;
+    for (std::size_t c = g * kGroup; c < std::min(k, (g + 1) * kGroup); ++c) {
+      const float s = l2_sq(prev + c * dim, next + c * dim, dim);
+      m = std::max(m, s < kInf ? upper_dist(s) : kInf);
+    }
+    drift[g] = m;
+  }
 }
 
 /// Label n points with their nearest of k row-major centroids, over the
@@ -553,34 +716,46 @@ std::vector<std::uint32_t> assign_labels(std::span<const float> data,
 }
 
 KMeansResult kmeans_train(std::span<const float> data, std::size_t n,
-                          std::size_t dim, const KMeansOptions& opts) {
-  assert(n > 0 && dim > 0 && opts.n_clusters > 0);
-  assert(data.size() >= n * dim);
+                          std::size_t dim, const KMeansOptions& opts,
+                          std::size_t row_pitch) {
+  const std::size_t pitch = row_pitch ? row_pitch : dim;
+  assert(n > 0 && dim > 0 && opts.n_clusters > 0 && pitch >= dim);
+  assert(data.size() >= (n - 1) * pitch + dim);
   const double t_start = now_seconds();
   const std::size_t k = std::min(opts.n_clusters, n);
   common::Rng rng(opts.seed);
   const Workers w = workers_for(opts);
 
   // Optional subsampling keeps training tractable for large synthetic sets.
+  // Sampled or strided rows are gathered into contiguous storage.
   std::vector<float> sample_storage;
-  std::span<const float> train = data;
+  const float* train = data.data();
   std::size_t n_train = n;
-  if (opts.max_training_points > 0 && n > opts.max_training_points) {
-    n_train = opts.max_training_points;
+  const bool sampled =
+      opts.max_training_points > 0 && n > opts.max_training_points;
+  if (sampled || pitch != dim) {
+    std::vector<std::uint32_t> perm;
+    if (sampled) {
+      n_train = opts.max_training_points;
+      perm = common::random_permutation(n, rng);
+    }
     sample_storage.resize(n_train * dim);
-    auto perm = common::random_permutation(n, rng);
     for (std::size_t i = 0; i < n_train; ++i) {
-      std::copy_n(data.data() + static_cast<std::size_t>(perm[i]) * dim, dim,
+      const std::size_t row = sampled ? perm[i] : i;
+      std::copy_n(data.data() + row * pitch, dim,
                   sample_storage.begin() + i * dim);
     }
-    train = sample_storage;
+    train = sample_storage.data();
   }
 
   KMeansResult result;
   result.dim = dim;
   result.n_clusters = k;
+  const double t_seed = now_seconds();
   result.centroids =
-      seed_plus_plus(train, n_train, dim, k, rng, w.pool, w.threaded);
+      seed_plus_plus(train, n_train, dim, k, rng, w, result.distances);
+  result.seed_seconds = now_seconds() - t_seed;
+  result.full_scan_distances = n_train * (k - 1);
 
   // Mini-batch mode: each iteration samples ceil(f * n_train) points with
   // replacement (sampled on this thread so the rng stream is identical for
@@ -593,12 +768,16 @@ KMeansResult kmeans_train(std::span<const float> data, std::size_t n,
                                         static_cast<double>(n_train))))
                  : n_train;
   const std::size_t n_iter_pts = n_batch;
+  // Full-batch steps keep labels and group bounds from step to step.
+  const bool bounded = !mini_batch && bound_pruned(dim);
+  const std::size_t n_groups = (k + kGroup - 1) / kGroup;
 
   // Scratch hoisted out of the iteration loop and reused throughout.
   const std::size_t n_chunks = chunk_count(n_iter_pts);
   std::vector<std::uint32_t> labels(n_iter_pts, 0);
   std::vector<std::uint32_t> sample_idx(mini_batch ? n_iter_pts : 0);
   std::vector<double> chunk_inertia(n_chunks);
+  std::vector<std::uint64_t> chunk_dists(n_chunks);
   BlockMajor tctr(pad8(k) * dim);
   std::vector<double> acc;
   std::vector<std::uint32_t> counts;
@@ -611,12 +790,18 @@ KMeansResult kmeans_train(std::span<const float> data, std::size_t n,
     chunk_counts.resize(n_chunks * k);
   }
   std::vector<std::uint64_t> center_count(mini_batch ? k : 0, 0);
+  std::vector<float> lower(bounded ? n_iter_pts * n_groups : 0);
+  std::vector<float> drift(bounded ? n_groups : 0);
+  std::vector<float> prev(bounded ? k * dim : 0);
 
   double prev_inertia = std::numeric_limits<double>::infinity();
 
   for (std::size_t iter = 0; iter < opts.max_iters; ++iter) {
     result.iterations = iter + 1;
     transpose_centroids(result.centroids.data(), k, dim, tctr.data());
+    const BoundedStep step{tctr.data(), result.centroids.data(), drift.data(),
+                           k,           dim,                     n_groups,
+                           iter == 0};
 
     if (mini_batch) {
       for (std::size_t j = 0; j < n_iter_pts; ++j) {
@@ -625,13 +810,14 @@ KMeansResult kmeans_train(std::span<const float> data, std::size_t n,
     }
 
     // Assignment step, chunked over the pool. Each chunk writes its own
-    // slice of labels and a private inertia partial (and, for the
-    // full-batch update, private per-cluster sums) — merged afterwards in
-    // fixed chunk order for run-to-run determinism.
+    // slice of labels and bounds and a private inertia partial (and, for
+    // the full-batch update, private per-cluster sums) — merged afterwards
+    // in fixed chunk order for run-to-run determinism.
     detail::run_indexed(w.pool, w.threaded, n_chunks, [&](std::size_t ci) {
       const std::size_t lo = ci * kReduceChunk;
       const std::size_t hi = std::min(n_iter_pts, lo + kReduceChunk);
       double inertia_part = 0.0;
+      std::uint64_t computed = 0;
       double* acc_part = mini_batch ? nullptr : chunk_acc.data() + ci * k * dim;
       std::uint32_t* cnt_part =
           mini_batch ? nullptr : chunk_counts.data() + ci * k;
@@ -639,10 +825,21 @@ KMeansResult kmeans_train(std::span<const float> data, std::size_t n,
         std::fill_n(acc_part, k * dim, 0.0);
         std::fill_n(cnt_part, k, 0u);
       }
+      std::vector<float> dist(bounded ? k : 0);
+      std::vector<std::uint8_t> scanned(bounded ? n_groups : 0);
       for (std::size_t j = lo; j < hi; ++j) {
         const std::size_t i = mini_batch ? sample_idx[j] : j;
-        const float* p = train.data() + i * dim;
-        auto [c, d] = nearest_centroid_t(p, tctr.data(), k, dim);
+        const float* p = train + i * dim;
+        std::pair<std::uint32_t, float> nearest;
+        if (bounded) {
+          nearest = bounded_nearest(step, p, labels[j],
+                                    lower.data() + j * n_groups, dist.data(),
+                                    scanned.data(), computed);
+        } else {
+          nearest = nearest_centroid_t(p, tctr.data(), k, dim);
+          computed += k;
+        }
+        const auto [c, d] = nearest;
         labels[j] = c;
         inertia_part += d;
         if (!mini_batch) {
@@ -652,10 +849,13 @@ KMeansResult kmeans_train(std::span<const float> data, std::size_t n,
         }
       }
       chunk_inertia[ci] = inertia_part;
+      chunk_dists[ci] = computed;
     });
 
     double inertia = 0.0;
     for (double v : chunk_inertia) inertia += v;
+    for (std::uint64_t v : chunk_dists) result.distances += v;
+    result.full_scan_distances += n_iter_pts * k;
 
     if (mini_batch) {
       // Sculley update, applied in sample order on this thread: with
@@ -666,8 +866,7 @@ KMeansResult kmeans_train(std::span<const float> data, std::size_t n,
         ++center_count[c];
         const float eta = 1.f / static_cast<float>(center_count[c]);
         float* ctr = result.centroids.data() + static_cast<std::size_t>(c) * dim;
-        const float* x =
-            train.data() + static_cast<std::size_t>(sample_idx[j]) * dim;
+        const float* x = train + static_cast<std::size_t>(sample_idx[j]) * dim;
         for (std::size_t d = 0; d < dim; ++d) ctr[d] += eta * (x[d] - ctr[d]);
       }
       // Scale the batch inertia to the full set so result.inertia is
@@ -683,11 +882,12 @@ KMeansResult kmeans_train(std::span<const float> data, std::size_t n,
         for (std::size_t x = 0; x < k * dim; ++x) acc[x] += acc_part[x];
         for (std::size_t c = 0; c < k; ++c) counts[c] += cnt_part[c];
       }
+      if (bounded) prev = result.centroids;
       for (std::size_t c = 0; c < k; ++c) {
         if (counts[c] == 0) {
           // Re-seed empty cluster from a random point to keep k populated.
           const std::size_t pick = rng.below(n_train);
-          std::copy_n(train.data() + pick * dim, dim,
+          std::copy_n(train + pick * dim, dim,
                       result.centroids.begin() + c * dim);
           continue;
         }
@@ -695,6 +895,10 @@ KMeansResult kmeans_train(std::span<const float> data, std::size_t n,
         for (std::size_t d = 0; d < dim; ++d) {
           ctr[d] = static_cast<float>(acc[c * dim + d] / counts[c]);
         }
+      }
+      if (bounded) {
+        group_drift(prev.data(), result.centroids.data(), k, dim,
+                    drift.data());
       }
     }
 

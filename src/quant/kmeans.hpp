@@ -53,8 +53,21 @@ struct KMeansResult {
   std::size_t dim = 0;
   std::size_t n_clusters = 0;
   double train_seconds = 0.0;   ///< seeding + Lloyd/mini-batch iterations
+  double seed_seconds = 0.0;    ///< the k-means++ seeding part of train_seconds
   double assign_seconds = 0.0;  ///< final full-dataset labeling pass
+  /// Point-to-centroid distances seeding and the iterations computed, and
+  /// how many an unpruned run computes (n_train * (k - 1) for seeding, one
+  /// full k-scan per point and iteration).
+  std::uint64_t distances = 0;
+  std::uint64_t full_scan_distances = 0;
 };
+
+/// Smallest dimension at which kmeans_train prunes with exact bounds
+/// (DESIGN.md §13). micro_kernels measured the prunes losing on PQ's
+/// residual slices at every dimension and winning on clustered points from
+/// dimension 32 on; 64 prunes every coarse quantizer here (dim 96 to 128)
+/// and no PQ slice of m >= 4 subspaces.
+inline constexpr std::size_t kBoundPruneMinDim = 64;
 
 /// Squared L2 distance between two dim-length vectors (8-chain semantics,
 /// dispatched on the active SIMD level).
@@ -114,11 +127,14 @@ std::pair<std::uint32_t, float> nearest_centroid_t(const float* point,
 void squared_dists_t(const float* point, const float* tctr, std::size_t k,
                      std::size_t dim, float* out);
 
-/// Seeding plus the Lloyd / mini-batch iterations only: fills centroids,
-/// n_clusters, dim, inertia, iterations and train_seconds and leaves labels
-/// and sizes empty. For callers that keep only the centroids (PQ training).
+/// Seeding plus the Lloyd / mini-batch iterations only: fills everything
+/// but labels and sizes. For callers that keep only the centroids (PQ
+/// training). Row i starts at data[i * row_pitch] (0 = dim), so a caller
+/// can train on a column slice of wider rows without copying it out first:
+/// only the training rows are gathered, after the same subsample draws.
 KMeansResult kmeans_train(std::span<const float> data, std::size_t n,
-                          std::size_t dim, const KMeansOptions& opts);
+                          std::size_t dim, const KMeansOptions& opts,
+                          std::size_t row_pitch = 0);
 
 /// Train k-means on `n` points of dimension `dim` (row-major `data`): the
 /// kmeans_train result plus labels and sizes for all n input points.

@@ -24,31 +24,13 @@ void ProductQuantizer::train(std::span<const float> data, std::size_t n,
   common::ThreadPool* pool =
       opts.pool ? opts.pool : &common::ThreadPool::global();
 
-  // One blocked pass reorders the row-major training data into m contiguous
-  // subspace slices (slice s holds n x dsub), replacing the per-subspace
-  // strided copy the serial loop used to repeat m times. Row blocks are
-  // independent, so the built-in chunking is fine here.
-  std::vector<float> slices(static_cast<std::size_t>(n) * dim_);
-  auto transpose_rows = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t s = 0; s < m_; ++s) {
-      float* dst = slices.data() + s * n * dsub_;
-      const float* src = data.data() + s * dsub_;
-      for (std::size_t i = lo; i < hi; ++i) {
-        std::copy_n(src + i * dim_, dsub_, dst + i * dsub_);
-      }
-    }
-  };
-  if (opts.use_threads && opts.n_threads != 1) {
-    pool->parallel_for_chunks(0, n, transpose_rows, 4096);
-  } else {
-    transpose_rows(0, n);
-  }
-
-  // Train each subspace independently on its slice. The m trainings fan out
-  // across the pool; the inner kmeans stays serial (nested-parallelism
-  // rule: a worker that blocks on further work from the same pool deadlocks
-  // once every worker does). Results are identical to the serial loop —
-  // each subspace sees the same slice, seed, and fixed-chunk reductions.
+  // Train each subspace independently on its column slice of the row-major
+  // data: kmeans_train reads it at row pitch dim and gathers only the rows
+  // it trains on. The m trainings fan out across the pool; the inner kmeans
+  // stays serial (nested-parallelism rule: a worker that blocks on further
+  // work from the same pool deadlocks once every worker does). Results are
+  // identical to the serial loop — each subspace sees the same slice, seed,
+  // and fixed-chunk reductions.
   const bool outer_threads = opts.use_threads && opts.n_threads != 1;
   auto train_subspace = [&](std::size_t s) {
     KMeansOptions ko;
@@ -58,8 +40,9 @@ void ProductQuantizer::train(std::span<const float> data, std::size_t n,
     ko.max_training_points = opts.max_training_points;
     ko.batch_fraction = opts.batch_fraction;
     ko.use_threads = false;
-    std::span<const float> sub(slices.data() + s * n * dsub_, n * dsub_);
-    KMeansResult res = kmeans_train(sub, n, dsub_, ko);
+    const std::span<const float> sub =
+        data.subspan(s * dsub_, (n - 1) * dim_ + dsub_);
+    KMeansResult res = kmeans_train(sub, n, dsub_, ko, dim_);
     // If n < 256 the trained centroid count is smaller; tile the trained
     // centroids so every code in [0,255] decodes to something sensible.
     for (std::size_t c = 0; c < kPqKsub; ++c) {

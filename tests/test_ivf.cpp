@@ -6,6 +6,7 @@
 #include <set>
 
 #include "ivf/cluster_stats.hpp"
+#include "obs/metrics.hpp"
 #include "quant/kmeans.hpp"
 
 namespace upanns::ivf {
@@ -22,6 +23,29 @@ IvfIndex build_small(const data::Dataset& base, std::size_t nc = 32) {
   opts.coarse_iters = 6;
   opts.pq_iters = 5;
   return IvfIndex::build(base, opts);
+}
+
+// BuildStats and the build.* gauges report the coarse k-means++ seeding
+// time and the share of distances the bound pruning left to compute; at
+// dim 128 the coarse quantizer prunes, so the share is below 1.
+TEST(IvfIndex, BuildReportsCoarseSeedingAndDistanceShare) {
+  const auto base = base_data();
+  obs::MetricsRegistry reg;
+  IvfBuildOptions opts;
+  opts.n_clusters = 32;
+  opts.pq_m = 16;
+  opts.coarse_iters = 6;
+  opts.pq_iters = 5;
+  opts.metrics = &reg;
+  BuildStats bs;
+  IvfIndex::build(base, opts, &bs);
+  EXPECT_GE(bs.seed_seconds, 0.0);
+  EXPECT_LE(bs.seed_seconds, bs.kmeans_seconds);
+  EXPECT_GT(bs.kmeans_distance_share, 0.0);
+  EXPECT_LT(bs.kmeans_distance_share, 1.0);
+  EXPECT_EQ(reg.gauge("build.kmeans_seed_seconds").value(), bs.seed_seconds);
+  EXPECT_EQ(reg.gauge("build.kmeans_distance_share").value(),
+            bs.kmeans_distance_share);
 }
 
 TEST(IvfIndex, EveryPointInExactlyOneList) {

@@ -469,5 +469,47 @@ TEST(SimdBuild, IndexHashMatchesGoldenAtEveryLevel) {
   }
 }
 
+// A second pinned build at the shape the pruned k-means paths need: both
+// training caps below n (so every sample is a strided copy out of the
+// source rows) and 256 coarse centroids, i.e. eight 32-centroid bound
+// groups. Points sit in tight uniform boxes around 48 uniform centres, so
+// later Lloyd steps keep most labels and the bounds skip real work. The
+// constant was recorded before the bound-pruned k-means landed.
+TEST(SimdBuild, SampledMultiGroupIndexHashMatchesGoldenAtEveryLevel) {
+  constexpr std::uint64_t kGolden = 0xcc067333c44f785cull;
+  data::Dataset base;
+  base.n = 5000;
+  base.dim = 64;
+  base.values.resize(base.n * base.dim);
+  common::Rng rng(2026);
+  std::vector<float> centres(48 * base.dim);
+  for (auto& v : centres) v = rng.uniform(-1.f, 1.f);
+  for (std::size_t i = 0; i < base.n; ++i) {
+    const float* c = centres.data() + rng.below(48) * base.dim;
+    for (std::size_t d = 0; d < base.dim; ++d) {
+      base.values[i * base.dim + d] = c[d] + rng.uniform(-0.2f, 0.2f);
+    }
+  }
+  ivf::IvfBuildOptions opts;
+  opts.n_clusters = 256;
+  opts.pq_m = 8;
+  opts.coarse_iters = 6;
+  opts.pq_iters = 5;
+  opts.coarse_train_points = 3500;
+  opts.pq_train_points = 3000;
+
+  LevelGuard guard;
+  for (const auto level : supported_levels()) {
+    common::set_simd_level(level);
+    for (const std::size_t threads : {std::size_t{0}, std::size_t{1},
+                                      std::size_t{3}}) {
+      opts.n_threads = threads;
+      EXPECT_EQ(index_hash(ivf::IvfIndex::build(base, opts)), kGolden)
+          << "level=" << common::simd_level_name(level)
+          << " threads=" << threads;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace upanns
