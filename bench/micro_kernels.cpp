@@ -195,7 +195,8 @@ BENCHMARK(BM_QuantizedAdcScan);
 // Top-k fills of `pushes` random candidates each, refilling one cleared
 // buffer: k 10 over 18 pushes is a batch_paper tasklet's S4 share of a
 // cluster, k 64 over 512 is the cluster filter (nprobe of 512 centroids),
-// and 65536 pushes measure the steady rejecting state.
+// and 65536 pushes measure the steady rejecting state. The last four rows
+// sit on both sides of TopK::kBranchFreeCapacity, the insert crossover.
 void BM_HeapPush(benchmark::State& state) {
   common::Rng rng(8);
   const std::size_t k = static_cast<std::size_t>(state.range(0));
@@ -222,7 +223,10 @@ BENCHMARK(BM_HeapPush)
     ->Args({10, 18})
     ->Args({64, 512})
     ->Args({10, 65536})
-    ->Args({100, 65536});
+    ->Args({100, 65536})
+    ->ArgsProduct({{common::TopK::kBranchFreeCapacity,
+                    common::TopK::kBranchFreeCapacity + 1},
+                   {18, 512}});
 
 ivf::InvertedList patterned_list(std::size_t n) {
   common::Rng rng(9);

@@ -4,10 +4,12 @@
 // Top-K Pruning merge (paper 4.4) walks it min-first in place.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -29,11 +31,22 @@ struct Neighbor {
 };
 
 /// Fixed-capacity buffer of the k best (smallest) candidates, ascending.
-/// push() shifts larger keys one slot back, O(size) per accepted push, which
-/// beats a heap's O(log k) moves for the small k and short streams of the
-/// kernel; capacity never changes after construction.
+/// An accepted push costs O(size), which beats a heap's O(log k) moves for
+/// the small k and short streams of the kernel; capacity never changes after
+/// construction.
 class TopK {
  public:
+  /// Capacities up to this insert with a branch-free min/max pass over the
+  /// buffer; larger ones shift only the keys above the new one. The pass
+  /// costs size() steps per accepted key but never mispredicts, the shift
+  /// only the keys it moves plus an exit that mispredicts on random input.
+  /// It wins short fills at every k and loses most long streams (BM_HeapPush
+  /// sweep, DESIGN.md §9), so the constant sits between the callers: the
+  /// kernel's tasklet buffers fill briefly at the search k (default 10), the
+  /// cluster filter streams every centroid at k = nprobe (default 64, and 16
+  /// or more in the CLI and every benchmark workload).
+  static constexpr std::size_t kBranchFreeCapacity = 15;
+
   explicit TopK(std::size_t k) : keys_(k) {}
 
   /// Sort key (float_bits(dist) << 32) | id. A float with a clear sign bit
@@ -77,7 +90,12 @@ class TopK {
     } else {
       ++n_;
     }
-    insert(i, key);
+    if (keys_.size() <= kBranchFreeCapacity) {
+      keys_[i] = ~std::uint64_t{0};  // the slot being filled reads as +inf
+      merge_in(key);
+    } else {
+      insert(i, key);
+    }
     return true;
   }
   bool push(float dist, std::uint32_t id) { return push(pack(dist, id)); }
@@ -94,18 +112,49 @@ class TopK {
   void clear() { n_ = 0; }
 
  private:
+  // Both inserts are out of line on purpose: inlined into a scan loop they
+  // slow the reject path that dominates long streams (the shift loop by ~30%
+  // on BM_AdcScanTokens/8192), for no gain on short ones.
+
   /// Shift the keys above `key` one slot back, from slot i down, and place
-  /// it. Out of line on purpose: inlined into the kernel's scan loop it
-  /// slowed the reject path that dominates long streams by ~30%
-  /// (BM_AdcScanTokens/8192), for no gain on short ones.
+  /// it.
   __attribute__((noinline)) void insert(std::size_t i, std::uint64_t key) {
     for (; i > 0 && keys_[i - 1] > key; --i) keys_[i] = keys_[i - 1];
     keys_[i] = key;
   }
 
+  /// Sorted insert of `key` into the first size() slots, whose last one
+  /// holds +inf: slot j takes the j-th smallest of the old keys and `key`,
+  /// max(old[j-1], min(old[j], key)), which compiles to conditional moves.
+  __attribute__((noinline)) void merge_in(std::uint64_t key) {
+    std::uint64_t* a = keys_.data();
+    const std::size_t n = n_;  // the stores below may alias n_
+    std::uint64_t prev = a[0];
+    a[0] = std::min(prev, key);
+    for (std::size_t j = 1; j < n; ++j) {
+      const std::uint64_t cur = a[j];
+      a[j] = std::max(prev, std::min(cur, key));
+      prev = cur;
+    }
+  }
+
   std::vector<std::uint64_t> keys_;
   std::size_t n_ = 0;
 };
+
+/// Offer one ascending candidate list to `top`, in order: `read(j)` returns
+/// the list's j-th key, or nothing once the list has ended. Stops at the
+/// first key push() rejects: the buffer is then full and the key does not
+/// beat worst(), so no later key of the list can either (the same early exit
+/// the DPU merge uses). Both host merges, across DPUs and across hosts, run
+/// their lists through here.
+template <typename Read>
+void merge_ascending(TopK& top, Read&& read) {
+  for (std::size_t j = 0;; ++j) {
+    const std::optional<std::uint64_t> key = read(j);
+    if (!key || !top.push(*key)) return;
+  }
+}
 
 /// Merge several ascending-sorted candidate lists into the k best overall.
 /// This mirrors the host-side final aggregation across DPUs and hosts.
@@ -113,12 +162,10 @@ inline std::vector<Neighbor> merge_sorted_topk(
     const std::vector<std::vector<Neighbor>>& lists, std::size_t k) {
   TopK top(k);
   for (const auto& list : lists) {
-    for (const auto& n : list) {
-      // Lists are ascending: once push() rejects an entry (it is full and
-      // !(n < worst)), the rest of this list cannot contribute either (the
-      // same early exit the DPU merge uses).
-      if (!top.push(n)) break;
-    }
+    merge_ascending(top, [&](std::size_t j) -> std::optional<std::uint64_t> {
+      if (j == list.size()) return std::nullopt;
+      return TopK::pack(list[j].dist, list[j].id);
+    });
   }
   return top.sorted();
 }

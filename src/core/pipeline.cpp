@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -138,9 +139,11 @@ double LaunchStage::run(QueryPipeline& pl, BatchContext& ctx) {
       ctx.kernels[d] = pl.acquire_kernel(d, ctx.inputs[d]);
     }
   }
+  // The Alg-2 workload (records to scan) orders the host dispatch, longest
+  // simulation first.
   ctx.launch = pl.system().launch(
       [&](std::size_t d) -> pim::DpuKernel* { return ctx.kernels[d]; },
-      pl.options().n_tasklets);
+      pl.options().n_tasklets, ctx.sched.dpu_workload);
   px.dpu_busy_seconds = ctx.launch.dpu_seconds;
   {
     // Every DPU that holds data participates in the ratio: a placement that
@@ -206,27 +209,31 @@ double GatherStage::run(QueryPipeline& pl, BatchContext& ctx) {
   const std::size_t ndpu = pl.options().n_dpus;
   PimExtras& px = *ctx.report.pim;
 
-  ctx.per_query_lists.assign(nq, {});
+  // Index every (DPU, query) result list by query, in DPU order: count,
+  // prefix-sum, then place.
+  ctx.result_begin.assign(nq + 1, 0);
   ctx.max_gather = 0;
-  std::vector<std::uint32_t> packed(2 * k);
+  for (std::size_t d = 0; d < ndpu; ++d) {
+    if (!ctx.kernels[d]) continue;
+    for (const std::uint32_t q : ctx.inputs[d].query_rows) {
+      ++ctx.result_begin[q + 1];
+    }
+  }
+  for (std::size_t q = 0; q < nq; ++q) {
+    ctx.result_begin[q + 1] += ctx.result_begin[q];
+  }
+  ctx.result_lists.resize(ctx.result_begin[nq]);
+  std::vector<std::size_t> next(ctx.result_begin.begin(),
+                                ctx.result_begin.end() - 1);
   for (std::size_t d = 0; d < ndpu; ++d) {
     if (!ctx.kernels[d]) continue;
     const DpuLaunchInput& in = ctx.inputs[d];
     ctx.max_gather = std::max(
         ctx.max_gather, in.query_rows.size() * k * 8);
+    const pim::Dpu& dpu = pl.system().dpu(d);
     for (std::size_t i = 0; i < in.query_rows.size(); ++i) {
-      pl.system().dpu(d).host_read(in.results_off + i * k * 8, packed.data(),
-                                   k * 8);
-      std::vector<common::Neighbor> list;
-      for (std::size_t j = 0; j < k; ++j) {
-        const std::uint32_t bits = packed[2 * j];
-        const std::uint32_t id = packed[2 * j + 1];
-        if (bits == 0xFFFFFFFFu && id == 0xFFFFFFFFu) break;  // unused slot
-        float dist;
-        std::memcpy(&dist, &bits, sizeof(dist));
-        list.push_back({dist, id});
-      }
-      ctx.per_query_lists[in.query_rows[i]].push_back(std::move(list));
+      ctx.result_lists[next[in.query_rows[i]]++] =
+          dpu.mram_data(in.results_off + i * k * 8);
     }
     px.merge_insertions += ctx.kernels[d]->merge_insertions();
     px.merge_pruned += ctx.kernels[d]->merge_pruned();
@@ -263,13 +270,28 @@ double MergeStage::run(QueryPipeline& pl, BatchContext& ctx) {
   const std::size_t k = pl.options().k;
 
   ctx.report.neighbors.resize(nq);
-  for (std::size_t q = 0; q < nq; ++q) {
-    ctx.report.neighbors[q] =
-        common::merge_sorted_topk(ctx.per_query_lists[q], k);
-  }
+  common::TopK top(k);
   double ops = 0;
-  for (const auto& lists : ctx.per_query_lists) {
-    ops += static_cast<double>(lists.size()) * static_cast<double>(k) * 8.0;
+  for (std::size_t q = 0; q < nq; ++q) {
+    top.clear();
+    for (std::size_t l = ctx.result_begin[q]; l < ctx.result_begin[q + 1];
+         ++l) {
+      // Each list is k packed (dist bits, id) slots, ascending, ending early
+      // at its first unused slot (both words all ones).
+      const std::uint8_t* slots = ctx.result_lists[l];
+      common::merge_ascending(
+          top, [&](std::size_t j) -> std::optional<std::uint64_t> {
+            if (j == k) return std::nullopt;
+            std::uint32_t bits, id;
+            std::memcpy(&bits, slots + j * 8, sizeof(bits));
+            std::memcpy(&id, slots + j * 8 + 4, sizeof(id));
+            if (bits == 0xFFFFFFFFu && id == 0xFFFFFFFFu) return std::nullopt;
+            return (std::uint64_t{bits} << 32) | id;
+          });
+    }
+    ctx.report.neighbors[q] = top.sorted();
+    ops += static_cast<double>(ctx.result_begin[q + 1] - ctx.result_begin[q]) *
+           static_cast<double>(k) * 8.0;
   }
   const double seconds = ops / hw::kCpuFlops;
   ctx.report.times.transfer += seconds;

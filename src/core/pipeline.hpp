@@ -53,7 +53,12 @@ struct BatchContext {
   /// for idle DPUs. Valid for the lifetime of the batch only.
   std::vector<QueryKernel*> kernels;
   pim::PimSystem::LaunchStats launch;
-  std::vector<std::vector<std::vector<common::Neighbor>>> per_query_lists;
+  /// The gathered per-query result lists, flat: query q's lists are
+  /// result_lists[result_begin[q] .. result_begin[q + 1]), in DPU order.
+  /// Each points at one packed k-slot (dist bits, id) result in a DPU's
+  /// MRAM, valid until the next batch's push reuses that region.
+  std::vector<std::size_t> result_begin;
+  std::vector<const std::uint8_t*> result_lists;
   std::size_t max_gather = 0;
 
   SearchReport report;

@@ -2,14 +2,63 @@
 
 #include <cassert>
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
 namespace upanns::obs {
 
 // ---------------------------------------------------------------- writer
+
+namespace {
+
+/// Append `s` JSON-escaped, copying runs of plain characters in one go.
+void append_escaped(std::string& out, std::string_view s) {
+  std::size_t plain = 0;  // start of the pending unescaped run
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + plain, i - plain);
+    plain = i + 1;
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default: {
+        constexpr char kHex[] = "0123456789abcdef";
+        const char esc[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 15]};
+        out.append(esc, sizeof(esc));
+      }
+    }
+  }
+  out.append(s.data() + plain, s.size() - plain);
+}
+
+/// Append `v` as %.17g would print it: std::to_chars in the general format
+/// at precision 17 is specified as exactly that conversion, without the
+/// locale and format-string parsing.
+void append_number(std::string& out, double v) {
+  if (!std::isfinite(v)) {  // JSON has no inf/nan
+    out += '0';
+    return;
+  }
+  char buf[32];
+  const auto r = std::to_chars(buf, buf + sizeof(buf), v,
+                               std::chars_format::general, 17);
+  out.append(buf, r.ptr);
+}
+
+template <typename Int>
+void append_integer(std::string& out, Int v) {
+  char buf[24];
+  const auto r = std::to_chars(buf, buf + sizeof(buf), v);
+  out.append(buf, r.ptr);
+}
+
+}  // namespace
 
 void JsonWriter::comma() {
   if (pending_key_) {
@@ -54,7 +103,7 @@ JsonWriter& JsonWriter::key(std::string_view k) {
   assert(!pending_key_);
   comma();
   out_ += '"';
-  out_ += json_escape(k);
+  append_escaped(out_, k);
   out_ += "\":";
   pending_key_ = true;
   return *this;
@@ -63,26 +112,26 @@ JsonWriter& JsonWriter::key(std::string_view k) {
 JsonWriter& JsonWriter::value(std::string_view s) {
   comma();
   out_ += '"';
-  out_ += json_escape(s);
+  append_escaped(out_, s);
   out_ += '"';
   return *this;
 }
 
 JsonWriter& JsonWriter::value(double v) {
   comma();
-  out_ += json_number(v);
+  append_number(out_, v);
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::uint64_t v) {
   comma();
-  out_ += std::to_string(v);
+  append_integer(out_, v);
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::int64_t v) {
   comma();
-  out_ += std::to_string(v);
+  append_integer(out_, v);
   return *this;
 }
 
@@ -107,31 +156,14 @@ JsonWriter& JsonWriter::raw(std::string_view json) {
 std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+  append_escaped(out, s);
   return out;
 }
 
 std::string json_number(double v) {
-  if (!std::isfinite(v)) return "0";  // JSON has no inf/nan
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+  std::string out;
+  append_number(out, v);
+  return out;
 }
 
 // ---------------------------------------------------------------- parser

@@ -1,8 +1,10 @@
 #include "pim/dpu.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <memory>
+#include <utility>
 
 #include "common/thread_pool.hpp"
 #include "obs/metrics.hpp"
@@ -182,28 +184,36 @@ PimSystem::PimSystem(std::size_t n_dpus) {
 
 PimSystem::LaunchStats PimSystem::launch(
     const std::function<DpuKernel*(std::size_t)>& kernel_for,
-    unsigned n_tasklets) {
+    unsigned n_tasklets, std::span<const double> expected_work) {
+  assert(expected_work.size() == dpus_.size());
   LaunchStats out;
   out.dpu_seconds.assign(dpus_.size(), 0.0);
   out.dpu_stats.assign(dpus_.size(), DpuRunStats{});
 
-  // Chunked dispatch sized to the pool (~4 chunks per worker for dynamic
-  // balance): one type-erased task per chunk instead of a grain-1 dispatch,
-  // and idle DPUs are skipped inside the chunk without a dispatch round trip.
+  std::vector<std::pair<DpuKernel*, std::size_t>> order;
+  for (std::size_t i = 0; i < dpus_.size(); ++i) {
+    if (DpuKernel* kernel = kernel_for(i)) order.emplace_back(kernel, i);
+  }
+  // Largest first (LPT): the last DPUs claimed are the shortest, so the
+  // threads finish within about one short DPU of each other.
+  std::sort(order.begin(), order.end(), [&](const auto& a, const auto& b) {
+    const double wa = expected_work[a.second], wb = expected_work[b.second];
+    return wa > wb || (wa == wb && a.second < b.second);
+  });
+  // One claiming loop per thread; parallel_for runs a single one (one
+  // active DPU, or a one-thread pool) on the calling thread.
   common::ThreadPool& pool = common::ThreadPool::global();
-  const std::size_t grain =
-      std::max<std::size_t>(1, dpus_.size() / (pool.size() * 4));
-  pool.parallel_for_chunks(
-      0, dpus_.size(),
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          DpuKernel* kernel = kernel_for(i);
-          if (!kernel) continue;
+  std::atomic<std::size_t> cursor{0};
+  pool.parallel_for(
+      0, std::min(pool.size(), order.size()),
+      [&](std::size_t) {
+        for (std::size_t c; (c = cursor++) < order.size();) {
+          const auto [kernel, i] = order[c];
           out.dpu_stats[i] = dpus_[i].run(*kernel, n_tasklets);
           out.dpu_seconds[i] = out.dpu_stats[i].seconds();
         }
       },
-      grain);
+      1);
 
   for (std::size_t i = 0; i < out.dpu_stats.size(); ++i) {
     if (out.dpu_stats[i].cycles > out.max_cycles) {

@@ -19,6 +19,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -194,6 +195,14 @@ class PimSystem {
   /// skips a DPU). Kernels are caller-owned so their outputs outlive the
   /// launch. Returns the simulated wall time: max over DPUs + fixed launch
   /// latency.
+  ///
+  /// Host threads claim active DPUs one at a time from a shared cursor,
+  /// largest `expected_work` first (one finite entry per DPU, any unit; ties
+  /// in index order), so the longest simulations start first and no thread
+  /// idles behind a late long one. The order changes host time only: every
+  /// DPU runs alone on its own state, so the returned stats are identical
+  /// for any order. A kernel that throws makes launch() rethrow once every
+  /// claimed DPU has finished.
   struct LaunchStats {
     double seconds = 0;             ///< simulated launch wall time
     std::vector<double> dpu_seconds;  ///< per-DPU busy time this launch
@@ -202,7 +211,8 @@ class PimSystem {
     std::size_t slowest_dpu = 0;
   };
   LaunchStats launch(const std::function<DpuKernel*(std::size_t)>& kernel_for,
-                     unsigned n_tasklets);
+                     unsigned n_tasklets,
+                     std::span<const double> expected_work);
 
   /// Attach a metrics registry: every launch records per-DPU busy seconds,
   /// tasklet occupancy, per-phase cycle totals and instruction/DMA counters.

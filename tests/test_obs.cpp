@@ -7,11 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "core/engine.hpp"
 #include "core/multihost.hpp"
@@ -57,6 +61,85 @@ TEST(Json, NumbersRoundTripBitExact) {
     EXPECT_EQ(v.kind, JsonValue::Kind::kNumber);
     EXPECT_EQ(std::memcmp(&v.number, &x, sizeof x), 0) << json_number(x);
   }
+}
+
+// The writer formats with std::to_chars; exported files must stay the
+// bytes %.17g printed, signed zeros, subnormals, the %g exponent switch
+// points and integers included.
+TEST(Json, NumbersMatchPrintfByteForByte) {
+  const auto printf_g17 = [](double x) {
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g", x);
+    return std::string(buf);
+  };
+  std::vector<double> xs = {0.0,
+                            -0.0,
+                            1.0,
+                            -1.0,
+                            0.5,
+                            1e-4,
+                            9.9999999999999991e-5,
+                            1e-5,
+                            1e16,
+                            1e17,
+                            99999999999999984.0,
+                            123456789012345678.0,
+                            std::numeric_limits<double>::min(),
+                            std::numeric_limits<double>::denorm_min(),
+                            -std::numeric_limits<double>::denorm_min(),
+                            std::numeric_limits<double>::max(),
+                            std::numeric_limits<double>::lowest(),
+                            std::numeric_limits<double>::epsilon()};
+  for (int e = -320; e <= 308; ++e) {
+    const double p = std::pow(10.0, e);
+    xs.push_back(p);
+    xs.push_back(std::nextafter(p, 0.0));
+    xs.push_back(std::nextafter(p, 2 * p + 1));
+  }
+  common::Rng rng(2024);
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint64_t bits = rng();
+    double x;
+    std::memcpy(&x, &bits, sizeof(x));
+    if (std::isfinite(x)) xs.push_back(x);
+    xs.push_back(static_cast<double>(rng.below(1u << 30)) * 1e-9);
+  }
+  for (const double x : xs) {
+    ASSERT_EQ(json_number(x), printf_g17(x));
+  }
+  JsonWriter w;
+  w.begin_array()
+      .value(std::uint64_t{18446744073709551615u})
+      .value(std::int64_t{-9223372036854775807 - 1})
+      .value(0)
+      .end_array();
+  EXPECT_EQ(w.str(), "[18446744073709551615,-9223372036854775808,0]");
+}
+
+TEST(Json, EscapesEveryControlCharacter) {
+  std::string s;
+  for (int c = 0; c < 0x20; ++c) s += static_cast<char>(c);
+  s += "plain\"\\\x7f\xc3\xa9";
+  std::string want;
+  for (int c = 0; c < 0x20; ++c) {
+    if (c == '\n') {
+      want += "\\n";
+    } else if (c == '\r') {
+      want += "\\r";
+    } else if (c == '\t') {
+      want += "\\t";
+    } else {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+      want += buf;
+    }
+  }
+  want += "plain\\\"\\\\\x7f\xc3\xa9";
+  EXPECT_EQ(json_escape(s), want);
+  JsonWriter w;
+  w.begin_object().kv(s, s).end_object();
+  EXPECT_EQ(w.str(), "{\"" + want + "\":\"" + want + "\"}");
+  EXPECT_EQ(json_parse(w.str()).at(s).string, s);
 }
 
 TEST(Json, RawSplicesPrerenderedValues) {

@@ -152,8 +152,12 @@ TEST_P(TopKContractTest, PushSequenceMatchesReferenceRule) {
   }
 }
 
+// The last two capacities sit on both sides of the insert crossover, so
+// the branch-free pass and the shift loop are held to the same rule.
 INSTANTIATE_TEST_SUITE_P(Capacities, TopKContractTest,
-                         ::testing::Values(1, 2, 10, 64, 100));
+                         ::testing::Values(1, 2, 10, 64, 100,
+                                           TopK::kBranchFreeCapacity,
+                                           TopK::kBranchFreeCapacity + 1));
 
 TEST(TopK, KeyOrderEqualsNeighborOrder) {
   // For every non-negative, non-NaN distance (+0 and +inf included) the
