@@ -31,6 +31,28 @@ std::vector<float> random_vecs(std::size_t n, std::size_t dim,
   return v;
 }
 
+/// Pins the SIMD level named by the benchmark argument `arg` for the
+/// benchmark's lifetime and labels the row with it; a level this CPU lacks
+/// skips the benchmark instead.
+struct PinnedLevel {
+  PinnedLevel(benchmark::State& state, int arg)
+      : level(static_cast<common::SimdLevel>(state.range(arg))),
+        supported(static_cast<int>(level) <=
+                  static_cast<int>(common::simd_max_supported())) {
+    if (!supported) {
+      state.SkipWithError("SIMD level not supported");
+      return;
+    }
+    common::set_simd_level(level);
+    state.SetLabel(common::simd_level_name(level));
+  }
+  ~PinnedLevel() { common::set_simd_level(prev); }
+
+  const common::SimdLevel prev = common::simd_active_level();
+  const common::SimdLevel level;
+  const bool supported;
+};
+
 const quant::ProductQuantizer& shared_pq() {
   static const quant::ProductQuantizer pq = [] {
     quant::ProductQuantizer p;
@@ -73,26 +95,18 @@ BENCHMARK(BM_LutBuild);
 void BM_NearestCentroid(benchmark::State& state) {
   const auto dim = static_cast<std::size_t>(state.range(0));
   const auto k = static_cast<std::size_t>(state.range(1));
-  const auto level = static_cast<common::SimdLevel>(state.range(2));
-  if (static_cast<int>(level) >
-      static_cast<int>(common::simd_max_supported())) {
-    state.SkipWithError("SIMD level not supported");
-    return;
-  }
+  const PinnedLevel pin(state, 2);
+  if (!pin.supported) return;
   const auto centroids = random_vecs(k, dim, 40);
   quant::BlockMajor tctr(quant::pad8(k) * dim);
   quant::transpose_centroids(centroids.data(), k, dim, tctr.data());
   const auto points = random_vecs(256, dim, 41);
-  const common::SimdLevel prev = common::simd_active_level();
-  common::set_simd_level(level);
   std::size_t i = 0;
   for (auto _ : state) {
     const auto best = quant::nearest_centroid_t(
         points.data() + (i++ % 256) * dim, tctr.data(), k, dim);
     benchmark::DoNotOptimize(best);
   }
-  common::set_simd_level(prev);
-  state.SetLabel(common::simd_level_name(level));
 }
 BENCHMARK(BM_NearestCentroid)
     ->ArgNames({"dim", "k", "level"})
@@ -256,16 +270,20 @@ BENCHMARK(BM_CaeEncode)->Arg(1024)->Arg(8192);
 // --- Arena-backed QueryKernel scans: a hand-built single-cluster MRAM
 // image driven through Dpu::run. The first iteration warms the scratch
 // arena and launch-object pools; steady state measures the allocation-free
-// hot path end to end (views + scratch + reused heaps).
+// hot path end to end (views + scratch + reused heaps). Each iteration
+// searches the next of kPool queries, so every LUT, distance and top-k
+// accept sequence is fresh: replaying one query lets the branch predictor
+// learn the whole scan, which flatters branchy code.
 struct KernelImage {
   static constexpr std::size_t kDim = 128;
   static constexpr std::size_t kM = 16;
   static constexpr std::size_t kDsub = 8;
   static constexpr std::size_t kK = 10;
+  static constexpr std::size_t kPool = 64;
 
   pim::Dpu dpu{0};
   core::DpuStaticLayout layout;
-  core::DpuLaunchInput input;
+  std::vector<core::DpuLaunchInput> inputs;  ///< one per pooled query
   std::vector<float> prescaled;
 
   KernelImage(core::KernelMode mode, std::size_t n_records) {
@@ -326,31 +344,45 @@ struct KernelImage {
     cl.centroid_off = dpu.mram_alloc(kDim * sizeof(float), "centroid");
     layout.clusters.push_back(cl);
 
-    input.k = kK;
-    input.queries_off = dpu.mram_alloc(kDim * sizeof(float), "query");
-    const auto q = random_vecs(1, kDim, 23);
-    dpu.host_write(input.queries_off, q.data(), kDim * sizeof(float));
-    input.results_off = dpu.mram_alloc(kK * 8, "results");
-    input.query_rows = {0};
-    input.items.push_back({0, 0});
+    const std::size_t queries_off =
+        dpu.mram_alloc(kPool * kDim * sizeof(float), "queries");
+    const auto q = random_vecs(kPool, kDim, 23);
+    dpu.host_write(queries_off, q.data(), q.size() * sizeof(float));
+    const std::size_t results_off = dpu.mram_alloc(kK * 8, "results");
+    inputs.resize(kPool);
+    for (std::size_t i = 0; i < kPool; ++i) {
+      inputs[i].k = kK;
+      inputs[i].queries_off = queries_off + i * kDim * sizeof(float);
+      inputs[i].results_off = results_off;
+      inputs[i].query_rows = {0};
+      inputs[i].items.push_back({0, 0});
+    }
   }
 };
 
 void run_kernel_scan(benchmark::State& state, core::KernelMode mode) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   KernelImage img(mode, n);
-  core::QueryKernel kernel(img.layout, img.input, mode, true);
+  core::QueryKernel kernel(img.layout, img.inputs[0], mode, true);
+  std::size_t round = 0;
   for (auto _ : state) {
+    kernel.rebind(img.inputs[round++ % KernelImage::kPool]);
     const pim::DpuRunStats stats = img.dpu.run(kernel, 11);
     benchmark::DoNotOptimize(stats.cycles);
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
 
+// The S4 token scan: the prefix gather and the register-resident tasklet
+// top-k of the avx512 level against their AVX2-level counterparts.
 void BM_AdcScanTokens(benchmark::State& state) {
+  const PinnedLevel pin(state, 1);
+  if (!pin.supported) return;
   run_kernel_scan(state, core::KernelMode::kDirectTokens);
 }
-BENCHMARK(BM_AdcScanTokens)->Arg(128)->Arg(1024)->Arg(8192);
+BENCHMARK(BM_AdcScanTokens)
+    ->ArgNames({"n", "level"})
+    ->ArgsProduct({{128, 1024, 8192}, {2, 3}});
 
 void BM_AdcScanRaw(benchmark::State& state) {
   run_kernel_scan(state, core::KernelMode::kNaiveRaw);
@@ -361,33 +393,46 @@ BENCHMARK(BM_AdcScanRaw)->Arg(1024)->Arg(8192);
 // LUT): one chunk of 16 records leaves S0-S2 (residual, 16 LUT rows, scale
 // reduction, u16 quantization) as nearly the whole Dpu::run cost.
 void BM_KernelLut(benchmark::State& state) {
+  const PinnedLevel pin(state, 1);
+  if (!pin.supported) return;
   run_kernel_scan(state, core::KernelMode::kDirectTokens);
 }
-BENCHMARK(BM_KernelLut)->Arg(16);
+BENCHMARK(BM_KernelLut)->ArgNames({"n", "level"})->ArgsProduct({{16}, {2, 3}});
 
-// The S4 + S5 top-k pattern in isolation: refill per-tasklet buffers with
-// `per_tasklet` candidates each, then walk each one min-first in place and
-// prune-merge it into the DPU-wide buffer. 18 per tasklet is batch_paper's
-// shape (~195 records per cluster over 11 tasklets).
+// The S4 + S5 top-k pattern in isolation: fill per-tasklet buffers with
+// `per_tasklet` candidates each through push_each, as the kernel's S4 does,
+// then walk each one min-first in place and prune-merge it into the
+// DPU-wide buffer. 18 per tasklet is batch_paper's shape (~195 records per
+// cluster over 11 tasklets). Iterations cycle through kPool candidate sets
+// so the branch predictor cannot learn one.
 void BM_HeapMergePruned(benchmark::State& state) {
   constexpr std::size_t kTasklets = 11;
   constexpr std::size_t kK = 10;
+  constexpr std::size_t kPool = 64;
   const auto per_tasklet = static_cast<std::size_t>(state.range(0));
+  const PinnedLevel pin(state, 1);
+  if (!pin.supported) return;
+  const std::size_t per_round = kTasklets * per_tasklet;
   common::Rng rng(31);
-  std::vector<float> dists(kTasklets * per_tasklet);
+  std::vector<float> dists(kPool * per_round);
   for (auto& d : dists) d = rng.uniform(0.f, 1.f);
 
   std::vector<common::TopK> locals(kTasklets, common::TopK(kK));
   common::TopK global(kK);
 
+  std::size_t round = 0;
   for (auto _ : state) {
+    const float* d = dists.data() + (round++ % kPool) * per_round;
     global.clear();
     for (std::size_t t = 0; t < kTasklets; ++t) {
       locals[t].clear();
-      for (std::size_t i = 0; i < per_tasklet; ++i) {
-        locals[t].push(dists[t * per_tasklet + i],
-                       static_cast<std::uint32_t>(i));
-      }
+      const float* dt = d + t * per_tasklet;
+      locals[t].push_each(pin.level, per_tasklet,
+                          [&](std::size_t i, std::uint64_t& key) {
+                            key = common::TopK::pack(
+                                dt[i], static_cast<std::uint32_t>(i));
+                            return true;
+                          });
       for (const std::uint64_t key : locals[t].keys()) {
         if (global.full() && !(key < global.worst())) break;
         global.push(key);
@@ -396,9 +441,11 @@ void BM_HeapMergePruned(benchmark::State& state) {
     benchmark::DoNotOptimize(global.worst());
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(dists.size()));
+                          static_cast<std::int64_t>(per_round));
 }
-BENCHMARK(BM_HeapMergePruned)->Arg(18)->Arg(64);
+BENCHMARK(BM_HeapMergePruned)
+    ->ArgNames({"per_tasklet", "level"})
+    ->ArgsProduct({{18, 64}, {2, 3}});
 
 void BM_MramLatencyModel(benchmark::State& state) {
   for (auto _ : state) {

@@ -1006,8 +1006,9 @@ int usage() {
                "  stats  --metrics M.json [--prom-out M.prom]\n"
                "         [--watch --interval-ms MS --iterations K]\n"
                "common: --log-level debug|info|warn|error (or UPANNS_LOG env);\n"
-               "        --simd scalar|sse2|avx2 pins kernel dispatch (or\n"
-               "        UPANNS_SIMD env); --force overwrites existing files\n");
+               "        --simd scalar|sse2|avx2|avx512 pins kernel dispatch\n"
+               "        (or UPANNS_SIMD env); --force overwrites existing\n"
+               "        files\n");
   return 1;
 }
 
@@ -1032,7 +1033,8 @@ int main(int argc, char** argv) {
     if (const std::string simd = args.str("simd", ""); !simd.empty()) {
       common::SimdLevel lvl;
       if (!common::parse_simd_level(simd, &lvl)) {
-        throw UsageError("unknown --simd " + simd + " (scalar|sse2|avx2)");
+        throw UsageError("unknown --simd " + simd +
+                         " (scalar|sse2|avx2|avx512)");
       }
       common::set_simd_level(lvl);
     }

@@ -27,7 +27,8 @@ constexpr double kLlcBandwidth = 400.0e9;
 // ramp and TLB walk, so sustained bandwidth degrades as lists shrink. This
 // is the effect behind the paper's observation that CPU QPS does *not* rise
 // linearly with IVF while the DPU (no deep cache hierarchy) is insensitive
-// to it (Sec 5.2). Half-efficiency point ~1 MB per list.
+// to it (Sec 5.2). Efficiency is L / (L + kListRampBytes) for an average
+// list of L bytes, so it is half at 4 MiB per list.
 constexpr double kListRampBytes = 4.0 * 1024 * 1024;
 
 double locality_efficiency(const QueryWorkProfile& p) {

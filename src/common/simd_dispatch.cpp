@@ -11,6 +11,12 @@ namespace {
 SimdLevel probe_cpu() {
 #if defined(__x86_64__) || defined(_M_X64)
 #if defined(__GNUC__) || defined(__clang__)
+  if (__builtin_cpu_supports("avx512f") &&
+      __builtin_cpu_supports("avx512bw") &&
+      __builtin_cpu_supports("avx512vl") &&
+      __builtin_cpu_supports("avx512dq")) {
+    return SimdLevel::kAvx512;
+  }
   if (__builtin_cpu_supports("avx2")) return SimdLevel::kAvx2;
 #endif
   return SimdLevel::kSse2;  // baseline for x86-64
@@ -37,7 +43,7 @@ SimdLevel resolve_initial() {
     } else {
       std::fprintf(stderr,
                    "upanns: unknown UPANNS_SIMD value '%s' "
-                   "(expected scalar|sse2|avx2); using %s\n",
+                   "(expected scalar|sse2|avx2|avx512); using %s\n",
                    env, simd_level_name(level));
     }
   }
@@ -56,6 +62,7 @@ const char* simd_level_name(SimdLevel level) {
     case SimdLevel::kScalar: return "scalar";
     case SimdLevel::kSse2: return "sse2";
     case SimdLevel::kAvx2: return "avx2";
+    case SimdLevel::kAvx512: return "avx512";
   }
   return "unknown";
 }
@@ -64,6 +71,7 @@ bool parse_simd_level(std::string_view name, SimdLevel* out) {
   if (name == "scalar") { *out = SimdLevel::kScalar; return true; }
   if (name == "sse2") { *out = SimdLevel::kSse2; return true; }
   if (name == "avx2") { *out = SimdLevel::kAvx2; return true; }
+  if (name == "avx512") { *out = SimdLevel::kAvx512; return true; }
   return false;
 }
 

@@ -1,17 +1,27 @@
 // Runtime SIMD dispatch for the host-side kernels (k-means / PQ training,
-// LUT build and quantize, raw-code scan). The binary is compiled without
-// -march flags, so SSE2 is the compile-time baseline (implied by x86-64)
-// and AVX2 variants are emitted per-function via
-// __attribute__((target("avx2"))) and selected once at startup from cpuid.
-// The `UPANNS_SIMD=scalar|sse2|avx2` environment variable (or
-// set_simd_level, used by `upanns_cli --simd`) overrides the probe for A/B
-// testing; requests above what the CPU supports clamp down
-// with a warning. Every kernel keeps one IEEE operation order across all
-// levels (no FMA contraction), so changing the level never changes results —
-// the parity suite in tests/test_simd.cpp pins this.
+// the DPU kernel's LUT build and quantize, token and raw-code scans and
+// tasklet top-k). The binary is compiled without -march flags, so SSE2 is
+// the compile-time baseline (implied by x86-64) and wider variants are
+// emitted per function via __attribute__((target(...))) and selected once
+// at startup from cpuid. Levels are ordered: a kernel without a body of
+// its own at a level runs its widest body below it, so the avx512 level
+// runs every AVX2 body (k-means, the raw-code scan) except where the DPU
+// kernel has a 16-lane one. The `UPANNS_SIMD=scalar|sse2|avx2|avx512`
+// environment variable (or set_simd_level, used by `upanns_cli --simd`)
+// overrides the probe for A/B testing; requests above what the CPU supports
+// clamp down with a warning. Every kernel keeps one IEEE operation order
+// across all levels (no FMA contraction), so changing the level never
+// changes results — the parity suite in tests/test_simd.cpp pins this.
 #pragma once
 
 #include <string_view>
+
+/// Target attribute of the kAvx512 bodies: the four feature sets the
+/// probe requires. GCC 12's unmasked forms of several AVX-512 intrinsics
+/// pass an undefined vector as their source and warn under -Wuninitialized
+/// once inlined, so the bodies use the masked forms with an all-lanes mask.
+#define UPANNS_AVX512 \
+  __attribute__((target("avx512f,avx512bw,avx512vl,avx512dq")))
 
 namespace upanns::common {
 
@@ -19,9 +29,10 @@ enum class SimdLevel : int {
   kScalar = 0,
   kSse2 = 1,
   kAvx2 = 2,
+  kAvx512 = 3,  ///< AVX-512 F, BW, VL and DQ together
 };
 
-/// Lower-case name of a level ("scalar", "sse2", "avx2").
+/// Lower-case name of a level ("scalar", "sse2", "avx2", "avx512").
 const char* simd_level_name(SimdLevel level);
 
 /// Parse a level name (case-sensitive, lower-case). Returns false on

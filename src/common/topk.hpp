@@ -13,6 +13,12 @@
 #include <span>
 #include <vector>
 
+#include "common/simd_dispatch.hpp"
+
+#if defined(__SSE2__)
+#include <immintrin.h>
+#endif
+
 namespace upanns::common {
 
 /// A (distance, id) candidate. Lower distance is better.
@@ -68,6 +74,10 @@ class TopK {
     return {dist, static_cast<std::uint32_t>(key)};
   }
 
+  /// Capacities from 1 up to this keep their keys in two 8-lane registers
+  /// through push_each() at the avx512 level.
+  static constexpr std::size_t kRegisterCapacity = 16;
+
   std::size_t capacity() const { return keys_.size(); }
   std::size_t size() const { return n_; }
   bool full() const { return n_ == keys_.size(); }
@@ -100,6 +110,28 @@ class TopK {
   }
   bool push(float dist, std::uint32_t id) { return push(pack(dist, id)); }
   bool push(Neighbor n) { return push(pack(n.dist, n.id)); }
+
+  /// Offer `count` candidates in order, each exactly as push() would:
+  /// offer(i, key) stores candidate i's key and returns false to skip it.
+  /// Returns how many were retained. The key computation runs inside the
+  /// loop, so at the avx512 level a buffer of capacity 1 to
+  /// kRegisterCapacity stays in registers across the whole run
+  /// (push_each_avx512); anything else is a push() loop. Both loops are out
+  /// of line and take their own copy of `offer`, so a callback that holds
+  /// its state by value (a record cursor, say) keeps it in a register
+  /// across the inserts.
+  template <typename Offer>
+  std::size_t push_each(SimdLevel simd, std::size_t count, Offer offer) {
+#if defined(__SSE2__)
+    if (simd >= SimdLevel::kAvx512 && !keys_.empty() &&
+        keys_.size() <= kRegisterCapacity) {
+      return keys_.size() > 8 ? push_each_avx512<true>(count, offer)
+                              : push_each_avx512<false>(count, offer);
+    }
+#endif
+    (void)simd;
+    return push_each_scalar(count, offer);
+  }
 
   /// Retained candidates, ascending.
   std::vector<Neighbor> sorted() const {
@@ -137,6 +169,79 @@ class TopK {
       prev = cur;
     }
   }
+
+  template <typename Offer>
+  __attribute__((noinline)) std::size_t push_each_scalar(std::size_t count,
+                                                         Offer offer) {
+    std::size_t retained = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+      std::uint64_t key = 0;
+      if (offer(i, key) && push(key)) ++retained;
+    }
+    return retained;
+  }
+
+#if defined(__SSE2__)
+  /// push_each() with slots 0-7 in `lo` and, when kWide (capacity above 8),
+  /// slots 8-15 in `hi`; slots from size() up hold all-ones, as merge_in's
+  /// +inf. Every candidate runs merge_in's pass over all lanes,
+  /// t = max(t shifted up one slot, min(t, key)), with no branch and no
+  /// blend: while the buffer has room the pass inserts the key, and once
+  /// it is full a key not below worst() leaves every slot as it was (the
+  /// last slot keeps max(t[cap-2], min(worst, key)) = worst). A skipped
+  /// candidate offers all-ones, which changes no slot either way. Lanes at
+  /// and past the capacity never feed a lower one and are never stored.
+  /// The accept test, `room || key < t[cap-1]` as in push(), is only
+  /// counted, off the registers' dependency chain. Masked loads and stores
+  /// touch no slot past size(); sanitizers do not see them, so
+  /// TopKContractTest holds this path to push() directly.
+  template <bool kWide, typename Offer>
+  UPANNS_AVX512 std::size_t push_each_avx512(std::size_t count,
+                                             Offer offer) {
+    constexpr __mmask8 kAll8 = 0xFF;
+    const std::size_t cap = keys_.size();
+    const __m512i ones = _mm512_set1_epi64(-1);
+    const __m512i zero = _mm512_setzero_si512();
+    const unsigned held = (1u << n_) - 1;
+    __m512i lo = _mm512_mask_loadu_epi64(ones, static_cast<__mmask8>(held),
+                                         keys_.data());
+    __m512i hi = ones;
+    if constexpr (kWide) {
+      hi = _mm512_mask_loadu_epi64(ones, static_cast<__mmask8>(held >> 8),
+                                   keys_.data() + 8);
+    }
+    const auto worst_lane = static_cast<__mmask8>(1u << ((cap - 1) & 7));
+    std::size_t n = n_;
+    std::size_t retained = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+      std::uint64_t key = 0;
+      const bool live = offer(i, key);
+      key |= std::uint64_t{0} - !live;
+      const __m512i k = _mm512_set1_epi64(static_cast<long long>(key));
+      const bool room = n < cap;
+      const bool beats =
+          _mm512_mask_cmplt_epu64_mask(worst_lane, k, kWide ? hi : lo) != 0;
+      retained += live & (room | beats);
+      n += live & room;
+      if constexpr (kWide) {
+        hi = _mm512_maskz_max_epu64(
+            kAll8, _mm512_maskz_alignr_epi64(kAll8, hi, lo, 7),
+            _mm512_maskz_min_epu64(kAll8, hi, k));
+      }
+      lo = _mm512_maskz_max_epu64(
+          kAll8, _mm512_maskz_alignr_epi64(kAll8, lo, zero, 7),
+          _mm512_maskz_min_epu64(kAll8, lo, k));
+    }
+    const unsigned keep = (1u << n) - 1;
+    _mm512_mask_storeu_epi64(keys_.data(), static_cast<__mmask8>(keep), lo);
+    if constexpr (kWide) {
+      _mm512_mask_storeu_epi64(keys_.data() + 8,
+                               static_cast<__mmask8>(keep >> 8), hi);
+    }
+    n_ = n;
+    return retained;
+  }
+#endif
 
   std::vector<std::uint64_t> keys_;
   std::size_t n_ = 0;

@@ -17,6 +17,10 @@ namespace upanns::core {
 
 namespace {
 
+#if defined(__SSE2__)
+constexpr __mmask16 kAll16 = 0xFFFF;
+#endif
+
 // Instruction-cost constants (per-element issue slots). Derived from the
 // DPU ISA: loads/stores/ALU ops are single-issue; there is no hardware
 // 32-bit multiply, which is why direct-address tokens save the 2-op address
@@ -206,10 +210,11 @@ namespace {
 // One 256-entry LUT row from a pre-scaled [d][c] codebook segment:
 // out[c] = sum over d ascending of (res[d] - pre[d][c])^2. Every variant
 // runs that exact IEEE sub/mul/add sequence per entry (no FMA contraction:
-// neither SSE2 nor AVX2 has fused ops), so rows are bit-identical across
-// levels; the vector ones keep four independent accumulators per 16/32
-// entries to hide the add latency. Returns the row max, which is
-// order-insensitive for the non-NaN sums involved.
+// SSE2 and AVX2 have no fused ops, and the AVX-512 body is built with
+// contraction off), so rows are bit-identical across levels; the vector
+// ones keep four independent accumulators per 16/32/64 entries to hide the
+// add latency. Returns the row max, which is order-insensitive for the
+// non-NaN sums involved.
 float lut_row_scalar(const float* pre, const float* res, std::size_t dsub,
                      float* out) {
   float row_max = 0.f;
@@ -277,15 +282,50 @@ __attribute__((target("avx2"))) float lut_row_avx2(const float* pre,
   for (std::size_t j = 1; j < 8; ++j) row_max = std::max(row_max, lanes[j]);
   return row_max;
 }
+
+// The AVX2 body at 16 lanes. AVX-512F has fused multiply-adds, and GCC
+// contracts the sub/mul/add into one by default (-ffp-contract=fast), which
+// would round each entry differently from every other level.
+#pragma GCC push_options
+#pragma GCC optimize("fp-contract=off")
+UPANNS_AVX512 float lut_row_avx512(const float* pre, const float* res,
+                                   std::size_t dsub, float* out) {
+  __m512 mx = _mm512_setzero_ps();
+  for (std::size_t c = 0; c < 256; c += 64) {
+    __m512 acc[4] = {_mm512_setzero_ps(), _mm512_setzero_ps(),
+                     _mm512_setzero_ps(), _mm512_setzero_ps()};
+    for (std::size_t d = 0; d < dsub; ++d) {
+      const __m512 r = _mm512_set1_ps(res[d]);
+      const float* p = pre + d * 256 + c;
+      for (std::size_t u = 0; u < 4; ++u) {
+        const __m512 diff = _mm512_sub_ps(r, _mm512_loadu_ps(p + 16 * u));
+        acc[u] = _mm512_add_ps(acc[u], _mm512_mul_ps(diff, diff));
+      }
+    }
+    for (std::size_t u = 0; u < 4; ++u) {
+      _mm512_storeu_ps(out + c + 16 * u, acc[u]);
+      mx = _mm512_mask_max_ps(mx, kAll16, mx, acc[u]);
+    }
+  }
+  alignas(64) float lanes[16];
+  _mm512_store_ps(lanes, mx);
+  float row_max = lanes[0];
+  for (std::size_t j = 1; j < 16; ++j) row_max = std::max(row_max, lanes[j]);
+  return row_max;
+}
+#pragma GCC pop_options
 #endif  // __SSE2__
 
 float lut_row(common::SimdLevel simd, const float* pre, const float* res,
               std::size_t dsub, float* out) {
 #if defined(__SSE2__)
-  if (simd == common::SimdLevel::kAvx2) {
+  if (simd >= common::SimdLevel::kAvx512) {
+    return lut_row_avx512(pre, res, dsub, out);
+  }
+  if (simd >= common::SimdLevel::kAvx2) {
     return lut_row_avx2(pre, res, dsub, out);
   }
-  if (simd == common::SimdLevel::kSse2) {
+  if (simd >= common::SimdLevel::kSse2) {
     return lut_row_sse2(pre, res, dsub, out);
   }
 #endif
@@ -369,6 +409,28 @@ __attribute__((target("avx2"))) std::size_t quantize_lut_avx2(
   }
   return i;
 }
+
+// The 16-lane S2 body: the same lane ops, with the step-down as a masked
+// subtract of one under the compare mask.
+UPANNS_AVX512 std::size_t quantize_lut_avx512(const float* lut, std::size_t n,
+                                              float inv, std::uint32_t* out) {
+  const __m512 inv_v = _mm512_set1_ps(inv);
+  const __m512 cap = _mm512_set1_ps(65535.f);
+  const __m512 half = _mm512_set1_ps(0.5f);
+  const __m512i one = _mm512_set1_epi32(1);
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __m512 x = _mm512_mask_min_ps(
+        cap, kAll16, _mm512_mul_ps(_mm512_loadu_ps(lut + i), inv_v), cap);
+    const __m512i t =
+        _mm512_mask_cvttps_epi32(one, kAll16, _mm512_add_ps(x, half));
+    const __mmask16 over = _mm512_cmp_ps_mask(
+        _mm512_sub_ps(_mm512_mask_cvtepi32_ps(half, kAll16, t), half), x,
+        _CMP_GT_OQ);
+    _mm512_storeu_si512(out + i, _mm512_mask_sub_epi32(t, over, t, one));
+  }
+  return i;
+}
 #endif  // __SSE2__
 
 }  // namespace
@@ -378,8 +440,11 @@ void quantize_lut(const float* lut, std::size_t n, float inv,
   std::size_t i = 0;
 #if defined(__SSE2__)
   const common::SimdLevel simd = common::simd_active_level();
-  if (simd == common::SimdLevel::kAvx2) {
-    i = quantize_lut_avx2(lut, n, inv, out);
+  if (simd >= common::SimdLevel::kAvx512) {
+    i = quantize_lut_avx512(lut, n, inv, out);
+  }
+  if (simd >= common::SimdLevel::kAvx2) {
+    i += quantize_lut_avx2(lut + i, n - i, inv, out + i);
   }
   if (simd != common::SimdLevel::kScalar) {
     // round_nonneg lane-wise: truncate x + 0.5, then step down by one where
@@ -472,9 +537,52 @@ __attribute__((target("avx2"))) std::uint32_t raw_sum_avx2(
   for (; pos < m; ++pos) sum += table[pos * 256 + code[pos]];
   return sum;
 }
+
+/// The 16-token step of token_prefix: gather 16 table entries, scan them
+/// in registers (four shifted adds, by 1, 2, 4 and 8 lanes), add the
+/// running total and broadcast the new one. Masked lanes (the tail) load
+/// and gather nothing and are not stored.
+UPANNS_AVX512 void token_prefix_avx512(const std::uint32_t* table,
+                                       const std::uint16_t* tokens,
+                                       std::size_t n, std::uint32_t* prefix) {
+  const __m512i zero = _mm512_setzero_si512();
+  const __m512i lane15 = _mm512_set1_epi32(15);
+  __m512i run = zero;
+  for (std::size_t j = 0; j < n; j += 16) {
+    const __mmask16 live =
+        n - j >= 16 ? kAll16 : static_cast<__mmask16>((1u << (n - j)) - 1);
+    const __m512i idx = _mm512_maskz_cvtepu16_epi32(
+        kAll16, _mm256_maskz_loadu_epi16(live, tokens + j));
+    __m512i v = _mm512_mask_i32gather_epi32(zero, live, idx, table, 4);
+    v = _mm512_add_epi32(v, _mm512_maskz_alignr_epi32(kAll16, v, zero, 15));
+    v = _mm512_add_epi32(v, _mm512_maskz_alignr_epi32(kAll16, v, zero, 14));
+    v = _mm512_add_epi32(v, _mm512_maskz_alignr_epi32(kAll16, v, zero, 12));
+    v = _mm512_add_epi32(v, _mm512_maskz_alignr_epi32(kAll16, v, zero, 8));
+    v = _mm512_add_epi32(v, run);
+    _mm512_mask_storeu_epi32(prefix + j + 1, live, v);
+    run = _mm512_maskz_permutexvar_epi32(kAll16, lane15, v);
+  }
+}
 #endif  // __SSE2__
 
 }  // namespace
+
+void token_prefix(common::SimdLevel simd, const std::uint32_t* table,
+                  const std::uint16_t* tokens, std::size_t n,
+                  std::uint32_t* prefix) {
+  prefix[0] = 0;
+#if defined(__SSE2__)
+  if (simd >= common::SimdLevel::kAvx512) {
+    return token_prefix_avx512(table, tokens, n, prefix);
+  }
+#endif
+  (void)simd;
+  std::uint32_t run = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    run += table[tokens[j]];
+    prefix[j + 1] = run;
+  }
+}
 
 void QueryKernel::phase_distance(const Phase& p, pim::TaskletCtx& ctx) {
   const DpuClusterData& cl = cluster_of(p.item);
@@ -525,10 +633,7 @@ void QueryKernel::phase_distance(const Phase& p, pim::TaskletCtx& ctx) {
   const std::uint32_t* token_table = scratch_.token_table.data();
   std::uint32_t* prefix = scratch_.prefix.data();
   const float dist_scale = lut_scale_;
-#if defined(__SSE2__)
-  const bool use_avx2 =
-      common::simd_active_level() == common::SimdLevel::kAvx2;
-#endif
+  const common::SimdLevel simd = common::simd_active_level();
 
   std::uint64_t scanned_elems = 0;
   std::uint64_t scanned_recs = 0;
@@ -573,27 +678,33 @@ void QueryKernel::phase_distance(const Phase& p, pim::TaskletCtx& ctx) {
       }
     }
 
-    // Scan records. Instruction charges accumulate in locals and are
-    // flushed once per chunk — the charge is an additive sum, so the phase
-    // totals are identical to the per-record flushes of the original loop.
-    std::uint64_t chunk_pushes = 0;
+    // Scan records, offering each to the tasklet's top-k in record order;
+    // the key computation runs inside TopK::push_each's loop. Instruction
+    // charges accumulate in locals and are flushed once per chunk — the
+    // charge is an additive sum, so the phase totals are identical to the
+    // per-record flushes of the original loop.
     // Tombstoned slots still stream (their tokens are in the chunk) but
     // never enter a heap: on hardware this is a compare-and-select on the
     // id, charged once per record only when the cluster has tombstones.
-    const auto offer = [&](std::size_t r, std::uint32_t acc) {
-      const float dist = static_cast<float>(acc) * dist_scale;
+    // The offer callbacks capture by value and keep the cursor inside: a
+    // callback that referenced this frame's locals would make them escape
+    // into the out-of-line avx512 loop, and the push() loop of the other
+    // levels would then store and reload the cursor around every insert.
+    const auto offer = [=](std::size_t r, std::uint32_t acc,
+                           std::uint64_t& key) {
       const std::uint32_t id = ids[r];
-      if (!masked || id != kTombstoneId) {
-        if (top.push(dist, id)) ++chunk_pushes;
-      }
+      key = common::TopK::pack(static_cast<float>(acc) * dist_scale, id);
+      return !masked || id != kTombstoneId;
     };
+    std::uint64_t chunk_pushes = 0;
     std::size_t chunk_elems = 0;
     if (raw) {
-      for (std::size_t r = 0; r < n_rec; ++r) {
+      chunk_pushes = top.push_each(simd, n_rec, [=](std::size_t r,
+                                                    std::uint64_t& key) {
         const std::uint8_t* code = chunk_stream + r * m;
         std::uint32_t acc = 0;
 #if defined(__SSE2__)
-        if (use_avx2) {
+        if (simd >= common::SimdLevel::kAvx2) {
           acc = raw_sum_avx2(token_table, code, m);
         } else
 #endif
@@ -602,8 +713,8 @@ void QueryKernel::phase_distance(const Phase& p, pim::TaskletCtx& ctx) {
             acc += token_table[pos * 256 + code[pos]];
           }
         }
-        offer(r, acc);
-      }
+        return offer(r, acc, key);
+      });
       chunk_elems = n_rec * m;
     } else {
       // One running u32 prefix of token_table over the whole span, length
@@ -614,20 +725,17 @@ void QueryKernel::phase_distance(const Phase& p, pim::TaskletCtx& ctx) {
       // like the direct WRAM addresses they model — no range branch.
       const std::uint16_t* tokens =
           reinterpret_cast<const std::uint16_t*>(chunk_stream);
-      std::uint32_t run = 0;
-      prefix[0] = 0;
-      for (std::size_t j = 0; j < n_elems; ++j) {
-        run += token_table[tokens[j]];
-        prefix[j + 1] = run;
-      }
-      std::size_t cursor = 0;  // element cursor within the chunk span
-      for (std::size_t r = 0; r < n_rec; ++r) {
-        const std::size_t first = cursor + 1;
-        cursor = first + tokens[cursor];
-        offer(r, prefix[cursor] - prefix[first]);
-      }
-      assert(cursor == n_elems);
-      chunk_elems = cursor - n_rec;  // tokens scanned, length prefixes aside
+      token_prefix(simd, token_table, tokens, n_elems, prefix);
+      chunk_pushes = top.push_each(
+          simd, n_rec,
+          [=, cursor = std::size_t{0}](std::size_t r,
+                                       std::uint64_t& key) mutable {
+            const std::size_t first = cursor + 1;
+            cursor = first + tokens[cursor];
+            assert(r + 1 < n_rec || cursor == n_elems);
+            return offer(r, prefix[cursor] - prefix[first], key);
+          });
+      chunk_elems = n_elems - n_rec;  // tokens scanned, length prefixes aside
     }
     ctx.instr(chunk_elems * (raw ? kInstrRawScan : kInstrTokenScan) +
               n_rec * (kInstrRecordOverhead +

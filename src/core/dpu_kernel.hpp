@@ -31,6 +31,7 @@
 #include <span>
 #include <vector>
 
+#include "common/simd_dispatch.hpp"
 #include "common/topk.hpp"
 #include "core/cae.hpp"
 #include "pim/dpu.hpp"
@@ -95,11 +96,21 @@ std::vector<float> prescale_codebook(std::span<const std::int8_t> codebook,
                                      std::size_t dsub);
 
 /// S2 quantization of n float LUT entries into the u32 token table:
-/// out[i] = round(min(65535, lut[i] * inv)). The vector paths (8 lanes at
-/// avx2, then 4 lanes above scalar) are bit-identical to the scalar
-/// reference loop.
+/// out[i] = round(min(65535, lut[i] * inv)). The vector paths (16 lanes at
+/// avx512, then 8 lanes from avx2, then 4 lanes above scalar) are
+/// bit-identical to the scalar reference loop.
 void quantize_lut(const float* lut, std::size_t n, float inv,
                   std::uint32_t* out);
+
+/// S4 running prefix of the token table over one chunk span of n tokens:
+/// prefix[0] = 0 and prefix[j + 1] = prefix[j] + table[tokens[j]], mod 2^32,
+/// so prefix must hold n + 1 entries. At `simd` avx512 it gathers 16 tokens
+/// at a time; u32 addition is exact in any order, so every level returns
+/// the scalar loop's values. The caller passes the level it hoisted out of
+/// its chunk loop.
+void token_prefix(common::SimdLevel simd, const std::uint32_t* table,
+                  const std::uint16_t* tokens, std::size_t n,
+                  std::uint32_t* prefix);
 
 /// Per-launch inputs, already pushed to MRAM by the host.
 struct DpuLaunchInput {

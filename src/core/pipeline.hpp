@@ -358,9 +358,6 @@ class BasicBatchStream {
   RunReport run(const std::vector<data::Dataset>& batches,
                 const MutationHook& mutate = {});
 
-  std::size_t n_batches() const { return out_.slots.size(); }
-  std::size_t n_queries() const { return out_.n_queries; }
-
  private:
   Target& target_;
   BatchPipelineOptions opts_;

@@ -277,9 +277,6 @@ std::string search_report_json(const core::SearchReport& r) {
 std::string batch_pipeline_json(const core::BatchPipelineReport& r) {
   return render(r, append_stream_report<core::SearchReport>);
 }
-std::string multi_host_report_json(const core::MultiHostReport& r) {
-  return render(r, append_multi_host_report);
-}
 std::string multi_host_pipeline_json(const core::MultiHostPipelineReport& r) {
   return render(r, append_stream_report<core::MultiHostReport>);
 }

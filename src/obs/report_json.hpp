@@ -31,7 +31,6 @@ std::string stage_times_json(const baselines::StageTimes& t);
 std::string pim_extras_json(const core::PimExtras& px);
 std::string search_report_json(const core::SearchReport& r);
 std::string batch_pipeline_json(const core::BatchPipelineReport& r);
-std::string multi_host_report_json(const core::MultiHostReport& r);
 std::string multi_host_pipeline_json(const core::MultiHostPipelineReport& r);
 std::string snapshot_json(const MetricsSnapshot& s);
 

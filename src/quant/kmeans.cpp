@@ -149,6 +149,7 @@ void run_indexed(common::ThreadPool* pool, bool threaded, std::size_t count,
 
 float l2_sq(const float* a, const float* b, std::size_t dim) {
   switch (common::simd_active_level()) {
+    case common::SimdLevel::kAvx512:
     case common::SimdLevel::kAvx2: return detail::l2_sq_avx2(a, b, dim);
     case common::SimdLevel::kSse2: return detail::l2_sq_sse2(a, b, dim);
     case common::SimdLevel::kScalar: break;
@@ -416,6 +417,7 @@ void squared_dists_t(const float* point, const float* tctr, std::size_t k,
                      std::size_t dim, float* out) {
 #if defined(UPANNS_X86)
   switch (common::simd_active_level()) {
+    case common::SimdLevel::kAvx512:
     case common::SimdLevel::kAvx2:
       return dists_t_avx2(point, tctr, k, dim, out);
     case common::SimdLevel::kSse2:
@@ -433,6 +435,7 @@ std::pair<std::uint32_t, float> nearest_centroid_t(const float* point,
 #if defined(UPANNS_X86)
   assert(k <= kMaxFusedK);
   switch (common::simd_active_level()) {
+    case common::SimdLevel::kAvx512:
     case common::SimdLevel::kAvx2: return nearest_t_avx2(point, tctr, k, dim);
     case common::SimdLevel::kSse2: return nearest_t_sse2(point, tctr, k, dim);
     case common::SimdLevel::kScalar: break;

@@ -2,16 +2,6 @@
 
 namespace upanns::serve {
 
-const char* batch_close_name(BatchClose c) {
-  switch (c) {
-    case BatchClose::kOpen: return "open";
-    case BatchClose::kFull: return "full";
-    case BatchClose::kDeadline: return "deadline";
-    case BatchClose::kDrain: return "drain";
-  }
-  return "?";
-}
-
 double batch_deadline(const BatchPolicy& policy, double oldest_arrival) {
   return oldest_arrival + policy.deadline_seconds;
 }

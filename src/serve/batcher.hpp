@@ -19,8 +19,6 @@ namespace upanns::serve {
 /// When/why a forming batch closed.
 enum class BatchClose { kOpen, kFull, kDeadline, kDrain };
 
-const char* batch_close_name(BatchClose c);
-
 struct BatchPolicy {
   std::size_t max_batch = 64;      ///< close as soon as this many wait
   double deadline_seconds = 2e-3;  ///< max wait of the oldest request

@@ -39,6 +39,9 @@ std::vector<common::SimdLevel> supported_levels() {
   std::vector<common::SimdLevel> out{common::SimdLevel::kScalar};
   if (supported(common::SimdLevel::kSse2)) out.push_back(common::SimdLevel::kSse2);
   if (supported(common::SimdLevel::kAvx2)) out.push_back(common::SimdLevel::kAvx2);
+  if (supported(common::SimdLevel::kAvx512)) {
+    out.push_back(common::SimdLevel::kAvx512);
+  }
   return out;
 }
 
@@ -57,13 +60,13 @@ std::vector<float> random_vec(common::Rng& rng, std::size_t n,
 
 TEST(SimdDispatch, ParseAndNameRoundTrip) {
   for (const auto l : {common::SimdLevel::kScalar, common::SimdLevel::kSse2,
-                       common::SimdLevel::kAvx2}) {
+                       common::SimdLevel::kAvx2, common::SimdLevel::kAvx512}) {
     common::SimdLevel parsed;
     ASSERT_TRUE(common::parse_simd_level(common::simd_level_name(l), &parsed));
     EXPECT_EQ(parsed, l);
   }
   common::SimdLevel parsed;
-  EXPECT_FALSE(common::parse_simd_level("avx512", &parsed));
+  EXPECT_FALSE(common::parse_simd_level("avx512f", &parsed));
   EXPECT_FALSE(common::parse_simd_level("", &parsed));
   EXPECT_FALSE(common::parse_simd_level("SSE2 ", &parsed));
 }
@@ -72,7 +75,7 @@ TEST(SimdDispatch, SetClampsToSupportedAndSticks) {
   LevelGuard guard;
   // Requesting the max is always satisfiable; requesting above the probe
   // result clamps rather than faulting.
-  const auto eff = common::set_simd_level(common::SimdLevel::kAvx2);
+  const auto eff = common::set_simd_level(common::SimdLevel::kAvx512);
   EXPECT_LE(static_cast<int>(eff),
             static_cast<int>(common::simd_max_supported()));
   EXPECT_EQ(common::simd_active_level(), eff);
@@ -268,9 +271,10 @@ TEST(SimdKernels, QuantizeLutMatchesScalarReferenceAtEveryLevel) {
   common::Rng rng(37);
   const std::vector<float> noise = random_vec(rng, 378, 0.f, 70000.f);
   row.insert(row.end(), noise.begin(), noise.end());
-  // The whole row leaves a tail after the 8-lane body that takes one step
-  // of the 4-lane loop and then the scalar loop.
+  // The whole row leaves a tail after the 16- and 8-lane bodies that takes
+  // one step of the 4-lane loop and then the scalar loop.
   ASSERT_GT(row.size() % 8, 4u);
+  ASSERT_LT(row.size() % 16, 8u);
 
   const auto reference = [](float x, float inv) {
     return static_cast<std::uint32_t>(
@@ -281,12 +285,12 @@ TEST(SimdKernels, QuantizeLutMatchesScalarReferenceAtEveryLevel) {
     common::set_simd_level(level);
     // inv = inf turns the zeros into NaN products, which clamp to 65535.
     for (const float inv : {1.f, 0.5f, 65000.f / 69999.f, INFINITY}) {
-      // Lengths 0..16 hit every tail of the 8-lane body and of the 4-lane
-      // loop after it, a 97-step sweep runs on to the whole row, and
-      // offset 1 makes the loads unaligned.
+      // Lengths 0..48 hit every tail of the 16-lane body and of the 8- and
+      // 4-lane loops after it, a 97-step sweep runs on to the whole row,
+      // and offset 1 makes the loads unaligned.
       for (std::size_t off : {0u, 1u}) {
         std::vector<std::size_t> lengths;
-        for (std::size_t n = 0; n <= 16; ++n) lengths.push_back(n);
+        for (std::size_t n = 0; n <= 48; ++n) lengths.push_back(n);
         for (std::size_t n = 113; n < row.size() - off; n += 97) {
           lengths.push_back(n);
         }
@@ -301,6 +305,50 @@ TEST(SimdKernels, QuantizeLutMatchesScalarReferenceAtEveryLevel) {
           }
           EXPECT_EQ(got[n], 0xDEADBEEFu) << "wrote past n=" << n;
         }
+      }
+    }
+  }
+}
+
+// The S4 token prefix against the scalar loop at every span length a chunk
+// can have, 0..kChunkRecords·(m+1) for m up to 20 (SPACEV), so the 16-token
+// gather body meets every tail. Table entries near 2^32 make the running
+// sum wrap. ASan does not see the avx512 body's masked loads, gathers and
+// stores, so the sentinels past the span check that it writes nothing
+// beyond prefix[n].
+TEST(SimdKernels, TokenPrefixMatchesScalarLoopAtEveryLevel) {
+  if (!supported(common::SimdLevel::kAvx512)) {
+    GTEST_SKIP() << "no AVX-512 body to check; probed level "
+                 << common::simd_level_name(common::simd_max_supported());
+  }
+  constexpr std::size_t kMaxSpan = core::kChunkRecords * (20 + 1);
+  common::Rng rng(43);
+  std::vector<std::uint32_t> table(20 * 256 + 300);
+  for (auto& v : table) {
+    v = rng.below(4) == 0 ? 0xFFFFFF00u + static_cast<std::uint32_t>(
+                                              rng.below(256))
+                          : static_cast<std::uint32_t>(rng.below(65536));
+  }
+  std::vector<std::uint16_t> tokens(kMaxSpan + 1);
+  for (auto& t : tokens) {
+    t = static_cast<std::uint16_t>(rng.below(table.size()));
+  }
+  for (const auto level : supported_levels()) {
+    for (std::size_t off : {0u, 1u}) {
+      for (std::size_t n = 0; n + off <= kMaxSpan; ++n) {
+        const std::uint16_t* span = tokens.data() + off;
+        std::vector<std::uint32_t> got(n + 3, 0xDEADBEEFu);
+        core::token_prefix(level, table.data(), span, n, got.data());
+        std::uint32_t run = 0;
+        ASSERT_EQ(got[0], 0u) << "n=" << n;
+        for (std::size_t j = 0; j < n; ++j) {
+          run += table[span[j]];
+          ASSERT_EQ(got[j + 1], run)
+              << "level=" << common::simd_level_name(level) << " n=" << n
+              << " j=" << j;
+        }
+        EXPECT_EQ(got[n + 1], 0xDEADBEEFu) << "wrote past n=" << n;
+        EXPECT_EQ(got[n + 2], 0xDEADBEEFu) << "wrote past n=" << n;
       }
     }
   }

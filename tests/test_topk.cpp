@@ -152,12 +152,76 @@ TEST_P(TopKContractTest, PushSequenceMatchesReferenceRule) {
   }
 }
 
-// The last two capacities sit on both sides of the insert crossover, so
-// the branch-free pass and the shift loop are held to the same rule.
+// push_each at the avx512 level against push() one candidate at a time:
+// the same retained count per run and the same buffer after it. Runs come
+// in chunk-sized bursts onto buffers left partly filled by earlier pushes,
+// over tie-heavy keys, NaN distances of both signs, the all-ones key (equal
+// to the register padding, so only the room rule accepts it) and skipped
+// candidates. Capacities above TopK::kRegisterCapacity check the push()
+// loop push_each falls back to.
+TEST_P(TopKContractTest, PushEachMatchesPushOneByOne) {
+  if (static_cast<int>(simd_max_supported()) <
+      static_cast<int>(SimdLevel::kAvx512)) {
+    GTEST_SKIP() << "no AVX-512 body to check; probed level "
+                 << simd_level_name(simd_max_supported());
+  }
+  const std::size_t k = GetParam();
+  Rng rng(900 + k);
+  const std::uint32_t special[] = {0x7FC00000u, 0xFFC00000u, 0xFFFFFFFFu,
+                                   0x7F800000u};
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t grid = 1 + rng.below(2 * k + 4);
+    const std::size_t id_range = 1 + rng.below(4 * k + 4);
+    const auto draw = [&]() -> std::uint64_t {
+      if (rng.below(8) == 0) {
+        if (rng.below(3) == 0) return ~std::uint64_t{0};
+        return (std::uint64_t{special[rng.below(4)]} << 32) |
+               rng.below(id_range);
+      }
+      return TopK::pack(static_cast<float>(rng.below(grid)) * 0.37f,
+                        static_cast<std::uint32_t>(rng.below(id_range)));
+    };
+    TopK ref(k), bulk(k);
+    for (std::size_t pre = rng.below(k + 3); pre > 0; --pre) {
+      const std::uint64_t key = draw();
+      ASSERT_EQ(bulk.push(key), ref.push(key));
+    }
+    for (int burst = 0; burst < 4; ++burst) {
+      const std::size_t count = rng.below(40);
+      std::vector<std::uint64_t> keys(count);
+      std::vector<bool> live(count);
+      for (std::size_t i = 0; i < count; ++i) {
+        keys[i] = draw();
+        live[i] = rng.below(5) != 0;
+      }
+      std::size_t want = 0;
+      for (std::size_t i = 0; i < count; ++i) {
+        if (live[i] && ref.push(keys[i])) ++want;
+      }
+      const std::size_t got =
+          bulk.push_each(SimdLevel::kAvx512, count,
+                         [&](std::size_t i, std::uint64_t& key) {
+                           key = keys[i];
+                           return static_cast<bool>(live[i]);
+                         });
+      ASSERT_EQ(got, want) << "k=" << k << " trial " << trial;
+      ASSERT_EQ(bulk.size(), ref.size()) << "k=" << k << " trial " << trial;
+      ASSERT_TRUE(std::equal(bulk.keys().begin(), bulk.keys().end(),
+                             ref.keys().begin()))
+          << "k=" << k << " trial " << trial;
+    }
+  }
+}
+
+// 15 and 16 sit on both sides of the insert crossover, so the branch-free
+// pass and the shift loop are held to the same rule; 16 is also the
+// largest register capacity of push_each, and 8 and 9 put the worst slot
+// at the end of its first register and the start of its second.
 INSTANTIATE_TEST_SUITE_P(Capacities, TopKContractTest,
                          ::testing::Values(1, 2, 10, 64, 100,
                                            TopK::kBranchFreeCapacity,
-                                           TopK::kBranchFreeCapacity + 1));
+                                           TopK::kBranchFreeCapacity + 1, 8,
+                                           9));
 
 TEST(TopK, KeyOrderEqualsNeighborOrder) {
   // For every non-negative, non-NaN distance (+0 and +inf included) the
