@@ -48,12 +48,6 @@ Context& context_for(const Config& cfg) {
 
   common::log_info("building context ", key);
   auto ctx = std::make_unique<Context>();
-  const auto seconds_since = [](std::chrono::steady_clock::time_point t0) {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-        .count();
-  };
-
-  const auto t_gen = std::chrono::steady_clock::now();
   data::SyntheticSpec spec;
   spec.family = cfg.family;
   spec.n = cfg.n;
@@ -62,7 +56,6 @@ Context& context_for(const Config& cfg) {
   spec.dense_core_frac = data::family_dense_core_frac(cfg.family);
   if (cfg.pattern_prob >= 0) spec.pattern_prob = cfg.pattern_prob;
   ctx->base = data::generate_synthetic(spec);
-  ctx->data_gen_seconds = seconds_since(t_gen);
 
   ivf::IvfBuildOptions build;
   build.n_clusters = cfg.scaled_ivf;
@@ -73,9 +66,8 @@ Context& context_for(const Config& cfg) {
   build.pq_train_points = std::min<std::size_t>(cfg.n, 30'000);
   build.seed = cfg.seed + 1;
   ctx->index = std::make_unique<ivf::IvfIndex>(
-      ivf::IvfIndex::build(ctx->base, build, &ctx->build_stats));
+      ivf::IvfIndex::build(ctx->base, build));
 
-  const auto t_workload = std::chrono::steady_clock::now();
   data::WorkloadSpec wspec;
   wspec.n_queries = cfg.n_queries;
   wspec.seed = cfg.seed + 2;
@@ -87,11 +79,8 @@ Context& context_for(const Config& cfg) {
   hspec.seed = cfg.seed + 3;
   hspec.n_queries = std::max<std::size_t>(1024, 2 * cfg.n_queries);
   ctx->history_workload = data::generate_workload(ctx->base, hspec);
-  ctx->workload_seconds = seconds_since(t_workload);
 
-  const auto t_stats = std::chrono::steady_clock::now();
   refresh_stats(*ctx, cfg);
-  ctx->stats_seconds = seconds_since(t_stats);
 
   auto [pos, ok] = c.emplace(key, std::move(ctx));
   (void)ok;

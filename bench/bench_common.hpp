@@ -73,13 +73,6 @@ struct Context {
   ivf::ClusterStats stats;               ///< for `stats_nprobe`
   std::vector<std::vector<std::uint32_t>> history;
   std::size_t stats_nprobe = 0;
-  // Build-phase wall-clock breakdown (filled on first construction; zeros
-  // when served from the cache). host_throughput reports these as the
-  // `stages.build.substages` block.
-  ivf::BuildStats build_stats;
-  double data_gen_seconds = 0;   ///< synthetic base-set generation
-  double workload_seconds = 0;   ///< query + history workload generation
-  double stats_seconds = 0;      ///< history filter + frequency stats
 };
 
 /// Build (or fetch from the in-process cache) the context for a config.

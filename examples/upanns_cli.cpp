@@ -354,11 +354,6 @@ int cmd_build(const Args& a) {
   // Output is identical either way (DESIGN.md §13), so this is purely a
   // resource knob.
   opts.n_threads = checked_count(a, "build-threads", 0);
-  const double bf = checked_real(a, "batch-fraction", 1.0);
-  if (bf > 1.0) {
-    throw UsageError("--batch-fraction must be in (0, 1]");
-  }
-  opts.coarse_batch_fraction = bf;
 
   const std::string trace_out = a.str("trace-out", "");
   const std::string metrics_out = a.str("metrics-out", "");
@@ -986,7 +981,7 @@ int usage() {
                "         [--cluster-order]  (storage follows clusters; makes\n"
                "          serve --shift a real cluster-popularity drift)\n"
                "  build  --data F.fvecs --clusters C --m M --out I.bin\n"
-               "         [--build-threads N] [--batch-fraction F]\n"
+               "         [--build-threads N]\n"
                "         [--trace-out T.json] [--metrics-out M.json]\n"
                "  tune   --index I.bin --data F.fvecs --recall R --k K\n"
                "  search --index I.bin --data F.fvecs --nprobe P --queries Q\n"

@@ -140,16 +140,18 @@ void QueryKernel::setup(pim::Dpu& dpu, unsigned n_tasklets) {
     wram.alloc(m * 256 * layout_.dsub, "codebook");
   }
 
-  // Functional mirrors, reused from the scratch arena across launches.
+  // Functional mirrors, reused from the scratch arena across launches and
+  // written before they are read: S0 writes the residual, every LUT row and
+  // every tasklet's max; S2 and the combo phase write every token-table
+  // entry a token of the item can address; token_prefix writes the prefix
+  // span S4 reads.
   assert(layout_.cb_prescaled.size() == m * layout_.dsub * 256);
-  KernelScratch::assign(scratch_.lut_f32, m * 256, 0.f);
-  KernelScratch::assign(scratch_.token_table, m * 256 + max_combos,
-                        static_cast<std::uint32_t>(0));
-  KernelScratch::assign(scratch_.prefix, kChunkRecords * (m + 1) + 1,
-                        static_cast<std::uint32_t>(0));
-  KernelScratch::assign(scratch_.residual, layout_.dim, 0.f);
-  KernelScratch::assign(scratch_.tasklet_max,
-                        static_cast<std::size_t>(n_tasklets), 0.f);
+  KernelScratch::resize(scratch_.lut_f32, m * 256);
+  KernelScratch::resize(scratch_.token_table, m * 256 + max_combos);
+  KernelScratch::resize(scratch_.prefix, kChunkRecords * (m + 1) + 1);
+  KernelScratch::resize(scratch_.residual, layout_.dim);
+  KernelScratch::resize(scratch_.tasklet_max,
+                        static_cast<std::size_t>(n_tasklets));
   if (local_topk_.size() != n_tasklets ||
       (!local_topk_.empty() && local_topk_.front().capacity() != k)) {
     detail::note_hot_path_allocation();

@@ -148,9 +148,9 @@ void note_hot_path_allocation();
 }  // namespace detail
 
 /// Reusable per-kernel scratch arena: the functional mirrors of WRAM state
-/// plus the S5 result image. Everything is assigned (never reconstructed)
-/// so capacity persists across phases, tasklets and launches; capacity
-/// growth bumps hot_path_allocations(). Tasklets of one DPU run
+/// plus the S5 result image. Everything is resized or assigned (never
+/// reconstructed) so capacity persists across phases, tasklets and launches;
+/// capacity growth bumps hot_path_allocations(). Tasklets of one DPU run
 /// sequentially in the simulator, so one arena per kernel suffices.
 struct KernelScratch {
   std::vector<float> lut_f32;
@@ -171,6 +171,14 @@ struct KernelScratch {
   static void assign(std::vector<T>& v, std::size_t n, const T& fill) {
     if (n > v.capacity()) detail::note_hot_path_allocation();
     v.assign(n, fill);
+  }
+  /// resize() that records capacity growth in hot_path_allocations(), for
+  /// a buffer every launch writes before it reads: what a reused kernel
+  /// left there from its previous launch is never read.
+  template <typename T>
+  static void resize(std::vector<T>& v, std::size_t n) {
+    if (n > v.capacity()) detail::note_hot_path_allocation();
+    v.resize(n);
   }
 };
 

@@ -151,9 +151,6 @@ class UpAnnsEngine {
   const ivf::IvfIndex& index() const { return index_; }
   pim::PimSystem& system() { return *system_; }
 
-  /// Average CAE length reduction over resident clusters (build-time stat).
-  double build_length_reduction() const { return build_length_reduction_; }
-
   /// One incremental patch pass: delta-sync of changed list segments.
   struct PatchStats {
     std::uint64_t bytes_written = 0;  ///< MRAM bytes actually pushed
@@ -315,7 +312,6 @@ class UpAnnsEngine {
 
   // Cluster encodings, shared across replicas.
   std::vector<CaeClusterEncoding> encodings_;
-  double build_length_reduction_ = 0;
 
   // Streaming-update bookkeeping: per-cluster list state the MRAM images /
   // encodings were built from, and byte totals for incrementality checks.

@@ -63,18 +63,8 @@ UpAnnsEngine::UpAnnsEngine(const ivf::IvfIndex& index,
 
   // --- Encode every cluster once (replicas share the encoding).
   encodings_.resize(index_.n_clusters());
-  double weighted_reduction = 0;
-  std::size_t total_records = 0;
   common::ThreadPool::global().parallel_for(
       0, index_.n_clusters(), [&](std::size_t c) { encode_cluster(c); }, 1);
-  for (std::size_t c = 0; c < index_.n_clusters(); ++c) {
-    weighted_reduction += encodings_[c].length_reduction() *
-                          static_cast<double>(encodings_[c].n_records);
-    total_records += encodings_[c].n_records;
-  }
-  build_length_reduction_ =
-      total_records > 0 ? weighted_reduction / static_cast<double>(total_records)
-                        : 0;
 
   // --- Place and load.
   placement_ = options_.opt_placement

@@ -68,9 +68,7 @@ IvfIndex IvfIndex::build(const data::Dataset& base, const IvfBuildOptions& opts,
   ko.max_iters = opts.coarse_iters;
   ko.seed = opts.seed;
   ko.max_training_points = opts.coarse_train_points;
-  ko.batch_fraction = opts.coarse_batch_fraction;
   ko.use_threads = opts.n_threads != 1;
-  ko.n_threads = opts.n_threads;
   ko.pool = pool;
   quant::KMeansResult coarse = quant::kmeans(base.span(), base.n, base.dim, ko);
   idx.n_clusters_ = coarse.n_clusters;
@@ -107,7 +105,6 @@ IvfIndex IvfIndex::build(const data::Dataset& base, const IvfBuildOptions& opts,
   po.seed = opts.seed + 1;
   po.max_training_points = opts.pq_train_points;
   po.use_threads = opts.n_threads != 1;
-  po.n_threads = opts.n_threads;
   po.pool = pool;
   idx.pq_.train(residuals, base.n, base.dim, po);
   bs.pq_train_seconds = seconds_since(t_pq);

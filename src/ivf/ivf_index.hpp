@@ -40,8 +40,6 @@ struct IvfBuildOptions {
   /// training on a dedicated N-thread pool. Output is identical for every
   /// value (fixed-chunk reductions; see DESIGN.md §13).
   std::size_t n_threads = 0;
-  /// Mini-batch fraction for the coarse k-means (1.0 = full-batch Lloyd).
-  double coarse_batch_fraction = 1.0;
   /// When set, build() books the build.* gauges here.
   obs::MetricsRegistry* metrics = nullptr;
 };
@@ -133,11 +131,6 @@ class IvfIndex {
 
   /// Residual of `vec` against centroid c into `out` (dim floats).
   void residual(const float* vec, std::size_t c, float* out) const;
-
-  /// Bytes a cluster's codes occupy (the MRAM footprint of its list).
-  std::size_t list_code_bytes(std::size_t c) const {
-    return lists_[c].codes.size();
-  }
 
   // ----- Streaming mutation (quantizers stay frozen) -----
 

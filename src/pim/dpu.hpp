@@ -124,7 +124,6 @@ class Dpu {
   /// datasets across many DPUs.
   std::size_t mram_alloc(std::size_t bytes, const char* tag = "");
   std::size_t mram_used() const { return mram_.size(); }
-  std::size_t mram_free() const { return hw::kMramBytes - mram_.size(); }
 
   /// Mark/rewind for per-batch scratch regions (query tables, results):
   /// rewinding releases everything allocated after the mark so repeated
@@ -155,7 +154,6 @@ class Dpu {
 
   /// Cumulative busy cycles across all runs (for utilization/energy stats).
   std::uint64_t busy_cycles() const { return busy_cycles_; }
-  void reset_busy() { busy_cycles_ = 0; }
 
  private:
   struct FreeRegion {

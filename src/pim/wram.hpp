@@ -30,7 +30,6 @@ class WramAllocator {
   std::size_t capacity() const { return capacity_; }
   std::size_t used() const { return top_; }
   std::size_t high_water() const { return high_water_; }
-  std::size_t free_bytes() const { return capacity_ - top_; }
 
   /// Allocate `bytes` (8-byte aligned, as DMA requires). Returns the WRAM
   /// offset. Throws WramOverflow when the arena is exhausted — the signal

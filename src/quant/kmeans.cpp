@@ -463,9 +463,7 @@ struct Workers {
 Workers workers_for(const KMeansOptions& opts) {
   common::ThreadPool* pool =
       opts.pool ? opts.pool : &common::ThreadPool::global();
-  const std::size_t eff_threads =
-      opts.use_threads ? (opts.n_threads ? opts.n_threads : pool->size()) : 1;
-  return {pool, eff_threads > 1};
+  return {pool, opts.use_threads && pool->size() > 1};
 }
 
 // ---------------------------------------------------------------------------
@@ -760,40 +758,21 @@ KMeansResult kmeans_train(std::span<const float> data, std::size_t n,
   result.seed_seconds = now_seconds() - t_seed;
   result.full_scan_distances = n_train * (k - 1);
 
-  // Mini-batch mode: each iteration samples ceil(f * n_train) points with
-  // replacement (sampled on this thread so the rng stream is identical for
-  // every thread count) and applies Sculley per-center learning rates.
-  const bool mini_batch = opts.batch_fraction > 0.0 && opts.batch_fraction < 1.0;
-  const std::size_t n_batch =
-      mini_batch ? std::max<std::size_t>(
-                       k, static_cast<std::size_t>(
-                              std::ceil(opts.batch_fraction *
-                                        static_cast<double>(n_train))))
-                 : n_train;
-  const std::size_t n_iter_pts = n_batch;
-  // Full-batch steps keep labels and group bounds from step to step.
-  const bool bounded = !mini_batch && bound_pruned(dim);
+  // Lloyd steps keep labels and group bounds from step to step.
+  const bool bounded = bound_pruned(dim);
   const std::size_t n_groups = (k + kGroup - 1) / kGroup;
 
   // Scratch hoisted out of the iteration loop and reused throughout.
-  const std::size_t n_chunks = chunk_count(n_iter_pts);
-  std::vector<std::uint32_t> labels(n_iter_pts, 0);
-  std::vector<std::uint32_t> sample_idx(mini_batch ? n_iter_pts : 0);
+  const std::size_t n_chunks = chunk_count(n_train);
+  std::vector<std::uint32_t> labels(n_train, 0);
   std::vector<double> chunk_inertia(n_chunks);
   std::vector<std::uint64_t> chunk_dists(n_chunks);
   BlockMajor tctr(pad8(k) * dim);
-  std::vector<double> acc;
-  std::vector<std::uint32_t> counts;
-  std::vector<double> chunk_acc;
-  std::vector<std::uint32_t> chunk_counts;
-  if (!mini_batch) {
-    acc.resize(k * dim);
-    counts.resize(k);
-    chunk_acc.resize(n_chunks * k * dim);
-    chunk_counts.resize(n_chunks * k);
-  }
-  std::vector<std::uint64_t> center_count(mini_batch ? k : 0, 0);
-  std::vector<float> lower(bounded ? n_iter_pts * n_groups : 0);
+  std::vector<double> acc(k * dim);
+  std::vector<std::uint32_t> counts(k);
+  std::vector<double> chunk_acc(n_chunks * k * dim);
+  std::vector<std::uint32_t> chunk_counts(n_chunks * k);
+  std::vector<float> lower(bounded ? n_train * n_groups : 0);
   std::vector<float> drift(bounded ? n_groups : 0);
   std::vector<float> prev(bounded ? k * dim : 0);
 
@@ -806,50 +785,38 @@ KMeansResult kmeans_train(std::span<const float> data, std::size_t n,
                            k,           dim,                     n_groups,
                            iter == 0};
 
-    if (mini_batch) {
-      for (std::size_t j = 0; j < n_iter_pts; ++j) {
-        sample_idx[j] = static_cast<std::uint32_t>(rng.below(n_train));
-      }
-    }
-
     // Assignment step, chunked over the pool. Each chunk writes its own
-    // slice of labels and bounds and a private inertia partial (and, for
-    // the full-batch update, private per-cluster sums) — merged afterwards
-    // in fixed chunk order for run-to-run determinism.
+    // slice of labels and bounds, a private inertia partial and private
+    // per-cluster sums — merged afterwards in fixed chunk order for
+    // run-to-run determinism.
     detail::run_indexed(w.pool, w.threaded, n_chunks, [&](std::size_t ci) {
       const std::size_t lo = ci * kReduceChunk;
-      const std::size_t hi = std::min(n_iter_pts, lo + kReduceChunk);
+      const std::size_t hi = std::min(n_train, lo + kReduceChunk);
       double inertia_part = 0.0;
       std::uint64_t computed = 0;
-      double* acc_part = mini_batch ? nullptr : chunk_acc.data() + ci * k * dim;
-      std::uint32_t* cnt_part =
-          mini_batch ? nullptr : chunk_counts.data() + ci * k;
-      if (!mini_batch) {
-        std::fill_n(acc_part, k * dim, 0.0);
-        std::fill_n(cnt_part, k, 0u);
-      }
+      double* acc_part = chunk_acc.data() + ci * k * dim;
+      std::uint32_t* cnt_part = chunk_counts.data() + ci * k;
+      std::fill_n(acc_part, k * dim, 0.0);
+      std::fill_n(cnt_part, k, 0u);
       std::vector<float> dist(bounded ? k : 0);
       std::vector<std::uint8_t> scanned(bounded ? n_groups : 0);
-      for (std::size_t j = lo; j < hi; ++j) {
-        const std::size_t i = mini_batch ? sample_idx[j] : j;
+      for (std::size_t i = lo; i < hi; ++i) {
         const float* p = train + i * dim;
         std::pair<std::uint32_t, float> nearest;
         if (bounded) {
-          nearest = bounded_nearest(step, p, labels[j],
-                                    lower.data() + j * n_groups, dist.data(),
+          nearest = bounded_nearest(step, p, labels[i],
+                                    lower.data() + i * n_groups, dist.data(),
                                     scanned.data(), computed);
         } else {
           nearest = nearest_centroid_t(p, tctr.data(), k, dim);
           computed += k;
         }
         const auto [c, d] = nearest;
-        labels[j] = c;
+        labels[i] = c;
         inertia_part += d;
-        if (!mini_batch) {
-          ++cnt_part[c];
-          double* a = acc_part + static_cast<std::size_t>(c) * dim;
-          for (std::size_t dd = 0; dd < dim; ++dd) a[dd] += p[dd];
-        }
+        ++cnt_part[c];
+        double* a = acc_part + static_cast<std::size_t>(c) * dim;
+        for (std::size_t dd = 0; dd < dim; ++dd) a[dd] += p[dd];
       }
       chunk_inertia[ci] = inertia_part;
       chunk_dists[ci] = computed;
@@ -858,51 +825,33 @@ KMeansResult kmeans_train(std::span<const float> data, std::size_t n,
     double inertia = 0.0;
     for (double v : chunk_inertia) inertia += v;
     for (std::uint64_t v : chunk_dists) result.distances += v;
-    result.full_scan_distances += n_iter_pts * k;
+    result.full_scan_distances += n_train * k;
 
-    if (mini_batch) {
-      // Sculley update, applied in sample order on this thread: with
-      // per-center counts n_c, centroid += (x - centroid) / n_c. The
-      // assignment above is the parallel part; this pass is O(batch * dim).
-      for (std::size_t j = 0; j < n_iter_pts; ++j) {
-        const std::uint32_t c = labels[j];
-        ++center_count[c];
-        const float eta = 1.f / static_cast<float>(center_count[c]);
-        float* ctr = result.centroids.data() + static_cast<std::size_t>(c) * dim;
-        const float* x = train + static_cast<std::size_t>(sample_idx[j]) * dim;
-        for (std::size_t d = 0; d < dim; ++d) ctr[d] += eta * (x[d] - ctr[d]);
+    // Merge chunk partials in chunk order, then recompute centroids.
+    std::fill(acc.begin(), acc.end(), 0.0);
+    std::fill(counts.begin(), counts.end(), 0u);
+    for (std::size_t ci = 0; ci < n_chunks; ++ci) {
+      const double* acc_part = chunk_acc.data() + ci * k * dim;
+      const std::uint32_t* cnt_part = chunk_counts.data() + ci * k;
+      for (std::size_t x = 0; x < k * dim; ++x) acc[x] += acc_part[x];
+      for (std::size_t c = 0; c < k; ++c) counts[c] += cnt_part[c];
+    }
+    if (bounded) prev = result.centroids;
+    for (std::size_t c = 0; c < k; ++c) {
+      if (counts[c] == 0) {
+        // Re-seed empty cluster from a random point to keep k populated.
+        const std::size_t pick = rng.below(n_train);
+        std::copy_n(train + pick * dim, dim,
+                    result.centroids.begin() + c * dim);
+        continue;
       }
-      // Scale the batch inertia to the full set so result.inertia is
-      // comparable with the full-batch value.
-      inertia *= static_cast<double>(n_train) / static_cast<double>(n_iter_pts);
-    } else {
-      // Merge chunk partials in chunk order, then recompute centroids.
-      std::fill(acc.begin(), acc.end(), 0.0);
-      std::fill(counts.begin(), counts.end(), 0u);
-      for (std::size_t ci = 0; ci < n_chunks; ++ci) {
-        const double* acc_part = chunk_acc.data() + ci * k * dim;
-        const std::uint32_t* cnt_part = chunk_counts.data() + ci * k;
-        for (std::size_t x = 0; x < k * dim; ++x) acc[x] += acc_part[x];
-        for (std::size_t c = 0; c < k; ++c) counts[c] += cnt_part[c];
+      float* ctr = result.centroids.data() + c * dim;
+      for (std::size_t d = 0; d < dim; ++d) {
+        ctr[d] = static_cast<float>(acc[c * dim + d] / counts[c]);
       }
-      if (bounded) prev = result.centroids;
-      for (std::size_t c = 0; c < k; ++c) {
-        if (counts[c] == 0) {
-          // Re-seed empty cluster from a random point to keep k populated.
-          const std::size_t pick = rng.below(n_train);
-          std::copy_n(train + pick * dim, dim,
-                      result.centroids.begin() + c * dim);
-          continue;
-        }
-        float* ctr = result.centroids.data() + c * dim;
-        for (std::size_t d = 0; d < dim; ++d) {
-          ctr[d] = static_cast<float>(acc[c * dim + d] / counts[c]);
-        }
-      }
-      if (bounded) {
-        group_drift(prev.data(), result.centroids.data(), k, dim,
-                    drift.data());
-      }
+    }
+    if (bounded) {
+      group_drift(prev.data(), result.centroids.data(), k, dim, drift.data());
     }
 
     result.inertia = inertia;

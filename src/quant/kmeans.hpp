@@ -32,13 +32,6 @@ struct KMeansOptions {
   bool use_threads = true;       ///< parallel assignment/update via the pool
   /// Subsample the training set to at most this many points (0 = no limit).
   std::size_t max_training_points = 0;
-  /// Mini-batch fraction in (0, 1]: each iteration trains on a fresh sample
-  /// of ceil(batch_fraction * n_train) points (with replacement, Sculley
-  /// per-center learning rates). 1.0 = classic full-batch Lloyd iterations.
-  double batch_fraction = 1.0;
-  /// Cap on worker threads: 0 = pool size, 1 = run serial (same result —
-  /// reductions use fixed chunk boundaries regardless of thread count).
-  std::size_t n_threads = 0;
   /// Pool to run on (nullptr = ThreadPool::global()). Tests inject pools of
   /// varying sizes to pin thread-count independence.
   common::ThreadPool* pool = nullptr;
@@ -52,7 +45,7 @@ struct KMeansResult {
   std::size_t iterations = 0;
   std::size_t dim = 0;
   std::size_t n_clusters = 0;
-  double train_seconds = 0.0;   ///< seeding + Lloyd/mini-batch iterations
+  double train_seconds = 0.0;   ///< seeding + Lloyd iterations
   double seed_seconds = 0.0;    ///< the k-means++ seeding part of train_seconds
   double assign_seconds = 0.0;  ///< final full-dataset labeling pass
   /// Point-to-centroid distances seeding and the iterations computed, and
@@ -127,7 +120,7 @@ std::pair<std::uint32_t, float> nearest_centroid_t(const float* point,
 void squared_dists_t(const float* point, const float* tctr, std::size_t k,
                      std::size_t dim, float* out);
 
-/// Seeding plus the Lloyd / mini-batch iterations only: fills everything
+/// Seeding plus the Lloyd iterations only: fills everything
 /// but labels and sizes. For callers that keep only the centroids (PQ
 /// training). Row i starts at data[i * row_pitch] (0 = dim), so a caller
 /// can train on a column slice of wider rows without copying it out first:
@@ -139,7 +132,7 @@ KMeansResult kmeans_train(std::span<const float> data, std::size_t n,
 /// Train k-means on `n` points of dimension `dim` (row-major `data`): the
 /// kmeans_train result plus labels and sizes for all n input points.
 /// Deterministic for a fixed seed and SIMD level: identical output for any
-/// use_threads / n_threads / pool-size combination.
+/// use_threads / pool-size combination.
 KMeansResult kmeans(std::span<const float> data, std::size_t n, std::size_t dim,
                     const KMeansOptions& opts);
 

@@ -31,14 +31,13 @@ void ProductQuantizer::train(std::span<const float> data, std::size_t n,
   // work from the same pool deadlocks once every worker does). Results are
   // identical to the serial loop — each subspace sees the same slice, seed,
   // and fixed-chunk reductions.
-  const bool outer_threads = opts.use_threads && opts.n_threads != 1;
+  const bool outer_threads = opts.use_threads && pool->size() > 1;
   auto train_subspace = [&](std::size_t s) {
     KMeansOptions ko;
     ko.n_clusters = kPqKsub;
     ko.max_iters = opts.train_iters;
     ko.seed = opts.seed + s;
     ko.max_training_points = opts.max_training_points;
-    ko.batch_fraction = opts.batch_fraction;
     ko.use_threads = false;
     const std::span<const float> sub =
         data.subspan(s * dsub_, (n - 1) * dim_ + dsub_);

@@ -27,12 +27,8 @@ struct PqOptions {
   /// inner kmeans then runs serial (nested-parallelism rule, DESIGN.md §13);
   /// output is identical either way because reductions use fixed chunks.
   bool use_threads = true;
-  /// 0 = pool size; 1 forces a serial subspace loop.
-  std::size_t n_threads = 0;
   /// Pool to run on (nullptr = ThreadPool::global()).
   common::ThreadPool* pool = nullptr;
-  /// Mini-batch fraction forwarded to the per-subspace kmeans (1.0 = full).
-  double batch_fraction = 1.0;
 };
 
 /// A LUT quantized to uint16, as held in DPU WRAM. `scale` maps a float
@@ -60,8 +56,6 @@ class ProductQuantizer {
 
   /// Codebooks, concatenated: m x 256 x dsub floats.
   std::span<const float> codebooks() const { return codebooks_; }
-  /// Size in bytes of the codebooks as stored on a DPU (float32 entries).
-  std::size_t codebook_bytes() const { return codebooks_.size() * sizeof(float); }
 
   /// Encode one vector into m uint8 codes.
   void encode(const float* vec, std::uint8_t* codes) const;

@@ -1,11 +1,8 @@
-// Adapters from the existing pipeline entry points to serve::BatchExecutor.
-// The serve layer stays ignorant of engines; these glue functions are the
-// only place the two meet. Both run on the caller's (batcher) thread.
+// Adapter from the batch streams to serve::BatchExecutor. The serve layer
+// stays ignorant of engines; this glue function is the only place the two
+// meet. It runs on the caller's (batcher) thread.
 #pragma once
 
-#include <utility>
-
-#include "core/backend.hpp"
 #include "core/pipeline.hpp"
 #include "serve/server.hpp"
 
@@ -23,18 +20,6 @@ BatchExecutor stream_executor(core::BasicBatchStream<Target, Report>& stream) {
     ExecResult r;
     r.neighbors = slot.report.neighbors;
     r.sim_seconds = slot.pre_seconds + slot.device_seconds + slot.post_seconds;
-    return r;
-  };
-}
-
-/// Executor over any core::AnnsBackend::search (UpANNS, baselines). The
-/// backend must outlive the returned executor.
-inline BatchExecutor backend_executor(core::AnnsBackend& backend) {
-  return [&backend](const data::Dataset& batch) {
-    core::SearchReport rep = backend.search(batch);
-    ExecResult r;
-    r.neighbors = std::move(rep.neighbors);
-    r.sim_seconds = rep.total_seconds();
     return r;
   };
 }

@@ -172,49 +172,11 @@ TEST(KMeans, BitIdenticalAcrossPoolSizes) {
     common::ThreadPool pool(workers);
     KMeansOptions opts = serial;
     opts.use_threads = true;
-    opts.n_threads = workers;
     opts.pool = &pool;
     const auto got = kmeans(data, 1600, 2, opts);
     EXPECT_EQ(got.centroids, want.centroids) << "workers=" << workers;
     EXPECT_EQ(got.labels, want.labels) << "workers=" << workers;
     EXPECT_EQ(got.sizes, want.sizes) << "workers=" << workers;
-  }
-}
-
-TEST(KMeans, MiniBatchConvergesOnBlobs) {
-  common::Rng rng(10);
-  const auto data = make_blobs(200, rng);  // 800 points
-  KMeansOptions opts;
-  opts.n_clusters = 4;
-  opts.seed = 13;
-  opts.max_iters = 30;
-  opts.batch_fraction = 0.25;
-  const auto res = kmeans(data, 800, 2, opts);
-  ASSERT_EQ(res.n_clusters, 4u);
-  // Well-separated blobs: mini-batch must still land one centroid per blob
-  // (tiny per-point inertia) and label every point.
-  EXPECT_LT(res.inertia / 800.0, 1.0);
-  for (std::uint32_t s : res.sizes) EXPECT_EQ(s, 200u);
-}
-
-TEST(KMeans, MiniBatchDeterministicAcrossPoolSizes) {
-  common::Rng rng(12);
-  const auto data = make_blobs(200, rng);
-  KMeansOptions serial;
-  serial.n_clusters = 4;
-  serial.seed = 21;
-  serial.batch_fraction = 0.5;
-  serial.use_threads = false;
-  const auto want = kmeans(data, 800, 2, serial);
-  for (std::size_t workers = 1; workers <= 3; ++workers) {
-    common::ThreadPool pool(workers);
-    KMeansOptions opts = serial;
-    opts.use_threads = true;
-    opts.n_threads = workers;
-    opts.pool = &pool;
-    const auto got = kmeans(data, 800, 2, opts);
-    EXPECT_EQ(got.centroids, want.centroids) << "workers=" << workers;
-    EXPECT_EQ(got.labels, want.labels) << "workers=" << workers;
   }
 }
 
@@ -289,68 +251,42 @@ KMeansResult reference_train(const std::vector<float>& data, std::size_t n,
     std::copy_n(train.data() + chosen * dim, dim, ctr.begin() + c * dim);
   }
 
-  const bool mini = opts.batch_fraction > 0.0 && opts.batch_fraction < 1.0;
-  const std::size_t npts =
-      mini ? std::max<std::size_t>(
-                 k, static_cast<std::size_t>(std::ceil(
-                        opts.batch_fraction * static_cast<double>(nt))))
-           : nt;
-  const std::size_t chunks = (npts + kRefChunk - 1) / kRefChunk;
+  const std::size_t chunks = (nt + kRefChunk - 1) / kRefChunk;
   std::vector<float> t(pad8(k) * dim);
-  std::vector<std::uint32_t> labels(npts), idx(npts);
-  std::vector<std::uint64_t> center_count(k, 0);
   double prev = std::numeric_limits<double>::infinity();
   for (std::size_t iter = 0; iter < opts.max_iters; ++iter) {
     res.iterations = iter + 1;
     transpose_centroids(ctr.data(), k, dim, t.data());
-    if (mini) {
-      for (auto& j : idx) j = static_cast<std::uint32_t>(rng.below(nt));
-    }
     std::vector<double> part_inertia(chunks, 0.0);
-    std::vector<double> part_acc(mini ? 0 : chunks * k * dim, 0.0);
-    std::vector<std::uint32_t> part_cnt(mini ? 0 : chunks * k, 0);
-    for (std::size_t j = 0; j < npts; ++j) {
+    std::vector<double> part_acc(chunks * k * dim, 0.0);
+    std::vector<std::uint32_t> part_cnt(chunks * k, 0);
+    for (std::size_t j = 0; j < nt; ++j) {
       const std::size_t ci = j / kRefChunk;
-      const float* p = train.data() + (mini ? idx[j] : j) * dim;
+      const float* p = train.data() + j * dim;
       const auto [c, d] = nearest_centroid_t(p, t.data(), k, dim);
-      labels[j] = c;
       part_inertia[ci] += d;
-      if (!mini) {
-        ++part_cnt[ci * k + c];
-        double* a = part_acc.data() + (ci * k + c) * dim;
-        for (std::size_t dd = 0; dd < dim; ++dd) a[dd] += p[dd];
-      }
+      ++part_cnt[ci * k + c];
+      double* a = part_acc.data() + (ci * k + c) * dim;
+      for (std::size_t dd = 0; dd < dim; ++dd) a[dd] += p[dd];
     }
     double inertia = 0.0;
     for (double v : part_inertia) inertia += v;
-    if (mini) {
-      for (std::size_t j = 0; j < npts; ++j) {
-        const std::uint32_t c = labels[j];
-        ++center_count[c];
-        const float eta = 1.f / static_cast<float>(center_count[c]);
-        float* cv = ctr.data() + std::size_t{c} * dim;
-        const float* x = train.data() + std::size_t{idx[j]} * dim;
-        for (std::size_t d = 0; d < dim; ++d) cv[d] += eta * (x[d] - cv[d]);
+    std::vector<double> acc(k * dim, 0.0);
+    std::vector<std::uint32_t> counts(k, 0);
+    for (std::size_t ci = 0; ci < chunks; ++ci) {
+      for (std::size_t x = 0; x < k * dim; ++x) {
+        acc[x] += part_acc[ci * k * dim + x];
       }
-      inertia *= static_cast<double>(nt) / static_cast<double>(npts);
-    } else {
-      std::vector<double> acc(k * dim, 0.0);
-      std::vector<std::uint32_t> counts(k, 0);
-      for (std::size_t ci = 0; ci < chunks; ++ci) {
-        for (std::size_t x = 0; x < k * dim; ++x) {
-          acc[x] += part_acc[ci * k * dim + x];
-        }
-        for (std::size_t c = 0; c < k; ++c) counts[c] += part_cnt[ci * k + c];
+      for (std::size_t c = 0; c < k; ++c) counts[c] += part_cnt[ci * k + c];
+    }
+    for (std::size_t c = 0; c < k; ++c) {
+      if (counts[c] == 0) {
+        std::copy_n(train.data() + rng.below(nt) * dim, dim,
+                    ctr.begin() + c * dim);
+        continue;
       }
-      for (std::size_t c = 0; c < k; ++c) {
-        if (counts[c] == 0) {
-          std::copy_n(train.data() + rng.below(nt) * dim, dim,
-                      ctr.begin() + c * dim);
-          continue;
-        }
-        for (std::size_t d = 0; d < dim; ++d) {
-          ctr[c * dim + d] = static_cast<float>(acc[c * dim + d] / counts[c]);
-        }
+      for (std::size_t d = 0; d < dim; ++d) {
+        ctr[c * dim + d] = static_cast<float>(acc[c * dim + d] / counts[c]);
       }
     }
     res.inertia = inertia;
@@ -454,7 +390,6 @@ void expect_matches_reference(const std::vector<float>& data, std::size_t n,
     common::ThreadPool pool(workers);
     KMeansOptions threaded = opts;
     threaded.use_threads = true;
-    threaded.n_threads = workers;
     threaded.pool = &pool;
     expect_bit_identical(kmeans(data, n, dim, threaded), want,
                          where + " workers=" + std::to_string(workers));
@@ -484,16 +419,6 @@ TEST(KMeansExact, PrunedTrainingMatchesReferenceOverTheGrid) {
       }
     }
   }
-}
-
-TEST(KMeansExact, MiniBatchSeedingMatchesReference) {
-  const auto data = boxed_blobs(600, 64, 12, 77);
-  KMeansOptions opts;
-  opts.n_clusters = 40;
-  opts.max_iters = 5;
-  opts.batch_fraction = 0.4;
-  opts.seed = 5;
-  expect_matches_reference(data, 600, 64, opts, "mini-batch");
 }
 
 // Data built to break a bound that is off by one rounding: exact duplicates,

@@ -494,6 +494,48 @@ TEST(Trace, PerfettoJsonIsValidAndCompletelyLabelled) {
   EXPECT_GT(trace.slices.size(), 18u);
 }
 
+TEST(Trace, BuildTraceLaysFiveSubstagesBackToBackOnOneLane) {
+  ivf::BuildStats bs;
+  bs.kmeans_seconds = 0.5;
+  bs.assign_seconds = 0.25;
+  bs.residual_seconds = 0.125;
+  bs.pq_train_seconds = 1.0;
+  bs.encode_seconds = 0.375;
+  const PipelineTrace trace = build_trace(bs);
+  ASSERT_EQ(trace.lanes.size(), 1u);
+  EXPECT_EQ(trace.lanes[0], (std::pair<int, std::string>{0, "build"}));
+  const std::vector<std::pair<std::string, double>> want = {
+      {"coarse-kmeans", 0.5}, {"coarse-assign", 0.25}, {"residual", 0.125},
+      {"pq-train", 1.0},      {"encode", 0.375}};
+  ASSERT_EQ(trace.slices.size(), want.size());
+  double cursor = 0;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const TraceSlice& s = trace.slices[i];
+    EXPECT_EQ(s.name, want[i].first);
+    EXPECT_EQ(s.category, "build");
+    EXPECT_EQ(s.lane, 0);
+    EXPECT_EQ(s.start_seconds, cursor);
+    EXPECT_EQ(s.duration_seconds, want[i].second);
+    cursor += want[i].second;
+  }
+
+  const JsonValue doc = json_parse(trace_json(trace));
+  std::vector<std::string> names;
+  for (const JsonValue& e : doc.at("traceEvents").array) {
+    if (e.at("ph").string == "M") {
+      if (e.at("name").string == "thread_name") {
+        EXPECT_EQ(e.at("args").at("name").string, "build");
+      }
+      continue;
+    }
+    EXPECT_EQ(e.at("tid").number, 0.0);
+    names.push_back(e.at("name").string);
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{"coarse-kmeans", "coarse-assign",
+                                             "residual", "pq-train",
+                                             "encode"}));
+}
+
 TEST(Trace, MultiHostTraceCoversEveryPhaseOnNamedLanes) {
   // The multi-host exporter lays coordinator work on lane 0, the network on
   // lane 1, and each active host on lane 2+h; slice durations reconstruct

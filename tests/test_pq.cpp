@@ -192,7 +192,6 @@ TEST(Pq, ParallelTrainBitIdenticalToSerial) {
     common::ThreadPool pool(workers);
     PqOptions opts = serial;
     opts.use_threads = true;
-    opts.n_threads = workers;
     opts.pool = &pool;
     ProductQuantizer got;
     got.train(data, n, dim, opts);

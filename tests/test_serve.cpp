@@ -2,9 +2,10 @@
 // Server (drain completeness, backpressure, executor failure isolation) and
 // the deterministic discrete-event loadgen (partial deadline batches,
 // max-batch closes, rejection under a bounded queue, monotone latency under
-// rising load). The final group pins the headline invariant: neighbors
-// served online are bit-identical to the same queries run as pre-formed
-// batches.
+// rising load), and the run report of hand-written request and batch logs
+// (summary, request spans, JSON). The final group pins the headline
+// invariant: neighbors served online are bit-identical to the same queries
+// run as pre-formed batches.
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
@@ -22,6 +23,7 @@
 #include "core/pipeline.hpp"
 #include "data/query_workload.hpp"
 #include "ivf/cluster_stats.hpp"
+#include "obs/json.hpp"
 #include "serve/executors.hpp"
 #include "serve/loadgen.hpp"
 
@@ -347,6 +349,162 @@ TEST(Server, BoundedQueueRejectsWhileExecutorBlocked) {
   const ServeStats st = server.stats();
   EXPECT_EQ(st.completed, accepted);
   EXPECT_EQ(st.rejected, rejected);
+}
+
+// ---------------------------------------------------------------- report --
+
+// A hand-built run: batch 0 closes full with requests 0 and 1, batch 1 at
+// its deadline with request 2, and batch 2 drains request 3, whose
+// executor threw. Every time is a dyadic fraction, so sums are exact.
+RequestRecord record(std::uint64_t id, double enqueue, double batch,
+                     double complete, std::size_t batch_index,
+                     bool failed = false) {
+  RequestRecord r;
+  r.id = id;
+  r.enqueue_seconds = enqueue;
+  r.batch_seconds = batch;
+  r.complete_seconds = complete;
+  r.batch_index = batch_index;
+  r.failed = failed;
+  return r;
+}
+
+BatchRecord batch_record(std::size_t index, std::size_t size,
+                         BatchClose close, bool failed = false) {
+  BatchRecord b;
+  b.index = index;
+  b.size = size;
+  b.close = close;
+  b.failed = failed;
+  return b;
+}
+
+struct ServeLog {
+  std::vector<RequestRecord> requests = {
+      record(0, 0.0, 0.5, 1.0, 0), record(1, 0.25, 0.5, 1.0, 0),
+      record(2, 1.0, 1.5, 3.0, 1), record(3, 3.0, 3.5, 4.0, 2, true)};
+  std::vector<BatchRecord> batches = {
+      batch_record(0, 2, BatchClose::kFull),
+      batch_record(1, 1, BatchClose::kDeadline),
+      batch_record(2, 1, BatchClose::kDrain, true)};
+  BatchPolicy policy;
+  ServeLog() { policy.max_batch = 4; }
+};
+
+TEST(ServeReport, SummarizeSkipsFailedRequestsAndAveragesEveryBatchFill) {
+  const ServeLog log;
+  const ServeSummary s = summarize(log.requests, log.batches, log.policy);
+  // Latencies of the three served requests: 1.0, 0.75 and 2.0.
+  EXPECT_EQ(s.n, 3u);
+  EXPECT_EQ(s.p50, 1.0);
+  EXPECT_EQ(s.p99, 2.0);
+  EXPECT_EQ(s.max, 2.0);
+  EXPECT_EQ(s.mean, 3.75 / 3);
+  EXPECT_EQ(s.mean_queue_wait, 1.25 / 3);
+  // Fill counts every formed batch, the failed one included: 2/4, 1/4, 1/4.
+  EXPECT_EQ(s.mean_batch_fill, 1.0 / 3);
+  // First served enqueue (0) to last served completion (3).
+  EXPECT_EQ(s.duration_seconds, 3.0);
+  EXPECT_EQ(s.achieved_qps, 1.0);
+
+  std::vector<RequestRecord> failed = log.requests;
+  for (RequestRecord& r : failed) r.failed = true;
+  const ServeSummary none = summarize(failed, log.batches, log.policy);
+  EXPECT_EQ(none.n, 0u);
+  EXPECT_EQ(none.p99, 0.0);
+  EXPECT_EQ(none.achieved_qps, 0.0);
+}
+
+TEST(ServeReport, QuantilesAreNearestRank) {
+  // Latency i + 1 for request i, enqueued in reverse latency order.
+  std::vector<RequestRecord> reqs;
+  for (std::size_t i = 0; i < 200; ++i) {
+    const double enqueue = static_cast<double>(199 - i);
+    reqs.push_back(record(i, enqueue, enqueue, enqueue + i + 1, 0));
+  }
+  const std::vector<BatchRecord> batches = {
+      batch_record(0, 200, BatchClose::kFull)};
+  BatchPolicy policy;
+  policy.max_batch = 200;
+  const ServeSummary s = summarize(reqs, batches, policy);
+  EXPECT_EQ(s.n, 200u);
+  EXPECT_EQ(s.p50, 100.0);  // rank ceil(0.5 * 200) = 100
+  EXPECT_EQ(s.p99, 198.0);  // rank ceil(0.99 * 200) = 198
+  EXPECT_EQ(s.max, 200.0);
+  EXPECT_EQ(s.mean_batch_fill, 1.0);
+}
+
+TEST(ServeReport, RequestSpansHangQueueWaitAndExecUnderEachRequest) {
+  const ServeLog log;
+  obs::SpanLog spans;
+  obs::Span earlier;
+  earlier.name = "batch";
+  spans.push(earlier);  // ids continue after spans already in the log
+  append_request_spans(spans, log.requests);
+  ASSERT_EQ(spans.size(), 1 + 3 * log.requests.size());
+  for (std::size_t i = 0; i < log.requests.size(); ++i) {
+    const RequestRecord& r = log.requests[i];
+    const obs::Span& root = spans.spans()[1 + 3 * i];
+    const obs::Span& wait = spans.spans()[2 + 3 * i];
+    const obs::Span& exec = spans.spans()[3 + 3 * i];
+    EXPECT_EQ(root.id, 2 + 3 * i);
+    EXPECT_EQ(root.parent, 0u);
+    EXPECT_EQ(root.name, "request");
+    EXPECT_EQ(root.category, "request");
+    EXPECT_EQ(root.start_seconds, r.enqueue_seconds);
+    EXPECT_EQ(root.duration_seconds, r.latency());
+    EXPECT_EQ(wait.parent, root.id);
+    EXPECT_EQ(wait.name, "queue-wait");
+    EXPECT_EQ(wait.start_seconds, r.enqueue_seconds);
+    EXPECT_EQ(wait.duration_seconds, r.queue_wait());
+    EXPECT_EQ(exec.parent, root.id);
+    EXPECT_EQ(exec.name, r.failed ? "exec-failed" : "exec");
+    EXPECT_EQ(exec.start_seconds, r.batch_seconds);
+    EXPECT_EQ(exec.duration_seconds, r.complete_seconds - r.batch_seconds);
+    for (const obs::Span* s : {&root, &wait, &exec}) {
+      EXPECT_EQ(s->query, static_cast<std::int64_t>(r.id));
+      EXPECT_EQ(s->batch, static_cast<std::int64_t>(r.batch_index));
+    }
+    EXPECT_EQ(wait.category, "serve");
+    EXPECT_EQ(exec.category, "serve");
+  }
+}
+
+TEST(ServeReport, JsonRoundTripsSummaryAndStats) {
+  const ServeLog log;
+  const ServeSummary s = summarize(log.requests, log.batches, log.policy);
+  ServeStats st;
+  st.accepted = 4;
+  st.rejected = 1;
+  for (const RequestRecord& r : log.requests) {
+    ++(r.failed ? st.failed : st.completed);
+  }
+  st.batches = log.batches.size();
+  for (const BatchRecord& b : log.batches) {
+    ++(b.close == BatchClose::kFull       ? st.full_closes
+       : b.close == BatchClose::kDeadline ? st.deadline_closes
+                                          : st.drain_closes);
+  }
+  const obs::JsonValue doc = obs::json_parse(serve_report_json(s, st));
+  const obs::JsonValue& js = doc.at("summary");
+  EXPECT_EQ(js.at("n").number, 3.0);
+  EXPECT_EQ(js.at("p50_seconds").number, s.p50);
+  EXPECT_EQ(js.at("p99_seconds").number, s.p99);
+  EXPECT_EQ(js.at("mean_seconds").number, s.mean);
+  EXPECT_EQ(js.at("max_seconds").number, s.max);
+  EXPECT_EQ(js.at("mean_queue_wait_seconds").number, s.mean_queue_wait);
+  EXPECT_EQ(js.at("mean_batch_fill").number, s.mean_batch_fill);
+  EXPECT_EQ(js.at("duration_seconds").number, s.duration_seconds);
+  EXPECT_EQ(js.at("achieved_qps").number, s.achieved_qps);
+  const obs::JsonValue& jt = doc.at("stats");
+  EXPECT_EQ(jt.at("accepted").number, 4.0);
+  EXPECT_EQ(jt.at("rejected").number, 1.0);
+  EXPECT_EQ(jt.at("completed").number, 3.0);
+  EXPECT_EQ(jt.at("failed").number, 1.0);
+  EXPECT_EQ(jt.at("batches").number, 3.0);
+  EXPECT_EQ(jt.at("full_closes").number, 1.0);
+  EXPECT_EQ(jt.at("deadline_closes").number, 1.0);
+  EXPECT_EQ(jt.at("drain_closes").number, 1.0);
 }
 
 // -------------------------------------------------- engine bit-identity --
