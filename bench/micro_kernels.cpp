@@ -75,6 +75,7 @@ void BM_PqEncode(benchmark::State& state) {
     pq.encode(vecs.data() + (i++ % 256) * 128, codes.data());
     benchmark::DoNotOptimize(codes);
   }
+  state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PqEncode);
 
@@ -107,11 +108,57 @@ void BM_NearestCentroid(benchmark::State& state) {
         points.data() + (i++ % 256) * dim, tctr.data(), k, dim);
     benchmark::DoNotOptimize(best);
   }
+  state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_NearestCentroid)
     ->ArgNames({"dim", "k", "level"})
-    ->ArgsProduct({{128}, {512}, {0, 1, 2}})
-    ->ArgsProduct({{8}, {256}, {0, 1, 2}});
+    ->ArgsProduct({{128}, {512}, {0, 1, 2, 3}})
+    ->ArgsProduct({{8}, {256}, {0, 1, 2, 3}});
+
+// The PQ-shape kernel the avx512 level runs instead: 16 points per call in
+// the point-lane layout (below that level, the per-point block kernel
+// above). items_per_second compares with BM_NearestCentroid's per point.
+void BM_NearestCentroidLanes(benchmark::State& state) {
+  const auto dim = static_cast<std::size_t>(state.range(0));
+  const PinnedLevel pin(state, 1);
+  if (!pin.supported) return;
+  const auto centroids = random_vecs(256, dim, 40);
+  quant::BlockMajor tctr(quant::pad8(256) * dim);
+  quant::transpose_centroids(centroids.data(), 256, dim, tctr.data());
+  const auto groups = random_vecs(256, dim, 41);  // 16 groups of 16 points
+  std::uint32_t idx[quant::kLanePoints] = {};
+  float dist[quant::kLanePoints] = {};
+  std::size_t g = 0;
+  for (auto _ : state) {
+    quant::nearest_centroid_lanes(groups.data() + (g++ % 16) * dim * 16,
+                                  tctr.data(), 256, dim, idx, dist);
+    benchmark::DoNotOptimize(idx);
+    benchmark::DoNotOptimize(dist);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(quant::kLanePoints));
+}
+BENCHMARK(BM_NearestCentroidLanes)
+    ->ArgNames({"dim", "level"})
+    ->ArgsProduct({{8, 5}, {2, 3}});
+
+// Serial batch encoding of 4096 SIFT-shape vectors (m 16, dsub 8), as
+// IvfIndex::build encodes residuals: per vector, compare with BM_PqEncode.
+void BM_PqEncodeBatch(benchmark::State& state) {
+  const PinnedLevel pin(state, 0);
+  if (!pin.supported) return;
+  const auto& pq = shared_pq();
+  const auto vecs = random_vecs(4096, 128, 2);
+  std::vector<std::uint8_t> codes(4096 * 16);
+  for (auto _ : state) {
+    pq.encode_batch(vecs, 4096, codes.data());
+    benchmark::DoNotOptimize(codes.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 4096);
+}
+BENCHMARK(BM_PqEncodeBatch)->ArgName("level")->Arg(2)->Arg(3);
 
 /// The training sets of the two k-means shapes of a batch_paper build: 40k
 /// sift-like points for the coarse quantizer (dim 128, k 512), and for PQ

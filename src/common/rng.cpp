@@ -17,25 +17,32 @@ std::uint64_t splitmix64(std::uint64_t& state) {
 
 void Rng::reseed(std::uint64_t seed) {
   std::uint64_t sm = seed;
-  for (auto& s : s_) s = splitmix64(sm);
-  has_cached_ = false;
+  st_ = RngState{};
+  for (auto& s : st_.s) s = splitmix64(sm);
+}
+
+namespace {
+double box_muller_radius(double u1) { return std::sqrt(-2.0 * std::log(u1)); }
+double box_muller_angle(double u2) { return 6.28318530717958647692 * u2; }
+}  // namespace
+
+Rng::Rng(const RngState& st) : st_(st) {
+  // A pending spare is recomputed from its uniforms with gaussian()'s own
+  // expressions, so it has the bits the interrupted stream would return.
+  if (st_.has_spare) {
+    spare_ = box_muller_radius(st_.u1) * std::sin(box_muller_angle(st_.u2));
+  }
 }
 
 double Rng::gaussian() {
-  if (has_cached_) {
-    has_cached_ = false;
-    return cached_;
+  if (st_.has_spare) {
+    st_.has_spare = false;
+    return spare_;
   }
-  // Box-Muller; reject u1 == 0 to keep log() finite.
-  double u1 = 0.0;
-  do {
-    u1 = uniform();
-  } while (u1 <= 0.0);
-  const double u2 = uniform();
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  const double theta = 6.28318530717958647692 * u2;
-  cached_ = r * std::sin(theta);
-  has_cached_ = true;
+  detail::draw_gaussian_pair(st_);
+  const double r = box_muller_radius(st_.u1);
+  const double theta = box_muller_angle(st_.u2);
+  spare_ = r * std::sin(theta);
   return r * std::cos(theta);
 }
 

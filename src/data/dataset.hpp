@@ -76,7 +76,12 @@ struct SyntheticSpec {
   std::size_t pq_m() const { return family_pq_m(family); }
 };
 
-/// Generate a synthetic dataset matching the spec. Deterministic in seed.
+/// Rows per checkpoint of generate_synthetic's serial replay pass; the
+/// blocks are regenerated in parallel (DESIGN.md §13).
+inline constexpr std::size_t kSyntheticBlockRows = 256;
+
+/// Generate a synthetic dataset matching the spec. Deterministic in seed,
+/// and the same at every pool size.
 Dataset generate_synthetic(const SyntheticSpec& spec);
 
 /// Convenience presets mirroring the paper's three benchmarks at reduced n.

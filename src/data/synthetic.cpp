@@ -95,6 +95,67 @@ FamilyScales family_scales(DatasetFamily family) {
   return {0.f, 1.f, 1.f};
 }
 
+/// Everything one generated row reads besides its rng.
+struct RowInputs {
+  const SyntheticSpec& spec;
+  std::size_t dim, n_groups, group_dims;
+  FamilyScales scales;
+  const float* centroids;
+  const float* core_center;
+  const float* pools;
+  const common::ZipfSampler& pattern_picker;
+};
+
+/// Emit one row of the dense core into `out`.
+void emit_core_row(const RowInputs& in, common::Rng& rng, float* out) {
+  for (std::size_t d = 0; d < in.dim; ++d) {
+    out[d] = in.core_center[d] + static_cast<float>(rng.gaussian(
+                                     0.0, in.scales.residual_sigma * 1e-3));
+  }
+  family_postprocess(in.spec.family, out, in.dim);
+}
+
+/// Emit one row of natural cluster c into `out`.
+void emit_cluster_row(const RowInputs& in, std::size_t c, common::Rng& rng,
+                      float* out) {
+  const std::size_t dim = in.dim;
+  const float* ctr = in.centroids + c * dim;
+  // Start from fresh Gaussian noise everywhere...
+  for (std::size_t d = 0; d < dim; ++d) {
+    out[d] = ctr[d] +
+             static_cast<float>(rng.gaussian(0.0, in.scales.residual_sigma));
+  }
+  // ...then overwrite pattern groups from the shared pool with small
+  // jitter. The jitter must stay well below the PQ cell size so the
+  // group still encodes to the same code triplet.
+  const std::size_t gd = in.group_dims;
+  for (std::size_t g = 0; g < in.n_groups; ++g) {
+    if (rng.uniform() >= in.spec.pattern_prob) continue;
+    const std::size_t p = in.pattern_picker.sample(rng);
+    const float* pat =
+        in.pools + ((c * in.n_groups + g) * in.spec.pattern_pool + p) * gd;
+    for (std::size_t d = 0; d < gd; ++d) {
+      out[g * gd + d] = ctr[g * gd + d] + pat[d] +
+                        static_cast<float>(rng.gaussian(
+                            0.0, in.scales.residual_sigma * 0.02));
+    }
+  }
+  family_postprocess(in.spec.family, out, dim);
+}
+
+/// The draws of one emitted row alone: the same raw steps, with no libm
+/// and no output. It must stay in step with the two emitters; the
+/// serial-reference tests in tests/test_dataset.cpp fail when it does not.
+void replay_row(const RowInputs& in, bool core, common::RngReplay& rng) {
+  for (std::size_t d = 0; d < in.dim; ++d) rng.gaussian();
+  if (core) return;
+  for (std::size_t g = 0; g < in.n_groups; ++g) {
+    if (rng.uniform() >= in.spec.pattern_prob) continue;
+    rng();  // ZipfSampler::sample: one uniform
+    for (std::size_t d = 0; d < in.group_dims; ++d) rng.gaussian();
+  }
+}
+
 }  // namespace
 
 Dataset generate_synthetic(const SyntheticSpec& spec) {
@@ -126,7 +187,7 @@ Dataset generate_synthetic(const SyntheticSpec& spec) {
     sizes[c] = static_cast<std::size_t>(weights[c] / total * spec.n);
     assigned += sizes[c];
   }
-  // Distribute the rounding remainder to the largest clusters.
+  // Hand out the rounding remainder one point each, in cluster index order.
   for (std::size_t c = 0; assigned < spec.n; c = (c + 1) % nc) {
     ++sizes[c];
     ++assigned;
@@ -143,33 +204,18 @@ Dataset generate_synthetic(const SyntheticSpec& spec) {
   }
   common::ZipfSampler pattern_picker(spec.pattern_pool, spec.pattern_zipf);
 
-  // 4. Emit points cluster by cluster (deterministic order), then shuffle ids
-  //    so storage order carries no cluster information.
-  Dataset ds;
-  ds.dim = dim;
-  ds.n = spec.n;
-  ds.values.resize(spec.n * dim);
-  std::size_t row = 0;
-
   // Dense near-duplicate core (see SyntheticSpec::dense_core_frac): one
   // clump whose internal spread is negligible, so k-means cannot profitably
-  // split it and it stays one oversized inverted list.
+  // split it and it stays one oversized inverted list. Its rows come first;
+  // the regular clusters shrink to keep the total at n.
   const std::size_t core_points =
       static_cast<std::size_t>(spec.dense_core_frac * static_cast<double>(spec.n));
+  std::vector<float> core_center;
   if (core_points > 0) {
-    std::vector<float> core_center(dim);
+    core_center.resize(dim);
     for (auto& v : core_center) {
       v = rng.uniform(scales.centroid_lo, scales.centroid_hi);
     }
-    for (std::size_t i = 0; i < core_points && row < spec.n; ++i, ++row) {
-      float* out = ds.row(row);
-      for (std::size_t d = 0; d < dim; ++d) {
-        out[d] = core_center[d] +
-                 static_cast<float>(rng.gaussian(0.0, scales.residual_sigma * 1e-3));
-      }
-      family_postprocess(spec.family, out, dim);
-    }
-    // Shrink the regular clusters to keep the total at n.
     std::size_t to_remove = core_points;
     for (std::size_t c = 0; to_remove > 0; c = (c + 1) % nc) {
       if (sizes[c] > 0) {
@@ -178,43 +224,73 @@ Dataset generate_synthetic(const SyntheticSpec& spec) {
       }
     }
   }
+  // Rows [0, core_points) are the core; cluster c's rows end at ends[c].
+  std::vector<std::size_t> ends(nc);
+  std::size_t end = core_points;
+  for (std::size_t c = 0; c < nc; ++c) ends[c] = end += sizes[c];
+  assert(end == spec.n);
 
-  for (std::size_t c = 0; c < nc; ++c) {
-    const float* ctr = centroids.data() + c * dim;
-    for (std::size_t i = 0; i < sizes[c]; ++i, ++row) {
-      float* out = ds.row(row);
-      // Start from fresh Gaussian noise everywhere...
-      for (std::size_t d = 0; d < dim; ++d) {
-        out[d] = ctr[d] + static_cast<float>(rng.gaussian(0.0, scales.residual_sigma));
-      }
-      // ...then overwrite pattern groups from the shared pool with small
-      // jitter. The jitter must stay well below the PQ cell size so the
-      // group still encodes to the same code triplet.
-      for (std::size_t g = 0; g < n_groups; ++g) {
-        if (rng.uniform() >= spec.pattern_prob) continue;
-        const std::size_t p = pattern_picker.sample(rng);
-        const float* pat = pools.data() +
-                           ((c * n_groups + g) * spec.pattern_pool + p) * group_dims;
-        for (std::size_t d = 0; d < group_dims; ++d) {
-          out[g * group_dims + d] =
-              ctr[g * group_dims + d] + pat[d] +
-              static_cast<float>(rng.gaussian(0.0, scales.residual_sigma * 0.02));
-        }
-      }
-      family_postprocess(spec.family, out, dim);
+  const RowInputs in{spec,
+                     dim,
+                     n_groups,
+                     group_dims,
+                     scales,
+                     centroids.data(),
+                     core_center.data(),
+                     pools.data(),
+                     pattern_picker};
+
+  // 4. Points are emitted core first, then cluster by cluster, and their ids
+  //    shuffled so storage order carries no cluster information. Pass 1
+  //    replays every row's draws serially without libm (a few percent of
+  //    the cost) and checkpoints the stream at each block of rows; pass 2
+  //    regenerates the blocks from their checkpoints on the pool, writing
+  //    each row straight into its shuffled slot. Every value is the serial
+  //    loop's, at any pool size.
+  const std::size_t n_blocks =
+      (spec.n + kSyntheticBlockRows - 1) / kSyntheticBlockRows;
+  std::vector<common::RngState> checkpoints(n_blocks);
+  common::RngReplay replay(rng.state());
+  for (std::size_t row = 0; row < spec.n; ++row) {
+    if (row % kSyntheticBlockRows == 0) {
+      checkpoints[row / kSyntheticBlockRows] = replay.state();
     }
+    replay_row(in, row < core_points, replay);
   }
-  assert(row == spec.n);
 
-  // Shuffle rows (unless the spec wants cluster-contiguous storage).
+  std::vector<std::uint32_t> slot;  // output row of generated row r
   if (spec.shuffle) {
-    auto perm = common::random_permutation(spec.n, rng);
-    std::vector<float> shuffled(spec.n * dim);
+    common::Rng tail(replay.state());
+    const auto perm = common::random_permutation(spec.n, tail);
+    slot.resize(spec.n);
     for (std::size_t i = 0; i < spec.n; ++i) {
-      std::copy_n(ds.row(perm[i]), dim, shuffled.begin() + i * dim);
+      slot[perm[i]] = static_cast<std::uint32_t>(i);
     }
-    ds.values = std::move(shuffled);
   }
+
+  Dataset ds;
+  ds.dim = dim;
+  ds.n = spec.n;
+  ds.values.resize(spec.n * dim);
+  common::ThreadPool::global().parallel_for(
+      0, n_blocks,
+      [&](std::size_t b) {
+        common::Rng block_rng(checkpoints[b]);
+        const std::size_t lo = b * kSyntheticBlockRows;
+        const std::size_t hi = std::min(spec.n, lo + kSyntheticBlockRows);
+        std::size_t c = static_cast<std::size_t>(
+            std::upper_bound(ends.begin(), ends.end(), lo) - ends.begin());
+        for (std::size_t row = lo; row < hi; ++row) {
+          float* out = ds.row(spec.shuffle ? slot[row] : row);
+          if (row < core_points) {
+            emit_core_row(in, block_rng, out);
+            continue;
+          }
+          while (row >= ends[c]) ++c;
+          emit_cluster_row(in, c, block_rng, out);
+        }
+      },
+      1);
   return ds;
 }
 

@@ -52,15 +52,17 @@ IvfIndex IvfIndex::build(const data::Dataset& base, const IvfBuildOptions& opts,
         .count();
   };
 
-  // --build-threads N > 1 pins training to a dedicated pool; 0/1 use the
+  // --build-threads N > 1 pins every stage to a dedicated pool; 0/1 use the
   // global pool / run serial. Identical output either way.
   std::unique_ptr<common::ThreadPool> own_pool;
-  common::ThreadPool* pool = nullptr;
-  if (opts.n_threads > 1 &&
-      opts.n_threads != common::ThreadPool::global().size()) {
+  common::ThreadPool* pool = &common::ThreadPool::global();
+  if (opts.n_threads > 1 && opts.n_threads != pool->size()) {
     own_pool = std::make_unique<common::ThreadPool>(opts.n_threads);
     pool = own_pool.get();
   }
+  // The residual pass and the encoding take no use_threads flag: no pool
+  // means serial.
+  common::ThreadPool* stage_pool = opts.n_threads == 1 ? nullptr : pool;
 
   // 1. Coarse quantizer.
   quant::KMeansOptions ko;
@@ -87,15 +89,17 @@ IvfIndex IvfIndex::build(const data::Dataset& base, const IvfBuildOptions& opts,
   // 2. Residuals for PQ training (subsampled implicitly by PQ options).
   const auto t_residual = std::chrono::steady_clock::now();
   std::vector<float> residuals(base.n * base.dim);
-  common::ThreadPool::global().parallel_for(
-      0, base.n,
-      [&](std::size_t i) {
-        const float* p = base.row(i);
-        const float* c = idx.centroid(coarse.labels[i]);
-        float* r = residuals.data() + i * base.dim;
-        for (std::size_t d = 0; d < base.dim; ++d) r[d] = p[d] - c[d];
-      },
-      512);
+  auto residual_rows = [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      idx.residual(base.row(i), coarse.labels[i],
+                   residuals.data() + i * base.dim);
+    }
+  };
+  if (stage_pool == nullptr) {
+    residual_rows(0, base.n);
+  } else {
+    stage_pool->parallel_for_chunks(0, base.n, residual_rows, 512);
+  }
   bs.residual_seconds = seconds_since(t_residual);
 
   const auto t_pq = std::chrono::steady_clock::now();
@@ -112,7 +116,7 @@ IvfIndex IvfIndex::build(const data::Dataset& base, const IvfBuildOptions& opts,
   // 3. Encode everything and fill inverted lists.
   const auto t_encode = std::chrono::steady_clock::now();
   std::vector<std::uint8_t> codes(base.n * opts.pq_m);
-  idx.pq_.encode_batch(residuals, base.n, codes.data());
+  idx.pq_.encode_batch(residuals, base.n, codes.data(), stage_pool);
 
   idx.lists_.resize(idx.n_clusters_);
   for (std::size_t c = 0; c < idx.n_clusters_; ++c) {

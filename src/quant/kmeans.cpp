@@ -8,6 +8,8 @@
 #include <functional>
 #include <future>
 #include <limits>
+#include <tuple>
+#include <type_traits>
 
 #include "common/simd_dispatch.hpp"
 #include "common/thread_pool.hpp"
@@ -409,9 +411,139 @@ nearest_t_avx2(const float* p, const float* t, std::size_t k,
           _mm256_cvtss_f32(m)};
 }
 
+// ---------------------------------------------------------------------------
+// Point-lane kernels for dim <= kMaxLaneDim (PQ's sub-quantizers). The 16
+// lanes of a zmm hold 16 points, and one pass over the centroids in index
+// order broadcasts each centroid's coordinates against them. Each dimension
+// is one accumulation chain of the 8-chain semantics, whose value 0 + x*x
+// is x*x exactly; the fixed tree then pairs the chains. A chain at or past
+// dim holds 0, which adds nothing to a square (+0 or more, or NaN), so a
+// pair with no term left is dropped. The compare is strict and ordered, as
+// in nearest_t_scalar, so ties, NaN and all-+inf scans resolve alike.
+// AVX-512F would contract the mul and the tree's add into an FMA by default,
+// which rounds differently.
+
+#pragma GCC push_options
+#pragma GCC optimize("fp-contract=off")
+
+/// The fixed tree over chains [J, J + W) when chains [0, D) are present.
+template <std::size_t D, std::size_t J, std::size_t W>
+UPANNS_AVX512 inline __m512 lane_tree(const __m512* ch) {
+  if constexpr (W == 1) {
+    return ch[J];
+  } else if constexpr (J + W / 2 >= D) {
+    return lane_tree<D, J, W / 2>(ch);
+  } else {
+    return _mm512_add_ps(lane_tree<D, J, W / 2>(ch),
+                         lane_tree<D, J + W / 2, W / 2>(ch));
+  }
+}
+
+/// The 16 points' distances to the centroid whose dimension d is at
+/// c[d * stride].
+template <std::size_t D>
+UPANNS_AVX512 inline __m512 lane_dists(const __m512* x, const float* c,
+                                       std::size_t stride) {
+  __m512 ch[D];
+  for (std::size_t d = 0; d < D; ++d) {
+    const __m512 v = _mm512_sub_ps(x[d], _mm512_set1_ps(c[d * stride]));
+    ch[d] = _mm512_mul_ps(v, v);
+  }
+  return lane_tree<D, 0, 8>(ch);
+}
+
+template <std::size_t D>
+UPANNS_AVX512 void nearest_lanes_avx512(const float* group, const float* t,
+                                        std::size_t k, std::uint32_t* idx,
+                                        float* dist) {
+  __m512 x[D];
+  for (std::size_t d = 0; d < D; ++d) {
+    x[d] = _mm512_loadu_ps(group + d * kLanePoints);
+  }
+  __m512 best_d = _mm512_set1_ps(std::numeric_limits<float>::infinity());
+  __m512i best_i = _mm512_setzero_si512();
+  for (std::size_t c = 0; c < k; ++c) {
+    const __m512 dv = lane_dists<D>(x, t + lane_offset(c, D), 8);
+    const __mmask16 lt = _mm512_cmp_ps_mask(dv, best_d, _CMP_LT_OQ);
+    best_d = _mm512_mask_mov_ps(best_d, lt, dv);
+    best_i = _mm512_mask_mov_epi32(best_i, lt,
+                                   _mm512_set1_epi32(static_cast<int>(c)));
+  }
+  _mm512_storeu_ps(dist, best_d);
+  _mm512_storeu_si512(idx, best_i);
+}
+
+/// min_d = min(min_d, distance to c) over n_groups consecutive groups.
+template <std::size_t D>
+UPANNS_AVX512 void sweep_lanes_avx512(const float* groups,
+                                      std::size_t n_groups, const float* c,
+                                      float* min_d) {
+  for (std::size_t g = 0; g < n_groups; ++g) {
+    const float* grp = groups + g * D * kLanePoints;
+    __m512 x[D];
+    for (std::size_t d = 0; d < D; ++d) {
+      x[d] = _mm512_loadu_ps(grp + d * kLanePoints);
+    }
+    const __m512 dv = lane_dists<D>(x, c, 1);
+    float* m = min_d + g * kLanePoints;
+    const __m512 mv = _mm512_loadu_ps(m);
+    // vminps(a, b) is a < b ? a : b, i.e. std::min(min_d, d).
+    _mm512_storeu_ps(m, _mm512_mask_min_ps(mv, 0xFFFF, dv, mv));
+  }
+}
+
+#pragma GCC pop_options
+
+/// Call fn with dim (1..kMaxLaneDim) as a compile-time constant.
+template <class Fn>
+void with_lane_dim(std::size_t dim, Fn&& fn) {
+  switch (dim) {
+    case 1: return fn(std::integral_constant<std::size_t, 1>{});
+    case 2: return fn(std::integral_constant<std::size_t, 2>{});
+    case 3: return fn(std::integral_constant<std::size_t, 3>{});
+    case 4: return fn(std::integral_constant<std::size_t, 4>{});
+    case 5: return fn(std::integral_constant<std::size_t, 5>{});
+    case 6: return fn(std::integral_constant<std::size_t, 6>{});
+    case 7: return fn(std::integral_constant<std::size_t, 7>{});
+    case 8: return fn(std::integral_constant<std::size_t, 8>{});
+    default: assert(false && "point lanes hold at most kMaxLaneDim dims");
+  }
+}
+
 #endif  // UPANNS_X86
 
+/// Offset of point i's dimension 0 in the point-lane layout
+/// [i / 16][d][i % 16]; dimension d sits d * 16 floats further on.
+inline std::size_t point_offset(std::size_t i, std::size_t dim) {
+  return (i / kLanePoints) * dim * kLanePoints + i % kLanePoints;
+}
+
+/// Point i of a point-lane layout, copied out row-major.
+inline void lane_point(const float* lanes, std::size_t i, std::size_t dim,
+                       float* out) {
+  const float* p = lanes + point_offset(i, dim);
+  for (std::size_t d = 0; d < dim; ++d) out[d] = p[d * kLanePoints];
+}
+
 }  // namespace
+
+void nearest_centroid_lanes(const float* group, const float* tctr,
+                            std::size_t k, std::size_t dim, std::uint32_t* idx,
+                            float* dist) {
+  assert(dim >= 1 && dim <= kMaxLaneDim);
+#if defined(UPANNS_X86)
+  if (common::simd_active_level() >= common::SimdLevel::kAvx512) {
+    return with_lane_dim(dim, [&](auto D) {
+      nearest_lanes_avx512<D()>(group, tctr, k, idx, dist);
+    });
+  }
+#endif
+  for (std::size_t j = 0; j < kLanePoints; ++j) {
+    float p[kMaxLaneDim];
+    lane_point(group, j, dim, p);
+    std::tie(idx[j], dist[j]) = nearest_centroid_t(p, tctr, k, dim);
+  }
+}
 
 void squared_dists_t(const float* point, const float* tctr, std::size_t k,
                      std::size_t dim, float* out) {
@@ -453,6 +585,11 @@ constexpr std::size_t kReduceChunk = 4096;
 
 std::size_t chunk_count(std::size_t n) {
   return n == 0 ? 0 : (n - 1) / kReduceChunk + 1;
+}
+
+/// n rounded up to whole point-lane groups.
+std::size_t pad_lanes(std::size_t n) {
+  return (n + kLanePoints - 1) / kLanePoints * kLanePoints;
 }
 
 struct Workers {
@@ -501,6 +638,87 @@ inline float upper_dist(float s) {
   return std::sqrt(std::max(s, kTinySq)) * (1.f + kEps);
 }
 
+/// kmeans_train holds its training points in the point-lane layout when
+/// dim <= kMaxLaneDim (padded with zero points to whole groups), row-major
+/// otherwise.
+bool lane_layout(std::size_t dim) { return dim <= kMaxLaneDim; }
+
+/// Training point i, copied out row-major.
+void copy_point(const float* train, std::size_t i, std::size_t dim,
+                float* out) {
+  if (lane_layout(dim)) {
+    lane_point(train, i, dim, out);
+  } else {
+    std::copy_n(train + i * dim, dim, out);
+  }
+}
+
+/// min_d[i] = min(min_d[i], d(i, c)) over lane-layout points [lo, hi); lo
+/// starts a group, and the group holding hi - 1 is swept whole, so min_d
+/// must extend to the padded count.
+void sweep_lanes(const float* train, std::size_t lo, std::size_t hi,
+                 const float* c, std::size_t dim, float* min_d) {
+#if defined(UPANNS_X86)
+  if (common::simd_active_level() >= common::SimdLevel::kAvx512) {
+    const std::size_t g0 = lo / kLanePoints;
+    const std::size_t g1 = (hi + kLanePoints - 1) / kLanePoints;
+    return with_lane_dim(dim, [&](auto D) {
+      sweep_lanes_avx512<D()>(train + g0 * D() * kLanePoints, g1 - g0, c,
+                              min_d + lo);
+    });
+  }
+#endif
+  for (std::size_t i = lo; i < hi; ++i) {
+    float p[kMaxLaneDim];
+    lane_point(train, i, dim, p);
+    min_d[i] = std::min(min_d[i], l2_sq_chains(p, c, dim));
+  }
+}
+
+/// s[j] += v[j * kReduceChunk + i] for i in [lo, hi), j < W: W chunks'
+/// index-order addition chains, interleaved.
+template <std::size_t W>
+void add_chains(const float* v, std::size_t lo, std::size_t hi, double* s) {
+  double a[W] = {};
+  std::copy_n(s, W, a);
+  for (std::size_t i = lo; i < hi; ++i) {
+    for (std::size_t j = 0; j < W; ++j) a[j] += v[j * kReduceChunk + i];
+  }
+  std::copy_n(a, W, s);
+}
+
+void add_chains(std::size_t w, const float* v, std::size_t lo, std::size_t hi,
+                double* s) {
+  switch (w) {
+    case 8: return add_chains<8>(v, lo, hi, s);
+    case 7: return add_chains<7>(v, lo, hi, s);
+    case 6: return add_chains<6>(v, lo, hi, s);
+    case 5: return add_chains<5>(v, lo, hi, s);
+    case 4: return add_chains<4>(v, lo, hi, s);
+    case 3: return add_chains<3>(v, lo, hi, s);
+    case 2: return add_chains<2>(v, lo, hi, s);
+    case 1: return add_chains<1>(v, lo, hi, s);
+    default: return;
+  }
+}
+
+/// out[c] = the index-order double sum of chunk c of v[0, n), the last
+/// chunk possibly short. Up to eight chunks' chains run interleaved, so a
+/// serial sweep is not bound by the latency of one chain.
+void chunk_sums(const float* v, std::size_t n, double* out) {
+  for (std::size_t c0 = 0; c0 * kReduceChunk < n; c0 += 8) {
+    const float* base = v + c0 * kReduceChunk;
+    const std::size_t w =
+        std::min<std::size_t>(8, chunk_count(n - c0 * kReduceChunk));
+    const std::size_t last =  // length of the group's last chunk
+        std::min(kReduceChunk, n - (c0 + w - 1) * kReduceChunk);
+    double s[8] = {};
+    add_chains(w, base, 0, last, s);
+    add_chains(w - 1, base, last, kReduceChunk, s);
+    std::copy_n(s, w, out + c0);
+  }
+}
+
 // k-means++ seeding: spread initial centroids proportional to squared
 // distance from already-chosen seeds. The per-seed O(n·dim) sweep runs
 // chunked over the pool; the weighted pick first scans chunk sums, then
@@ -511,13 +729,16 @@ inline float upper_dist(float s) {
 // d(c_a, c_new)^2 >= 4(1+eps) min_d[x]: then d(x, c_new) >= d(x, c_a), so
 // min_d[x] cannot drop. lim[a] is that threshold; 0 lets only min_d = 0
 // skip, which no distance can lower. Below the pruning dimension the sweep
-// runs the scalar 8-chain distance inline, bit-identical to every level.
+// runs the scalar 8-chain distance inline, bit-identical to every level,
+// and on lane-layout points the point-lane kernel; a serial lane sweep
+// sums all its chunks at once, their chains interleaved.
 std::vector<float> seed_plus_plus(const float* data, std::size_t n,
                                   std::size_t dim, std::size_t k,
                                   common::Rng& rng, Workers w,
                                   std::uint64_t& distances) {
   std::vector<float> centroids(k * dim);
-  std::vector<float> min_d(n, kInf);
+  const bool lanes = lane_layout(dim);
+  std::vector<float> min_d(lanes ? pad_lanes(n) : n, kInf);
   const bool prune = bound_pruned(dim);
   std::vector<std::uint32_t> near(prune ? n : 0, 0);
   std::vector<float> lim(prune ? k : 0, 0.f);
@@ -525,8 +746,7 @@ std::vector<float> seed_plus_plus(const float* data, std::size_t n,
   std::vector<double> chunk_sum(n_chunks);
   std::vector<std::uint64_t> chunk_dists(n_chunks);
 
-  std::size_t first = rng.below(n);
-  std::copy_n(data + first * dim, dim, centroids.begin());
+  copy_point(data, rng.below(n), dim, centroids.data());
 
   for (std::size_t c = 1; c < k; ++c) {
     const float* last = centroids.data() + (c - 1) * dim;
@@ -536,35 +756,47 @@ std::vector<float> seed_plus_plus(const float* data, std::size_t n,
         lim[a] = cc >= kTinySq && cc < kInf ? cc * kSeedScale : 0.f;
       }
     }
-    detail::run_indexed(w.pool, w.threaded, n_chunks, [&](std::size_t ci) {
-      const std::size_t lo = ci * kReduceChunk;
-      const std::size_t hi = std::min(n, lo + kReduceChunk);
-      double s = 0.0;
-      std::uint64_t computed = hi - lo;
-      if (prune) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          if (min_d[i] <= lim[near[i]]) {
-            --computed;
-          } else if (const float d = l2_sq(data + i * dim, last, dim);
-                     d < min_d[i]) {
-            min_d[i] = d;
-            near[i] = static_cast<std::uint32_t>(c - 1);
+    if (lanes) {
+      // A serial sweep is one task, which interleaves every chunk's sum.
+      const std::size_t tasks = w.threaded ? n_chunks : 1;
+      detail::run_indexed(w.pool, w.threaded, tasks, [&](std::size_t t) {
+        const std::size_t lo = t * kReduceChunk;
+        const std::size_t hi = w.threaded ? std::min(n, lo + kReduceChunk) : n;
+        sweep_lanes(data, lo, hi, last, dim, min_d.data());
+        chunk_sums(min_d.data() + lo, hi - lo, chunk_sum.data() + t);
+      });
+      distances += n;
+    } else {
+      detail::run_indexed(w.pool, w.threaded, n_chunks, [&](std::size_t ci) {
+        const std::size_t lo = ci * kReduceChunk;
+        const std::size_t hi = std::min(n, lo + kReduceChunk);
+        double s = 0.0;
+        std::uint64_t computed = hi - lo;
+        if (prune) {
+          for (std::size_t i = lo; i < hi; ++i) {
+            if (min_d[i] <= lim[near[i]]) {
+              --computed;
+            } else if (const float d = l2_sq(data + i * dim, last, dim);
+                       d < min_d[i]) {
+              min_d[i] = d;
+              near[i] = static_cast<std::uint32_t>(c - 1);
+            }
+            s += min_d[i];
           }
-          s += min_d[i];
+        } else {
+          for (std::size_t i = lo; i < hi; ++i) {
+            const float d = l2_sq_chains(data + i * dim, last, dim);
+            min_d[i] = std::min(min_d[i], d);
+            s += min_d[i];
+          }
         }
-      } else {
-        for (std::size_t i = lo; i < hi; ++i) {
-          const float d = l2_sq_chains(data + i * dim, last, dim);
-          min_d[i] = std::min(min_d[i], d);
-          s += min_d[i];
-        }
-      }
-      chunk_sum[ci] = s;
-      chunk_dists[ci] = computed;
-    });
+        chunk_sum[ci] = s;
+        chunk_dists[ci] = computed;
+      });
+      for (std::uint64_t v : chunk_dists) distances += v;
+    }
     double total = 0.0;
     for (double s : chunk_sum) total += s;
-    for (std::uint64_t v : chunk_dists) distances += v;
 
     std::size_t chosen;
     if (total > 0) {
@@ -590,7 +822,7 @@ std::vector<float> seed_plus_plus(const float* data, std::size_t n,
     } else {
       chosen = rng.below(n);
     }
-    std::copy_n(data + chosen * dim, dim, centroids.begin() + c * dim);
+    copy_point(data, chosen, dim, centroids.data() + c * dim);
   }
   return centroids;
 }
@@ -728,23 +960,29 @@ KMeansResult kmeans_train(std::span<const float> data, std::size_t n,
   const Workers w = workers_for(opts);
 
   // Optional subsampling keeps training tractable for large synthetic sets.
-  // Sampled or strided rows are gathered into contiguous storage.
+  // Sampled or strided rows, and every row of a lane-layout set, are
+  // gathered into contiguous storage.
   std::vector<float> sample_storage;
   const float* train = data.data();
   std::size_t n_train = n;
   const bool sampled =
       opts.max_training_points > 0 && n > opts.max_training_points;
-  if (sampled || pitch != dim) {
+  const bool lanes = lane_layout(dim);
+  if (sampled || pitch != dim || lanes) {
     std::vector<std::uint32_t> perm;
     if (sampled) {
       n_train = opts.max_training_points;
       perm = common::random_permutation(n, rng);
     }
-    sample_storage.resize(n_train * dim);
+    sample_storage.resize((lanes ? pad_lanes(n_train) : n_train) * dim);
     for (std::size_t i = 0; i < n_train; ++i) {
-      const std::size_t row = sampled ? perm[i] : i;
-      std::copy_n(data.data() + row * pitch, dim,
-                  sample_storage.begin() + i * dim);
+      const float* src = data.data() + (sampled ? perm[i] : i) * pitch;
+      if (lanes) {
+        float* p = sample_storage.data() + point_offset(i, dim);
+        for (std::size_t d = 0; d < dim; ++d) p[d * kLanePoints] = src[d];
+      } else {
+        std::copy_n(src, dim, sample_storage.begin() + i * dim);
+      }
     }
     train = sample_storage.data();
   }
@@ -798,25 +1036,44 @@ KMeansResult kmeans_train(std::span<const float> data, std::size_t n,
       std::uint32_t* cnt_part = chunk_counts.data() + ci * k;
       std::fill_n(acc_part, k * dim, 0.0);
       std::fill_n(cnt_part, k, 0u);
-      std::vector<float> dist(bounded ? k : 0);
-      std::vector<std::uint8_t> scanned(bounded ? n_groups : 0);
-      for (std::size_t i = lo; i < hi; ++i) {
-        const float* p = train + i * dim;
-        std::pair<std::uint32_t, float> nearest;
-        if (bounded) {
-          nearest = bounded_nearest(step, p, labels[i],
-                                    lower.data() + i * n_groups, dist.data(),
-                                    scanned.data(), computed);
-        } else {
-          nearest = nearest_centroid_t(p, tctr.data(), k, dim);
-          computed += k;
-        }
-        const auto [c, d] = nearest;
+      // Point i, its coordinates `stride` floats apart from p, joins
+      // cluster c at distance d.
+      auto add_point = [&](std::size_t i, const float* p, std::size_t stride,
+                           std::uint32_t c, float d) {
         labels[i] = c;
         inertia_part += d;
         ++cnt_part[c];
         double* a = acc_part + static_cast<std::size_t>(c) * dim;
-        for (std::size_t dd = 0; dd < dim; ++dd) a[dd] += p[dd];
+        for (std::size_t dd = 0; dd < dim; ++dd) a[dd] += p[dd * stride];
+      };
+      if (lanes) {
+        std::uint32_t idx[kLanePoints] = {};
+        float dist[kLanePoints] = {};
+        for (std::size_t g0 = lo; g0 < hi; g0 += kLanePoints) {
+          const float* group = train + g0 * dim;
+          nearest_centroid_lanes(group, tctr.data(), k, dim, idx, dist);
+          const std::size_t count = std::min(kLanePoints, hi - g0);
+          computed += count * k;
+          for (std::size_t j = 0; j < count; ++j) {
+            add_point(g0 + j, group + j, kLanePoints, idx[j], dist[j]);
+          }
+        }
+      } else {
+        std::vector<float> dist(bounded ? k : 0);
+        std::vector<std::uint8_t> scanned(bounded ? n_groups : 0);
+        for (std::size_t i = lo; i < hi; ++i) {
+          const float* p = train + i * dim;
+          std::pair<std::uint32_t, float> nearest;
+          if (bounded) {
+            nearest = bounded_nearest(step, p, labels[i],
+                                      lower.data() + i * n_groups,
+                                      dist.data(), scanned.data(), computed);
+          } else {
+            nearest = nearest_centroid_t(p, tctr.data(), k, dim);
+            computed += k;
+          }
+          add_point(i, p, 1, nearest.first, nearest.second);
+        }
       }
       chunk_inertia[ci] = inertia_part;
       chunk_dists[ci] = computed;
@@ -840,9 +1097,8 @@ KMeansResult kmeans_train(std::span<const float> data, std::size_t n,
     for (std::size_t c = 0; c < k; ++c) {
       if (counts[c] == 0) {
         // Re-seed empty cluster from a random point to keep k populated.
-        const std::size_t pick = rng.below(n_train);
-        std::copy_n(train + pick * dim, dim,
-                    result.centroids.begin() + c * dim);
+        copy_point(train, rng.below(n_train), dim,
+                   result.centroids.data() + c * dim);
         continue;
       }
       float* ctr = result.centroids.data() + c * dim;

@@ -5,9 +5,19 @@
 // level implements identically (see DESIGN.md §13): each vector is summed
 // over eight independent accumulation chains (chain j takes elements with
 // index ≡ j mod 8, in increasing order) which are combined with the fixed
-// tree ((c0+c1)+(c2+c3)) + ((c4+c5)+(c6+c7)). Scalar, SSE2 and AVX2 all
-// perform that exact IEEE op sequence — no FMA contraction — so results are
-// bit-identical across levels and across the row-major / block-major paths.
+// tree ((c0+c1)+(c2+c3)) + ((c4+c5)+(c6+c7)). Every body performs that
+// exact IEEE op sequence — no FMA contraction — so results are bit-identical
+// across levels and layouts:
+//   - row-major points against row-major centroids (l2_sq): scalar, SSE2
+//     and AVX2 bodies;
+//   - a point against block-major centroids, 8 centroids to a block
+//     (transpose_centroids; nearest_centroid_t, squared_dists_t): scalar,
+//     SSE2 and AVX2 bodies;
+//   - 16 points in the point-lane layout against block-major centroids,
+//     for dim <= kMaxLaneDim (nearest_centroid_lanes; kmeans_train's
+//     seeding and Lloyd steps on PQ's sub-quantizers): an AVX-512 body, and
+//     below that level the block-major kernel per point.
+// The avx512 level runs the AVX2 bodies where it has none of its own.
 #pragma once
 
 #include <cstdint>
@@ -114,6 +124,19 @@ std::pair<std::uint32_t, float> nearest_centroid_t(const float* point,
                                                    const float* tctr,
                                                    std::size_t k,
                                                    std::size_t dim);
+
+/// The point-lane layout for dim <= kMaxLaneDim: groups of kLanePoints
+/// points, point j of a group holding dimension d at group[d * kLanePoints
+/// + j], so each dimension of 16 points fills one AVX-512 register.
+inline constexpr std::size_t kLanePoints = 16;
+inline constexpr std::size_t kMaxLaneDim = 8;
+
+/// Nearest centroid of each of the 16 points of one point-lane group over a
+/// block-major layout of k centroids: idx[j] and dist[j] are exactly
+/// nearest_centroid_t of point j (dim <= kMaxLaneDim).
+void nearest_centroid_lanes(const float* group, const float* tctr,
+                            std::size_t k, std::size_t dim, std::uint32_t* idx,
+                            float* dist);
 
 /// All k squared distances over a block-major layout, bit-identical to
 /// calling l2_sq per row-major centroid. Used by the LUT build.

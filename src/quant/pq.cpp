@@ -73,11 +73,49 @@ void ProductQuantizer::encode(const float* vec, std::uint8_t* codes) const {
 }
 
 void ProductQuantizer::encode_batch(std::span<const float> data, std::size_t n,
-                                    std::uint8_t* out) const {
-  common::ThreadPool::global().parallel_for(
-      0, n,
-      [&](std::size_t i) { encode(data.data() + i * dim_, out + i * m_); },
-      128);
+                                    std::uint8_t* out,
+                                    common::ThreadPool* pool) const {
+  assert(trained());
+  // Rows are encoded a tile at a time, subspace by subspace, so one 8 KB
+  // codebook and the tile's rows stay cached. With dsub <= kMaxLaneDim each
+  // subspace takes 16 rows per point-lane group; a short last group
+  // repeats stale lanes, whose codes are dropped.
+  constexpr std::size_t kTile = 256;
+  auto encode_rows = [&](std::size_t lo, std::size_t hi) {
+    if (dsub_ > kMaxLaneDim) {
+      for (std::size_t i = lo; i < hi; ++i) {
+        encode(data.data() + i * dim_, out + i * m_);
+      }
+      return;
+    }
+    alignas(64) float group[kLanePoints * kMaxLaneDim] = {};
+    std::uint32_t idx[kLanePoints] = {};
+    float dist[kLanePoints] = {};
+    for (std::size_t t0 = lo; t0 < hi; t0 += kTile) {
+      const std::size_t t1 = std::min(hi, t0 + kTile);
+      for (std::size_t s = 0; s < m_; ++s) {
+        const float* tcb = tcodebooks_.data() + s * dsub_ * kPqKsub;
+        for (std::size_t g0 = t0; g0 < t1; g0 += kLanePoints) {
+          const std::size_t count = std::min(kLanePoints, t1 - g0);
+          for (std::size_t j = 0; j < count; ++j) {
+            const float* src = data.data() + (g0 + j) * dim_ + s * dsub_;
+            for (std::size_t d = 0; d < dsub_; ++d) {
+              group[d * kLanePoints + j] = src[d];
+            }
+          }
+          nearest_centroid_lanes(group, tcb, kPqKsub, dsub_, idx, dist);
+          for (std::size_t j = 0; j < count; ++j) {
+            out[(g0 + j) * m_ + s] = static_cast<std::uint8_t>(idx[j]);
+          }
+        }
+      }
+    }
+  };
+  if (pool == nullptr) {
+    encode_rows(0, n);
+  } else {
+    pool->parallel_for_chunks(0, n, encode_rows, kTile);
+  }
 }
 
 void ProductQuantizer::decode(const std::uint8_t* codes, float* out) const {

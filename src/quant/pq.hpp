@@ -60,9 +60,11 @@ class ProductQuantizer {
   /// Encode one vector into m uint8 codes.
   void encode(const float* vec, std::uint8_t* codes) const;
 
-  /// Encode n vectors (row-major) into out (n x m codes).
+  /// Encode n vectors (row-major) into out (n x m codes), fanned out over
+  /// `pool` (nullptr: serially). The codes equal encode()'s.
   void encode_batch(std::span<const float> data, std::size_t n,
-                    std::uint8_t* out) const;
+                    std::uint8_t* out,
+                    common::ThreadPool* pool = nullptr) const;
 
   /// Reconstruct an approximate vector from codes.
   void decode(const std::uint8_t* codes, float* out) const;

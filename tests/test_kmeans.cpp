@@ -396,17 +396,19 @@ void expect_matches_reference(const std::vector<float>& data, std::size_t n,
   }
 }
 
-// dim covers both sides of the pruning threshold; k covers one centroid,
-// partial 8-lane blocks, exactly one and just over one 32-centroid bound
-// group, and the coarse quantizer's sixteen groups.
+// dim covers every point-lane width (1..8) and both sides of the pruning
+// threshold; k covers one centroid, partial 8-lane blocks, exactly one and
+// just over one 32-centroid bound group, and the coarse quantizer's sixteen
+// groups. No n or sample is a whole number of 16-point lane groups.
 TEST(KMeansExact, PrunedTrainingMatchesReferenceOverTheGrid) {
-  for (const std::size_t dim :
-       {std::size_t{2}, std::size_t{8}, kBoundPruneMinDim - 1,
-        kBoundPruneMinDim, std::size_t{128}}) {
+  std::vector<std::size_t> dims;
+  for (std::size_t dim = 1; dim <= kMaxLaneDim; ++dim) dims.push_back(dim);
+  dims.insert(dims.end(), {kBoundPruneMinDim - 1, kBoundPruneMinDim, 128});
+  for (const std::size_t dim : dims) {
     for (const std::size_t k : {std::size_t{1}, std::size_t{7},
                                 std::size_t{32}, std::size_t{33},
                                 std::size_t{512}}) {
-      const std::size_t n = k == 512 ? 700 : 400;
+      const std::size_t n = k == 512 ? 700 : 401;
       const auto data = boxed_blobs(n, dim, 24, 1000 + dim * 7 + k);
       for (const std::size_t sample : {std::size_t{0}, n * 3 / 4}) {
         KMeansOptions opts;
@@ -425,7 +427,8 @@ TEST(KMeansExact, PrunedTrainingMatchesReferenceOverTheGrid) {
 // integer lattice points whose distances tie exactly, all-identical rows,
 // k = n, a NaN row, and a row whose distances overflow to +inf.
 TEST(KMeansExact, AdversarialDataMatchesReference) {
-  for (const std::size_t dim : {std::size_t{8}, kBoundPruneMinDim}) {
+  for (const std::size_t dim :
+       {std::size_t{5}, std::size_t{8}, kBoundPruneMinDim}) {
     common::Rng rng(dim);
     const std::size_t n = 300;
     std::vector<std::pair<std::string, std::vector<float>>> sets;
@@ -482,6 +485,25 @@ TEST(KMeansExact, AdversarialDataMatchesReference) {
     all.max_iters = 4;
     all.tolerance = 0.0;
     expect_matches_reference(small, 40, dim, all, "k=n");
+  }
+}
+
+// Point-lane training sets of several reduction chunks: a serial seeding
+// sweep interleaves the chunks' sums, eight and then two at a time (nine
+// whole chunks and a short one), and must keep each in index order.
+TEST(KMeansExact, LaneSweepOverManyChunksMatchesReference) {
+  const std::size_t n = 9 * 4096 + 37;
+  for (const std::size_t dim : {std::size_t{5}, std::size_t{8}}) {
+    const auto data = boxed_blobs(n, dim, 30, 90 + dim);
+    for (const std::size_t sample :
+         {std::size_t{0}, std::size_t{3 * 4096 + 5}}) {
+      KMeansOptions opts;
+      opts.n_clusters = 24;
+      opts.max_iters = 3;
+      opts.tolerance = 0.0;
+      opts.max_training_points = sample;
+      expect_matches_reference(data, n, dim, opts, "chunks");
+    }
   }
 }
 

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/simd_dispatch.hpp"
 #include "common/thread_pool.hpp"
 
 namespace upanns::quant {
@@ -141,17 +143,37 @@ TEST(Pq, ZeroLutQuantizes) {
   for (auto v : ql.table) EXPECT_EQ(v, 0);
 }
 
+// Batch encoding (16-row point-lane groups for dsub <= 8, row by row above
+// that) against encode() per vector, serially and on pools of 1 and 3
+// workers, at every SIMD level. n leaves a short last lane group and a
+// short last 256-row tile.
 TEST(Pq, EncodeBatchMatchesSingle) {
-  const auto pq = train_pq(1000, 16, 4, 14);
-  const auto data = random_data(64, 16, 15);
-  std::vector<std::uint8_t> batch(64 * 4), single(4);
-  pq.encode_batch(data, 64, batch.data());
-  for (std::size_t i = 0; i < 64; ++i) {
-    pq.encode(data.data() + i * 16, single.data());
-    for (std::size_t s = 0; s < 4; ++s) {
-      EXPECT_EQ(batch[i * 4 + s], single[s]);
+  const std::size_t n = 600 + 37;
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {7, 7}, {16, 4}, {100, 20}, {64, 8}, {48, 3}};  // dsub 1, 4, 5, 8, 16
+  const common::SimdLevel entry = common::simd_active_level();
+  common::ThreadPool pool1(1), pool3(3);
+  for (const auto& [dim, m] : shapes) {
+    const auto pq = train_pq(1000, dim, m, 14);
+    const auto data = random_data(n, dim, 15);
+    for (int l = 0; l <= static_cast<int>(common::simd_max_supported()); ++l) {
+      common::set_simd_level(static_cast<common::SimdLevel>(l));
+      std::vector<std::uint8_t> want(n * m);
+      for (std::size_t i = 0; i < n; ++i) {
+        pq.encode(data.data() + i * dim, want.data() + i * m);
+      }
+      common::ThreadPool* const pools[] = {nullptr, &pool1, &pool3};
+      for (common::ThreadPool* pool : pools) {
+        std::vector<std::uint8_t> got(n * m + 1, 0xAB);
+        pq.encode_batch(data, n, got.data(), pool);
+        EXPECT_EQ(std::vector<std::uint8_t>(got.begin(), got.end() - 1), want)
+            << "dsub=" << dim / m << " level=" << l
+            << " workers=" << (pool ? pool->size() : 0);
+        EXPECT_EQ(got.back(), 0xAB) << "wrote past n";
+      }
     }
   }
+  common::set_simd_level(entry);
 }
 
 class PqMTest : public ::testing::TestWithParam<std::size_t> {};

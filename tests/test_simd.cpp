@@ -242,6 +242,75 @@ TEST(SimdKernels, FusedArgminTiesPaddingAndInfAtEveryLevel) {
   }
 }
 
+// The point-lane kernel against the scalar row-major nearest_centroid, per
+// lane, at every level and every lane width 1..8. The 37 points (two whole
+// groups and a partial one) hold exact copies of centroids that occur more
+// than once, so ties must go to the lowest index; points with a +inf or a
+// NaN coordinate, whose distances are +inf or NaN everywhere; and points
+// whose every distance overflows to +inf. Each must give (0, +inf).
+TEST(SimdKernels, PointLanesMatchNearestCentroidAtEveryLevel) {
+  LevelGuard guard;
+  common::Rng rng(47);
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  for (std::size_t dim = 1; dim <= quant::kMaxLaneDim; ++dim) {
+    for (const std::size_t k : {std::size_t{1}, std::size_t{3}, std::size_t{8},
+                                std::size_t{17}, std::size_t{256}}) {
+      auto centroids = random_vec(rng, k * dim);
+      // Centroid 1 recurs at k / 2 and k - 1.
+      for (const std::size_t c : {k / 2, k - 1}) {
+        if (k > 2 && c > 1) {
+          std::copy_n(centroids.begin() + dim, dim,
+                      centroids.begin() + c * dim);
+        }
+      }
+      const std::vector<float> tctr = block_major(centroids, k, dim);
+      const std::size_t n = 37;
+      auto points = random_vec(rng, n * dim);
+      std::copy_n(centroids.begin() + (k > 1 ? dim : 0), dim,
+                  points.begin() + 5 * dim);  // a tie when k > 2
+      points[9 * dim] = kInf;
+      points[20 * dim + dim - 1] = std::numeric_limits<float>::quiet_NaN();
+      std::fill_n(points.begin() + 33 * dim, dim, 3e19f);
+      std::fill_n(points.begin() + 36 * dim, dim, -kInf);
+
+      std::vector<float> groups(quant::kLanePoints * dim * 3, 0.f);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t d = 0; d < dim; ++d) {
+          groups[(i / 16) * dim * 16 + d * 16 + i % 16] = points[i * dim + d];
+        }
+      }
+      common::set_simd_level(common::SimdLevel::kScalar);
+      std::vector<std::pair<std::uint32_t, float>> want(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        want[i] = quant::nearest_centroid(points.data() + i * dim,
+                                          centroids.data(), k, dim);
+      }
+      ASSERT_EQ(want[9].second, kInf);
+      ASSERT_EQ(want[20], std::make_pair(std::uint32_t{0}, kInf));
+      ASSERT_EQ(want[33], std::make_pair(std::uint32_t{0}, kInf));
+      for (const auto level : supported_levels()) {
+        common::set_simd_level(level);
+        for (std::size_t g = 0; g * 16 < n; ++g) {
+          std::uint32_t idx[16];
+          float dist[16];
+          quant::nearest_centroid_lanes(groups.data() + g * dim * 16,
+                                        tctr.data(), k, dim, idx, dist);
+          for (std::size_t j = 0; j < 16 && g * 16 + j < n; ++j) {
+            const std::size_t i = g * 16 + j;
+            const std::string where =
+                "dim=" + std::to_string(dim) + " k=" + std::to_string(k) +
+                " point=" + std::to_string(i) +
+                " level=" + common::simd_level_name(level);
+            EXPECT_EQ(idx[j], want[i].first) << where;
+            EXPECT_EQ(std::memcmp(&dist[j], &want[i].second, sizeof(float)), 0)
+                << where;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(FastRound, MatchesStdRoundOverLutDomain) {
   // quantize_lut feeds round_nonneg values in [0, 65535]; the helper must
   // agree with std::round bit-for-bit there (including the .5 ties, which
@@ -545,6 +614,39 @@ TEST(SimdBuild, SampledMultiGroupIndexHashMatchesGoldenAtEveryLevel) {
   opts.pq_iters = 5;
   opts.coarse_train_points = 3500;
   opts.pq_train_points = 3000;
+
+  LevelGuard guard;
+  for (const auto level : supported_levels()) {
+    common::set_simd_level(level);
+    for (const std::size_t threads : {std::size_t{0}, std::size_t{1},
+                                      std::size_t{3}}) {
+      opts.n_threads = threads;
+      EXPECT_EQ(index_hash(ivf::IvfIndex::build(base, opts)), kGolden)
+          << "level=" << common::simd_level_name(level)
+          << " threads=" << threads;
+    }
+  }
+}
+
+// A third pinned build at SPACEV's PQ shape, dsub 5 (dim 100, pq_m 20): the
+// other two run dsub 8, and the point-lane kernels take each width through
+// its own body. The PQ sample (4500 of 5000 rows) spans two reduction
+// chunks and, like n, is not a whole number of 16-point groups. The
+// constant was recorded before the point-lane kernels landed.
+TEST(SimdBuild, Dsub5IndexHashMatchesGoldenAtEveryLevel) {
+  constexpr std::uint64_t kGolden = 0xb29d8ee6129b9309ull;
+  data::Dataset base;
+  base.n = 5000;
+  base.dim = 100;
+  base.values.resize(base.n * base.dim);
+  common::Rng rng(2027);
+  for (auto& v : base.values) v = rng.uniform(-1.f, 1.f);
+  ivf::IvfBuildOptions opts;
+  opts.n_clusters = 16;
+  opts.pq_m = 20;
+  opts.coarse_iters = 4;
+  opts.pq_iters = 4;
+  opts.pq_train_points = 4500;
 
   LevelGuard guard;
   for (const auto level : supported_levels()) {
