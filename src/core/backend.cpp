@@ -6,7 +6,6 @@
 
 #include <cmath>
 #include <stdexcept>
-#include <string>
 #include <utility>
 
 #include "baselines/cpu_ivfpq.hpp"
@@ -16,17 +15,6 @@
 #include "pim/energy.hpp"
 
 namespace upanns::core {
-
-void AnnsBackend::upsert(std::span<const std::uint32_t>,
-                         std::span<const float>) {
-  throw std::logic_error(std::string(name()) +
-                         ": backend does not support updates");
-}
-
-std::size_t AnnsBackend::remove(std::span<const std::uint32_t>) {
-  throw std::logic_error(std::string(name()) +
-                         ": backend does not support updates");
-}
 
 double SearchReport::recall_against(
     const std::vector<std::vector<common::Neighbor>>& exact,
@@ -86,10 +74,6 @@ class CpuBackend final : public AnnsBackend {
  public:
   CpuBackend(const ivf::IvfIndex& index, const UpAnnsOptions& options)
       : searcher_(index), params_(params_of(options)) {}
-  /// Updatable variant — the parity oracle for streaming-update tests. The
-  /// searcher scans the live lists directly, so writes need no extra sync.
-  CpuBackend(ivf::IvfIndex& index, const UpAnnsOptions& options)
-      : searcher_(index), params_(params_of(options)), mutable_index_(&index) {}
 
   const char* name() const override { return "Faiss-CPU"; }
 
@@ -101,22 +85,6 @@ class CpuBackend final : public AnnsBackend {
       const data::Dataset& queries,
       const std::vector<std::vector<std::uint32_t>>& probes) override {
     return wrap(searcher_.search_with_probes(queries, probes, params_));
-  }
-
-  bool supports_updates() const override { return mutable_index_ != nullptr; }
-
-  void upsert(std::span<const std::uint32_t> ids,
-              std::span<const float> vectors) override {
-    if (!mutable_index_) return AnnsBackend::upsert(ids, vectors);
-    for (std::uint32_t id : ids) mutable_index_->remove(id);
-    mutable_index_->insert(ids, vectors);
-  }
-
-  std::size_t remove(std::span<const std::uint32_t> ids) override {
-    if (!mutable_index_) return AnnsBackend::remove(ids);
-    std::size_t removed = 0;
-    for (std::uint32_t id : ids) removed += mutable_index_->remove(id) ? 1 : 0;
-    return removed;
   }
 
  private:
@@ -133,7 +101,6 @@ class CpuBackend final : public AnnsBackend {
 
   baselines::CpuIvfpqSearcher searcher_;
   baselines::SearchParams params_;
-  ivf::IvfIndex* mutable_index_ = nullptr;
 };
 
 class GpuBackend final : public AnnsBackend {
@@ -182,12 +149,6 @@ UpAnnsBackend::UpAnnsBackend(const ivf::IvfIndex& index,
     : engine_(std::make_unique<UpAnnsEngine>(index, stats, options)),
       label_(label) {}
 
-UpAnnsBackend::UpAnnsBackend(ivf::IvfIndex& index,
-                             const ivf::ClusterStats& stats,
-                             const UpAnnsOptions& options, const char* label)
-    : engine_(std::make_unique<UpAnnsEngine>(index, stats, options)),
-      label_(label) {}
-
 UpAnnsBackend::~UpAnnsBackend() = default;
 
 SearchReport UpAnnsBackend::search(const data::Dataset& queries) {
@@ -202,19 +163,6 @@ SearchReport UpAnnsBackend::search_with_probes(
 
 void UpAnnsBackend::set_metrics(obs::MetricsRegistry* registry) {
   engine_->set_metrics(registry);
-}
-
-bool UpAnnsBackend::supports_updates() const { return engine_->updatable(); }
-
-void UpAnnsBackend::upsert(std::span<const std::uint32_t> ids,
-                           std::span<const float> vectors) {
-  if (!engine_->updatable()) return AnnsBackend::upsert(ids, vectors);
-  engine_->upsert(ids, vectors);
-}
-
-std::size_t UpAnnsBackend::remove(std::span<const std::uint32_t> ids) {
-  if (!engine_->updatable()) return AnnsBackend::remove(ids);
-  return engine_->remove(ids);
 }
 
 MultiHostBackend::MultiHostBackend(const ivf::IvfIndex& index,
@@ -330,34 +278,6 @@ std::unique_ptr<AnnsBackend> make_backend(BackendKind kind,
     }
   }
   throw std::invalid_argument("make_backend: unknown backend kind");
-}
-
-std::unique_ptr<AnnsBackend> make_backend(BackendKind kind,
-                                          ivf::IvfIndex& index,
-                                          const ivf::ClusterStats& stats,
-                                          const UpAnnsOptions& options) {
-  switch (kind) {
-    case BackendKind::kCpuIvfpq:
-      return std::make_unique<CpuBackend>(index, options);
-    case BackendKind::kUpAnns:
-      return std::make_unique<UpAnnsBackend>(index, stats, options,
-                                             backend_name(kind));
-    case BackendKind::kPimNaive: {
-      UpAnnsOptions naive = options;
-      UpAnnsOptions defaults = UpAnnsOptions::pim_naive();
-      naive.opt_placement = defaults.opt_placement;
-      naive.opt_scheduling = defaults.opt_scheduling;
-      naive.opt_cae = defaults.opt_cae;
-      naive.opt_prune_topk = defaults.opt_prune_topk;
-      naive.naive_raw_codes = defaults.naive_raw_codes;
-      return std::make_unique<UpAnnsBackend>(index, stats, naive,
-                                             backend_name(kind));
-    }
-    default:
-      // GPU model / multi-host have no update path; serve read-only.
-      return make_backend(kind, static_cast<const ivf::IvfIndex&>(index),
-                          stats, options);
-  }
 }
 
 std::unique_ptr<AnnsBackend> make_multihost_backend(

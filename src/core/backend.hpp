@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string_view>
 #include <vector>
 
@@ -162,19 +161,6 @@ class AnnsBackend {
   /// Default: ignored — backends without instrumentation stay silent. The
   /// registry must outlive the backend or a set_metrics(nullptr).
   virtual void set_metrics(obs::MetricsRegistry* registry) { (void)registry; }
-
-  // ----- Streaming updates (optional capability) -----
-  //
-  // Backends constructed over a mutable index may accept writes between
-  // search batches; everyone else inherits the defaults, which report
-  // `supports_updates() == false` and throw std::logic_error. `upsert`
-  // replaces an existing live id or inserts a new one; `remove` tombstones
-  // the given ids and returns how many were actually live.
-
-  virtual bool supports_updates() const { return false; }
-  virtual void upsert(std::span<const std::uint32_t> ids,
-                      std::span<const float> vectors);
-  virtual std::size_t remove(std::span<const std::uint32_t> ids);
 };
 
 /// UpANNS (or PIM-naive, depending on options) behind the common interface.
@@ -184,11 +170,6 @@ class UpAnnsBackend final : public AnnsBackend {
  public:
   UpAnnsBackend(const ivf::IvfIndex& index, const ivf::ClusterStats& stats,
                 const UpAnnsOptions& options, const char* label = "UpANNS");
-  /// Updatable variant: accepts upsert/remove; the engine patches the MRAM
-  /// images before its next search. With no writes issued it serves
-  /// bit-identically to the read-only overload.
-  UpAnnsBackend(ivf::IvfIndex& index, const ivf::ClusterStats& stats,
-                const UpAnnsOptions& options, const char* label = "UpANNS");
   ~UpAnnsBackend() override;
 
   const char* name() const override { return label_; }
@@ -197,11 +178,6 @@ class UpAnnsBackend final : public AnnsBackend {
       const data::Dataset& queries,
       const std::vector<std::vector<std::uint32_t>>& probes) override;
   void set_metrics(obs::MetricsRegistry* registry) override;
-
-  bool supports_updates() const override;
-  void upsert(std::span<const std::uint32_t> ids,
-              std::span<const float> vectors) override;
-  std::size_t remove(std::span<const std::uint32_t> ids) override;
 
   UpAnnsEngine& engine() { return *engine_; }
   const UpAnnsEngine& engine() const { return *engine_; }
@@ -258,14 +234,6 @@ std::optional<BackendKind> backend_kind_of(std::string_view name);
 /// full control over host count and network parameters.
 std::unique_ptr<AnnsBackend> make_backend(BackendKind kind,
                                           const ivf::IvfIndex& index,
-                                          const ivf::ClusterStats& stats,
-                                          const UpAnnsOptions& options);
-
-/// Updatable factory: backends that can serve a mutable index (CPU oracle,
-/// UpANNS, PIM-naive) come back with supports_updates() == true; the rest
-/// (GPU model, multi-host) fall back to read-only serving of `index`.
-std::unique_ptr<AnnsBackend> make_backend(BackendKind kind,
-                                          ivf::IvfIndex& index,
                                           const ivf::ClusterStats& stats,
                                           const UpAnnsOptions& options);
 

@@ -49,6 +49,9 @@ std::vector<std::uint32_t> proximity_order(const ivf::IvfIndex& index) {
 
 namespace {
 
+/// Threshold relaxation rate (`rate` in Algorithm 1).
+constexpr double kRelaxRate = 0.02;
+
 std::size_t derive_max_dpu_vectors(const ivf::IvfIndex& index,
                                    const PlacementOptions& opts) {
   if (opts.max_dpu_vectors > 0) return opts.max_dpu_vectors;
@@ -92,7 +95,6 @@ Placement place_clusters(const ivf::IvfIndex& index,
         std::max<std::size_t>(1, static_cast<std::size_t>(
                                      std::ceil(w_total / w_bar)));
     ncpy = std::min(ncpy, ndpu);
-    if (opts.max_replicas > 0) ncpy = std::min(ncpy, opts.max_replicas);
     const double w_i = w_total / static_cast<double>(ncpy);  // Line 3
 
     double thld = 1.0;
@@ -123,7 +125,7 @@ Placement place_clusters(const ivf::IvfIndex& index,
         d_id = (d_id + 1) % ndpu;
         if (count == ndpu) {
           // No suitable DPU under the current threshold (Lines 11-12).
-          thld += opts.relax_rate;
+          thld += kRelaxRate;
           count = 0;
           // Memory, unlike workload, cannot be relaxed: if no DPU has the
           // capacity at all, placement is impossible.
@@ -175,8 +177,6 @@ std::vector<CopyDelta> adjust_replicas(
         static_cast<std::int64_t>(old_ncpy) + adj.delta;
     std::size_t target = raw < 1 ? 1 : static_cast<std::size_t>(raw);
     target = std::min(target, ndpu);
-    if (opts.max_replicas > 0) target = std::min(target, opts.max_replicas);
-    target = std::max<std::size_t>(target, 1);
     if (target == old_ncpy) continue;
 
     // Strip this cluster's advisory workload shares; they are re-added at

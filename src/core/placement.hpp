@@ -23,11 +23,6 @@ struct PlacementOptions {
   /// Maximum vectors a DPU may hold (MAX_DPU_SIZE in Algorithm 1). 0 derives
   /// it from the MRAM capacity and the per-vector footprint.
   std::size_t max_dpu_vectors = 0;
-  /// Threshold relaxation rate (`rate` in Algorithm 1).
-  double relax_rate = 0.02;
-  /// Upper bound on replicas per cluster (safety valve; the paper's ncpy is
-  /// naturally bounded by ndpu).
-  std::size_t max_replicas = 0;
 };
 
 struct Placement {
@@ -81,9 +76,8 @@ struct CopyDelta {
 /// fresh traffic estimate the deltas were derived from; the touched
 /// clusters' advisory workload shares are re-based on it. Deterministic:
 /// identical inputs yield identical deltas. Replica targets are clamped to
-/// [1, n_dpus] (and opts.max_replicas when set); a delta that finds no
-/// eligible DPU is partially applied, so callers must act on the returned
-/// list, not the request.
+/// [1, n_dpus]; a delta that finds no eligible DPU is partially applied,
+/// so callers must act on the returned list, not the request.
 std::vector<CopyDelta> adjust_replicas(
     Placement& placement, const ivf::IvfIndex& index,
     const std::vector<CopyAdjustment>& adjustments,

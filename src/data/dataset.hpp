@@ -42,6 +42,9 @@ double family_size_sigma(DatasetFamily f);
 /// Near-duplicate clump fraction per family (DEEP1B-like only).
 double family_dense_core_frac(DatasetFamily f);
 
+/// Zipf exponent of pattern selection inside a SyntheticSpec pattern pool.
+constexpr double kPatternZipf = 1.1;
+
 struct SyntheticSpec {
   DatasetFamily family = DatasetFamily::kSiftLike;
   std::size_t n = 100'000;
@@ -56,8 +59,6 @@ struct SyntheticSpec {
   double pattern_prob = 0.55;
   /// Patterns per cluster pool; fewer patterns -> stronger co-occurrence.
   std::size_t pattern_pool = 12;
-  /// Zipf exponent of pattern selection inside a pool.
-  double pattern_zipf = 1.1;
   /// Fraction of points emitted as a single ultra-dense clump of
   /// near-duplicates. CNN-descriptor datasets like DEEP1B contain large
   /// near-duplicate groups; a dense clump survives IVF re-clustering as one

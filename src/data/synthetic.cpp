@@ -202,7 +202,7 @@ Dataset generate_synthetic(const SyntheticSpec& spec) {
   for (auto& v : pools) {
     v = static_cast<float>(rng.gaussian(0.0, scales.residual_sigma));
   }
-  common::ZipfSampler pattern_picker(spec.pattern_pool, spec.pattern_zipf);
+  common::ZipfSampler pattern_picker(spec.pattern_pool, kPatternZipf);
 
   // Dense near-duplicate core (see SyntheticSpec::dense_core_frac): one
   // clump whose internal spread is negligible, so k-means cannot profitably

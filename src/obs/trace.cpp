@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "common/log.hpp"
 #include "obs/json.hpp"
@@ -12,49 +13,33 @@ namespace upanns::obs {
 
 namespace {
 
-/// The mram-patch / adapt-patch slices that lead a batch's device phase
-/// (device_seconds already includes them), parked on lane 0 until every
-/// other lane is known.
-class PatchLanes {
- public:
-  /// Lay the batch's patch slices from `start`; returns where the rest of
-  /// its device phase starts.
-  template <class Report>
-  double add(PipelineTrace& t, std::size_t b, double start,
-             const core::StreamSlot<Report>& slot) {
-    if (slot.patch_seconds > 0) {
-      patch_.push_back(t.slices.size());
-      t.slices.push_back(
-          {"mram-patch", "patch", 0, start, slot.patch_seconds, b});
-    }
-    start += slot.patch_seconds;
-    // A replication patch from the drift controller (copy adjust or
-    // relocate) follows the mutation patch.
-    if (slot.adapt_seconds > 0) {
-      adapt_.push_back(t.slices.size());
-      t.slices.push_back(
-          {"adapt-patch", "patch", 0, start, slot.adapt_seconds, b});
-    }
-    return start + slot.adapt_seconds;
-  }
+/// Draw lane-level span `s` (obs/span.hpp) as a slice on the lane that its
+/// category names: 1 for the report type's second fixed category (device on
+/// one host, net on a fleet), 2+h for fleet host h, 0 for the first fixed
+/// category and for the patch spans until add_patch_lanes moves them.
+void draw(PipelineTrace& t, const Span& s, std::string_view lane1) {
+  const int lane = s.category == lane1 ? 1
+                   : s.host >= 0       ? static_cast<int>(2 + s.host)
+                                       : 0;
+  t.slices.push_back({s.name, s.category, lane, s.start_seconds,
+                      s.duration_seconds, static_cast<std::size_t>(s.batch)});
+}
 
-  /// Patch and adapt lanes only exist when some batch actually used them,
-  /// so read-only (and adapt-off) runs export a byte-identical trace.
-  void finish(PipelineTrace& t, int next_lane) const {
-    if (!patch_.empty()) {
-      for (std::size_t i : patch_) t.slices[i].lane = next_lane;
-      t.lanes.emplace_back(next_lane, "mram-patch");
-      ++next_lane;
+/// Move the patch slices onto mram-patch / adapt-patch lanes after all the
+/// others. The lanes exist only when some batch used them, so read-only
+/// (and adapt-off) runs export a byte-identical trace.
+void add_patch_lanes(PipelineTrace& t) {
+  for (const char* name : {"mram-patch", "adapt-patch"}) {
+    const int lane = static_cast<int>(t.lanes.size());
+    bool used = false;
+    for (TraceSlice& s : t.slices) {
+      if (s.name != name) continue;
+      s.lane = lane;
+      used = true;
     }
-    if (!adapt_.empty()) {
-      for (std::size_t i : adapt_) t.slices[i].lane = next_lane;
-      t.lanes.emplace_back(next_lane, "adapt-patch");
-    }
+    if (used) t.lanes.emplace_back(lane, name);
   }
-
- private:
-  std::vector<std::size_t> patch_, adapt_;
-};
+}
 
 }  // namespace
 
@@ -63,32 +48,18 @@ PipelineTrace pipeline_trace(const core::BatchPipelineReport& report) {
   t.lanes.emplace_back(0, "host");
   t.lanes.emplace_back(1, "device");
   std::size_t max_dpu_lane = 0;
-  PatchLanes patches;
 
   const std::vector<core::PhaseWindows> windows = core::batch_timeline(report);
+  SpanLog batch;
   for (std::size_t b = 0; b < report.slots.size(); ++b) {
     const core::BatchSlot& slot = report.slots[b];
-    const core::PhaseWindows& w = windows[b];
-
-    // Host prefix = the leading kHost trace entries, then the device-bound
-    // remainder — the same split the stream uses for pre_seconds.
-    std::size_t step = 0;
-    double cursor = w.pre_start;
-    for (; step < slot.report.trace.size(); ++step) {
-      const core::StageStep& s = slot.report.trace[step];
-      if (s.side != core::StageSide::kHost) break;
-      t.slices.push_back({s.name, "host", 0, cursor, s.seconds, b});
-      cursor += s.seconds;
-    }
-    // The stage slices start after any patch work and still end exactly at
-    // w.device_end.
-    cursor = patches.add(t, b, w.device_start, slot);
-    double launch_start = cursor;
-    for (; step < slot.report.trace.size(); ++step) {
-      const core::StageStep& s = slot.report.trace[step];
-      t.slices.push_back({s.name, "device", 1, cursor, s.seconds, b});
-      if (std::string_view(s.name) == "kernel-launch") launch_start = cursor;
-      cursor += s.seconds;
+    batch.clear();
+    // Without a kernel-launch span the DPU slices start with the device
+    // stages.
+    double launch_start = append_lane_spans(batch, 0, b, windows[b], slot);
+    for (const Span& s : batch.spans()) {
+      draw(t, s, "device");
+      if (s.name == "kernel-launch") launch_start = s.start_seconds;
     }
 
     // Per-DPU busy slices under this batch's kernel-launch stage.
@@ -107,7 +78,7 @@ PipelineTrace pipeline_trace(const core::BatchPipelineReport& report) {
     t.lanes.emplace_back(static_cast<int>(2 + d),
                          "dpu-" + std::to_string(d));
   }
-  patches.finish(t, static_cast<int>(2 + max_dpu_lane + 1));
+  add_patch_lanes(t);
   return t;
 }
 
@@ -193,49 +164,26 @@ PipelineTrace multihost_trace(const core::MultiHostPipelineReport& report) {
   t.lanes.emplace_back(0, "coordinator");
   t.lanes.emplace_back(1, "network");
   std::size_t max_host_lane = 0;
-  PatchLanes patches;
 
   const std::vector<core::PhaseWindows> windows = core::batch_timeline(report);
+  SpanLog batch;
   for (std::size_t b = 0; b < report.slots.size(); ++b) {
     const core::MultiHostBatchSlot& slot = report.slots[b];
-    const core::MultiHostReport& r = slot.report;
-    const core::PhaseWindows& w = windows[b];
-
-    t.slices.push_back({"cluster-filter", "host", 0, w.pre_start,
-                        r.coord_filter_seconds, b});
-    t.slices.push_back({"broadcast", "network", 1,
-                        w.pre_start + r.coord_filter_seconds,
-                        r.broadcast_seconds, b});
-    // The host slices start after any fleet-wide patch work and still end
-    // exactly at w.device_end.
-    const double fleet_start = patches.add(t, b, w.device_start, slot);
-    for (std::size_t h = 0; h < r.host_slots.size(); ++h) {
-      const core::MultiHostHostSlot& s = r.host_slots[h];
-      if (!s.active) continue;
-      const int lane = static_cast<int>(2 + h);
-      if (s.host_seconds > 0) {
-        t.slices.push_back({"alg2-schedule", "host", lane, fleet_start,
-                            s.host_seconds, b});
+    batch.clear();
+    append_lane_spans(batch, 0, b, windows[b], slot);
+    for (const Span& s : batch.spans()) draw(t, s, "net");
+    for (std::size_t h = 0; h < slot.report.host_slots.size(); ++h) {
+      if (slot.report.host_slots[h].active) {
+        max_host_lane = std::max(max_host_lane, h);
       }
-      if (s.device_seconds > 0) {
-        t.slices.push_back({"device-phase", "device", lane,
-                            fleet_start + s.host_seconds,
-                            s.device_seconds, b});
-      }
-      max_host_lane = std::max(max_host_lane, h);
     }
-    t.slices.push_back(
-        {"gather", "network", 1, w.post_start, r.gather_seconds, b});
-    t.slices.push_back({"interhost-merge", "host", 0,
-                        w.post_start + r.gather_seconds,
-                        r.coord_merge_seconds, b});
   }
 
   for (std::size_t h = 0; h <= max_host_lane; ++h) {
     t.lanes.emplace_back(static_cast<int>(2 + h),
                          "host-" + std::to_string(h));
   }
-  patches.finish(t, static_cast<int>(2 + max_host_lane + 1));
+  add_patch_lanes(t);
   return t;
 }
 

@@ -1,5 +1,8 @@
 // Chrome/Perfetto trace export of a batch stream run.
 //
+// The lane slices are drawn from the span forest's lane-level spans
+// (obs::append_lane_spans), the one place a batch's phases are laid on the
+// timeline: each span becomes one slice on the lane its category names.
 // The windows come from core::batch_timeline, the recurrence the stream's
 // elapsed_seconds itself comes from (core/pipeline.hpp): batch 0's host
 // prefix starts at t=0; each batch's device phase starts when both the
@@ -10,22 +13,21 @@
 // bit-for-bit for overlapped runs (asserted in test_obs).
 //
 // Lanes (Chrome trace "threads" of one process):
-//   tid 0          host    — leading host stages of every batch
-//   tid 1          device  — the device-bound remainder of every batch
+//   tid 0          host    — "host" spans: leading host stages of a batch
+//   tid 1          device  — "device" spans: the device-bound remainder
 //   tid 2+d        dpu-<d> — that DPU's kernel busy time, one slice per
 //                            batch it participated in (from LaunchStats via
-//                            PimExtras::dpu_busy_seconds)
+//                            PimExtras::dpu_busy_seconds; trace-only)
 //
 // Load the file at ui.perfetto.dev (or chrome://tracing): batch i+1's host
 // slices visibly overlap batch i's device slices.
-// Multi-host runs (core::MultiHostBatchPipeline) export through the same
-// slice/lane machinery and timeline with a different lane map:
-//   tid 0          coordinator — cluster-filter + interhost-merge per batch
-//   tid 1          network     — broadcast / gather fan-out transfers
-//   tid 2+h        host-<h>    — that host's schedule + device phase
+// Multi-host runs (core::MultiHostBatchPipeline) use a different lane map:
+//   tid 0          coordinator — "coord": cluster-filter + interhost-merge
+//   tid 1          network     — "net": broadcast / gather fan-out
+//   tid 2+h        host-<h>    — host h's "host": schedule + device phase
 // so the last merge slice ends at elapsed_seconds for overlapped runs. Both
-// maps append an mram-patch and an adapt-patch lane after the others when
-// some batch patched or adapted.
+// maps append an mram-patch and an adapt-patch lane ("patch") after the
+// others when some batch patched or adapted.
 #pragma once
 
 #include <string>
@@ -42,7 +44,9 @@ class SpanLog;
 /// One "complete" (ph "X") slice on a lane.
 struct TraceSlice {
   std::string name;
-  std::string category;  ///< "host", "device" or "dpu"
+  /// The span's category (host|device|patch|coord|net), "dpu" for a
+  /// per-DPU busy slice, "build" for build_trace.
+  std::string category;
   int lane = 0;          ///< Chrome trace tid
   double start_seconds = 0;
   double duration_seconds = 0;
@@ -55,10 +59,10 @@ struct PipelineTrace {
   std::vector<TraceSlice> slices;
 };
 
-/// Build the slice set: per batch, one slice per leading host stage on the
-/// host lane and one per remaining stage on the device lane (stage names and
-/// seconds straight from SearchReport::trace), plus one busy slice per
-/// active DPU aligned with that batch's kernel-launch stage.
+/// Build the slice set: per batch, one slice per lane-level span (the
+/// leading host stages on the host lane, the remaining stages on the device
+/// lane, patch work on the patch lanes), plus one busy slice per active DPU
+/// aligned with that batch's kernel-launch span.
 PipelineTrace pipeline_trace(const core::BatchPipelineReport& report);
 
 /// Serialize to Chrome trace-event JSON ("traceEvents" array of X slices and
@@ -69,10 +73,10 @@ PipelineTrace pipeline_trace(const core::BatchPipelineReport& report);
 std::string trace_json(const PipelineTrace& trace,
                        const SpanLog* spans = nullptr);
 
-/// Build the multi-host slice set (see file comment): per batch, the
-/// coordinator filter and inter-host merge on the coordinator lane, the
-/// broadcast/gather fan-out on the network lane, and one schedule + one
-/// device slice per active host on that host's lane.
+/// Build the multi-host slice set (see file comment): per batch, one slice
+/// per lane-level span — the coordinator filter and inter-host merge on the
+/// coordinator lane, the broadcast/gather fan-out on the network lane, and
+/// one schedule + one device slice per active host on that host's lane.
 PipelineTrace multihost_trace(const core::MultiHostPipelineReport& report);
 
 /// One-lane wall-clock trace of the offline build phase: the BuildStats

@@ -242,34 +242,18 @@ ServeSummary summarize(const std::vector<RequestRecord>& requests,
 void append_request_spans(obs::SpanLog& log,
                           const std::vector<RequestRecord>& requests) {
   for (const RequestRecord& r : requests) {
-    obs::Span root;
-    root.name = "request";
-    root.category = "request";
-    root.query = static_cast<std::int64_t>(r.id);
-    root.batch = static_cast<std::int64_t>(r.batch_index);
-    root.start_seconds = r.enqueue_seconds;
-    root.duration_seconds = r.latency();
-    const std::uint64_t root_id = log.push(std::move(root)).id;
-
-    obs::Span wait;
-    wait.parent = root_id;
-    wait.name = "queue-wait";
-    wait.category = "serve";
-    wait.query = static_cast<std::int64_t>(r.id);
-    wait.batch = static_cast<std::int64_t>(r.batch_index);
-    wait.start_seconds = r.enqueue_seconds;
-    wait.duration_seconds = r.queue_wait();
-    log.push(std::move(wait));
-
-    obs::Span exec;
-    exec.parent = root_id;
-    exec.name = r.failed ? "exec-failed" : "exec";
-    exec.category = "serve";
-    exec.query = static_cast<std::int64_t>(r.id);
-    exec.batch = static_cast<std::int64_t>(r.batch_index);
-    exec.start_seconds = r.batch_seconds;
-    exec.duration_seconds = r.complete_seconds - r.batch_seconds;
-    log.push(std::move(exec));
+    const auto query = static_cast<std::int64_t>(r.id);
+    const auto batch = static_cast<std::int64_t>(r.batch_index);
+    obs::Span& root = log.push(0, "request", "request", batch,
+                               r.enqueue_seconds, r.latency());
+    root.query = query;
+    const std::uint64_t root_id = root.id;
+    log.push(root_id, "queue-wait", "serve", batch, r.enqueue_seconds,
+             r.queue_wait())
+        .query = query;
+    log.push(root_id, r.failed ? "exec-failed" : "exec", "serve", batch,
+             r.batch_seconds, r.complete_seconds - r.batch_seconds)
+        .query = query;
   }
 }
 

@@ -199,7 +199,7 @@ Dataset reference_generate(const SyntheticSpec& spec) {
   for (auto& v : pools) {
     v = static_cast<float>(rng.gaussian(0.0, scales.residual_sigma));
   }
-  common::ZipfSampler pattern_picker(spec.pattern_pool, spec.pattern_zipf);
+  common::ZipfSampler pattern_picker(spec.pattern_pool, kPatternZipf);
 
   Dataset ds;
   ds.dim = dim;

@@ -860,53 +860,6 @@ TEST(MramInvariants, ReplicaImagesHoldThroughEveryWriterTransition) {
 }
 
 // ---------------------------------------------------------------------------
-// Backend capability surface.
-
-TEST(BackendUpdates, CapabilityAndLazyPatch) {
-  auto& f = fixture();
-  ivf::IvfIndex mut = f.index;
-
-  auto readonly = core::make_backend(core::BackendKind::kUpAnns,
-                                     std::as_const(f.index), f.stats,
-                                     f.options());
-  EXPECT_FALSE(readonly->supports_updates());
-  const std::uint32_t id = 123456;
-  const std::vector<float> v(f.base.dim, 0.f);
-  EXPECT_THROW(readonly->upsert({&id, 1}, v), std::logic_error);
-  EXPECT_THROW(readonly->remove({&id, 1}), std::logic_error);
-
-  auto cpu = core::make_backend(core::BackendKind::kCpuIvfpq, mut, f.stats,
-                                f.options());
-  auto pim = core::make_backend(core::BackendKind::kUpAnns, mut, f.stats,
-                                f.options());
-  EXPECT_TRUE(cpu->supports_updates());
-  EXPECT_TRUE(pim->supports_updates());
-
-  // Writes through both backends, then search: the PIM backend patches
-  // lazily and must agree with the CPU oracle on the mutated state.
-  common::Rng rng(55);
-  const std::vector<float> nv = perturbed_row(f, rng);
-  cpu->upsert({&id, 1}, nv);
-  pim->upsert({&id, 1}, nv);
-  const std::uint32_t dead = 11;
-  EXPECT_EQ(cpu->remove({&dead, 1}), 1u);
-  // Both backends mutate the same index; the CPU remove above already
-  // tombstoned it there, so the PIM remove sees it dead.
-  EXPECT_EQ(pim->remove({&dead, 1}), 0u);
-
-  const auto probes = ivf::filter_batch(mut, f.wl.queries, 6);
-  const auto a = cpu->search_with_probes(f.wl.queries, probes);
-  const auto b = pim->search_with_probes(f.wl.queries, probes);
-  // ADC distances agree across CPU float and PIM fixed-point paths only at
-  // the id level; assert the live/dead transition is visible to both.
-  ASSERT_EQ(a.neighbors.size(), b.neighbors.size());
-  for (std::size_t q = 0; q < a.neighbors.size(); ++q) {
-    for (const auto& nb : a.neighbors[q]) EXPECT_NE(nb.id, dead);
-    for (const auto& nb : b.neighbors[q]) EXPECT_NE(nb.id, dead);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Multi-host streaming updates.
 
 TEST(MultiHostUpdates, PatchedHostsMatchFreshClusterMidStream) {

@@ -437,9 +437,8 @@ TEST(ServeReport, QuantilesAreNearestRank) {
 TEST(ServeReport, RequestSpansHangQueueWaitAndExecUnderEachRequest) {
   const ServeLog log;
   obs::SpanLog spans;
-  obs::Span earlier;
-  earlier.name = "batch";
-  spans.push(earlier);  // ids continue after spans already in the log
+  // ids continue after spans already in the log
+  spans.push(0, "batch", "batch", -1, 0, 0);
   append_request_spans(spans, log.requests);
   ASSERT_EQ(spans.size(), 1 + 3 * log.requests.size());
   for (std::size_t i = 0; i < log.requests.size(); ++i) {

@@ -358,12 +358,31 @@ struct Fixture {
   }
 
   /// Mixed read/write single-host run over a private index copy: upserts
-  /// before batches 1 and 2 force an incremental MRAM patch per batch.
+  /// before every batch after the first force an incremental MRAM patch per
+  /// batch. With `adapt`, three drifted batches follow the calm ones and the
+  /// stream adjusts copies, so adapt-patch work joins the mutation patches.
   core::BatchPipelineReport mutating_single_run(SpanLog* spans,
-                                                ivf::IvfIndex& mut) {
+                                                ivf::IvfIndex& mut,
+                                                bool adapt = false) {
     core::UpAnnsEngine engine(mut, stats, options());
     engine.set_spans(spans);
-    core::BatchStream pipeline(engine, {.overlap = true});
+    core::BatchPipelineOptions opts{.overlap = true};
+    std::vector<data::Dataset> served = batches();
+    if (adapt) {
+      opts.adapt = core::AdaptMode::kCopies;
+      opts.adaptive = {.window_batches = 2,
+                       .minor_threshold = 0.01,
+                       .copy_change_fraction = 0.01};
+      data::WorkloadSpec hot;
+      hot.n_queries = 48;
+      hot.seed = 11;
+      hot.popularity_shift = 12;
+      for (data::Dataset& b : core::split_batches(
+               data::generate_workload(base, hot).queries, 16)) {
+        served.push_back(std::move(b));
+      }
+    }
+    core::BatchStream pipeline(engine, opts);
     common::Rng rng(321);
     const core::BatchStream::MutationHook hook = [&](std::size_t b) {
       if (b == 0) return;
@@ -376,7 +395,7 @@ struct Fixture {
       }
       engine.upsert(ids, flat);
     };
-    return pipeline.run(batches(), hook);
+    return pipeline.run(served, hook);
   }
 
   /// Mixed read/write multi-host run over a private index copy: upserts +
@@ -626,6 +645,86 @@ TEST(Spans, CombinedMutationMultihostExportIsGoldenBitExact) {
                           "host", "start_seconds", "duration_seconds"}) {
     EXPECT_TRUE(first.has(key)) << key;
   }
+}
+
+/// Every lane-level span (a child of a batch root other than a query span)
+/// matches exactly one slice of `trace`: same name, category, batch, start
+/// and duration, on the lane its category (and host) names. Every other
+/// slice is a dpu-kernel slice.
+void expect_slices_are_lane_spans(const SpanLog& log,
+                                  const PipelineTrace& trace) {
+  const std::map<int, std::string> lane_name(trace.lanes.begin(),
+                                             trace.lanes.end());
+  const std::map<std::string, std::string> category_lane = {
+      {"host", "host"},
+      {"device", "device"},
+      {"coord", "coordinator"},
+      {"net", "network"}};
+  std::set<std::uint64_t> roots;
+  for (const Span& s : log.spans()) {
+    if (s.parent == 0) roots.insert(s.id);
+  }
+  std::vector<bool> matched(trace.slices.size(), false);
+  std::size_t lane_spans = 0;
+  for (const Span& s : log.spans()) {
+    if (roots.count(s.parent) == 0 || s.category == "query") continue;
+    ++lane_spans;
+    std::string lane;
+    if (s.category == "patch") {
+      lane = s.name;
+    } else if (s.host >= 0) {
+      lane = "host-" + std::to_string(s.host);
+    } else if (category_lane.count(s.category) != 0) {
+      lane = category_lane.at(s.category);
+    } else {
+      ADD_FAILURE() << s.name << ": category " << s.category
+                    << " names no lane";
+      continue;
+    }
+    std::size_t hits = 0;
+    for (std::size_t i = 0; i < trace.slices.size(); ++i) {
+      const TraceSlice& t = trace.slices[i];
+      if (t.name == s.name && t.category == s.category &&
+          static_cast<std::int64_t>(t.batch) == s.batch &&
+          t.start_seconds == s.start_seconds &&
+          t.duration_seconds == s.duration_seconds &&
+          lane_name.at(t.lane) == lane) {
+        ++hits;
+        matched[i] = true;
+      }
+    }
+    EXPECT_EQ(hits, 1u) << s.name << " of batch " << s.batch << " on "
+                        << lane;
+  }
+  EXPECT_GT(lane_spans, 0u);
+  for (std::size_t i = 0; i < trace.slices.size(); ++i) {
+    if (!matched[i]) {
+      EXPECT_EQ(trace.slices[i].name, "dpu-kernel");
+    }
+  }
+}
+
+TEST(Spans, TraceLaneSlicesAreTheLaneSpans) {
+  auto& f = fixture();
+  ivf::IvfIndex single_index = f.index;
+  SpanLog single_log;
+  const auto single =
+      f.mutating_single_run(&single_log, single_index, /*adapt=*/true);
+  const PipelineTrace single_trace = pipeline_trace(single);
+  expect_slices_are_lane_spans(single_log, single_trace);
+  // Both patch lanes appear, after all the others, mram-patch first.
+  const auto& lanes = single_trace.lanes;
+  const int n = static_cast<int>(lanes.size());
+  ASSERT_GE(n, 4);
+  EXPECT_EQ(lanes[n - 2], (std::pair<int, std::string>{n - 2, "mram-patch"}));
+  EXPECT_EQ(lanes[n - 1], (std::pair<int, std::string>{n - 1, "adapt-patch"}));
+
+  ivf::IvfIndex fleet_index = f.index;
+  SpanLog fleet_log;
+  const auto fleet = f.mutating_multihost_run(&fleet_log, fleet_index);
+  const PipelineTrace fleet_trace = multihost_trace(fleet);
+  expect_slices_are_lane_spans(fleet_log, fleet_trace);
+  EXPECT_EQ(fleet_trace.lanes.back().second, "mram-patch");
 }
 
 TEST(Spans, WindowedLatencyTracksTheCumulativeHistogram) {
