@@ -5,7 +5,7 @@
 // DIMM power equals the A100's 300 W budget are marked. Expected shape:
 // near-linear scaling; prediction at 2560 DPUs ~2.6x the GPU.
 #include "bench_common.hpp"
-#include "metrics/regression.hpp"
+#include "common/stats.hpp"
 #include "pim/energy.hpp"
 
 using namespace upanns;
@@ -15,7 +15,7 @@ int main() {
   metrics::banner("Figure 20", "Scalability with #DPUs (500M-point scale)");
 
   const std::size_t paper_dpus[] = {500, 600, 700, 800, 900};
-  std::vector<std::size_t> xs;
+  std::vector<double> xs;
   std::vector<double> measured;
 
   Config cfg;
@@ -41,16 +41,16 @@ int main() {
     const double dpu_factor = static_cast<double>(cfg.n_dpus) /
                               static_cast<double>(target);
     const auto at_scale = report.at_scale(data_factor, dpu_factor);
-    xs.push_back(target);
+    xs.push_back(static_cast<double>(target));
     measured.push_back(at_scale.qps);
     table.add_row({std::to_string(target),
                    metrics::Table::fmt(at_scale.qps, 1), "measured"});
   }
 
-  const metrics::ScalingModel model = metrics::fit_scaling(xs, measured);
+  const common::LinearFit fit = common::fit_linear(xs, measured);
   for (const std::size_t d : {1024u, 1280u, 1536u, 1654u, 2048u, 2560u}) {
     table.add_row({std::to_string(d),
-                   metrics::Table::fmt(model.predict_qps(d), 1),
+                   metrics::Table::fmt(fit.predict(static_cast<double>(d)), 1),
                    d == 1654 ? "predicted (GPU power parity)" : "predicted"});
   }
   table.print();
@@ -75,12 +75,12 @@ int main() {
       baselines::GpuModel::stage_times(profile).total();
 
   std::printf("\nregression fit R^2 = %.4f (paper: near-perfect linear fit)\n",
-              model.r2());
+              fit.r2);
   std::printf("Faiss-GPU QPS at this scale: %.1f\n", gpu_qps);
   std::printf("UpANNS @ 1654 DPUs (GPU power parity, 300W): %.1f QPS "
               "(%.2fx GPU)\n",
-              model.predict_qps(1654), model.predict_qps(1654) / gpu_qps);
+              fit.predict(1654), fit.predict(1654) / gpu_qps);
   std::printf("UpANNS @ 2560 DPUs (20 DIMMs, $8000): %.1f QPS (%.2fx GPU)\n",
-              model.predict_qps(2560), model.predict_qps(2560) / gpu_qps);
+              fit.predict(2560), fit.predict(2560) / gpu_qps);
   return 0;
 }

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Gate host wall-clock on paired parent-vs-change perfbench runs.
+"""Gate both clocks on paired parent-vs-change perfbench runs.
 
 Run from anywhere:
 
@@ -14,21 +14,38 @@ batch_paper at --trace 1. Within a pair the two sides run each
 configuration back to back, and the side that runs first alternates from
 pair to pair.
 
-A gated metric fails when the change reads worse than the parent in at
-least 9 of 10 pairs (ties count for neither) and its median is worse than
-the parent's by more than the parent's interquartile range: the gain rule
-of a claimed speed-up, mirrored. The same rule in the other direction marks
-a metric `better`. Which way is better comes from the change's
-BENCHMARK.json; a metric is compared only when both sides emit it. A run
-that fails or reports `correct: false` or `failed > 0` stops the gate with
-a message naming its side: a broken parent is not the change's fault.
+Simulated clock. Every run records the values that must repeat exactly for
+its seed (each sim.*, pim.* count, kernel.*, cae.*, adapt.*, mh.* and
+core.patch_* value, sim_qps, recall_at_10 and the neighbors digest) in its
+side's signature store, <side>/.bench_build/perfbench/signatures.json,
+under <sha256(perfbench binary)[:16]>/<workload>/<seed>/<seconds>/full. The
+gate compares the two sides' values per workload and seed, prints one identity
+line per workload and, for each value that differs, its first differing
+seed with both values. A differing value fails unless it is declared: named
+on a line starting with `GOLDEN:` that the change's CHANGES.md adds over
+the parent's, as `GOLDEN: name, name ... - why` (the names end at the
+first dash, `-` or an em dash). That line is how a deliberate
+simulated-clock change lands.
 
-Exit status: 0 when no gated metric fails, 1 when one does, 2 when a run
-fails or the arguments are wrong.
+Host clock. A gated metric fails when the change reads worse than the parent
+in at least 9 of 10 pairs (ties count for neither) and its median is worse
+than the parent's by more than the parent's interquartile range: the gain
+rule of a claimed speed-up, mirrored. The same rule in the other direction
+marks a metric `better`. Which way is better comes from the change's
+BENCHMARK.json; a metric is compared only when both sides emit it.
+
+A run that fails or reports `correct: false` or `failed > 0` stops the gate
+with a message naming its side: a broken parent is not the change's fault.
+
+Exit status: 0 when no gated metric fails and every differing simulated
+value is declared, 1 otherwise, 2 when a run fails or the arguments are
+wrong.
 """
+import hashlib
 import json
 import math
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -37,11 +54,11 @@ import time
 HERE = os.path.dirname(os.path.abspath(__file__))
 PAIRS = 10
 SECONDS = 3
-RUNS = (("batch_paper", 0), ("online_zipf", 0), ("fleet_rw", 0),
-        ("batch_paper", 1))
+WORKLOADS = ("batch_paper", "online_zipf", "fleet_rw")
+RUNS = tuple((w, 0) for w in WORKLOADS) + (("batch_paper", 1),)
 # End-to-end host metrics at --trace 0, and batch_paper's build substages
-# at --trace 1. Simulated metrics and recall are exact per seed, and
-# peak_rss_mb does not vary with host speed.
+# at --trace 1. Simulated values and recall are compared exactly through the
+# signature stores instead, and peak_rss_mb does not vary with host speed.
 GATED = {
     0: ("setup_s", "host_qps", "batch_p50_ms", "batch_p90_ms", "req_p50_ms"),
     1: ("data.gen_s", "quant.coarse_kmeans_s", "ivf.coarse_assign_s",
@@ -77,6 +94,80 @@ def directions(root):
         bench = json.load(f)
     return {m["name"]: m["better"]
             for m in bench["end_to_end"] + bench["per_layer"]}
+
+
+def signatures(side, root):
+    """{(workload, seed): {name: value}} from the side's signature store,
+    for the binary its runs left behind."""
+    bdir = os.path.join(root, ".bench_build", "perfbench")
+    h = hashlib.sha256()
+    with open(os.path.join(bdir, "perfbench"), "rb") as f:
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            h.update(chunk)
+    try:
+        with open(os.path.join(bdir, "signatures.json")) as f:
+            stored = json.load(f)
+    except (OSError, ValueError) as e:
+        die(f"{side} signature store unreadable: {e}")
+    sigs = {}
+    for workload in WORKLOADS:
+        for seed in range(1, PAIRS + 1):
+            key = "/".join([h.hexdigest()[:16], workload, str(seed),
+                            repr(float(SECONDS)), "full"])
+            if key not in stored:
+                die(f"{side} signature store has no {key}")
+            sigs[(workload, seed)] = stored[key]
+    return sigs
+
+
+def golden_lines(root):
+    try:
+        with open(os.path.join(root, "CHANGES.md")) as f:
+            lines = f.read().splitlines()
+    except OSError:
+        return set()
+    return {l.strip() for l in lines if l.startswith("GOLDEN:")}
+
+
+def declared_names(parent, change):
+    """Names on the `GOLDEN:` lines the change adds: the comma- or
+    space-separated words before the first dash (no name holds one)."""
+    names = set()
+    for line in golden_lines(change) - golden_lines(parent):
+        listed = re.split("[-\u2014]", line[len("GOLDEN:"):], maxsplit=1)[0]
+        names.update(n for n in re.split(r"[,\s]+", listed) if n)
+    return names
+
+
+def identity(parent, change, declared):
+    """Print one identity line per workload and each differing value's first
+    differing seed; return the undeclared differences."""
+    undeclared = []
+    known = set()
+    seeds = range(1, PAIRS + 1)
+    for workload in WORKLOADS:
+        p = [parent[(workload, s)] for s in seeds]
+        c = [change[(workload, s)] for s in seeds]
+        names = sorted(set().union(*p, *c))
+        known.update(names)
+        moved = []
+        for name in names:
+            for seed, ps, cs in zip(seeds, p, c):
+                if ps.get(name) != cs.get(name):
+                    moved.append((name, seed, ps.get(name, "absent"),
+                                  cs.get(name, "absent")))
+                    break
+        print(f"identity {workload:11s} {len(names) - len(moved)} of "
+              f"{len(names)} values identical on seeds 1-{PAIRS}")
+        for name, seed, pv, cv in moved:
+            ok = name in declared
+            print(f"  {name:26s} seed {seed:2d}: parent {pv} change {cv}  "
+                  + ("declared" if ok else "NOT declared"))
+            if not ok:
+                undeclared.append(f"{workload} {name}")
+    for name in sorted(declared - known):
+        print(f"  GOLDEN name {name} is not a signature value")
+    return undeclared
 
 
 def quartiles(values):
@@ -144,6 +235,10 @@ def main(argv):
                 print(f"pair {seed:2d} {side:6s} {workload:11s} trace {trace} "
                       f"{time.monotonic() - t0:5.1f} s  {shown}", flush=True)
 
+    print()
+    undeclared = identity(signatures("parent", roots["parent"]),
+                          signatures("change", roots["change"]),
+                          declared_names(roots["parent"], roots["change"]))
     print(f"\n{'workload':11s} {'metric':22s} {'better':6s} "
           f"{'parent median [q1, q3]':30s} {'change':>10s} worse/better "
           "verdict")
@@ -163,8 +258,12 @@ def main(argv):
             if v == "worse":
                 failed.append(f"{workload} {name}")
     print(f"\ngate wall time {(time.monotonic() - t_start) / 60:.1f} min")
+    if undeclared:
+        print("perf_gate FAILED: undeclared simulated changes on "
+              + ", ".join(undeclared))
     if failed:
         print("perf_gate FAILED: the change is worse on " + ", ".join(failed))
+    if undeclared or failed:
         return 1
     print("perf_gate passed")
     return 0

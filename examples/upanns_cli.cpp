@@ -51,7 +51,9 @@
 //
 // Flags accept both `--key value` and `--key=value`; `--log-level
 // debug|info|warn|error` (or the UPANNS_LOG environment variable) sets log
-// verbosity anywhere.
+// verbosity anywhere. An unknown flag, a flag missing its value, a stray
+// token or an unknown --family/--system/--log-level value exits 2 before
+// any work.
 //
 // `gen` writes TEXMEX .fvecs files, so real SIFT/DEEP/SPACEV slices can be
 // substituted for the synthetic data at any step.
@@ -68,6 +70,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -103,26 +106,53 @@ struct UsageError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// The flags one subcommand reads: `values` bind `--key value` or
+/// `--key=value`; `switches` (e.g. --no-overlap) stand alone, and one that
+/// takes a setting binds it only as `--key=value` (`--adapt=full`).
+struct FlagNames {
+  std::vector<std::string_view> values;
+  std::vector<std::string_view> switches;
+};
+
+/// Accepted by every subcommand.
+const FlagNames kCommonFlags = {{"log-level", "simd"}, {"force"}};
+
+bool listed(const std::vector<std::string_view>& names, std::string_view key) {
+  return std::find(names.begin(), names.end(), key) != names.end();
+}
+
 struct Args {
   std::map<std::string, std::string> kv;
 
-  static Args parse(int argc, char** argv, int from) {
+  /// Parse argv[from..] against a subcommand's flags. An unknown name, or a
+  /// token where a flag belongs, is a usage error: a typo must not run
+  /// with defaults.
+  static Args parse(int argc, char** argv, int from, const FlagNames& own) {
     Args a;
-    for (int i = from; i < argc;) {
-      if (std::strncmp(argv[i], "--", 2) != 0) break;
-      std::string key(argv[i] + 2);
-      // --key=value binds in place; bare flags (e.g. --no-overlap) read
-      // as "1"; otherwise the next argv entry is the value.
-      if (const auto eq = key.find('='); eq != std::string::npos) {
-        a.kv.insert_or_assign(key.substr(0, eq), key.substr(eq + 1));
-        i += 1;
-      } else if (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
-        a.kv.insert_or_assign(std::move(key), std::string("1"));
-        i += 1;
-      } else {
-        a.kv.insert_or_assign(std::move(key), std::string(argv[i + 1]));
-        i += 2;
+    for (int i = from; i < argc; ++i) {
+      if (std::strncmp(argv[i], "--", 2) != 0) {
+        throw UsageError(std::string("unexpected argument ") + argv[i]);
       }
+      std::string key(argv[i] + 2);
+      std::string value = "1";  // what a switch reads
+      const auto eq = key.find('=');
+      if (eq != std::string::npos) {
+        value = key.substr(eq + 1);
+        key.resize(eq);
+      }
+      const bool is_switch =
+          listed(own.switches, key) || listed(kCommonFlags.switches, key);
+      if (!is_switch && !listed(own.values, key) &&
+          !listed(kCommonFlags.values, key)) {
+        throw UsageError("unknown flag --" + key);
+      }
+      if (!is_switch && eq == std::string::npos) {
+        if (i + 1 == argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
+          throw UsageError("--" + key + " needs a value");
+        }
+        value = argv[++i];
+      }
+      a.kv.insert_or_assign(std::move(key), std::move(value));
     }
     return a;
   }
@@ -169,8 +199,9 @@ std::size_t checked_count(const Args& a, const std::string& key,
   return static_cast<std::size_t>(v);
 }
 
-/// --adapt[=off|copies|full]: bare `--adapt` (parsed as "1") selects the
-/// default online mode, copies. Anything else unknown is a usage error.
+/// --adapt[=off|copies|full]: bare `--adapt` (a switch, parsed as "1")
+/// selects the default online mode, copies. Anything else unknown is a
+/// usage error.
 core::AdaptMode parse_adapt_flag(const Args& a) {
   if (!a.flag("adapt")) return core::AdaptMode::kOff;
   const std::string text = a.str("adapt", "off");
@@ -198,9 +229,10 @@ core::MultiHostOptions fleet_flags(const Args& a,
 }
 
 data::DatasetFamily family_of(const std::string& name) {
+  if (name == "sift") return data::DatasetFamily::kSiftLike;
   if (name == "deep") return data::DatasetFamily::kDeepLike;
   if (name == "spacev") return data::DatasetFamily::kSpacevLike;
-  return data::DatasetFamily::kSiftLike;
+  throw UsageError("unknown --family " + name + " (sift|deep|spacev)");
 }
 
 /// Fail fast (before the run burns any time) when an output path would
@@ -226,8 +258,8 @@ std::string read_text_file(const std::string& path) {
 }
 
 /// {"provenance": ..., "<report_key>": ..., "metrics": ...} — the common
-/// shape of every CLI metrics artifact; bench/metrics_diff keys off the
-/// provenance header to refuse cross-schema comparisons.
+/// shape of every CLI metrics artifact; `stats` prints the provenance
+/// header's schema and commit above the tables.
 void write_metrics_json(const std::string& path, const char* report_key,
                         const std::string& report_json,
                         const obs::MetricsSnapshot& snapshot, bool force) {
@@ -423,6 +455,12 @@ int cmd_tune(const Args& a) {
 }
 
 int cmd_search(const Args& a) {
+  const std::string system = a.str("system", "upanns");
+  const auto kind = core::backend_kind_of(system);
+  if (!kind) {
+    throw UsageError("unknown --system " + system +
+                     " (cpu|gpu|upanns|naive|multihost)");
+  }
   const ivf::IvfIndex index = ivf::IvfIndex::load(a.str("index", "index.bin"));
   const data::Dataset ds = data::read_fvecs(a.str("data", "base.fvecs"));
   data::WorkloadSpec wspec;
@@ -444,14 +482,6 @@ int cmd_search(const Args& a) {
   opts.nprobe = nprobe;
   opts.k = checked_count(a, "k", 10);
 
-  const std::string system = a.str("system", "upanns");
-  const auto kind = core::backend_kind_of(system);
-  if (!kind) {
-    std::fprintf(stderr,
-                 "unknown --system %s (cpu|gpu|upanns|naive|multihost)\n",
-                 system.c_str());
-    return 1;
-  }
   std::unique_ptr<core::AnnsBackend> backend;
   if (*kind == core::BackendKind::kMultiHost) {
     backend = core::make_multihost_backend(index, stats,
@@ -922,10 +952,7 @@ void print_snapshot(const obs::MetricsSnapshot& s) {
 
 int cmd_stats(const Args& a) {
   const std::string path = a.str("metrics", "");
-  if (path.empty()) {
-    std::fprintf(stderr, "stats: --metrics M.json is required\n");
-    return 1;
-  }
+  if (path.empty()) throw UsageError("stats: --metrics M.json is required");
   const bool force = a.flag("force");
   const bool watch = a.flag("watch");
   const std::string prom_out = a.str("prom-out", "");
@@ -1007,22 +1034,54 @@ int usage() {
   return 1;
 }
 
+struct Command {
+  std::string_view name;
+  int (*run)(const Args&);
+  FlagNames flags;
+};
+
+/// Every subcommand and the flags it reads, besides kCommonFlags.
+const Command kCommands[] = {
+    {"gen", cmd_gen, {{"family", "n", "seed", "out"}, {"cluster-order"}}},
+    {"build", cmd_build,
+     {{"data", "clusters", "m", "seed", "build-threads", "out", "trace-out",
+       "metrics-out"}, {}}},
+    {"tune", cmd_tune,
+     {{"index", "data", "queries", "seed", "recall", "k"}, {}}},
+    {"search", cmd_search,
+     {{"index", "data", "queries", "seed", "nprobe", "dpus", "tasklets", "k",
+       "system", "hosts", "net-gbps", "net-latency-us", "metrics-out",
+       "prom-out"}, {}}},
+    {"serve", cmd_serve,
+     {{"index", "data", "queries", "seed", "shift", "nprobe", "dpus", "k",
+       "hosts", "net-gbps", "net-latency-us", "batch", "update-rate",
+       "compact-ratio", "adapt-window", "target-qps", "deadline-ms",
+       "queue-cap", "clients", "trace-out", "metrics-out", "spans-out",
+       "prom-out", "stats-every", "window-seconds", "window-slots"},
+      {"no-overlap", "online", "adapt"}}},
+    {"stats", cmd_stats,
+     {{"metrics", "prom-out", "interval-ms", "iterations"}, {"watch"}}},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
-  const std::string cmd = argv[1];
-  const Args args = Args::parse(argc, argv, 2);
-  if (const std::string lvl = args.str("log-level", ""); !lvl.empty()) {
-    if (const auto parsed = common::parse_log_level(lvl)) {
-      common::set_log_level(*parsed);
-    } else {
-      std::fprintf(stderr, "unknown --log-level %s (debug|info|warn|error)\n",
-                   lvl.c_str());
-      return 1;
-    }
+  const Command* cmd = nullptr;
+  for (const Command& c : kCommands) {
+    if (c.name == argv[1]) cmd = &c;
   }
+  if (cmd == nullptr) return usage();
   try {
+    const Args args = Args::parse(argc, argv, 2, cmd->flags);
+    if (const std::string lvl = args.str("log-level", ""); !lvl.empty()) {
+      const auto parsed = common::parse_log_level(lvl);
+      if (!parsed) {
+        throw UsageError("unknown --log-level " + lvl +
+                         " (debug|info|warn|error)");
+      }
+      common::set_log_level(*parsed);
+    }
     // --simd pins the kernel dispatch level for the whole run (build and
     // serve paths alike); the UPANNS_SIMD env var is the non-CLI spelling.
     if (const std::string simd = args.str("simd", ""); !simd.empty()) {
@@ -1033,12 +1092,7 @@ int main(int argc, char** argv) {
       }
       common::set_simd_level(lvl);
     }
-    if (cmd == "gen") return cmd_gen(args);
-    if (cmd == "build") return cmd_build(args);
-    if (cmd == "tune") return cmd_tune(args);
-    if (cmd == "search") return cmd_search(args);
-    if (cmd == "serve") return cmd_serve(args);
-    if (cmd == "stats") return cmd_stats(args);
+    return cmd->run(args);
   } catch (const UsageError& e) {
     std::fprintf(stderr, "usage error: %s\n", e.what());
     return 2;
@@ -1046,5 +1100,4 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 3;
   }
-  return usage();
 }

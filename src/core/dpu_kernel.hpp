@@ -52,8 +52,9 @@ inline constexpr std::uint32_t kTombstoneId = 0xFFFFFFFFu;
 
 /// MRAM layout of one resident cluster replica (built by the engine).
 /// The *_cap fields record the bytes reserved at each offset — the engine
-/// over-allocates by UpAnnsOptions::mram_list_slack so a list that grows a
-/// little patches in place instead of relocating.
+/// over-allocates each region by a fixed 25% slack (kMramListSlack in
+/// engine_mutate.cpp) so a list that grows a little patches in place
+/// instead of relocating.
 struct DpuClusterData {
   std::uint32_t cluster_id = 0;
   std::uint32_t n_records = 0;

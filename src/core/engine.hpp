@@ -55,11 +55,6 @@ struct UpAnnsOptions {
   /// MRAM read granularity for the distance stage, in vectors (Fig 17;
   /// default 16 per Sec 5.4.2). 0 = one maximal DMA per chunk.
   std::size_t mram_read_vectors = 16;
-  /// Fractional slack reserved past each list region when loading MRAM
-  /// images, so a list that grows via insert() patches in place instead of
-  /// relocating. Offsets are timing-invisible (DMA is charged by bytes), so
-  /// the slack never changes read-only results.
-  double mram_list_slack = 0.25;
 
   bool opt_placement = true;         ///< Opt1 offline (Algorithm 1)
   bool opt_scheduling = true;        ///< Opt1 online (Algorithm 2)
@@ -289,7 +284,6 @@ class UpAnnsEngine {
   /// compaction, cheap direct-token append after pure inserts.
   void refresh_encoding(std::size_t c);
   void build_cluster_image(std::uint32_t c, ClusterImage& out) const;
-  std::size_t slack_bytes(std::size_t bytes) const;
   void snapshot_loaded_state();
   void set_placement_frequencies(const std::vector<double>& frequencies);
 

@@ -38,6 +38,19 @@ namespace {
 /// in a big list does not re-push the whole id array.
 constexpr std::size_t kPatchGranule = 256;
 
+/// Fractional slack reserved past each list region, so a list that grows
+/// via insert() patches in place instead of relocating. Offsets are
+/// timing-invisible (DMA is charged by bytes), so the slack never changes
+/// results.
+constexpr double kMramListSlack = 0.25;
+
+/// Bytes reserved for a `bytes`-long region: the slack on top, 8-aligned.
+std::size_t slack_bytes(std::size_t bytes) {
+  const auto padded = static_cast<std::size_t>(
+      std::ceil(static_cast<double>(bytes) * (1.0 + kMramListSlack)));
+  return (padded + 7) / 8 * 8;
+}
+
 /// Write `data` over the DPU bytes at [off, off+size), pushing only the
 /// granule runs that differ. Returns the bytes written.
 std::uint64_t patch_region(pim::Dpu& dpu, std::size_t off,
@@ -65,13 +78,6 @@ std::uint64_t patch_region(pim::Dpu& dpu, std::size_t off,
 }
 
 }  // namespace
-
-std::size_t UpAnnsEngine::slack_bytes(std::size_t bytes) const {
-  const double s = std::max(0.0, options_.mram_list_slack);
-  const auto padded = static_cast<std::size_t>(
-      std::ceil(static_cast<double>(bytes) * (1.0 + s)));
-  return (padded + 7) / 8 * 8;
-}
 
 void UpAnnsEngine::build_cluster_image(std::uint32_t c,
                                        ClusterImage& out) const {

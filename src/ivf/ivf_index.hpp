@@ -162,11 +162,9 @@ class IvfIndex {
   /// Persist / restore the full index (centroids, PQ codebooks, inverted
   /// lists). Building a billion-scale index is expensive; production
   /// deployments train once and reload. Throws std::runtime_error on IO or
-  /// format errors. `version` selects the file format: 2 (current, carries
-  /// tombstones + generations) or 1 (pre-mutability layout; refuses when any
-  /// tombstone would be dropped).
+  /// format errors. save() writes format v2 (carries tombstones and
+  /// generations); load() also reads the pre-mutability v1 layout.
   void save(const std::string& path) const;
-  void save(const std::string& path, std::uint32_t version) const;
   static IvfIndex load(const std::string& path);
 
  private:

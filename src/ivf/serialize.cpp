@@ -17,8 +17,9 @@ constexpr std::uint32_t kPqMagic = 0x55505131;   // "UPQ1"
 constexpr std::uint32_t kIvfMagic = 0x55495631;  // "UIV1"
 constexpr std::uint32_t kVersion = 1;
 // IVF file versions. v1 is the pre-mutability layout (ids + codes per list);
-// v2 appends tombstones, generation and compact_epoch per list. v1 files
-// keep loading (lists come back fully live, generation 0).
+// v2, the one save() writes, appends tombstones, generation and
+// compact_epoch per list. v1 files keep loading (lists come back fully
+// live, generation 0).
 constexpr std::uint32_t kIvfVersionV1 = 1;
 constexpr std::uint32_t kIvfVersionV2 = 2;
 
@@ -94,29 +95,10 @@ ProductQuantizer ProductQuantizer::load_from(std::istream& is) {
 namespace ivf {
 
 void IvfIndex::save(const std::string& path) const {
-  save(path, kIvfVersionV2);
-}
-
-void IvfIndex::save(const std::string& path, std::uint32_t version) const {
-  if (version != kIvfVersionV1 && version != kIvfVersionV2) {
-    throw std::runtime_error("IvfIndex::save: unsupported version " +
-                             std::to_string(version));
-  }
-  if (version == kIvfVersionV1) {
-    // The v1 layout has no tombstone channel; refuse rather than silently
-    // resurrect dead points. Callers can compact() first.
-    for (const InvertedList& list : lists_) {
-      if (list.has_tombstones()) {
-        throw std::runtime_error(
-            "IvfIndex::save: v1 format cannot represent tombstones "
-            "(compact() before downgrading)");
-      }
-    }
-  }
   std::ofstream os(path, std::ios::binary);
   if (!os) throw std::runtime_error("IvfIndex::save: cannot open " + path);
   write_pod(os, kIvfMagic);
-  write_pod(os, version);
+  write_pod(os, kIvfVersionV2);
   write_pod<std::uint64_t>(os, dim_);
   write_pod<std::uint64_t>(os, n_clusters_);
   write_pod<std::uint64_t>(os, n_points_);
@@ -125,11 +107,9 @@ void IvfIndex::save(const std::string& path, std::uint32_t version) const {
   for (const InvertedList& list : lists_) {
     write_vec(os, list.ids);
     write_vec(os, list.codes);
-    if (version >= kIvfVersionV2) {
-      write_vec(os, list.tombstones);
-      write_pod<std::uint32_t>(os, list.generation);
-      write_pod<std::uint32_t>(os, list.compact_epoch);
-    }
+    write_vec(os, list.tombstones);
+    write_pod<std::uint32_t>(os, list.generation);
+    write_pod<std::uint32_t>(os, list.compact_epoch);
   }
   if (!os) throw std::runtime_error("IvfIndex::save: write failed");
 }

@@ -1,11 +1,11 @@
 // Build provenance stamped into every telemetry JSON artifact (metrics
-// snapshots, span logs, bench reports). bench/metrics_diff refuses to
-// compare artifacts whose schema_version or build shape differ, so a gate
-// never silently scores apples against oranges after a schema change.
+// snapshots, span logs, bench reports): the schema_version and build shape
+// say which schema and build wrote an artifact, so a reader comparing two
+// of them can tell when they are not comparable.
 //
 // The git sha / build flags are baked in at configure time via per-source
 // compile definitions (see src/CMakeLists.txt); builds outside a git
-// checkout report "unknown" and are still comparable to each other.
+// checkout report "unknown".
 #pragma once
 
 #include <string>

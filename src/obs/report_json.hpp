@@ -23,7 +23,7 @@ void append_multi_host_report(JsonWriter& w, const core::MultiHostReport& r);
 void append_snapshot(JsonWriter& w, const MetricsSnapshot& s);
 
 /// Inverse of append_snapshot: rebuild a MetricsSnapshot from its parsed
-/// JSON (bench/metrics_diff reads committed baselines through this). Throws
+/// JSON (`upanns_cli stats` renders metrics files through this). Throws
 /// std::out_of_range / std::runtime_error on a malformed document.
 MetricsSnapshot snapshot_from_json(const JsonValue& v);
 

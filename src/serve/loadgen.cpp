@@ -137,12 +137,6 @@ LoadgenResult simulate_load(const data::Dataset& queries,
     for (double v : sorted) sum += v;
     res.mean = sum / static_cast<double>(sorted.size());
     res.mean_queue_wait = queue_wait_sum / static_cast<double>(sorted.size());
-    if (opts.slo_seconds > 0) {
-      std::size_t miss = 0;
-      for (double v : sorted) miss += v > opts.slo_seconds;
-      res.slo_miss_share =
-          static_cast<double>(miss) / static_cast<double>(sorted.size());
-    }
   }
   res.mean_batch_fill =
       res.n_batches > 0 ? fill_sum / static_cast<double>(res.n_batches) : 0;

@@ -29,8 +29,6 @@ struct LoadgenOptions {
   std::size_t queue_capacity = 0;
   std::uint64_t seed = 42;
   bool poisson = true;  ///< false = fixed 1/qps interarrival
-  /// Latency SLO used for slo_miss_share (0 disables the readout).
-  double slo_seconds = 0;
 };
 
 struct LoadgenResult {
@@ -47,7 +45,6 @@ struct LoadgenResult {
   double mean_batch_fill = 0;     ///< batch size / max_batch
   double makespan_seconds = 0;    ///< first arrival to last completion
   double achieved_qps = 0;        ///< completed / makespan
-  double slo_miss_share = 0;      ///< latency > slo_seconds (0 when unset)
 };
 
 /// Run one offered-QPS point. Request i uses row i % queries.n of the

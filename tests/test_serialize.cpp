@@ -146,22 +146,38 @@ TEST(IvfSerialize, V2RoundTripPreservesMutationState) {
   EXPECT_FALSE(again.remove(survivor));
 }
 
+/// Write `idx` in the pre-mutability v1 layout, which save() no longer
+/// writes: the golden header (magic "UIV1" and version 1, both
+/// little-endian u32), dims, centroids, the PQ block, then ids and codes
+/// per list, arrays prefixed by their u64 length.
+void write_v1(const ivf::IvfIndex& idx, const std::string& path) {
+  std::ofstream os(path, std::ios::binary);
+  const unsigned char header[8] = {0x31, 0x56, 0x49, 0x55, 0x01, 0x00,
+                                   0x00, 0x00};
+  os.write(reinterpret_cast<const char*>(header), sizeof(header));
+  const auto u64 = [&](std::uint64_t v) {
+    os.write(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  const auto array = [&](const void* data, std::size_t n, std::size_t size) {
+    u64(n);
+    os.write(static_cast<const char*>(data),
+             static_cast<std::streamsize>(n * size));
+  };
+  u64(idx.dim());
+  u64(idx.n_clusters());
+  u64(idx.n_points());
+  array(idx.centroids().data(), idx.centroids().size(), sizeof(float));
+  idx.pq().save(os);
+  for (const ivf::InvertedList& list : idx.lists()) {
+    array(list.ids.data(), list.ids.size(), sizeof(std::uint32_t));
+    array(list.codes.data(), list.codes.size(), 1);
+  }
+}
+
 TEST(IvfSerialize, V1GoldenHeaderAndBackCompat) {
   auto& f = fixture();
   const std::string path = temp_path("v1.bin");
-  f.index.save(path, 1);
-
-  // Golden bytes: a v1 file starts with magic "UIV1" and version 1, both
-  // little-endian u32 — pinned so old readers keep working.
-  {
-    std::ifstream is(path, std::ios::binary);
-    unsigned char header[8] = {};
-    is.read(reinterpret_cast<char*>(header), sizeof(header));
-    ASSERT_TRUE(is.good());
-    const unsigned char want[8] = {0x31, 0x56, 0x49, 0x55, 0x01, 0x00,
-                                   0x00, 0x00};
-    EXPECT_EQ(std::memcmp(header, want, sizeof(want)), 0);
-  }
+  write_v1(f.index, path);
 
   // A v1 file loads into an index equal to the original.
   const ivf::IvfIndex back = ivf::IvfIndex::load(path);
@@ -186,29 +202,6 @@ TEST(IvfSerialize, V2GoldenHeader) {
   const unsigned char want[8] = {0x31, 0x56, 0x49, 0x55, 0x02, 0x00,
                                  0x00, 0x00};
   EXPECT_EQ(std::memcmp(header, want, sizeof(want)), 0);
-}
-
-TEST(IvfSerialize, V1SaveRequiresCompaction) {
-  ivf::IvfIndex idx = mutated_copy();
-  const std::string path = temp_path("v1_dirty.bin");
-  // Tombstones cannot be expressed in the v1 format.
-  EXPECT_THROW(idx.save(path, 1), std::runtime_error);
-
-  // After a full compaction the downgrade succeeds and round-trips.
-  idx.compact(0.0);
-  idx.save(path, 1);
-  const ivf::IvfIndex back = ivf::IvfIndex::load(path);
-  std::remove(path.c_str());
-  EXPECT_EQ(back.n_points(), idx.n_points());
-  for (std::size_t c = 0; c < back.n_clusters(); ++c) {
-    EXPECT_EQ(back.list(c).ids, idx.list(c).ids);
-    EXPECT_EQ(back.list(c).codes, idx.list(c).codes);
-  }
-}
-
-TEST(IvfSerialize, UnknownVersionRejected) {
-  auto& f = fixture();
-  EXPECT_THROW(f.index.save(temp_path("v9.bin"), 9), std::runtime_error);
 }
 
 TEST(IvfSerialize, MissingFileThrows) {

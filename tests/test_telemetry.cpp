@@ -1,6 +1,7 @@
 // Telemetry-plane tests: the rolling window (slot alignment, expiry,
 // old-observation clamping, merge, the shared quantile kernel), windowed
-// instruments in MetricsRegistry and their snapshot/JSON round trip,
+// instruments in MetricsRegistry and their snapshot/JSON round trip, the
+// registry's time histograms against the report values they mirror,
 // Prometheus text exposition, UPANNS_LOG parsing, build provenance, guarded
 // telemetry writes, and the per-query span forest: query-cost capture is
 // gated on an attached SpanLog, span durations obey the accounting identity
@@ -361,10 +362,11 @@ struct Fixture {
   /// before every batch after the first force an incremental MRAM patch per
   /// batch. With `adapt`, three drifted batches follow the calm ones and the
   /// stream adjusts copies, so adapt-patch work joins the mutation patches.
-  core::BatchPipelineReport mutating_single_run(SpanLog* spans,
-                                                ivf::IvfIndex& mut,
-                                                bool adapt = false) {
+  core::BatchPipelineReport mutating_single_run(
+      SpanLog* spans, ivf::IvfIndex& mut, bool adapt = false,
+      MetricsRegistry* reg = nullptr) {
     core::UpAnnsEngine engine(mut, stats, options());
+    engine.set_metrics(reg);
     engine.set_spans(spans);
     core::BatchPipelineOptions opts{.overlap = true};
     std::vector<data::Dataset> served = batches();
@@ -401,12 +403,13 @@ struct Fixture {
   /// Mixed read/write multi-host run over a private index copy: upserts +
   /// removes before batches 1 and 2 force fleet-wide MRAM patches. The rng
   /// seed is fixed, so two runs over fresh copies are bit-identical.
-  core::MultiHostPipelineReport mutating_multihost_run(SpanLog* spans,
-                                                       ivf::IvfIndex& mut) {
+  core::MultiHostPipelineReport mutating_multihost_run(
+      SpanLog* spans, ivf::IvfIndex& mut, MetricsRegistry* reg = nullptr) {
     core::MultiHostOptions mh;
     mh.n_hosts = 3;
     mh.per_host = options();
     core::MultiHostUpAnns cluster(mut, stats, mh);
+    cluster.set_metrics(reg);
     cluster.set_spans(spans);
     core::MultiHostBatchPipeline pipeline(cluster, {.overlap = true});
     common::Rng rng(777);
@@ -751,6 +754,52 @@ TEST(Spans, WindowedLatencyTracksTheCumulativeHistogram) {
   EXPECT_EQ(win->count, cum->count);
   EXPECT_DOUBLE_EQ(win->p50, cum->p50);
   EXPECT_DOUBLE_EQ(win->p99, cum->p99);
+}
+
+// The registry's time histograms are the exported per-stage view of the
+// simulated clock; each must sum the report values it mirrors, under its
+// own name.
+TEST(Registry, TimeHistogramsSumTheReportsTheyMirror) {
+  auto& f = fixture();
+  MetricsRegistry reg;
+  const auto run = f.single_run(nullptr, &reg);
+  const std::vector<core::PhaseWindows> timeline = core::batch_timeline(run);
+  std::map<std::string, double> stages;
+  double batches = 0, latency = 0;
+  for (std::size_t i = 0; i < run.slots.size(); ++i) {
+    const core::SearchReport& rep = run.slots[i].report;
+    for (const core::StageStep& step : rep.trace) {
+      stages[step.name] += step.seconds;
+    }
+    batches += rep.times.total();
+    latency += (timeline[i].done - timeline[i].pre_start) *
+               static_cast<double>(rep.neighbors.size());
+  }
+  ASSERT_EQ(stages.size(), 6u);
+  for (const auto& [name, seconds] : stages) {
+    EXPECT_DOUBLE_EQ(
+        reg.histogram("pipeline.stage." + name + ".seconds").sum(), seconds)
+        << name;
+  }
+  EXPECT_DOUBLE_EQ(reg.histogram("pipeline.batch.seconds").sum(), batches);
+  EXPECT_DOUBLE_EQ(reg.histogram("query.latency_seconds").sum(), latency);
+
+  ivf::IvfIndex mut = f.index;
+  MetricsRegistry writes;
+  const auto wrun = f.mutating_single_run(nullptr, mut, false, &writes);
+  double patch = 0;
+  for (const auto& slot : wrun.slots) patch += slot.patch_seconds;
+  ASSERT_GT(patch, 0.0);
+  EXPECT_DOUBLE_EQ(writes.histogram("mutate.patch.seconds").sum(), patch);
+
+  ivf::IvfIndex fleet_index = f.index;
+  MetricsRegistry fleet;
+  const auto frun = f.mutating_multihost_run(nullptr, fleet_index, &fleet);
+  double fleet_seconds = 0;
+  for (const auto& slot : frun.slots) fleet_seconds += slot.report.seconds;
+  ASSERT_GT(fleet_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(fleet.histogram("multihost.batch.seconds").sum(),
+                   fleet_seconds);
 }
 
 }  // namespace
