@@ -1,17 +1,36 @@
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <atomic>
+#include <exception>
 
 namespace upanns::common {
+
+// One parallel_for_chunks call. The job is shared with the helpers that take
+// it from the queue, so a helper that arrives after the caller has returned
+// still finds a live cursor; fn, which lives in the caller's frame, is called
+// only for a claimed chunk, and the caller waits for every claimed chunk.
+struct ThreadPool::Job {
+  Job(const std::function<void(std::size_t, std::size_t)>& f, std::size_t b,
+      std::size_t e, std::size_t c)
+      : fn(&f), begin(b), end(e), chunk(c), n_chunks((e - b + c - 1) / c) {}
+
+  const std::function<void(std::size_t, std::size_t)>* fn;
+  const std::size_t begin, end, chunk, n_chunks;
+  std::atomic<std::size_t> next{0};  ///< chunk cursor
+  std::atomic<std::size_t> done{0};  ///< chunks finished
+  std::mutex mu;
+  std::condition_variable finished;  ///< done reached n_chunks
+  std::exception_ptr error;          ///< the first exception, guarded by mu
+};
 
 ThreadPool::ThreadPool(std::size_t n_threads) {
   if (n_threads == 0) {
     n_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
-  workers_.reserve(n_threads);
-  for (std::size_t i = 0; i < n_threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+  helpers_.reserve(n_threads - 1);
+  for (std::size_t i = 1; i < n_threads; ++i) {
+    helpers_.emplace_back([this] { helper_loop(); });
   }
 }
 
@@ -20,59 +39,38 @@ ThreadPool::~ThreadPool() {
     std::lock_guard lk(mu_);
     stop_ = true;
   }
-  cv_task_.notify_all();
-  for (auto& w : workers_) w.join();
+  cv_.notify_all();
+  for (auto& h : helpers_) h.join();
 }
 
-void ThreadPool::submit(std::function<void()> task) {
-  {
-    std::lock_guard lk(mu_);
-    tasks_.push(std::move(task));
-    ++in_flight_;
-  }
-  cv_task_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock lk(mu_);
-  cv_idle_.wait(lk, [this] { return in_flight_ == 0; });
-}
-
-void ThreadPool::drain() {
-  std::unique_lock lk(mu_);
-  cv_idle_.wait(lk, [this] { return in_flight_ == 0; });
-  if (first_error_) {
-    std::exception_ptr err = std::move(first_error_);
-    first_error_ = nullptr;
-    lk.unlock();
-    std::rethrow_exception(err);
-  }
-}
-
-void ThreadPool::worker_loop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock lk(mu_);
-      cv_task_.wait(lk, [this] { return stop_ || !tasks_.empty(); });
-      if (stop_ && tasks_.empty()) return;
-      task = std::move(tasks_.front());
-      tasks_.pop();
-    }
-    // A throwing task must not escape the worker (std::terminate) nor leak
-    // its in_flight_ decrement (a wedged wait_idle): capture the first
-    // error for drain() and always fall through to the accounting below.
+void ThreadPool::work(Job& job) {
+  for (std::size_t c; (c = job.next.fetch_add(1)) < job.n_chunks;) {
+    const std::size_t lo = job.begin + c * job.chunk;
     try {
-      task();
+      (*job.fn)(lo, std::min(job.end, lo + job.chunk));
     } catch (...) {
-      std::lock_guard lk(mu_);
-      if (!first_error_) first_error_ = std::current_exception();
+      std::lock_guard lk(job.mu);
+      if (!job.error) job.error = std::current_exception();
     }
-    {
-      std::lock_guard lk(mu_);
-      --in_flight_;
-      if (in_flight_ == 0) cv_idle_.notify_all();
+    if (job.done.fetch_add(1) + 1 == job.n_chunks) {
+      std::lock_guard lk(job.mu);
+      job.finished.notify_one();
     }
+  }
+}
+
+// Helpers sleep until a job is queued, work the oldest one until its cursor
+// runs out, drop it from the queue and move to the next.
+void ThreadPool::helper_loop() {
+  std::unique_lock lk(mu_);
+  for (;;) {
+    cv_.wait(lk, [this] { return stop_ || !jobs_.empty(); });
+    if (stop_) return;
+    const std::shared_ptr<Job> job = jobs_.front();
+    lk.unlock();
+    work(*job);
+    lk.lock();
+    std::erase(jobs_, job);
   }
 }
 
@@ -99,29 +97,31 @@ void ThreadPool::parallel_for_chunks(
     fn(begin, end);
     return;
   }
-  const std::size_t chunk = (n + n_chunks - 1) / n_chunks;
-  std::vector<std::future<void>> futures;
-  futures.reserve(n_chunks);
-  for (std::size_t c = 0; c < n_chunks; ++c) {
-    const std::size_t lo = begin + c * chunk;
-    const std::size_t hi = std::min(end, lo + chunk);
-    if (lo >= hi) break;
-    auto task = std::make_shared<std::packaged_task<void()>>([&fn, lo, hi] { fn(lo, hi); });
-    futures.push_back(task->get_future());
-    submit([task] { (*task)(); });
-  }
-  // Drain every future before rethrowing: tasks capture references to the
-  // caller's frame, so unwinding while siblings still run would be a
-  // use-after-free. The first exception wins; later ones are dropped.
-  std::exception_ptr first_error;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
+  const auto job =
+      std::make_shared<Job>(fn, begin, end, (n + n_chunks - 1) / n_chunks);
+  if (!helpers_.empty()) {
+    {
+      std::lock_guard lk(mu_);
+      jobs_.push_back(job);
+    }
+    // Wake no more helpers than there are chunks beside the caller's.
+    const std::size_t wake = std::min(helpers_.size(), job->n_chunks - 1);
+    if (wake == helpers_.size()) {
+      cv_.notify_all();
+    } else {
+      for (std::size_t i = 0; i < wake; ++i) cv_.notify_one();
     }
   }
-  if (first_error) std::rethrow_exception(first_error);
+  work(*job);
+  if (!helpers_.empty()) {
+    std::lock_guard lk(mu_);
+    std::erase(jobs_, job);
+  }
+  if (job->done.load() != job->n_chunks) {
+    std::unique_lock lk(job->mu);
+    job->finished.wait(lk, [&] { return job->done.load() == job->n_chunks; });
+  }
+  if (job->error) std::rethrow_exception(job->error);
 }
 
 ThreadPool& ThreadPool::global() {

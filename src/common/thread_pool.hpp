@@ -1,16 +1,20 @@
-// A small work-stealing-free thread pool with a parallel_for helper.
+// A small thread pool with a parallel_for helper.
 // Used by the host-side pipelines (k-means, ground truth, batched search) and
 // by the PIM simulator to evaluate many DPUs concurrently. The DPU *timing*
 // model is independent of how many host threads execute the simulation.
+//
+// One mechanism: parallel_for_chunks publishes a job (a chunk cursor, a done
+// count and the first exception), the calling thread claims chunks from it
+// beside the pool's helper threads, and it returns once every chunk has
+// finished. Since every caller works its own job, a parallel_for inside a
+// chunk cannot deadlock, and concurrent callers need no coordination.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
-#include <exception>
 #include <functional>
-#include <future>
+#include <memory>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -18,29 +22,17 @@ namespace upanns::common {
 
 class ThreadPool {
  public:
-  /// n_threads == 0 selects hardware_concurrency().
+  /// n_threads == 0 selects hardware_concurrency(). The pool starts
+  /// n_threads - 1 helper threads: the thread that calls parallel_for is the
+  /// n-th, so ThreadPool(1) starts none and runs every chunk on the caller.
   explicit ThreadPool(std::size_t n_threads = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  std::size_t size() const { return workers_.size(); }
-
-  /// Enqueue an arbitrary task. A task that throws does not take down its
-  /// worker thread: the first exception is captured and held until drain()
-  /// rethrows it, and the task still counts as finished for wait_idle().
-  void submit(std::function<void()> task);
-
-  /// Block until every submitted task has finished. Never throws; errors
-  /// raised by tasks stay captured until drain() surfaces them.
-  void wait_idle();
-
-  /// wait_idle(), then rethrow the first exception any submitted task threw
-  /// since the last drain() (clearing the stored error). Returns normally
-  /// when every task succeeded. Long-lived servers call this between
-  /// workload phases so a failed handler surfaces instead of vanishing.
-  void drain();
+  /// Threads that work a parallel_for, the caller included.
+  std::size_t size() const { return helpers_.size() + 1; }
 
   /// Run fn(i) for i in [begin, end) split into contiguous chunks across the
   /// pool, blocking until complete. Falls back to inline execution for tiny
@@ -49,7 +41,11 @@ class ThreadPool {
                     const std::function<void(std::size_t)>& fn,
                     std::size_t min_chunk = 64);
 
-  /// Chunked variant: fn(chunk_begin, chunk_end).
+  /// Chunked variant: fn(chunk_begin, chunk_end) over at most
+  /// min(size() * 4, n / min_chunk) contiguous chunks of equal size (the
+  /// last may be shorter). A throwing chunk does not stop the others: the
+  /// call returns once every chunk has run, then rethrows the first
+  /// exception, and the pool stays usable.
   void parallel_for_chunks(std::size_t begin, std::size_t end,
                            const std::function<void(std::size_t, std::size_t)>& fn,
                            std::size_t min_chunk = 64);
@@ -58,16 +54,16 @@ class ThreadPool {
   static ThreadPool& global();
 
  private:
-  void worker_loop();
+  struct Job;
 
-  std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> tasks_;
+  static void work(Job& job);
+  void helper_loop();
+
+  std::vector<std::thread> helpers_;
   std::mutex mu_;
-  std::condition_variable cv_task_;
-  std::condition_variable cv_idle_;
-  std::size_t in_flight_ = 0;
+  std::condition_variable cv_;               ///< a job arrived, or stop_
+  std::vector<std::shared_ptr<Job>> jobs_;  ///< FIFO, guarded by mu_
   bool stop_ = false;
-  std::exception_ptr first_error_;  ///< guarded by mu_; cleared by drain()
 };
 
 }  // namespace upanns::common

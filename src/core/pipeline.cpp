@@ -179,16 +179,25 @@ double LaunchStage::run(QueryPipeline& pl, BatchContext& ctx) {
   // Per-DPU stage attribution; the slowest DPU sets the launch-critical
   // breakdown (at-scale extrapolation re-derives the max after scaling).
   px.dpu_stage_seconds.assign(ndpu, PimExtras::DpuStageSeconds{});
+  KernelStageCycles launch_stages;
   for (std::size_t d = 0; d < ndpu; ++d) {
     if (!ctx.kernels[d]) continue;
     px.total_instructions += ctx.launch.dpu_stats[d].instructions;
     px.total_dma_cycles += ctx.launch.dpu_stats[d].dma_cycles;
     const KernelStageCycles stages =
         ctx.kernels[d]->attribute_stages(ctx.launch.dpu_stats[d].phase_cycles);
+    launch_stages.lut_build += stages.lut_build;
+    launch_stages.distance += stages.distance;
+    launch_stages.topk += stages.topk;
     px.dpu_stage_seconds[d] = {
         pim::DpuCostModel::cycles_to_seconds(stages.lut_build),
         pim::DpuCostModel::cycles_to_seconds(stages.distance),
         pim::DpuCostModel::cycles_to_seconds(stages.topk)};
+  }
+  if (pl.sink().enabled()) {
+    pl.sink().count("kernel.cycles.lut_build", launch_stages.lut_build);
+    pl.sink().count("kernel.cycles.distance", launch_stages.distance);
+    pl.sink().count("kernel.cycles.topk", launch_stages.topk);
   }
   double crit_seconds = 0;
   if (ctx.kernels[ctx.launch.slowest_dpu]) {

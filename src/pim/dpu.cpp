@@ -200,8 +200,8 @@ PimSystem::LaunchStats PimSystem::launch(
     const double wa = expected_work[a.second], wb = expected_work[b.second];
     return wa > wb || (wa == wb && a.second < b.second);
   });
-  // One claiming loop per thread; parallel_for runs a single one (one
-  // active DPU, or a one-thread pool) on the calling thread.
+  // One claiming loop per thread, the calling thread's included; one
+  // active DPU, or a one-thread pool, runs a single loop inline.
   common::ThreadPool& pool = common::ThreadPool::global();
   std::atomic<std::size_t> cursor{0};
   pool.parallel_for(
@@ -230,7 +230,6 @@ PimSystem::LaunchStats PimSystem::launch(
     obs::Histogram& busy = metrics_->histogram("pim.dpu.busy_seconds");
     std::size_t active = 0;
     std::uint64_t instructions = 0, dma_cycles = 0;
-    std::vector<std::uint64_t> phase_cycles;
     for (std::size_t i = 0; i < out.dpu_stats.size(); ++i) {
       const DpuRunStats& st = out.dpu_stats[i];
       if (st.cycles == 0 && st.phase_cycles.empty()) continue;
@@ -238,21 +237,11 @@ PimSystem::LaunchStats PimSystem::launch(
       busy.observe(out.dpu_seconds[i]);
       instructions += st.instructions;
       dma_cycles += st.dma_cycles;
-      if (phase_cycles.size() < st.phase_cycles.size()) {
-        phase_cycles.resize(st.phase_cycles.size(), 0);
-      }
-      for (std::size_t p = 0; p < st.phase_cycles.size(); ++p) {
-        phase_cycles[p] += st.phase_cycles[p];
-      }
     }
     metrics_->counter("pim.launches").add(1);
     metrics_->counter("pim.launch.active_dpus").add(active);
     metrics_->counter("pim.launch.instructions").add(instructions);
     metrics_->counter("pim.launch.dma_cycles").add(dma_cycles);
-    for (std::size_t p = 0; p < phase_cycles.size(); ++p) {
-      metrics_->counter("pim.launch.phase_cycles." + std::to_string(p))
-          .add(phase_cycles[p]);
-    }
     metrics_->gauge("pim.launch.tasklets").set(static_cast<double>(
         std::clamp(n_tasklets, 1u, hw::kMaxTasklets)));
     metrics_->gauge("pim.launch.tasklet_occupancy")

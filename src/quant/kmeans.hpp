@@ -173,10 +173,9 @@ float l2_sq_scalar(const float* a, const float* b, std::size_t dim);
 float l2_sq_sse2(const float* a, const float* b, std::size_t dim);
 float l2_sq_avx2(const float* a, const float* b, std::size_t dim);
 
-/// Run fn(i) for i in [0, count), fanned out across `pool` when `threaded`
-/// (inline otherwise). Tasks must not block on further work from the same
-/// pool — a saturated pool would deadlock (nested-parallelism rule).
-/// The first task exception is rethrown after all tasks finish.
+/// Run fn(i) for i in [0, count): on `pool`, each thread claiming one index
+/// at a time, when `threaded`; inline in index order otherwise. The first
+/// exception is rethrown once every thread has stopped.
 void run_indexed(common::ThreadPool* pool, bool threaded, std::size_t count,
                  const std::function<void(std::size_t)>& fn);
 }  // namespace detail

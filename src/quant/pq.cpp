@@ -27,8 +27,8 @@ void ProductQuantizer::train(std::span<const float> data, std::size_t n,
   // Train each subspace independently on its column slice of the row-major
   // data: kmeans_train reads it at row pitch dim and gathers only the rows
   // it trains on. The m trainings fan out across the pool; the inner kmeans
-  // stays serial (nested-parallelism rule: a worker that blocks on further
-  // work from the same pool deadlocks once every worker does). Results are
+  // stays serial, since the outer fan-out already fills the pool (nesting
+  // would be safe: every caller works its own parallel_for). Results are
   // identical to the serial loop — each subspace sees the same slice, seed,
   // and fixed-chunk reductions.
   const bool outer_threads = opts.use_threads && pool->size() > 1;

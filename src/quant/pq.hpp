@@ -24,8 +24,9 @@ struct PqOptions {
   std::uint64_t seed = 123;
   std::size_t max_training_points = 65536;
   /// Fan the m independent subspace trainings out across the pool. The
-  /// inner kmeans then runs serial (nested-parallelism rule, DESIGN.md §13);
-  /// output is identical either way because reductions use fixed chunks.
+  /// inner kmeans then runs serial, since the fan-out already fills the
+  /// pool; output is identical either way because reductions use fixed
+  /// chunks (DESIGN.md §13).
   bool use_threads = true;
   /// Pool to run on (nullptr = ThreadPool::global()).
   common::ThreadPool* pool = nullptr;

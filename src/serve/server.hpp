@@ -13,8 +13,8 @@
 // in test_serve).
 //
 // Failure model: a throwing executor fails only the requests of that batch
-// (their futures carry the exception) and the server keeps serving — the
-// long-lived-server contract the hardened common::ThreadPool also follows.
+// (their futures carry the exception) and the server keeps serving, as a
+// throwing chunk of common::ThreadPool::parallel_for fails only that call.
 #pragma once
 
 #include <atomic>

@@ -1,28 +1,9 @@
-#include "common/stats.hpp"
 #include "metrics/report.hpp"
 
 #include <gtest/gtest.h>
 
 namespace upanns::metrics {
 namespace {
-
-TEST(Regression, LinearScalingPrediction) {
-  // Fig 20 usage: fit 500-900 DPU points, predict 2560.
-  const std::vector<double> dpus = {500, 600, 700, 800, 900};
-  std::vector<double> qps;
-  for (double d : dpus) qps.push_back(0.5 * d + 10.0);
-  const common::LinearFit m = common::fit_linear(dpus, qps);
-  EXPECT_NEAR(m.predict(2560), 0.5 * 2560 + 10, 1.0);
-  EXPECT_GT(m.r2, 0.999);
-}
-
-TEST(Regression, NoisyLinearStillGoodFit) {
-  const std::vector<double> dpus = {500, 600, 700, 800, 900};
-  const std::vector<double> qps = {251, 302, 348, 401, 452};
-  const common::LinearFit m = common::fit_linear(dpus, qps);
-  EXPECT_GT(m.r2, 0.99);
-  EXPECT_GT(m.predict(1654), m.predict(900));
-}
 
 TEST(Shares, SumToHundred) {
   baselines::StageTimes t{1, 2, 3, 4, 0};

@@ -197,7 +197,7 @@ TEST_P(PqMTest, RoundTripAcrossM) {
 INSTANTIATE_TEST_SUITE_P(Ms, PqMTest, ::testing::Values(1, 2, 4, 8, 12, 16, 20));
 
 // Concurrent subspace training fans the m kmeans() calls across a pool with
-// the inner kmeans pinned serial (nested-parallelism rule, DESIGN.md §13).
+// the inner kmeans pinned serial (DESIGN.md §13).
 // The codebooks must come out bit-identical to the fully serial train for
 // any pool size.
 TEST(Pq, ParallelTrainBitIdenticalToSerial) {

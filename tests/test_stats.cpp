@@ -91,6 +91,24 @@ TEST(LinearFit, NoisyLineHighR2) {
   EXPECT_GT(f.r2, 0.999);
 }
 
+TEST(LinearFit, ExtrapolatesTheFig20Line) {
+  // Fig 20 usage: fit 500-900 DPU points, predict 2560.
+  const std::vector<double> dpus = {500, 600, 700, 800, 900};
+  std::vector<double> qps;
+  for (double d : dpus) qps.push_back(0.5 * d + 10.0);
+  const LinearFit m = fit_linear(dpus, qps);
+  EXPECT_NEAR(m.predict(2560), 0.5 * 2560 + 10, 1.0);
+  EXPECT_GT(m.r2, 0.999);
+}
+
+TEST(LinearFit, NoisyDpuSweepKeepsItsOrder) {
+  const std::vector<double> dpus = {500, 600, 700, 800, 900};
+  const std::vector<double> qps = {251, 302, 348, 401, 452};
+  const LinearFit m = fit_linear(dpus, qps);
+  EXPECT_GT(m.r2, 0.99);
+  EXPECT_GT(m.predict(1654), m.predict(900));
+}
+
 TEST(LinearFit, DegenerateInputs) {
   EXPECT_DOUBLE_EQ(fit_linear({}, {}).slope, 0.0);
   EXPECT_DOUBLE_EQ(fit_linear({1}, {2}).slope, 0.0);

@@ -3,23 +3,39 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdlib>
+#include <filesystem>
+#include <functional>
+#include <new>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+// This executable replaces global operator new/delete to count the blocks
+// allocated while g_counting is set (ThreadPool.NoAllocationPerChunk).
+namespace {
+std::atomic<bool> g_counting{false};
+std::atomic<std::size_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+// Out of line: inlined at a delete, GCC 12's -Wmismatched-new-delete reads
+// the free() as mismatched with the operator new above.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+
 namespace upanns::common {
 namespace {
-
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&] { count.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
-}
 
 TEST(ThreadPool, ParallelForCoversRange) {
   ThreadPool pool(3);
@@ -73,86 +89,151 @@ TEST(ThreadPool, SumReduction) {
   EXPECT_EQ(sum.load(), 10000L * 9999 / 2);
 }
 
-TEST(ThreadPool, WaitIdleWithNoTasks) {
-  ThreadPool pool(2);
-  pool.wait_idle();  // must not hang
-  SUCCEED();
-}
-
 TEST(ThreadPool, GlobalPoolSingleton) {
   EXPECT_EQ(&ThreadPool::global(), &ThreadPool::global());
   EXPECT_GE(ThreadPool::global().size(), 1u);
 }
 
-TEST(ThreadPool, ThrowingTaskDoesNotAbort) {
-  // A task that throws used to escape the worker loop and terminate the
-  // process (and leave in_flight_ forever nonzero, hanging wait_idle).
+// Every chunk of the outer call runs a whole inner call on the same pool.
+// A pool whose callers sleep while its threads work the chunks hangs here
+// once every thread holds an outer chunk.
+void expect_nested_sum(ThreadPool& pool) {
+  constexpr std::size_t kOuter = 16, kInner = 1000;
+  std::atomic<std::uint64_t> sum{0};
+  pool.parallel_for(
+      0, kOuter,
+      [&](std::size_t i) {
+        pool.parallel_for(
+            0, kInner, [&](std::size_t j) { sum.fetch_add(i * kInner + j); },
+            1);
+      },
+      1);
+  const std::uint64_t n = kOuter * kInner;
+  EXPECT_EQ(sum.load(), n * (n - 1) / 2);
+}
+
+TEST(ThreadPool, NestedParallelForOnTwoThreads) {
   ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.submit([] { throw std::runtime_error("boom"); });
-  for (int i = 0; i < 50; ++i) {
-    pool.submit([&] { count.fetch_add(1); });
-  }
-  pool.wait_idle();  // must return despite the throw
-  EXPECT_EQ(count.load(), 50);
+  expect_nested_sum(pool);
 }
 
-TEST(ThreadPool, DrainRethrowsFirstError) {
-  ThreadPool pool(2);
-  pool.submit([] { throw std::runtime_error("first"); });
-  pool.wait_idle();  // make the next throw unambiguously second
-  pool.submit([] { throw std::logic_error("second"); });
-  EXPECT_THROW(pool.drain(), std::runtime_error);
-  // drain() cleared the stored error; the pool is reusable.
-  pool.submit([] {});
-  pool.drain();
-  SUCCEED();
+TEST(ThreadPool, NestedParallelForOnTheGlobalPool) {
+  expect_nested_sum(ThreadPool::global());
 }
 
-TEST(ThreadPool, DrainWithoutErrorsIsWaitIdle) {
-  ThreadPool pool(3);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 20; ++i) pool.submit([&] { count.fetch_add(1); });
-  pool.drain();
-  EXPECT_EQ(count.load(), 20);
-}
-
-TEST(ThreadPool, ConcurrentSubmitAndWaitIdleStress) {
-  // Several producer threads submit while another thread repeatedly calls
-  // wait_idle; under TSan this exercises the queue/counter synchronization.
+TEST(ThreadPool, ThrowingChunkRethrowsAfterEveryOtherChunk) {
   ThreadPool pool(4);
-  std::atomic<int> count{0};
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 250;
-  std::vector<std::thread> producers;
-  std::atomic<bool> done{false};
-  std::thread waiter([&] {
-    while (!done.load()) pool.wait_idle();
-  });
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        pool.submit([&] { count.fetch_add(1); });
+  constexpr std::size_t kChunks = 16;  // size() * 4
+  std::atomic<std::size_t> ran{0};
+  try {
+    pool.parallel_for_chunks(
+        0, kChunks,
+        [&](std::size_t lo, std::size_t) {
+          if (lo == 0) throw std::runtime_error("chunk 0");
+          // Slow enough that a call returning at the throw would find most
+          // of the other chunks unfinished.
+          std::this_thread::sleep_for(std::chrono::milliseconds(2));
+          ran.fetch_add(1);
+        },
+        1);
+    ADD_FAILURE() << "parallel_for_chunks did not rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "chunk 0");
+    EXPECT_EQ(ran.load(), kChunks - 1);
+  }
+  // The pool stays usable: the next call covers its whole range.
+  std::vector<std::atomic<int>> hits(1000);
+  pool.parallel_for(0, hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); },
+                    1);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, ConcurrentCallersEachCoverTheirRange) {
+  // Four external threads share one pool; their jobs queue side by side.
+  // The hits are plain ints: each call's caller reads what the helpers wrote,
+  // which only the pool's own synchronization orders (TSan checks it).
+  ThreadPool pool(4);
+  constexpr int kCallers = 4, kCalls = 200;
+  constexpr std::size_t kRange = 64;
+  std::atomic<int> bad_calls{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&] {
+      std::vector<int> hits(kRange);
+      for (int r = 0; r < kCalls; ++r) {
+        std::fill(hits.begin(), hits.end(), 0);
+        pool.parallel_for(0, kRange, [&](std::size_t i) { ++hits[i]; }, 1);
+        for (const int h : hits) {
+          if (h != 1) {
+            bad_calls.fetch_add(1);
+            break;
+          }
+        }
       }
     });
   }
-  for (auto& t : producers) t.join();
-  pool.wait_idle();
-  done.store(true);
-  waiter.join();
-  EXPECT_EQ(count.load(), kProducers * kPerProducer);
+  for (auto& t : callers) t.join();
+  EXPECT_EQ(bad_calls.load(), 0);
 }
 
-TEST(ThreadPool, NestedSubmitFromTask) {
-  // Tasks submitted from within tasks must complete before wait_idle returns.
-  ThreadPool pool(3);
-  std::atomic<int> count{0};
-  pool.submit([&] {
-    count.fetch_add(1);
-    pool.submit([&] { count.fetch_add(1); });
-  });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 2);
+#ifdef __linux__
+std::size_t process_threads() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& e :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+#endif
+
+TEST(ThreadPool, OneThreadPoolStartsNoThreadAndRunsEveryChunkOnTheCaller) {
+#ifdef __linux__
+  // `warm` first brings up any thread a runtime (TSan's) starts beside the
+  // first one a program creates; then each pool starts size() - 1.
+  ThreadPool warm(2);
+  const std::size_t before = process_threads();
+  ThreadPool three(3);
+  EXPECT_EQ(process_threads(), before + 2);
+  ThreadPool pool(1);
+  EXPECT_EQ(process_threads(), before + 2);
+#else
+  ThreadPool pool(1);
+#endif
+  EXPECT_EQ(pool.size(), 1u);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::size_t chunks = 0, elsewhere = 0;
+  pool.parallel_for_chunks(
+      0, 100,
+      [&](std::size_t, std::size_t) {
+        ++chunks;
+        if (std::this_thread::get_id() != caller) ++elsewhere;
+      },
+      1);
+  EXPECT_EQ(chunks, 4u);  // size() * 4
+  EXPECT_EQ(elsewhere, 0u);
+}
+
+// Claiming a chunk costs no allocation: a 16-chunk call allocates what a
+// 2-chunk call does (the job), not a task or a future per chunk.
+TEST(ThreadPool, NoAllocationPerChunk) {
+  ThreadPool pool(4);
+  std::atomic<std::size_t> sum{0};
+  const std::function<void(std::size_t)> fn = [&](std::size_t i) {
+    sum.fetch_add(i);
+  };
+  auto allocations = [&](std::size_t n) {
+    g_allocations.store(0);
+    g_counting.store(true);
+    pool.parallel_for(0, n, fn, 1);
+    g_counting.store(false);
+    return g_allocations.load();
+  };
+  allocations(16);  // warm-up: the job queue's first growth
+  const std::size_t two = allocations(2);
+  const std::size_t sixteen = allocations(16);
+  EXPECT_EQ(two, sixteen);
+  EXPECT_EQ(sum.load(), 2 * (16 * 15 / 2) + 1);
 }
 
 }  // namespace
