@@ -1,7 +1,8 @@
 // google-benchmark micro-benchmarks for the host-side hot kernels: LUT
 // construction, ADC scans, heap maintenance, CAE encoding, placement and
-// scheduling. These measure the *simulator's* host cost (how fast we can
-// evaluate the model), complementing the simulated-time figure benches.
+// scheduling, the cluster filter and the span exports. These measure the
+// *simulator's* host cost (how fast we can evaluate the model),
+// complementing the simulated-time figure benches.
 #include <benchmark/benchmark.h>
 
 #include "common/rng.hpp"
@@ -14,6 +15,8 @@
 #include "data/dataset.hpp"
 #include "data/query_workload.hpp"
 #include "ivf/cluster_stats.hpp"
+#include "obs/span.hpp"
+#include "obs/trace.hpp"
 #include "pim/cost_model.hpp"
 #include "pim/dpu.hpp"
 #include "quant/kmeans.hpp"
@@ -557,6 +560,176 @@ void BM_SchedulingAlgorithm2(benchmark::State& state) {
                           static_cast<std::int64_t>(f.probes.size()));
 }
 BENCHMARK(BM_SchedulingAlgorithm2);
+
+// ---------------------------------------------------------------- the host
+// layers of a fleet_rw round outside the kernel
+
+/// A fleet_rw-shaped span forest: 65 batches of 128 queries on three hosts.
+/// Per batch a root, ten lane spans (cluster-filter, broadcast, a schedule
+/// and a device phase per host, gather, interhost-merge) and per query a
+/// query span with its five phase spans: 50,635 spans. Like the real
+/// forest, the queries of a batch share their phase starts and shares.
+const obs::SpanLog& fleet_forest() {
+  static const obs::SpanLog log = [] {
+    obs::SpanLog l;
+    const char* const phases[] = {"cluster-filter", "broadcast",
+                                  "host-search", "gather", "interhost-merge"};
+    common::Rng rng(29);
+    double t = 0;
+    for (std::int64_t b = 0; b < 65; ++b) {
+      double sec[5];
+      for (double& x : sec) x = rng.uniform(1e-5, 2e-3);
+      const double total = sec[0] + sec[1] + sec[2] + sec[3] + sec[4];
+      const std::uint64_t root = l.push(0, "batch", "batch", b, t, total).id;
+      double start[5];
+      double cursor = t;
+      for (int p = 0; p < 5; ++p) {
+        start[p] = cursor;
+        cursor += sec[p];
+      }
+      l.push(root, "cluster-filter", "coord", b, start[0], sec[0]);
+      l.push(root, "broadcast", "net", b, start[1], sec[1]);
+      for (std::int64_t h = 0; h < 3; ++h) {
+        const double sched = sec[2] * 0.01 * static_cast<double>(h + 1);
+        l.push(root, "alg2-schedule", "host", b, start[2], sched).host = h;
+        l.push(root, "device-phase", "host", b, start[2] + sched,
+               sec[2] - sched)
+            .host = h;
+      }
+      l.push(root, "gather", "net", b, start[3], sec[3]);
+      l.push(root, "interhost-merge", "coord", b, start[4], sec[4]);
+      for (std::int64_t q = 0; q < 128; ++q) {
+        obs::Span& qs = l.push(root, "query", "query", b, t, total / 128);
+        qs.query = b * 128 + q;
+        const std::uint64_t qid = qs.id;
+        for (int p = 0; p < 5; ++p) {
+          l.push(qid, phases[p], "query-stage", b, start[p], sec[p] / 128)
+              .query = b * 128 + q;
+        }
+      }
+      t += total * 0.75;  // overlapped batches
+    }
+    return l;
+  }();
+  return log;
+}
+
+/// The lane slices of the forest, on the fleet's lanes.
+obs::PipelineTrace fleet_lanes(const obs::SpanLog& log) {
+  obs::PipelineTrace t;
+  t.lanes = {{0, "coordinator"}, {1, "network"}};
+  for (int h = 0; h < 3; ++h) {
+    t.lanes.emplace_back(2 + h, "host-" + std::to_string(h));
+  }
+  for (const obs::Span& s : log.spans()) {
+    if (s.category == "batch" || s.category == "query" ||
+        s.category == "query-stage") {
+      continue;
+    }
+    const int lane = s.category == "net" ? 1
+                     : s.host >= 0       ? static_cast<int>(2 + s.host)
+                                         : 0;
+    t.slices.push_back({s.name, s.category, lane, s.start_seconds,
+                        s.duration_seconds,
+                        static_cast<std::size_t>(s.batch)});
+  }
+  return t;
+}
+
+/// obs::span_log_json of one fleet_rw round's forest.
+void BM_SpanLogJson(benchmark::State& state) {
+  const obs::SpanLog& log = fleet_forest();
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string out = obs::span_log_json(log);
+    bytes = out.size();
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes));
+  state.counters["spans"] = static_cast<double>(log.size());
+}
+BENCHMARK(BM_SpanLogJson)->Unit(benchmark::kMillisecond);
+
+/// obs::trace_json of the round's lane slices with the forest as async
+/// event pairs, as fleet_rw exports it.
+void BM_TraceJsonSpans(benchmark::State& state) {
+  const obs::SpanLog& log = fleet_forest();
+  const obs::PipelineTrace trace = fleet_lanes(log);
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string out = obs::trace_json(trace, &log);
+    bytes = out.size();
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes));
+  state.counters["spans"] = static_cast<double>(log.size());
+}
+BENCHMARK(BM_TraceJsonSpans)->Unit(benchmark::kMillisecond);
+
+/// A 512-cluster, dim-128 index (the shape of all three perfbench
+/// workloads) and one 128-query batch.
+struct FilterFixture {
+  ivf::IvfIndex index;
+  data::Dataset queries;
+};
+
+const FilterFixture& filter_fixture() {
+  static const FilterFixture f = [] {
+    const auto base = data::generate_synthetic(data::sift1b_like(20000, 12));
+    ivf::IvfBuildOptions opts;
+    opts.n_clusters = 512;
+    opts.pq_m = 16;
+    opts.coarse_iters = 2;
+    opts.pq_iters = 1;
+    data::WorkloadSpec spec;
+    spec.n_queries = 128;
+    return FilterFixture{ivf::IvfIndex::build(base, opts),
+                         data::generate_workload(base, spec).queries};
+  }();
+  return f;
+}
+
+/// The cluster filter of one 128-query batch on one thread: `layout` 0 is
+/// the row-major loop (l2_sq per centroid into a TopK) that
+/// IvfIndex::filter_clusters replaced, 1 is filter_clusters on its
+/// block-major centroid mirror. Both return the same probe lists.
+void BM_FilterClusters(benchmark::State& state) {
+  const FilterFixture& f = filter_fixture();
+  const auto nprobe = static_cast<std::size_t>(state.range(0));
+  const bool blocked = state.range(1) != 0;
+  const ivf::IvfIndex& idx = f.index;
+  const auto row_major = [&](const float* q) {
+    common::TopK top(nprobe);
+    for (std::size_t c = 0; c < idx.n_clusters(); ++c) {
+      top.push(quant::l2_sq(q, idx.centroid(c), idx.dim()),
+               static_cast<std::uint32_t>(c));
+    }
+    std::vector<std::uint32_t> ids;
+    ids.reserve(top.size());
+    for (const std::uint64_t key : top.keys()) {
+      ids.push_back(common::TopK::unpack(key).id);
+    }
+    return ids;
+  };
+  for (auto _ : state) {
+    for (std::size_t q = 0; q < f.queries.n; ++q) {
+      const float* query = f.queries.row(q);
+      auto ids = blocked ? idx.filter_clusters(query, nprobe)
+                         : row_major(query);
+      benchmark::DoNotOptimize(ids.data());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(f.queries.n));
+  state.SetLabel(blocked ? "block-major" : "row-major");
+}
+BENCHMARK(BM_FilterClusters)
+    ->ArgNames({"nprobe", "blocked"})
+    ->ArgsProduct({{16, 64}, {0, 1}});
 
 }  // namespace
 

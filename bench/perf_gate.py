@@ -9,23 +9,25 @@ PARENT and CHANGE are checkouts of the repository; CHANGE defaults to the
 checkout that holds this script. Each side builds and runs its own
 perfbench/run.py with its own CARGO_TARGET_DIR (<side>/.bench_build), first
 once with --self-check (build and warm-up, untimed), then in PAIRS pairs on
-seeds 1..PAIRS at --seconds SECONDS: every workload at --trace 0 and
-batch_paper at --trace 1. Within a pair the two sides run each
-configuration back to back, and the side that runs first alternates from
-pair to pair.
+seeds 1..PAIRS: every workload at --trace 0 and batch_paper at --trace 1.
+Each run lasts SECONDS of its workload: 3 s, but fleet_rw runs at the
+run_seconds of the change's BENCHMARK.json (10 s), since at 3 s (four
+rounds a run) same-commit pairs read it worse in 8 of 10. Within a pair
+the two sides run each configuration back to back, and the side that runs
+first alternates from pair to pair.
 
 Simulated clock. Every run records the values that must repeat exactly for
 its seed (each sim.*, pim.* count, kernel.*, cae.*, adapt.*, mh.* and
 core.patch_* value, sim_qps, recall_at_10 and the neighbors digest) in its
 side's signature store, <side>/.bench_build/perfbench/signatures.json,
-under <sha256(perfbench binary)[:16]>/<workload>/<seed>/<seconds>/full. The
-gate compares the two sides' values per workload and seed, prints one identity
-line per workload and, for each value that differs, its first differing
-seed with both values. A differing value fails unless it is declared: named
-on a line starting with `GOLDEN:` that the change's CHANGES.md adds over
-the parent's, as `GOLDEN: name, name ... - why` (the names end at the
-first dash, `-` or an em dash). That line is how a deliberate
-simulated-clock change lands.
+under <sha256(perfbench binary)[:16]>/<workload>/<seed>/<seconds>/full,
+with the run's own seconds. The gate compares the two sides' values per
+workload and seed, prints one identity line per workload and, for each
+value that differs, its first differing seed with both values. A differing
+value fails unless it is declared: named on a line starting with `GOLDEN:`
+that the change's CHANGES.md adds over the parent's, as `GOLDEN: name,
+name ... - why` (the names end at the first dash, `-` or an em dash). That
+line is how a deliberate simulated-clock change lands.
 
 Host clock. A gated metric fails when the change reads worse than the parent
 in at least 9 of 10 pairs (ties count for neither) and its median is worse
@@ -53,8 +55,9 @@ import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 PAIRS = 10
-SECONDS = 3
 WORKLOADS = ("batch_paper", "online_zipf", "fleet_rw")
+# Seconds per run; None takes BENCHMARK.json's run_seconds.
+SECONDS = {"batch_paper": 3, "online_zipf": 3, "fleet_rw": None}
 RUNS = tuple((w, 0) for w in WORKLOADS) + (("batch_paper", 1),)
 # End-to-end host metrics at --trace 0, and batch_paper's build substages
 # at --trace 1. Simulated values and recall are compared exactly through the
@@ -89,14 +92,23 @@ def run_side(side, root, args, what):
     return lines[-1] if lines else ""
 
 
-def directions(root):
+def benchmark(root):
     with open(os.path.join(root, "BENCHMARK.json")) as f:
-        bench = json.load(f)
+        return json.load(f)
+
+
+def directions(bench):
     return {m["name"]: m["better"]
             for m in bench["end_to_end"] + bench["per_layer"]}
 
 
-def signatures(side, root):
+def run_seconds(bench):
+    """{workload: seconds per run}."""
+    return {w: bench["run_seconds"] if s is None else s
+            for w, s in SECONDS.items()}
+
+
+def signatures(side, root, seconds):
     """{(workload, seed): {name: value}} from the side's signature store,
     for the binary its runs left behind."""
     bdir = os.path.join(root, ".bench_build", "perfbench")
@@ -113,7 +125,7 @@ def signatures(side, root):
     for workload in WORKLOADS:
         for seed in range(1, PAIRS + 1):
             key = "/".join([h.hexdigest()[:16], workload, str(seed),
-                            repr(float(SECONDS)), "full"])
+                            repr(float(seconds[workload])), "full"])
             if key not in stored:
                 die(f"{side} signature store has no {key}")
             sigs[(workload, seed)] = stored[key]
@@ -200,7 +212,9 @@ def main(argv):
     for side, root in roots.items():
         if not os.path.isfile(os.path.join(root, "perfbench", "run.py")):
             die(f"{side} checkout {root} has no perfbench/run.py")
-    better = directions(roots["change"])
+    bench = benchmark(roots["change"])
+    better = directions(bench)
+    seconds = run_seconds(bench)
     t_start = time.monotonic()
 
     for side, root in roots.items():
@@ -219,7 +233,7 @@ def main(argv):
                 t0 = time.monotonic()
                 line = run_side(side, roots[side],
                                 ["--workload", workload, "--seed", str(seed),
-                                 "--seconds", str(SECONDS),
+                                 "--seconds", str(seconds[workload]),
                                  "--trace", str(trace)], what)
                 try:
                     res = json.loads(line)
@@ -236,8 +250,8 @@ def main(argv):
                       f"{time.monotonic() - t0:5.1f} s  {shown}", flush=True)
 
     print()
-    undeclared = identity(signatures("parent", roots["parent"]),
-                          signatures("change", roots["change"]),
+    undeclared = identity(signatures("parent", roots["parent"], seconds),
+                          signatures("change", roots["change"], seconds),
                           declared_names(roots["parent"], roots["change"]))
     print(f"\n{'workload':11s} {'metric':22s} {'better':6s} "
           f"{'parent median [q1, q3]':30s} {'change':>10s} worse/better "

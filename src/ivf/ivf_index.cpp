@@ -19,6 +19,7 @@ IvfIndex::IvfIndex(const IvfIndex& other)
       n_clusters_(other.n_clusters_),
       n_points_(other.n_points_),
       centroids_(other.centroids_),
+      tcentroids_(other.tcentroids_),
       pq_(other.pq_),
       lists_(other.lists_),
       mutation_epoch_(other.mutation_epoch_) {}
@@ -29,6 +30,7 @@ IvfIndex& IvfIndex::operator=(const IvfIndex& other) {
   n_clusters_ = other.n_clusters_;
   n_points_ = other.n_points_;
   centroids_ = other.centroids_;
+  tcentroids_ = other.tcentroids_;
   pq_ = other.pq_;
   lists_ = other.lists_;
   mutation_epoch_ = other.mutation_epoch_;
@@ -75,6 +77,7 @@ IvfIndex IvfIndex::build(const data::Dataset& base, const IvfBuildOptions& opts,
   quant::KMeansResult coarse = quant::kmeans(base.span(), base.n, base.dim, ko);
   idx.n_clusters_ = coarse.n_clusters;
   idx.centroids_ = std::move(coarse.centroids);
+  idx.mirror_centroids();
 
   BuildStats bs;
   bs.kmeans_seconds = coarse.train_seconds;
@@ -153,9 +156,16 @@ IvfIndex IvfIndex::empty_like(const IvfIndex& other) {
   idx.n_clusters_ = other.n_clusters_;
   idx.n_points_ = 0;
   idx.centroids_ = other.centroids_;
+  idx.tcentroids_ = other.tcentroids_;
   idx.pq_ = other.pq_;
   idx.lists_.resize(idx.n_clusters_);
   return idx;
+}
+
+void IvfIndex::mirror_centroids() {
+  tcentroids_.resize(quant::pad8(n_clusters_) * dim_);
+  quant::transpose_centroids(centroids_.data(), n_clusters_, dim_,
+                             tcentroids_.data());
 }
 
 std::vector<std::size_t> IvfIndex::list_sizes() const {
@@ -168,9 +178,17 @@ std::vector<std::uint32_t> IvfIndex::filter_clusters(const float* query,
                                                      std::size_t nprobe) const {
   nprobe = std::min(nprobe, n_clusters_);
   common::TopK top(nprobe);
-  for (std::size_t c = 0; c < n_clusters_; ++c) {
-    const float d = quant::l2_sq(query, centroid(c), dim_);
-    top.push(d, static_cast<std::uint32_t>(c));
+  // Score a slab of whole 8-centroid blocks at a time and push in centroid
+  // order, exactly as a row-major l2_sq loop would.
+  constexpr std::size_t kSlab = 256;
+  float dist[kSlab];
+  for (std::size_t c0 = 0; c0 < n_clusters_; c0 += kSlab) {
+    const std::size_t n = std::min(kSlab, n_clusters_ - c0);
+    quant::squared_dists_t(query, tcentroids_.data() + c0 * dim_, n, dim_,
+                           dist);
+    for (std::size_t j = 0; j < n; ++j) {
+      top.push(dist[j], static_cast<std::uint32_t>(c0 + j));
+    }
   }
   std::vector<std::uint32_t> ids;
   ids.reserve(top.size());

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "data/dataset.hpp"
+#include "quant/kmeans.hpp"
 #include "quant/pq.hpp"
 
 namespace upanns::obs {
@@ -125,7 +126,9 @@ class IvfIndex {
   std::vector<std::size_t> list_sizes() const;
 
   /// Stage (a) of the online pipeline: rank clusters by centroid distance and
-  /// return the nprobe closest ids (ascending by distance).
+  /// return the nprobe closest ids (ascending by distance, ties to the lower
+  /// id). Scores the block-major mirror of the centroids, whose distances
+  /// are bit-identical to l2_sq against the row-major ones.
   std::vector<std::uint32_t> filter_clusters(const float* query,
                                              std::size_t nprobe) const;
 
@@ -178,10 +181,14 @@ class IvfIndex {
   void ensure_directory();
   void index_list_into_directory(std::uint32_t c);
 
+  /// Rebuild tcentroids_ from centroids_ (after build, empty_like, load).
+  void mirror_centroids();
+
   std::size_t dim_ = 0;
   std::size_t n_clusters_ = 0;
   std::size_t n_points_ = 0;  ///< live points
   std::vector<float> centroids_;  // n_clusters x dim
+  quant::BlockMajor tcentroids_;  // the same, block-major (pad8 x dim)
   quant::ProductQuantizer pq_;
   std::vector<InvertedList> lists_;
 

@@ -132,6 +132,7 @@ IvfIndex IvfIndex::load(const std::string& path) {
   if (idx.centroids_.size() != idx.n_clusters_ * idx.dim_) {
     throw std::runtime_error("IvfIndex::load: bad centroids");
   }
+  idx.mirror_centroids();
   idx.pq_ = quant::ProductQuantizer::load_from(is);
   if (idx.pq_.dim() != idx.dim_) {
     throw std::runtime_error("IvfIndex::load: PQ/index dim mismatch");

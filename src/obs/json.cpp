@@ -5,57 +5,95 @@
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <stdexcept>
 
 namespace upanns::obs {
 
 // ---------------------------------------------------------------- writer
 
-namespace {
+std::size_t json_escaped_size(std::string_view s) {
+  std::size_t n = s.size();
+  for (const char ch : s) {
+    const auto c = static_cast<unsigned char>(ch);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    const bool short_form =
+        c == '"' || c == '\\' || c == '\n' || c == '\r' || c == '\t';
+    n += short_form ? 1 : 5;  // \x or \u00xx
+  }
+  return n;
+}
 
-/// Append `s` JSON-escaped, copying runs of plain characters in one go.
-void append_escaped(std::string& out, std::string_view s) {
+char* write_escaped(char* p, std::string_view s) {
+  if (s.empty()) return p;  // its data() may be null
   std::size_t plain = 0;  // start of the pending unescaped run
+  const auto put = [&p](char a, char b) {
+    p[0] = a;
+    p[1] = b;
+    p += 2;
+  };
   for (std::size_t i = 0; i < s.size(); ++i) {
     const auto c = static_cast<unsigned char>(s[i]);
     if (c >= 0x20 && c != '"' && c != '\\') continue;
-    out.append(s.data() + plain, i - plain);
+    std::memcpy(p, s.data() + plain, i - plain);
+    p += i - plain;
     plain = i + 1;
     switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
+      case '"': put('\\', '"'); break;
+      case '\\': put('\\', '\\'); break;
+      case '\n': put('\\', 'n'); break;
+      case '\r': put('\\', 'r'); break;
+      case '\t': put('\\', 't'); break;
       default: {
         constexpr char kHex[] = "0123456789abcdef";
         const char esc[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 15]};
-        out.append(esc, sizeof(esc));
+        std::memcpy(p, esc, sizeof(esc));
+        p += sizeof(esc);
       }
     }
   }
-  out.append(s.data() + plain, s.size() - plain);
+  std::memcpy(p, s.data() + plain, s.size() - plain);
+  return p + (s.size() - plain);
 }
 
-/// Append `v` as %.17g would print it: std::to_chars in the general format
-/// at precision 17 is specified as exactly that conversion, without the
-/// locale and format-string parsing.
-void append_number(std::string& out, double v) {
-  if (!std::isfinite(v)) {  // JSON has no inf/nan
-    out += '0';
-    return;
+/// std::to_chars in the general format at precision 17 is specified as
+/// exactly the %.17g conversion, without the locale and format-string
+/// parsing.
+char* write_number(char* p, double v) {
+  if (!std::isfinite(v)) {
+    *p = '0';
+    return p + 1;
   }
-  char buf[32];
-  const auto r = std::to_chars(buf, buf + sizeof(buf), v,
-                               std::chars_format::general, 17);
-  out.append(buf, r.ptr);
+  return std::to_chars(p, p + kMaxNumberChars, v, std::chars_format::general,
+                       17)
+      .ptr;
+}
+
+char* write_integer(char* p, std::uint64_t v) {
+  return std::to_chars(p, p + kMaxIntegerChars, v).ptr;
+}
+
+char* write_integer(char* p, std::int64_t v) {
+  return std::to_chars(p, p + kMaxIntegerChars, v).ptr;
+}
+
+namespace {
+
+void append_escaped(std::string& out, std::string_view s) {
+  const std::size_t at = out.size();
+  out.resize(at + json_escaped_size(s));
+  write_escaped(out.data() + at, s);
+}
+
+void append_number(std::string& out, double v) {
+  char buf[kMaxNumberChars];
+  out.append(buf, write_number(buf, v));
 }
 
 template <typename Int>
 void append_integer(std::string& out, Int v) {
-  char buf[24];
-  const auto r = std::to_chars(buf, buf + sizeof(buf), v);
-  out.append(buf, r.ptr);
+  char buf[kMaxIntegerChars];
+  out.append(buf, write_integer(buf, v));
 }
 
 }  // namespace
@@ -153,9 +191,41 @@ JsonWriter& JsonWriter::raw(std::string_view json) {
   return *this;
 }
 
+// ---------------------------------------------------------------- cursor
+
+JsonCursor::JsonCursor(char* p) : p_(p) {
+  // Every slot starts as +0.0, whose bits are 0: no empty state to test.
+  for (Digits& d : memo_) {
+    d = Digits{};
+    d.size = 1;
+    d.text[0] = '0';
+  }
+}
+
+JsonCursor& JsonCursor::str(std::string_view s) {
+  *p_++ = '"';
+  p_ = write_escaped(p_, s);
+  *p_++ = '"';
+  return *this;
+}
+
+JsonCursor& JsonCursor::num(double v) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  Digits& d = memo_[memo_slot(bits)];
+  if (d.bits != bits) {
+    d.bits = bits;
+    d.size = static_cast<std::uint8_t>(write_number(d.text, v) - d.text);
+  }
+  // All kMaxNumberChars bytes, a fixed-size copy: the bound reserved them,
+  // and the next write overwrites what lies past the digits.
+  std::memcpy(p_, d.text, kMaxNumberChars);
+  p_ += d.size;
+  return *this;
+}
+
 std::string json_escape(std::string_view s) {
   std::string out;
-  out.reserve(s.size());
   append_escaped(out, s);
   return out;
 }

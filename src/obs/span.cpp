@@ -1,5 +1,6 @@
 #include "obs/span.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "obs/json.hpp"
@@ -14,6 +15,13 @@ Span& SpanLog::push(std::uint64_t parent, std::string name,
                     std::move(name), std::move(category), batch, -1, -1,
                     start_seconds, duration_seconds});
   return spans_.back();
+}
+
+void SpanLog::reserve_more(std::size_t n) {
+  const std::size_t need = spans_.size() + n;
+  if (need > spans_.capacity()) {
+    spans_.reserve(std::max(need, 2 * spans_.capacity()));
+  }
 }
 
 namespace {
@@ -106,6 +114,14 @@ double append_lane_spans(SpanLog& log, std::uint64_t parent, std::size_t batch,
 
 void append_spans(SpanLog& log, const core::BatchPipelineReport& report) {
   const std::vector<core::PhaseWindows> windows = core::batch_timeline(report);
+  // Per batch: the root, a lane span per stage plus two patch spans, and a
+  // query span with one span per stage for every query.
+  std::size_t most = 0;
+  for (const core::BatchSlot& slot : report.slots) {
+    const std::size_t stages = slot.report.trace.size();
+    most += 3 + stages + slot.report.neighbors.size() * (1 + stages);
+  }
+  log.reserve_more(most);
   std::uint64_t first_qid = 0;
   std::vector<double> stage_start;
   for (std::size_t b = 0; b < report.slots.size(); ++b) {
@@ -165,6 +181,14 @@ void append_spans(SpanLog& log, const core::BatchPipelineReport& report) {
 
 void append_spans(SpanLog& log, const core::MultiHostPipelineReport& report) {
   const std::vector<core::PhaseWindows> windows = core::batch_timeline(report);
+  // Per batch: the root, six coordinator, network and patch spans, two per
+  // host, and a query span with its five phase spans for every query.
+  std::size_t most = 0;
+  for (const core::MultiHostBatchSlot& slot : report.slots) {
+    most += 7 + 2 * slot.report.host_slots.size() +
+            6 * slot.report.neighbors.size();
+  }
+  log.reserve_more(most);
   std::uint64_t first_qid = 0;
   for (std::size_t b = 0; b < report.slots.size(); ++b) {
     const core::MultiHostBatchSlot& slot = report.slots[b];
@@ -219,22 +243,37 @@ std::string span_log_json(const SpanLog& log) {
   append_provenance(w);
   w.kv("n_spans", static_cast<std::uint64_t>(log.size()));
   w.key("spans").begin_array();
-  for (const Span& s : log.spans()) {
-    w.begin_object()
-        .kv("id", s.id)
-        .kv("parent", s.parent)
-        .kv("name", s.name)
-        .kv("cat", s.category)
-        .kv("batch", s.batch)
-        .kv("query", s.query)
-        .kv("host", s.host)
-        .kv("start_seconds", s.start_seconds)
-        .kv("duration_seconds", s.duration_seconds)
-        .end_object();
-  }
-  w.end_array();
-  w.end_object();
-  return w.take();
+  // The writer has opened the array; the records and the closing brackets
+  // go straight into its buffer.
+  std::string out = w.take();
+  const std::vector<Span>& spans = log.spans();
+  append_records(
+      out, spans.size(),
+      [&spans](auto& c, std::size_t i) {
+        const Span& s = spans[i];
+        if (i > 0) c.raw(",");
+        c.raw("{\"id\":")
+            .num(s.id)
+            .raw(",\"parent\":")
+            .num(s.parent)
+            .raw(",\"name\":")
+            .str(s.name)
+            .raw(",\"cat\":")
+            .str(s.category)
+            .raw(",\"batch\":")
+            .num(s.batch)
+            .raw(",\"query\":")
+            .num(s.query)
+            .raw(",\"host\":")
+            .num(s.host)
+            .raw(",\"start_seconds\":")
+            .num(s.start_seconds)
+            .raw(",\"duration_seconds\":")
+            .num(s.duration_seconds)
+            .raw("}");
+      },
+      "]}");
+  return out;
 }
 
 }  // namespace upanns::obs

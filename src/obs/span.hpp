@@ -64,6 +64,10 @@ class SpanLog {
              std::int64_t batch, double start_seconds,
              double duration_seconds);
 
+  /// Make room for `n` more spans (growing geometrically, so repeated
+  /// calls stay amortized).
+  void reserve_more(std::size_t n);
+
   const std::vector<Span>& spans() const { return spans_; }
   std::size_t size() const { return spans_.size(); }
   bool empty() const { return spans_.empty(); }

@@ -124,39 +124,42 @@ std::string trace_json(const PipelineTrace& trace, const SpanLog* spans) {
         .end_object()
         .end_object();
   }
-  if (spans != nullptr) {
-    // Async event pairs ("b"/"e" matched by cat+id) — Perfetto renders them
-    // as nestable tracks above the lane slices.
-    for (const Span& s : spans->spans()) {
-      w.begin_object()
-          .kv("ph", "b")
-          .kv("name", s.name)
-          .kv("cat", s.category)
-          .kv("id", s.id)
-          .kv("pid", 0)
-          .kv("tid", 0)
-          .kv("ts", s.start_seconds * 1e6)
-          .key("args")
-          .begin_object()
-          .kv("parent", s.parent)
-          .kv("batch", s.batch)
-          .kv("query", s.query)
-          .end_object()
-          .end_object();
-      w.begin_object()
-          .kv("ph", "e")
-          .kv("name", s.name)
-          .kv("cat", s.category)
-          .kv("id", s.id)
-          .kv("pid", 0)
-          .kv("tid", 0)
-          .kv("ts", (s.start_seconds + s.duration_seconds) * 1e6)
-          .end_object();
-    }
-  }
-  w.end_array();
-  w.end_object();
-  return w.take();
+  // The async "b"/"e" event pairs of the span forest (matched by cat+id;
+  // Perfetto renders them as nestable tracks above the lane slices) and
+  // the closing brackets go straight into the writer's buffer. Each pair
+  // opens with a comma: the process_name event always precedes it.
+  std::string out = w.take();
+  const std::vector<Span>* forest = spans ? &spans->spans() : nullptr;
+  append_records(
+      out, forest ? forest->size() : 0,
+      [forest](auto& c, std::size_t i) {
+        const Span& s = (*forest)[i];
+        c.raw(",{\"ph\":\"b\",\"name\":")
+            .str(s.name)
+            .raw(",\"cat\":")
+            .str(s.category)
+            .raw(",\"id\":")
+            .num(s.id)
+            .raw(",\"pid\":0,\"tid\":0,\"ts\":")
+            .num(s.start_seconds * 1e6)
+            .raw(",\"args\":{\"parent\":")
+            .num(s.parent)
+            .raw(",\"batch\":")
+            .num(s.batch)
+            .raw(",\"query\":")
+            .num(s.query)
+            .raw("}},{\"ph\":\"e\",\"name\":")
+            .str(s.name)
+            .raw(",\"cat\":")
+            .str(s.category)
+            .raw(",\"id\":")
+            .num(s.id)
+            .raw(",\"pid\":0,\"tid\":0,\"ts\":")
+            .num((s.start_seconds + s.duration_seconds) * 1e6)
+            .raw("}");
+      },
+      "]}");
+  return out;
 }
 
 PipelineTrace multihost_trace(const core::MultiHostPipelineReport& report) {

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <numeric>
 #include <set>
+#include <string>
 
+#include "common/simd_dispatch.hpp"
+#include "common/topk.hpp"
 #include "ivf/cluster_stats.hpp"
 #include "obs/metrics.hpp"
 #include "quant/kmeans.hpp"
@@ -108,6 +114,116 @@ TEST(IvfIndex, FilterClampedToNClusters) {
   const auto base = base_data();
   const auto idx = build_small(base, 8);
   EXPECT_EQ(idx.filter_clusters(base.row(0), 100).size(), idx.n_clusters());
+}
+
+/// The row-major filter: l2_sq per centroid pushed into a TopK in centroid
+/// order, which filter_clusters' block-major scan must reproduce exactly.
+std::vector<std::uint32_t> row_major_filter(const IvfIndex& idx,
+                                            const float* q,
+                                            std::size_t nprobe) {
+  common::TopK top(std::min(nprobe, idx.n_clusters()));
+  for (std::size_t c = 0; c < idx.n_clusters(); ++c) {
+    top.push(quant::l2_sq(q, idx.centroid(c), idx.dim()),
+             static_cast<std::uint32_t>(c));
+  }
+  std::vector<std::uint32_t> ids;
+  for (const std::uint64_t key : top.keys()) {
+    ids.push_back(common::TopK::unpack(key).id);
+  }
+  return ids;
+}
+
+/// `idx` saved, with centroid `to` overwritten by centroid `from` in the
+/// file, and loaded back: a way to plant duplicate centroids.
+IvfIndex reload_with_duplicate(const IvfIndex& idx, const char* name,
+                               std::size_t from, std::size_t to) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / name).string();
+  idx.save(path);
+  {
+    // magic, version, dim, n_clusters, n_points, then the centroid count.
+    constexpr std::streamoff kCentroids = 4 + 4 + 8 + 8 + 8 + 8;
+    const std::streamoff row =
+        static_cast<std::streamoff>(idx.dim() * sizeof(float));
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(kCentroids + static_cast<std::streamoff>(to) * row);
+    f.write(reinterpret_cast<const char*>(idx.centroid(from)), row);
+  }
+  IvfIndex back = IvfIndex::load(path);
+  std::remove(path.c_str());
+  return back;
+}
+
+struct LevelGuard {
+  common::SimdLevel prev = common::simd_active_level();
+  ~LevelGuard() { common::set_simd_level(prev); }
+};
+
+/// filter_clusters equals the row-major reference for every query of
+/// `queries` at every nprobe in {1, 3, n_clusters, n_clusters + 7} and every
+/// SIMD level this CPU has.
+void expect_filter_matches_reference(const IvfIndex& idx,
+                                     const std::vector<const float*>& queries,
+                                     const std::string& label) {
+  LevelGuard guard;
+  for (int l = 0; l <= static_cast<int>(common::simd_max_supported()); ++l) {
+    const auto level = static_cast<common::SimdLevel>(l);
+    common::set_simd_level(level);
+    for (const std::size_t nprobe :
+         {std::size_t{1}, std::size_t{3}, idx.n_clusters(),
+          idx.n_clusters() + 7}) {
+      for (std::size_t q = 0; q < queries.size(); ++q) {
+        ASSERT_EQ(idx.filter_clusters(queries[q], nprobe),
+                  row_major_filter(idx, queries[q], nprobe))
+            << label << " level " << common::simd_level_name(level)
+            << " nprobe " << nprobe << " query " << q;
+      }
+    }
+  }
+}
+
+// 13 clusters leave a partial 8-lane block; three copies of centroid 3 tie
+// exactly on every query, and the ties go to the lower id.
+TEST(IvfIndex, FilterClustersEqualsRowMajorReferenceAtEveryLevel) {
+  const auto base = base_data();
+  const IvfIndex built = build_small(base, 13);
+  const IvfIndex once =
+      reload_with_duplicate(built, "upanns_ivf_dup1.bin", 3, 7);
+  const IvfIndex idx =
+      reload_with_duplicate(once, "upanns_ivf_dup2.bin", 3, 12);
+  std::vector<const float*> queries = {idx.centroid(3), idx.centroid(12)};
+  for (std::size_t i = 0; i < 64; ++i) queries.push_back(base.row(i * 37));
+  expect_filter_matches_reference(built, queries, "built");
+  expect_filter_matches_reference(idx, queries, "duplicates");
+  const auto probes = idx.filter_clusters(idx.centroid(3), 3);
+  EXPECT_EQ(probes, (std::vector<std::uint32_t>{3, 7, 12}));
+}
+
+// fleet_rw copies the index every round: the block-major mirror must
+// follow the centroids through load, copy, assignment, move and
+// empty_like.
+TEST(IvfIndex, CentroidMirrorFollowsLoadCopyAndAssignment) {
+  const auto base = base_data();
+  const IvfIndex built = build_small(base, 32);
+  const IvfIndex loaded =
+      reload_with_duplicate(built, "upanns_ivf_mirror.bin", 0, 31);
+  std::vector<const float*> queries;
+  for (std::size_t i = 0; i < 16; ++i) queries.push_back(base.row(i * 101));
+  queries.push_back(loaded.centroid(31));
+  expect_filter_matches_reference(loaded, queries, "loaded");
+
+  const IvfIndex copied(loaded);
+  expect_filter_matches_reference(copied, queries, "copied");
+  IvfIndex assigned = build_small(base, 13);
+  assigned = loaded;
+  expect_filter_matches_reference(assigned, queries, "assigned");
+  const IvfIndex moved(std::move(assigned));
+  expect_filter_matches_reference(moved, queries, "moved");
+  const IvfIndex empty = IvfIndex::empty_like(loaded);
+  expect_filter_matches_reference(empty, queries, "empty_like");
+  for (const float* q : queries) {
+    EXPECT_EQ(copied.filter_clusters(q, 8), loaded.filter_clusters(q, 8));
+  }
 }
 
 TEST(IvfIndex, ResidualDefinition) {

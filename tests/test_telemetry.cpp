@@ -7,16 +7,22 @@
 // gated on an attached SpanLog, span durations obey the accounting identity
 //   sum(query spans) + sum(patch spans) == serial_seconds
 // on single-host and multi-host runs (with and without mutations), spans
-// never change results, and a combined mutation + multi-host run exports a
-// bit-exact golden trace across repeated runs.
+// never change results, a combined mutation + multi-host run exports a
+// bit-exact golden trace across repeated runs, and the span exports equal
+// JsonWriter's per-field rendering byte for byte with an allocation count
+// that does not grow with the forest.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
+#include <new>
 #include <set>
 #include <string>
 #include <vector>
@@ -36,6 +42,38 @@
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
 #include "obs/window.hpp"
+
+// This executable replaces global operator new/delete to count the blocks
+// allocated while g_counting is set, for
+// Spans.ExportAllocationsDoNotGrowWithTheForest.
+namespace {
+std::atomic<bool> g_counting{false};
+std::atomic<std::size_t> g_allocations{0};
+}  // namespace
+
+// All out of line: inlined, GCC 12's -Wmismatched-new-delete reads
+// the malloc() behind a new as mismatched with the delete that frees it.
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+// std::stable_sort's buffer comes from the nothrow form and goes back
+// through the plain delete above, so it must come from malloc too (the
+// sanitizers' own nothrow new would read the free() as a mismatch).
+[[gnu::noinline]] void* operator new(std::size_t n,
+                                     const std::nothrow_t&) noexcept {
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  return std::malloc(n == 0 ? 1 : n);
+}
 
 namespace upanns::obs {
 namespace {
@@ -754,6 +792,255 @@ TEST(Spans, WindowedLatencyTracksTheCumulativeHistogram) {
   EXPECT_EQ(win->count, cum->count);
   EXPECT_DOUBLE_EQ(win->p50, cum->p50);
   EXPECT_DOUBLE_EQ(win->p99, cum->p99);
+}
+
+// ---------------------------------------------------------------- export
+
+/// The span log as JsonWriter's per-field calls: the reference that
+/// span_log_json's cursor writer must match byte for byte.
+std::string reference_span_log_json(const SpanLog& log) {
+  JsonWriter w;
+  w.begin_object();
+  append_provenance(w);
+  w.kv("n_spans", static_cast<std::uint64_t>(log.size()));
+  w.key("spans").begin_array();
+  for (const Span& s : log.spans()) {
+    w.begin_object()
+        .kv("id", s.id)
+        .kv("parent", s.parent)
+        .kv("name", s.name)
+        .kv("cat", s.category)
+        .kv("batch", s.batch)
+        .kv("query", s.query)
+        .kv("host", s.host)
+        .kv("start_seconds", s.start_seconds)
+        .kv("duration_seconds", s.duration_seconds)
+        .end_object();
+  }
+  w.end_array();
+  w.end_object();
+  return w.take();
+}
+
+/// trace_json as JsonWriter's per-field calls, span events included.
+std::string reference_trace_json(const PipelineTrace& trace,
+                                 const SpanLog* spans) {
+  JsonWriter w;
+  w.begin_object();
+  w.kv("displayTimeUnit", "ms");
+  w.key("traceEvents").begin_array();
+  w.begin_object()
+      .kv("ph", "M")
+      .kv("name", "process_name")
+      .kv("pid", 0)
+      .kv("tid", 0)
+      .key("args")
+      .begin_object()
+      .kv("name", "upanns")
+      .end_object()
+      .end_object();
+  for (const auto& [tid, name] : trace.lanes) {
+    w.begin_object()
+        .kv("ph", "M")
+        .kv("name", "thread_name")
+        .kv("pid", 0)
+        .kv("tid", tid)
+        .key("args")
+        .begin_object()
+        .kv("name", name)
+        .end_object()
+        .end_object();
+  }
+  for (const TraceSlice& s : trace.slices) {
+    w.begin_object()
+        .kv("ph", "X")
+        .kv("name", s.name)
+        .kv("cat", s.category)
+        .kv("pid", 0)
+        .kv("tid", s.lane)
+        .kv("ts", s.start_seconds * 1e6)
+        .kv("dur", s.duration_seconds * 1e6)
+        .key("args")
+        .begin_object()
+        .kv("batch", static_cast<std::uint64_t>(s.batch))
+        .end_object()
+        .end_object();
+  }
+  if (spans != nullptr) {
+    for (const Span& s : spans->spans()) {
+      w.begin_object()
+          .kv("ph", "b")
+          .kv("name", s.name)
+          .kv("cat", s.category)
+          .kv("id", s.id)
+          .kv("pid", 0)
+          .kv("tid", 0)
+          .kv("ts", s.start_seconds * 1e6)
+          .key("args")
+          .begin_object()
+          .kv("parent", s.parent)
+          .kv("batch", s.batch)
+          .kv("query", s.query)
+          .end_object()
+          .end_object();
+      w.begin_object()
+          .kv("ph", "e")
+          .kv("name", s.name)
+          .kv("cat", s.category)
+          .kv("id", s.id)
+          .kv("pid", 0)
+          .kv("tid", 0)
+          .kv("ts", (s.start_seconds + s.duration_seconds) * 1e6)
+          .end_object();
+    }
+  }
+  w.end_array();
+  w.end_object();
+  return w.take();
+}
+
+void expect_exports_match_reference(const SpanLog& log,
+                                    const PipelineTrace& trace) {
+  EXPECT_EQ(span_log_json(log), reference_span_log_json(log));
+  EXPECT_EQ(trace_json(trace, &log), reference_trace_json(trace, &log));
+  EXPECT_EQ(trace_json(trace), reference_trace_json(trace, nullptr));
+}
+
+/// A small two-lane trace for the synthetic forests below.
+PipelineTrace small_trace() {
+  PipelineTrace t;
+  t.lanes = {{0, "coordinator"}, {1, "net\"work"}};
+  t.slices = {{"cluster-filter", "coord", 0, 0.0, 1.5e-4, 0},
+              {"broadcast", "net", 1, 1.5e-4, 2.25e-5, 0}};
+  return t;
+}
+
+/// Two distinct doubles whose digits share one memo slot.
+std::pair<double, double> colliding_doubles() {
+  const auto slot = [](double v) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    return JsonCursor::memo_slot(bits);
+  };
+  const double a = 0.125;
+  for (int i = 1;; ++i) {
+    const double b = 1e-3 * i;
+    if (b != a && slot(b) == slot(a)) return {a, b};
+  }
+}
+
+TEST(Spans, ExportsMatchTheJsonWriterReferenceOnEdgeValues) {
+  const PipelineTrace trace = small_trace();
+  SpanLog empty;
+  expect_exports_match_reference(empty, trace);
+  expect_exports_match_reference(empty, PipelineTrace{});
+
+  SpanLog one;
+  one.push(0, "batch", "batch", 0, 0.25, 1e-3);
+  expect_exports_match_reference(one, trace);
+
+  SpanLog edge;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double values[] = {nan,     kInf,   -kInf,  -0.0,  0.0,
+                           5e-324,  1e300,  -1e300, 1e-7,  123456789.125,
+                           -2.2250738585072014e-308, 0.1 + 0.2};
+  for (const double v : values) {
+    edge.push(0, "batch", "batch", 0, v, v);
+    edge.push(1, "query", "query", -1, v, -v).query = -1;
+  }
+  const auto [a, b] = colliding_doubles();
+  for (int i = 0; i < 8; ++i) {  // evict each other from the shared slot
+    edge.push(0, "stage", "query-stage", i, a, b);
+    edge.push(0, "stage", "query-stage", i, b, a);
+  }
+  constexpr std::uint64_t kMaxId = std::numeric_limits<std::uint64_t>::max();
+  constexpr std::int64_t kMinField = std::numeric_limits<std::int64_t>::min();
+  Span& wide = edge.push(kMaxId, "wide", "host", kMinField, 1.0, 2.0);
+  wide.id = kMaxId;
+  wide.query = std::numeric_limits<std::int64_t>::max();
+  wide.host = kMinField;
+  Span& minus = edge.push(0, "minus", "host", -1, 0.5, 0.5);
+  minus.query = -1;
+  minus.host = -1;
+  edge.push(0, std::string("q\"uote\\slash\nnew\ttab\x01" "ctl"),
+            std::string("c\x1f\r\"at", 6), 2, 0.75, 0.125);
+  edge.push(0, "", "", 3, 0.0, 0.0);
+  expect_exports_match_reference(edge, trace);
+  // Still valid JSON, and the non-finite values read back as 0.
+  const JsonValue doc = json_parse(span_log_json(edge));
+  EXPECT_EQ(doc.at("spans").array.size(), edge.size());
+  EXPECT_EQ(doc.at("spans").at(0).at("start_seconds").number, 0.0);
+  EXPECT_NO_THROW(json_parse(trace_json(trace, &edge)));
+}
+
+TEST(Spans, ExportsOfRunForestsMatchTheJsonWriterReference) {
+  auto& f = fixture();
+  SpanLog single_log;
+  const auto single = f.single_run(&single_log);
+  ASSERT_TRUE(single.slots[0].report.query_costs.has_value());
+  ASSERT_FALSE(single.slots[0].report.query_costs->device_weight.empty());
+  expect_exports_match_reference(single_log, pipeline_trace(single));
+
+  ivf::IvfIndex mut = f.index;
+  SpanLog fleet_log;
+  const auto fleet = f.mutating_multihost_run(&fleet_log, mut);
+  expect_exports_match_reference(fleet_log, multihost_trace(fleet));
+}
+
+/// A fleet-shaped forest of `batches` batches of 128 queries: the root,
+/// eight lane spans and a query span with five phase spans per query.
+SpanLog fleet_forest(std::size_t batches) {
+  static const char* const kPhases[] = {"cluster-filter", "broadcast",
+                                        "host-search", "gather",
+                                        "interhost-merge"};
+  SpanLog log;
+  for (std::size_t b = 0; b < batches; ++b) {
+    const auto bi = static_cast<std::int64_t>(b);
+    const double t0 = 0.03 * static_cast<double>(b);
+    const std::uint64_t root = log.push(0, "batch", "batch", bi, t0, 0.03).id;
+    for (std::size_t k = 0; k < 8; ++k) {
+      log.push(root, kPhases[k % 5], "coord", bi, t0 + 1e-4 * k, 1e-4);
+    }
+    for (std::int64_t q = 0; q < 128; ++q) {
+      Span& qs = log.push(root, "query", "query", bi, t0, 0.03 / 128);
+      qs.query = bi * 128 + q;
+      const std::uint64_t qid = qs.id;
+      for (std::size_t k = 0; k < 5; ++k) {
+        log.push(qid, kPhases[k], "query-stage", bi, t0 + 1e-3 * k,
+                 1e-3 / 128)
+            .query = bi * 128 + q;
+      }
+    }
+  }
+  return log;
+}
+
+// The exports size their buffer once, so a tenfold forest allocates the
+// same number of blocks (doubling growth would add one per doubling).
+TEST(Spans, ExportAllocationsDoNotGrowWithTheForest) {
+  const PipelineTrace trace = small_trace();
+  const SpanLog small = fleet_forest(7);  // ~5.4k spans
+  const SpanLog large = fleet_forest(65);  // ~50.6k spans
+  ASSERT_GT(large.size(), 9 * small.size());
+  std::size_t bytes = 0;
+  const auto allocations = [&](const auto& fn) {
+    g_allocations.store(0);
+    g_counting.store(true);
+    bytes += fn().size();
+    g_counting.store(false);
+    return g_allocations.load();
+  };
+  const auto spans_of = [&](const SpanLog& log) {
+    return allocations([&] { return span_log_json(log); });
+  };
+  const auto trace_of = [&](const SpanLog& log) {
+    return allocations([&] { return trace_json(trace, &log); });
+  };
+  spans_of(small);  // warm-up: the provenance is rendered once
+  EXPECT_EQ(spans_of(small), spans_of(large));
+  EXPECT_EQ(trace_of(small), trace_of(large));
+  EXPECT_GT(bytes, 0u);
 }
 
 // The registry's time histograms are the exported per-stage view of the
