@@ -19,15 +19,19 @@ index of each and runs six serves:
                 index with --adapt=copies --adapt-window 2
   drift_fleet   the same on 2 hosts
 
-Every serve writes its trace, span log, metrics and Prometheus text. The
-gate compares every one of those files, each serve's stdout and the four
-data and index files between the sides, byte for byte, once the JSON
-`provenance` object is dropped and each side's output directory is
+Every serve writes its trace, span log, metrics and Prometheus text. Two
+figure programs run too, each with a JSON path: fig11_balance (Fig 11,
+PIM-naive against UpANNS) and fig19_stage_breakdown (Fig 19, whose JSON
+carries every stage second and per-DPU value at full precision). The gate
+compares every one of those files, each serve's and figure's stdout and
+the four data and index files between the sides, byte for byte, once the
+JSON `provenance` object is dropped and each side's output directory is
 replaced by a placeholder in stdout. It prints one line per artifact:
 `identical`, or the first differing byte offset with both sizes.
 
 A differing artifact fails unless it is declared: named, as <run>/<file>
-(say `drift/trace.json` or `offline/stdout`), on a line starting with
+(say `drift/trace.json`, `offline/stdout` or `fig19/fig19.json`), on a
+line starting with
 `GOLDEN:` that the change's CHANGES.md adds over the parent's, as in
 bench/perf_gate.py. Both drift serves must report at least one adaptation
 action, or the comparison would prove nothing about adaptation.
@@ -60,6 +64,8 @@ RUNS = {
 EXPORTS = {"--trace-out": "trace.json", "--spans-out": "spans.json",
            "--metrics-out": "metrics.json", "--prom-out": "metrics.prom"}
 DATA = ("base.fvecs", "drift_base.fvecs", "index.bin", "drift_index.bin")
+# run -> figure program; each writes <run>.json and its table to stdout.
+FIGURES = {"fig11": "fig11_balance", "fig19": "fig19_stage_breakdown"}
 
 
 def die(msg):
@@ -76,14 +82,15 @@ def run(cmd, what):
 
 
 def build(side, root):
-    """Build the side's upanns_cli; return its path."""
+    """Build the side's upanns_cli and figure programs; return the build
+    directory."""
     bdir = os.path.join(root, ".identity_build")
     run(["cmake", "-S", root, "-B", bdir, "-DCMAKE_BUILD_TYPE=Release"],
         f"{side} configure")
     run(["cmake", "--build", bdir, "-j", str(os.cpu_count() or 2),
-         "--target", "upanns_cli"],
+         "--target", "upanns_cli", *FIGURES.values()],
         f"{side} build")
-    return os.path.join(bdir, "examples", "upanns_cli")
+    return bdir
 
 
 def serve_all(side, cli, out):
@@ -120,6 +127,19 @@ def serve_all(side, cli, out):
         for file in EXPORTS.values():
             with open(os.path.join(rdir, file), "rb") as f:
                 artifacts[f"{name}/{file}"] = drop_provenance(f.read())
+    return artifacts
+
+
+def figures_all(side, bdir, out):
+    """Run each figure program into `out`; return {artifact: bytes}."""
+    artifacts = {}
+    for name, program in FIGURES.items():
+        json_path = os.path.join(out, name + ".json")
+        stdout = run([os.path.join(bdir, "bench", program), json_path],
+                     f"{side} {program}")
+        artifacts[f"{name}/stdout"] = stdout.replace(out, "<out>").encode()
+        with open(json_path, "rb") as f:
+            artifacts[f"{name}/{name}.json"] = drop_provenance(f.read())
     return artifacts
 
 
@@ -175,9 +195,11 @@ def main(argv):
     for side, root in roots.items():
         if not os.path.isfile(os.path.join(root, "CMakeLists.txt")):
             die(f"{side} checkout {root} has no CMakeLists.txt")
-        cli = build(side, root)
-        out = os.path.join(root, ".identity_build", "out")
-        artifacts[side] = serve_all(side, cli, out)
+        bdir = build(side, root)
+        out = os.path.join(bdir, "out")
+        artifacts[side] = serve_all(
+            side, os.path.join(bdir, "examples", "upanns_cli"), out)
+        artifacts[side].update(figures_all(side, bdir, out))
     declared = declared_names(roots["parent"], roots["change"])
     parent, change = artifacts["parent"], artifacts["change"]
     undeclared = []

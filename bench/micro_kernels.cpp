@@ -319,7 +319,7 @@ BENCHMARK(BM_CaeEncode)->Arg(1024)->Arg(8192);
 
 // --- Arena-backed QueryKernel scans: a hand-built single-cluster MRAM
 // image driven through Dpu::run. The first iteration warms the scratch
-// arena and launch-object pools; steady state measures the allocation-free
+// arena and the top-k buffers; steady state measures the allocation-free
 // hot path end to end (views + scratch + reused heaps). Each iteration
 // searches the next of kPool queries, so every LUT, distance and top-k
 // accept sequence is fresh: replaying one query lets the branch predictor
@@ -367,17 +367,34 @@ struct KernelImage {
         dpu.host_write(cl.stream_off + i, &c, 1);
       }
     } else {
-      // Direct-token records: u16 length prefix + kM tokens each.
+      // Token records: u16 length prefix + that many tokens each; kM direct
+      // tokens, or the CAE encoding of patterned codes with its combos.
       std::vector<std::uint16_t> stream;
       std::vector<std::uint32_t> chunk_index;
-      for (std::size_t r = 0; r < n_records; ++r) {
-        if (r % core::kChunkRecords == 0) {
-          chunk_index.push_back(static_cast<std::uint32_t>(stream.size()));
+      if (mode == core::KernelMode::kCae) {
+        const core::CaeClusterEncoding enc = core::cae_encode_cluster(
+            patterned_list(n_records), kM, core::CaeOptions{});
+        stream = enc.tokens;
+        for (std::size_t r = 0, at = 0; r < n_records; ++r) {
+          if (r % core::kChunkRecords == 0) {
+            chunk_index.push_back(static_cast<std::uint32_t>(at));
+          }
+          at += 1 + stream[at];
         }
-        stream.push_back(kM);
-        for (std::size_t pos = 0; pos < kM; ++pos) {
-          stream.push_back(
-              static_cast<std::uint16_t>(pos * 256 + rng.below(256)));
+        cl.n_combos = static_cast<std::uint32_t>(enc.combos.size());
+        cl.combos_off = dpu.mram_alloc(enc.combos.size() * 4, "combos");
+        dpu.host_write(cl.combos_off, enc.combos.data(),
+                       enc.combos.size() * 4);
+      } else {
+        for (std::size_t r = 0; r < n_records; ++r) {
+          if (r % core::kChunkRecords == 0) {
+            chunk_index.push_back(static_cast<std::uint32_t>(stream.size()));
+          }
+          stream.push_back(kM);
+          for (std::size_t pos = 0; pos < kM; ++pos) {
+            stream.push_back(
+                static_cast<std::uint16_t>(pos * 256 + rng.below(256)));
+          }
         }
       }
       cl.stream_len = stream.size();
@@ -438,6 +455,49 @@ void BM_AdcScanRaw(benchmark::State& state) {
   run_kernel_scan(state, core::KernelMode::kNaiveRaw);
 }
 BENCHMARK(BM_AdcScanRaw)->Arg(1024)->Arg(8192);
+
+// The whole kernel program, launch included: one Dpu::run at 11 tasklets
+// over N items of one 195-record CAE list (batch_paper's mean list length),
+// each item its own query, so every item closes with an S5 merge as it
+// mostly does on a DPU of the benchmark workloads. N = 17, 37 and 73 are
+// the items per DPU of fleet_rw, online_zipf and batch_paper. Each
+// iteration takes the next of 8 query windows; `item` is time per item.
+void BM_DpuRun(benchmark::State& state) {
+  constexpr std::size_t kQueries = 128;
+  constexpr std::size_t kWindows = 8;
+  const auto n = static_cast<std::size_t>(state.range(0));
+  KernelImage img(core::KernelMode::kCae, 195);
+  const std::size_t queries_off = img.dpu.mram_alloc(
+      kQueries * KernelImage::kDim * sizeof(float), "batch-queries");
+  const auto q = random_vecs(kQueries, KernelImage::kDim, 29);
+  img.dpu.host_write(queries_off, q.data(), q.size() * sizeof(float));
+  const std::size_t results_off =
+      img.dpu.mram_alloc(n * KernelImage::kK * 8, "batch-results");
+  std::vector<core::DpuLaunchInput> inputs(kWindows);
+  for (std::size_t w = 0; w < kWindows; ++w) {
+    core::DpuLaunchInput& in = inputs[w];
+    in.k = KernelImage::kK;
+    in.queries_off = queries_off + (w * 7 % (kQueries - n + 1)) *
+                                       KernelImage::kDim * sizeof(float);
+    in.results_off = results_off;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      in.query_rows.push_back(i);
+      in.items.push_back({i, 0});
+    }
+  }
+  core::QueryKernel kernel(img.layout, inputs[0], core::KernelMode::kCae,
+                           true);
+  std::size_t round = 0;
+  for (auto _ : state) {
+    kernel.rebind(inputs[round++ % kWindows]);
+    const pim::DpuRunStats stats = img.dpu.run(kernel, 11);
+    benchmark::DoNotOptimize(stats.cycles);
+  }
+  state.counters["item"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * n),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_DpuRun)->ArgName("items")->Arg(17)->Arg(37)->Arg(73);
 
 // The kernel's own LUT path (BM_LutBuild times the CPU baseline's float
 // LUT): one chunk of 16 records leaves S0-S2 (residual, 16 LUT rows, scale

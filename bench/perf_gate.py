@@ -10,20 +10,23 @@ checkout that holds this script. Each side builds and runs its own
 perfbench/run.py with its own CARGO_TARGET_DIR (<side>/.bench_build), first
 once with --self-check (build and warm-up, untimed), then in PAIRS pairs on
 seeds 1..PAIRS: every workload at --trace 0 and batch_paper at --trace 1.
-Each run lasts SECONDS of its workload: 3 s, but fleet_rw runs at the
-run_seconds of the change's BENCHMARK.json (10 s), since at 3 s (four
-rounds a run) same-commit pairs read it worse in 8 of 10. Within a pair
-the two sides run each configuration back to back, and the side that runs
-first alternates from pair to pair.
+Each run lasts SECONDS of its configuration: the untraced runs of
+batch_paper and fleet_rw take the run_seconds of the change's
+BENCHMARK.json (10 s), the length the benchmark measures, and the other two
+3 s. At 3 s fleet_rw runs four rounds, and same-commit pairs read it worse
+in 8 of 10; batch_paper runs about nine. Within a pair the two sides run
+each configuration back to back, and the side that runs first alternates
+from pair to pair.
 
 Simulated clock. Every run records the values that must repeat exactly for
 its seed (each sim.*, pim.* count, kernel.*, cae.*, adapt.*, mh.* and
 core.patch_* value, sim_qps, recall_at_10 and the neighbors digest) in its
 side's signature store, <side>/.bench_build/perfbench/signatures.json,
 under <sha256(perfbench binary)[:16]>/<workload>/<seed>/<seconds>/full,
-with the run's own seconds. The gate compares the two sides' values per
-workload and seed, prints one identity line per workload and, for each
-value that differs, its first differing seed with both values. A differing
+with the run's own seconds. The gate compares the two sides' values of the
+untraced runs per workload and seed, prints one identity line per workload
+and, for each value that differs, its first differing seed with both
+values. A differing
 value fails unless it is declared: named on a line starting with `GOLDEN:`
 that the change's CHANGES.md adds over the parent's, as `GOLDEN: name,
 name ... - why` (the names end at the first dash, `-` or an em dash). That
@@ -56,9 +59,11 @@ import time
 HERE = os.path.dirname(os.path.abspath(__file__))
 PAIRS = 10
 WORKLOADS = ("batch_paper", "online_zipf", "fleet_rw")
-# Seconds per run; None takes BENCHMARK.json's run_seconds.
-SECONDS = {"batch_paper": 3, "online_zipf": 3, "fleet_rw": None}
-RUNS = tuple((w, 0) for w in WORKLOADS) + (("batch_paper", 1),)
+# Seconds per (workload, trace) run, in run order; None takes
+# BENCHMARK.json's run_seconds.
+SECONDS = {("batch_paper", 0): None, ("online_zipf", 0): 3,
+           ("fleet_rw", 0): None, ("batch_paper", 1): 3}
+RUNS = tuple(SECONDS)
 # End-to-end host metrics at --trace 0, and batch_paper's build substages
 # at --trace 1. Simulated values and recall are compared exactly through the
 # signature stores instead, and peak_rss_mb does not vary with host speed.
@@ -103,9 +108,9 @@ def directions(bench):
 
 
 def run_seconds(bench):
-    """{workload: seconds per run}."""
-    return {w: bench["run_seconds"] if s is None else s
-            for w, s in SECONDS.items()}
+    """{(workload, trace): seconds per run}."""
+    return {run: bench["run_seconds"] if s is None else s
+            for run, s in SECONDS.items()}
 
 
 def signatures(side, root, seconds):
@@ -125,7 +130,7 @@ def signatures(side, root, seconds):
     for workload in WORKLOADS:
         for seed in range(1, PAIRS + 1):
             key = "/".join([h.hexdigest()[:16], workload, str(seed),
-                            repr(float(seconds[workload])), "full"])
+                            repr(float(seconds[(workload, 0)])), "full"])
             if key not in stored:
                 die(f"{side} signature store has no {key}")
             sigs[(workload, seed)] = stored[key]
@@ -233,7 +238,8 @@ def main(argv):
                 t0 = time.monotonic()
                 line = run_side(side, roots[side],
                                 ["--workload", workload, "--seed", str(seed),
-                                 "--seconds", str(seconds[workload]),
+                                 "--seconds",
+                                 str(seconds[(workload, trace)]),
                                  "--trace", str(trace)], what)
                 try:
                     res = json.loads(line)

@@ -1,7 +1,6 @@
 #include "core/dpu_kernel.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cmath>
 #include <cstring>
@@ -41,19 +40,16 @@ std::uint64_t heap_push_cost(std::size_t k) {
   return 2 * lg + 4;
 }
 
-std::atomic<std::uint64_t> g_hot_path_allocations{0};
+// Length of tasklet t's slice when n entries are cut into contiguous slices
+// of ceil(n / n_tasklets), the split S2 and S3 charge by; trailing tasklets
+// may get a short or an empty slice.
+std::size_t slice_len(std::size_t n, unsigned t, unsigned n_tasklets) {
+  const std::size_t per = (n + n_tasklets - 1) / n_tasklets;
+  const std::size_t lo = t * per;
+  return lo < n ? std::min(per, n - lo) : 0;
+}
 
 }  // namespace
-
-std::uint64_t hot_path_allocations() {
-  return g_hot_path_allocations.load(std::memory_order_relaxed);
-}
-
-namespace detail {
-void note_hot_path_allocation() {
-  g_hot_path_allocations.fetch_add(1, std::memory_order_relaxed);
-}
-}  // namespace detail
 
 QueryKernel::QueryKernel(const DpuStaticLayout& layout,
                          const DpuLaunchInput& input, KernelMode mode,
@@ -62,38 +58,9 @@ QueryKernel::QueryKernel(const DpuStaticLayout& layout,
       input_(&input),
       mode_(mode),
       prune_topk_(prune_topk),
-      global_topk_(input.k) {
-  // Constructing a kernel (LaunchStage pool growth) is a hot-path
-  // allocation event; a warm serving loop rebinds instead.
-  detail::note_hot_path_allocation();
-  rebind(input);
-}
-
-void QueryKernel::rebind(const DpuLaunchInput& input) {
-  input_ = &input;
-  // Rebuild the phase program in place: items arrive grouped by query; each
-  // item gets the per-cluster stages, and each query closes with one merge
-  // phase. program_ keeps its capacity across batches.
-  program_.clear();
-  for (std::uint32_t i = 0; i < input_->items.size(); ++i) {
-    program_.push_back({Step::kLutBuild, i});
-    program_.push_back({Step::kLutReduce, i});
-    program_.push_back({Step::kLutQuantize, i});
-    if (mode_ == KernelMode::kCae && cluster_of(i).n_combos > 0) {
-      program_.push_back({Step::kComboSums, i});
-    }
-    program_.push_back({Step::kDistance, i});
-    const bool last_of_query =
-        i + 1 == input_->items.size() ||
-        input_->items[i + 1].query_local != input_->items[i].query_local;
-    if (last_of_query) {
-      program_.push_back({Step::kMerge, i});
-    }
-  }
-}
+      global_topk_(input.k) {}
 
 void QueryKernel::setup(pim::Dpu& dpu, unsigned n_tasklets) {
-  dpu_ = &dpu;
   pim::WramAllocator& wram = dpu.wram();
   wram.reset();
 
@@ -146,21 +113,18 @@ void QueryKernel::setup(pim::Dpu& dpu, unsigned n_tasklets) {
   // entry a token of the item can address; token_prefix writes the prefix
   // span S4 reads.
   assert(layout_.cb_prescaled.size() == m * layout_.dsub * 256);
-  KernelScratch::resize(scratch_.lut_f32, m * 256);
-  KernelScratch::resize(scratch_.token_table, m * 256 + max_combos);
-  KernelScratch::resize(scratch_.prefix, kChunkRecords * (m + 1) + 1);
-  KernelScratch::resize(scratch_.residual, layout_.dim);
-  KernelScratch::resize(scratch_.tasklet_max,
-                        static_cast<std::size_t>(n_tasklets));
+  scratch_.lut_f32.resize(m * 256);
+  scratch_.token_table.resize(m * 256 + max_combos);
+  scratch_.prefix.resize(kChunkRecords * (m + 1) + 1);
+  scratch_.residual.resize(layout_.dim);
+  scratch_.tasklet_max.resize(n_tasklets);
   if (local_topk_.size() != n_tasklets ||
       (!local_topk_.empty() && local_topk_.front().capacity() != k)) {
-    detail::note_hot_path_allocation();
     local_topk_.assign(n_tasklets, common::TopK(k));
   } else {
     for (auto& t : local_topk_) t.clear();
   }
   if (global_topk_.capacity() != k) {
-    detail::note_hot_path_allocation();
     global_topk_ = common::TopK(k);
   } else {
     global_topk_.clear();
@@ -174,19 +138,33 @@ void QueryKernel::setup(pim::Dpu& dpu, unsigned n_tasklets) {
   scanned_records_ = 0;
 }
 
-unsigned QueryKernel::n_phases() const {
-  return static_cast<unsigned>(program_.size());
-}
-
-void QueryKernel::run_phase(unsigned phase, pim::TaskletCtx& ctx) {
-  const Phase& p = program_[phase];
-  switch (p.step) {
-    case Step::kLutBuild: return phase_lut_build(p, ctx);
-    case Step::kLutReduce: return phase_lut_reduce(ctx);
-    case Step::kLutQuantize: return phase_lut_quantize(ctx);
-    case Step::kComboSums: return phase_combo_sums(p, ctx);
-    case Step::kDistance: return phase_distance(p, ctx);
-    case Step::kMerge: return phase_merge(p, ctx);
+void QueryKernel::run(pim::DpuRun& run) {
+  setup(run.dpu(), run.n_tasklets());
+  const common::SimdLevel simd = common::simd_active_level();
+  const std::vector<DpuLaunchInput::Item>& items = input_->items;
+  for (std::uint32_t i = 0; i < items.size(); ++i) {
+    const DpuClusterData& cl = cluster_of(i);
+    lut_build(run, i, simd);
+    run.barrier(kStageLut);
+    lut_reduce(run);
+    run.barrier(kStageLut);
+    lut_quantize(run);
+    run.barrier(kStageLut);
+    if (mode_ == KernelMode::kCae && cl.n_combos > 0) {
+      combo_sums(run, cl);
+      run.barrier(kStageLut);
+    }
+    for (unsigned t = 0; t < run.n_tasklets(); ++t) {
+      pim::TaskletCtx ctx = run.tasklet(t);
+      distance(ctx, cl, simd);
+    }
+    run.barrier(kStageDistance);
+    // Items arrive grouped by query; its last item closes it with a merge.
+    if (i + 1 == items.size() ||
+        items[i + 1].query_local != items[i].query_local) {
+      merge(run, i);
+      run.barrier(kStageTopk);
+    }
   }
 }
 
@@ -337,19 +315,22 @@ float lut_row(common::SimdLevel simd, const float* pre, const float* res,
 
 }  // namespace
 
-void QueryKernel::phase_lut_build(const Phase& p, pim::TaskletCtx& ctx) {
-  const DpuClusterData& cl = cluster_of(p.item);
+void QueryKernel::lut_build(pim::DpuRun& run, std::uint32_t item,
+                            common::SimdLevel simd) {
+  const DpuClusterData& cl = cluster_of(item);
   const std::size_t dim = layout_.dim;
   const std::size_t dsub = layout_.dsub;
   const std::size_t m = layout_.m;
+  const unsigned n_tasklets = run.n_tasklets();
 
   // Tasklet 0 materializes the residual first (it is the first to run and
   // the work is tiny relative to the LUT itself). Query and centroid are
   // read-only, so borrowed MRAM views replace the staging copies.
-  if (ctx.id() == 0) {
+  {
+    pim::TaskletCtx ctx = run.tasklet(0);
     const std::size_t q_off =
         input_->queries_off +
-        static_cast<std::size_t>(input_->items[p.item].query_local) * dim *
+        static_cast<std::size_t>(input_->items[item].query_local) * dim *
             sizeof(float);
     const float* query = ctx.mram_view_as<float>(q_off, dim * sizeof(float));
     const float* centroid =
@@ -360,31 +341,41 @@ void QueryKernel::phase_lut_build(const Phase& p, pim::TaskletCtx& ctx) {
     ctx.instr(dim * kInstrResidualPerDim);
   }
 
-  // Tasklets split PQ subspaces. On the modeled DPU each streams its int8
-  // codebook segment and the scale table MRAM->WRAM and dequantizes per
-  // entry; those DMAs and instructions are charged exactly so. The host
-  // reads the engine's pre-scaled mirror instead (the products do not
-  // depend on the query), so a row is one load/sub/mul/add per dimension.
-  ctx.mram_view(layout_.cb_scale_off, m * sizeof(float));
-  const common::SimdLevel simd = common::simd_active_level();
-  float local_max = 0.f;
-  for (std::size_t s = ctx.id(); s < m; s += ctx.n_tasklets()) {
-    ctx.mram_view(layout_.codebook_off + s * 256 * dsub, 256 * dsub);
+  // Tasklets split PQ subspaces, tasklet t taking rows t, t + T, ... On the
+  // modeled DPU each streams the scale table and its int8 codebook rows
+  // MRAM->WRAM and dequantizes per entry; those DMAs and instructions are
+  // charged exactly so. The host reads the engine's pre-scaled mirror
+  // instead (the products do not depend on the query), so a row is one
+  // load/sub/mul/add per dimension, and works every row once in row order,
+  // folding each into its tasklet's max.
+  const std::size_t row_bytes = 256 * dsub;
+  assert(layout_.cb_scale_off + m * sizeof(float) <= run.dpu().mram_used() &&
+         layout_.codebook_off + m * row_bytes <= run.dpu().mram_used());
+  std::fill(scratch_.tasklet_max.begin(), scratch_.tasklet_max.end(), 0.f);
+  for (std::size_t s = 0; s < m; ++s) {
     const float* pre = layout_.cb_prescaled.data() + s * dsub * 256;
     const float* res = scratch_.residual.data() + s * dsub;
     float* lut_out = scratch_.lut_f32.data() + s * 256;
+    float& local_max = scratch_.tasklet_max[s % n_tasklets];
     local_max = std::max(local_max, lut_row(simd, pre, res, dsub, lut_out));
-    ctx.instr(256 * (dsub * kInstrLutPerDim + kInstrLutPerEntry));
   }
-  scratch_.tasklet_max[ctx.id()] = local_max;
+  const std::uint64_t row_instr =
+      256 * (dsub * kInstrLutPerDim + kInstrLutPerEntry);
+  for (unsigned t = 0; t < n_tasklets; ++t) {
+    pim::TaskletCtx ctx = run.tasklet(t);
+    const std::size_t rows = t < m ? (m - t + n_tasklets - 1) / n_tasklets : 0;
+    ctx.dma(m * sizeof(float));
+    ctx.dma(row_bytes, rows);
+    ctx.instr(rows * row_instr);
+  }
 }
 
-void QueryKernel::phase_lut_reduce(pim::TaskletCtx& ctx) {
-  if (ctx.id() != 0) return;
+void QueryKernel::lut_reduce(pim::DpuRun& run) {
+  // Tasklet 0 alone reduces the tasklets' maxima.
   float mx = 0.f;
   for (float v : scratch_.tasklet_max) mx = std::max(mx, v);
   lut_scale_ = mx > 0.f ? mx / 65000.f : 1.f;
-  ctx.instr(scratch_.tasklet_max.size() + 6);
+  run.tasklet(0).instr(scratch_.tasklet_max.size() + 6);
 }
 
 namespace {
@@ -471,42 +462,42 @@ void quantize_lut(const float* lut, std::size_t n, float inv,
   }
 }
 
-void QueryKernel::phase_lut_quantize(pim::TaskletCtx& ctx) {
+void QueryKernel::lut_quantize(pim::DpuRun& run) {
   // Compact f32 -> u16 in place on the modeled DPU (front-to-back is safe);
-  // each tasklet takes a contiguous slice. The host writes the entries
-  // straight into the widened token_table, its mirror of the u16 LUT, so
-  // the charge is the DPU's u16 store either way.
+  // each tasklet takes a contiguous slice and is charged for it. The host
+  // quantizes every entry in one call (an entry's value does not depend on
+  // the slicing) straight into the widened token_table, its mirror of the
+  // u16 LUT, so the charge is the DPU's u16 store either way.
   const std::size_t total = scratch_.lut_f32.size();
-  const std::size_t per = (total + ctx.n_tasklets() - 1) / ctx.n_tasklets();
-  const std::size_t lo = ctx.id() * per;
-  const std::size_t hi = std::min(total, lo + per);
-  if (hi <= lo) return;
-  quantize_lut(scratch_.lut_f32.data() + lo, hi - lo, 1.f / lut_scale_,
-               scratch_.token_table.data() + lo);
-  ctx.instr((hi - lo) * kInstrQuantPerEntry);
+  quantize_lut(scratch_.lut_f32.data(), total, 1.f / lut_scale_,
+               scratch_.token_table.data());
+  for (unsigned t = 0; t < run.n_tasklets(); ++t) {
+    run.tasklet(t).instr(slice_len(total, t, run.n_tasklets()) *
+                         kInstrQuantPerEntry);
+  }
 }
 
-void QueryKernel::phase_combo_sums(const Phase& p, pim::TaskletCtx& ctx) {
-  const DpuClusterData& cl = cluster_of(p.item);
-  const std::size_t n = cl.n_combos;
-  const std::size_t per = (n + ctx.n_tasklets() - 1) / ctx.n_tasklets();
-  const std::size_t lo = ctx.id() * per;
-  const std::size_t hi = std::min(n, lo + per);
-  if (lo >= hi) return;
-
+void QueryKernel::combo_sums(pim::DpuRun& run, const DpuClusterData& cl) {
   // Combo sums land right after the m*256 LUT entries, where the combo
-  // tokens (m*256 + slot) address them.
+  // tokens (m*256 + slot) address them. The host sums every definition in
+  // one pass; each tasklet is charged the DMA and the sums of its
+  // contiguous slice.
+  const std::size_t n = cl.n_combos;
   std::uint32_t* table = scratch_.token_table.data();
   std::uint32_t* sums = table + layout_.m * 256;
-  const std::uint8_t* defs =
-      ctx.mram_view(cl.combos_off + lo * 4, (hi - lo) * 4);
-  for (std::size_t s = lo; s < hi; ++s) {
-    const std::uint8_t* d = defs + (s - lo) * 4;
+  const std::uint8_t* defs = run.dpu().mram_view(cl.combos_off, n * 4);
+  for (std::size_t s = 0; s < n; ++s) {
+    const std::uint8_t* d = defs + s * 4;
     const std::size_t pos = d[0];
     sums[s] = table[pos * 256 + d[1]] + table[(pos + 1) * 256 + d[2]] +
               table[(pos + 2) * 256 + d[3]];
   }
-  ctx.instr((hi - lo) * kInstrComboPerSlot);
+  for (unsigned t = 0; t < run.n_tasklets(); ++t) {
+    pim::TaskletCtx ctx = run.tasklet(t);
+    const std::size_t len = slice_len(n, t, run.n_tasklets());
+    ctx.dma(len * 4);
+    ctx.instr(len * kInstrComboPerSlot);
+  }
 }
 
 namespace {
@@ -586,8 +577,8 @@ void token_prefix(common::SimdLevel simd, const std::uint32_t* table,
   }
 }
 
-void QueryKernel::phase_distance(const Phase& p, pim::TaskletCtx& ctx) {
-  const DpuClusterData& cl = cluster_of(p.item);
+void QueryKernel::distance(pim::TaskletCtx& ctx, const DpuClusterData& cl,
+                           common::SimdLevel simd) {
   const std::size_t m = layout_.m;
   const std::size_t k = input_->k;
   const bool raw = mode_ == KernelMode::kNaiveRaw;
@@ -635,7 +626,6 @@ void QueryKernel::phase_distance(const Phase& p, pim::TaskletCtx& ctx) {
   const std::uint32_t* token_table = scratch_.token_table.data();
   std::uint32_t* prefix = scratch_.prefix.data();
   const float dist_scale = lut_scale_;
-  const common::SimdLevel simd = common::simd_active_level();
 
   std::uint64_t scanned_elems = 0;
   std::uint64_t scanned_recs = 0;
@@ -746,94 +736,74 @@ void QueryKernel::phase_distance(const Phase& p, pim::TaskletCtx& ctx) {
     scanned_elems += chunk_elems;
     scanned_recs += n_rec;
   }
-  // Shared counters: tasklets run sequentially in the simulator, so plain
-  // accumulation is deterministic.
+  // Shared counters: one host thread works a DPU's tasklets in id order, so
+  // plain accumulation is deterministic.
   scanned_elements_ += scanned_elems;
   scanned_records_ += scanned_recs;
 }
 
-void QueryKernel::phase_merge(const Phase& p, pim::TaskletCtx& ctx) {
+void QueryKernel::merge(pim::DpuRun& run, std::uint32_t item) {
   const std::size_t k = input_->k;
   const std::uint64_t push_cost = heap_push_cost(k);
 
-  // The modelled tasklet converts its max-heap to ascending (min-first)
-  // order — the paper's min-heap trick that enables pruning — then feeds
-  // the DPU heap under the semaphore. The host buffer is already ascending
-  // and is read in place; the conversion is still charged.
-  const std::span<const std::uint64_t> local = local_topk_[ctx.id()].keys();
-  const std::size_t n = local.size();
-  if (n > 1) {
-    std::uint64_t lg = 1;
-    while ((1ull << lg) < n) ++lg;
-    ctx.instr(2 * n * lg);  // heapsort into min order
-  }
-  // Without pruning (PIM-naive), every local element enters the critical
-  // section with full insert-call overhead — sem_take, call, root compare,
-  // sem_give — whether or not it survives. The pruned path checks the
-  // threshold first (2 ops) and, thanks to the min-first order, abandons the
-  // whole remainder of the heap at the first failure; this is the "68% of
-  // redundant comparisons" Opt4 skips.
-  constexpr std::uint64_t kNaiveInsertOverhead = 8;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (prune_topk_) {
-      ctx.critical_instr(2);  // sem_take + threshold compare
-      if (global_topk_.full() && !(local[i] < global_topk_.worst())) {
-        // `local` is ascending in the same key order the DPU buffer rejects
-        // by, so everything after the first failing entry prunes wholesale.
-        merge_pruned_ += n - i;
-        break;
+  for (unsigned t = 0; t < run.n_tasklets(); ++t) {
+    pim::TaskletCtx ctx = run.tasklet(t);
+    // The modelled tasklet converts its max-heap to ascending (min-first)
+    // order — the paper's min-heap trick that enables pruning — then feeds
+    // the DPU heap under the semaphore. The host buffer is already
+    // ascending and is read in place; the conversion is still charged.
+    const std::span<const std::uint64_t> local = local_topk_[t].keys();
+    const std::size_t n = local.size();
+    if (n > 1) {
+      std::uint64_t lg = 1;
+      while ((1ull << lg) < n) ++lg;
+      ctx.instr(2 * n * lg);  // heapsort into min order
+    }
+    // Without pruning (PIM-naive), every local element enters the critical
+    // section with full insert-call overhead — sem_take, call, root
+    // compare, sem_give — whether or not it survives. The pruned path
+    // checks the threshold first (2 ops) and, thanks to the min-first
+    // order, abandons the whole remainder of the heap at the first failure;
+    // this is the "68% of redundant comparisons" Opt4 skips.
+    constexpr std::uint64_t kNaiveInsertOverhead = 8;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (prune_topk_) {
+        ctx.critical_instr(2);  // sem_take + threshold compare
+        if (global_topk_.full() && !(local[i] < global_topk_.worst())) {
+          // `local` is ascending in the same key order the DPU buffer
+          // rejects by, so everything after the first failing entry prunes
+          // wholesale.
+          merge_pruned_ += n - i;
+          break;
+        }
+      } else {
+        ctx.critical_instr(kNaiveInsertOverhead);
       }
-    } else {
-      ctx.critical_instr(kNaiveInsertOverhead);
+      if (global_topk_.push(local[i])) {
+        ctx.critical_instr(push_cost);
+      }
+      ++merge_insertions_;
     }
-    if (global_topk_.push(local[i])) {
-      ctx.critical_instr(push_cost);
-    }
-    ++merge_insertions_;
   }
 
-  // The last tasklet (runs last in the simulator's deterministic order)
-  // flushes the aggregated top-k to MRAM for the host to gather.
-  if (ctx.id() + 1 == ctx.n_tasklets()) {
-    KernelScratch::assign(scratch_.packed, 2 * k, 0xFFFFFFFFu);
-    const std::span<const std::uint64_t> top = global_topk_.keys();
-    for (std::size_t i = 0; i < top.size(); ++i) {
-      const common::Neighbor nb = common::TopK::unpack(top[i]);
-      std::memcpy(&scratch_.packed[2 * i], &nb.dist, sizeof(nb.dist));
-      scratch_.packed[2 * i + 1] = nb.id;
-    }
-    const std::size_t slot =
-        input_->results_off +
-        static_cast<std::size_t>(input_->items[p.item].query_local) * k * 8;
-    ctx.mram_write(slot, scratch_.packed.data(),
-                   scratch_.packed.size() * sizeof(std::uint32_t));
-    ctx.instr(2 * k);
-    global_topk_.clear();
-    for (auto& t : local_topk_) t.clear();
+  // The last tasklet, after its own merge, flushes the aggregated top-k to
+  // MRAM for the host to gather.
+  pim::TaskletCtx last = run.tasklet(run.n_tasklets() - 1);
+  scratch_.packed.assign(2 * k, 0xFFFFFFFFu);
+  const std::span<const std::uint64_t> top = global_topk_.keys();
+  for (std::size_t i = 0; i < top.size(); ++i) {
+    const common::Neighbor nb = common::TopK::unpack(top[i]);
+    std::memcpy(&scratch_.packed[2 * i], &nb.dist, sizeof(nb.dist));
+    scratch_.packed[2 * i + 1] = nb.id;
   }
-}
-
-KernelStageCycles QueryKernel::attribute_stages(
-    const std::vector<std::uint64_t>& phase_cycles) const {
-  KernelStageCycles out;
-  assert(phase_cycles.size() == program_.size());
-  for (std::size_t i = 0; i < program_.size(); ++i) {
-    switch (program_[i].step) {
-      case Step::kLutBuild:
-      case Step::kLutReduce:
-      case Step::kLutQuantize:
-      case Step::kComboSums:
-        out.lut_build += phase_cycles[i];
-        break;
-      case Step::kDistance:
-        out.distance += phase_cycles[i];
-        break;
-      case Step::kMerge:
-        out.topk += phase_cycles[i];
-        break;
-    }
-  }
-  return out;
+  const std::size_t slot =
+      input_->results_off +
+      static_cast<std::size_t>(input_->items[item].query_local) * k * 8;
+  last.mram_write(slot, scratch_.packed.data(),
+                  scratch_.packed.size() * sizeof(std::uint32_t));
+  last.instr(2 * k);
+  global_topk_.clear();
+  for (auto& t : local_topk_) t.clear();
 }
 
 }  // namespace upanns::core

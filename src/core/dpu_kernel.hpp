@@ -130,29 +130,18 @@ struct DpuLaunchInput {
   std::vector<Item> items;
 };
 
-/// Stage attribution of the kernel's phases, resolved after the run.
-struct KernelStageCycles {
-  std::uint64_t lut_build = 0;    ///< S0-S3 (paper folds partial sums here)
-  std::uint64_t distance = 0;     ///< S4
-  std::uint64_t topk = 0;         ///< S5
-};
-
-/// Monotonic count of hot-path buffer growth events (scratch-arena capacity
-/// growth, kernel/heap construction). After a warm-up batch the serving hot
-/// path must not grow any arena, which the allocation-behavior tier-1 test
-/// pins by sampling this counter across batches.
-std::uint64_t hot_path_allocations();
-
-namespace detail {
-/// Bump hot_path_allocations(). Called whenever a hot-path buffer grows.
-void note_hot_path_allocation();
-}  // namespace detail
+/// The DpuRunStats stage buckets the kernel books its phases into: S0-S3
+/// build the LUT (the paper folds partial sums into it), S4 is distance and
+/// S5 top-k.
+inline constexpr std::size_t kStageLut = 0;
+inline constexpr std::size_t kStageDistance = 1;
+inline constexpr std::size_t kStageTopk = 2;
 
 /// Reusable per-kernel scratch arena: the functional mirrors of WRAM state
 /// plus the S5 result image. Everything is resized or assigned (never
-/// reconstructed) so capacity persists across phases, tasklets and launches;
-/// capacity growth bumps hot_path_allocations(). Tasklets of one DPU run
-/// sequentially in the simulator, so one arena per kernel suffices.
+/// reconstructed) so capacity persists across phases and launches. The
+/// simulator works one DPU's tasklets on one host thread, so one arena per
+/// kernel suffices.
 struct KernelScratch {
   std::vector<float> lut_f32;
   std::vector<float> tasklet_max;      ///< per-tasklet LUT max (S1 input)
@@ -166,21 +155,6 @@ struct KernelScratch {
   std::vector<std::uint32_t> prefix;
   std::vector<float> residual;
   std::vector<std::uint32_t> packed;   ///< MRAM result image (S5)
-
-  /// assign() that records capacity growth in hot_path_allocations().
-  template <typename T>
-  static void assign(std::vector<T>& v, std::size_t n, const T& fill) {
-    if (n > v.capacity()) detail::note_hot_path_allocation();
-    v.assign(n, fill);
-  }
-  /// resize() that records capacity growth in hot_path_allocations(), for
-  /// a buffer every launch writes before it reads: what a reused kernel
-  /// left there from its previous launch is never read.
-  template <typename T>
-  static void resize(std::vector<T>& v, std::size_t n) {
-    if (n > v.capacity()) detail::note_hot_path_allocation();
-    v.resize(n);
-  }
 };
 
 class QueryKernel final : public pim::DpuKernel {
@@ -188,19 +162,15 @@ class QueryKernel final : public pim::DpuKernel {
   QueryKernel(const DpuStaticLayout& layout, const DpuLaunchInput& input,
               KernelMode mode, bool prune_topk);
 
-  /// Rebind to a new launch input and rebuild the phase program in place.
-  /// Mode, pruning and the static layout are fixed for the kernel's
-  /// lifetime; every scratch buffer keeps its capacity, which is what makes
-  /// per-batch kernel reuse (LaunchStage pool) allocation-free once warm.
-  void rebind(const DpuLaunchInput& input);
+  /// Rebind to a new launch input. Mode, pruning and the static layout are
+  /// fixed for the kernel's lifetime; every scratch buffer keeps its
+  /// capacity, which is what makes per-batch kernel reuse (LaunchStage
+  /// pool) allocation-free once warm.
+  void rebind(const DpuLaunchInput& input) { input_ = &input; }
 
-  void setup(pim::Dpu& dpu, unsigned n_tasklets) override;
-  unsigned n_phases() const override;
-  void run_phase(unsigned phase, pim::TaskletCtx& ctx) override;
-
-  /// Map phase cycles (from DpuRunStats) onto pipeline stages.
-  KernelStageCycles attribute_stages(
-      const std::vector<std::uint64_t>& phase_cycles) const;
+  /// The Fig 6 loop: per item S0-S4, and S5 after a query's last item, each
+  /// phase closed by a barrier booked into its kStage* bucket.
+  void run(pim::DpuRun& run) override;
 
   /// Aggregate comparison-pruning statistics (Fig 15's mechanism).
   std::uint64_t merge_insertions() const { return merge_insertions_; }
@@ -210,20 +180,14 @@ class QueryKernel final : public pim::DpuKernel {
   std::uint64_t scanned_records() const { return scanned_records_; }
 
  private:
-  enum class Step : std::uint8_t {
-    kLutBuild, kLutReduce, kLutQuantize, kComboSums, kDistance, kMerge
-  };
-  struct Phase {
-    Step step;
-    std::uint32_t item;   ///< assignment index (kMerge: first item of query)
-  };
-
-  void phase_lut_build(const Phase& p, pim::TaskletCtx& ctx);
-  void phase_lut_reduce(pim::TaskletCtx& ctx);
-  void phase_lut_quantize(pim::TaskletCtx& ctx);
-  void phase_combo_sums(const Phase& p, pim::TaskletCtx& ctx);
-  void phase_distance(const Phase& p, pim::TaskletCtx& ctx);
-  void phase_merge(const Phase& p, pim::TaskletCtx& ctx);
+  void setup(pim::Dpu& dpu, unsigned n_tasklets);
+  void lut_build(pim::DpuRun& run, std::uint32_t item, common::SimdLevel simd);
+  void lut_reduce(pim::DpuRun& run);
+  void lut_quantize(pim::DpuRun& run);
+  void combo_sums(pim::DpuRun& run, const DpuClusterData& cl);
+  void distance(pim::TaskletCtx& ctx, const DpuClusterData& cl,
+                common::SimdLevel simd);
+  void merge(pim::DpuRun& run, std::uint32_t item);
 
   const DpuClusterData& cluster_of(std::uint32_t item) const {
     return layout_.clusters[input_->items[item].cluster_slot];
@@ -233,9 +197,6 @@ class QueryKernel final : public pim::DpuKernel {
   const DpuLaunchInput* input_;  ///< rebindable per batch (see rebind())
   KernelMode mode_;
   bool prune_topk_;
-  pim::Dpu* dpu_ = nullptr;
-
-  std::vector<Phase> program_;
 
   // --- WRAM-resident state (offsets into the DPU's WRAM arena). The float
   // and u16 LUTs share one region (quantization compacts in place).

@@ -6,6 +6,7 @@
 #include "core/pipeline.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <optional>
@@ -179,25 +180,24 @@ double LaunchStage::run(QueryPipeline& pl, BatchContext& ctx) {
   // Per-DPU stage attribution; the slowest DPU sets the launch-critical
   // breakdown (at-scale extrapolation re-derives the max after scaling).
   px.dpu_stage_seconds.assign(ndpu, PimExtras::DpuStageSeconds{});
-  KernelStageCycles launch_stages;
+  std::array<std::uint64_t, pim::DpuRunStats::kStages> launch_stages{};
   for (std::size_t d = 0; d < ndpu; ++d) {
     if (!ctx.kernels[d]) continue;
-    px.total_instructions += ctx.launch.dpu_stats[d].instructions;
-    px.total_dma_cycles += ctx.launch.dpu_stats[d].dma_cycles;
-    const KernelStageCycles stages =
-        ctx.kernels[d]->attribute_stages(ctx.launch.dpu_stats[d].phase_cycles);
-    launch_stages.lut_build += stages.lut_build;
-    launch_stages.distance += stages.distance;
-    launch_stages.topk += stages.topk;
+    const pim::DpuRunStats& st = ctx.launch.dpu_stats[d];
+    px.total_instructions += st.instructions;
+    px.total_dma_cycles += st.dma_cycles;
+    for (std::size_t s = 0; s < launch_stages.size(); ++s) {
+      launch_stages[s] += st.stage_cycles[s];
+    }
     px.dpu_stage_seconds[d] = {
-        pim::DpuCostModel::cycles_to_seconds(stages.lut_build),
-        pim::DpuCostModel::cycles_to_seconds(stages.distance),
-        pim::DpuCostModel::cycles_to_seconds(stages.topk)};
+        pim::DpuCostModel::cycles_to_seconds(st.stage_cycles[kStageLut]),
+        pim::DpuCostModel::cycles_to_seconds(st.stage_cycles[kStageDistance]),
+        pim::DpuCostModel::cycles_to_seconds(st.stage_cycles[kStageTopk])};
   }
   if (pl.sink().enabled()) {
-    pl.sink().count("kernel.cycles.lut_build", launch_stages.lut_build);
-    pl.sink().count("kernel.cycles.distance", launch_stages.distance);
-    pl.sink().count("kernel.cycles.topk", launch_stages.topk);
+    pl.sink().count("kernel.cycles.lut_build", launch_stages[kStageLut]);
+    pl.sink().count("kernel.cycles.distance", launch_stages[kStageDistance]);
+    pl.sink().count("kernel.cycles.topk", launch_stages[kStageTopk]);
   }
   double crit_seconds = 0;
   if (ctx.kernels[ctx.launch.slowest_dpu]) {

@@ -1,22 +1,10 @@
 #include "pim/cost_model.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace upanns::pim {
 
-std::size_t DpuCostModel::legalize_transfer(std::size_t bytes) {
-  bytes = std::clamp(bytes, hw::kMramMinTransfer, hw::kMramMaxTransfer);
-  return (bytes + 7) / 8 * 8;
-}
-
-double DpuCostModel::mram_dma_cycles(std::size_t bytes) {
-  const std::size_t legal = legalize_transfer(bytes);
-  return hw::kMramSetupCycles +
-         hw::kMramCyclesPerByte * static_cast<double>(legal);
-}
-
-std::uint64_t DpuCostModel::phase_cycles(const std::vector<TaskletWork>& work) {
+std::uint64_t DpuCostModel::phase_cycles(std::span<const TaskletWork> work) {
   if (work.empty()) return 0;
   const unsigned gap = issue_gap(static_cast<unsigned>(work.size()));
 

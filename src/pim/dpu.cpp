@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <memory>
 #include <utility>
 
 #include "common/thread_pool.hpp"
@@ -12,42 +11,27 @@
 namespace upanns::pim {
 
 void TaskletCtx::mram_read(std::size_t mram_off, void* dst, std::size_t bytes) {
-  auto* out = static_cast<std::uint8_t*>(dst);
-  std::size_t done = 0;
-  while (done < bytes) {
-    const std::size_t chunk = std::min(bytes - done, hw::kMramMaxTransfer);
-    work_.dma_cycles += static_cast<std::uint64_t>(
-        DpuCostModel::mram_dma_cycles(chunk));
-    dpu_->host_read(mram_off + done, out + done, chunk);
-    done += chunk;
-  }
-}
-
-const std::uint8_t* TaskletCtx::mram_view(std::size_t mram_off,
-                                          std::size_t bytes) {
-  // Same per-chunk DMA charge as mram_read — a view still stages through
-  // WRAM on real hardware; only the simulator's memcpy is elided.
-  assert(mram_off + bytes <= dpu_->mram_used());
-  std::size_t done = 0;
-  while (done < bytes) {
-    const std::size_t chunk = std::min(bytes - done, hw::kMramMaxTransfer);
-    work_.dma_cycles += static_cast<std::uint64_t>(
-        DpuCostModel::mram_dma_cycles(chunk));
-    done += chunk;
-  }
-  return dpu_->mram_data(mram_off);
+  dma(bytes);
+  dpu_->host_read(mram_off, dst, bytes);
 }
 
 void TaskletCtx::mram_write(std::size_t mram_off, const void* src,
                             std::size_t bytes) {
-  auto* in = static_cast<const std::uint8_t*>(src);
-  std::size_t done = 0;
-  while (done < bytes) {
-    const std::size_t chunk = std::min(bytes - done, hw::kMramMaxTransfer);
-    work_.dma_cycles += static_cast<std::uint64_t>(
-        DpuCostModel::mram_dma_cycles(chunk));
-    dpu_->host_write(mram_off + done, in + done, chunk);
-    done += chunk;
+  dma(bytes);
+  dpu_->host_write(mram_off, src, bytes);
+}
+
+void DpuRun::barrier(std::size_t stage) {
+  assert(stage < DpuRunStats::kStages);
+  const std::span<TaskletWork> work(work_.data(), n_tasklets_);
+  const std::uint64_t pc =
+      DpuCostModel::phase_cycles(work) + DpuCostModel::barrier_cycles();
+  stats_.stage_cycles[stage] += pc;
+  stats_.cycles += pc;
+  for (TaskletWork& w : work) {
+    stats_.instructions += w.instructions + w.critical_instructions;
+    stats_.dma_cycles += w.dma_cycles;
+    w = TaskletWork{};
   }
 }
 
@@ -140,39 +124,10 @@ void Dpu::host_read(std::size_t off, void* dst, std::size_t bytes) const {
 }
 
 DpuRunStats Dpu::run(DpuKernel& kernel, unsigned n_tasklets) {
-  n_tasklets = std::clamp(n_tasklets, 1u, hw::kMaxTasklets);
-  kernel.setup(*this, n_tasklets);
-
-  // Launch-object reuse: the per-tasklet contexts and work records persist
-  // across run() calls and are rebuilt only when the tasklet count changes.
-  if (run_ctxs_.size() != n_tasklets) {
-    run_ctxs_.clear();
-    run_ctxs_.reserve(n_tasklets);
-    for (unsigned t = 0; t < n_tasklets; ++t) {
-      run_ctxs_.emplace_back(*this, t, n_tasklets);
-    }
-    run_works_.assign(n_tasklets, TaskletWork{});
-  }
-
-  DpuRunStats stats;
-  const unsigned phases = kernel.n_phases();
-  stats.phase_cycles.reserve(phases);
-  for (unsigned p = 0; p < phases; ++p) {
-    for (unsigned t = 0; t < n_tasklets; ++t) {
-      run_ctxs_[t].reset_work();
-      kernel.run_phase(p, run_ctxs_[t]);
-      run_works_[t] = run_ctxs_[t].work();
-      stats.instructions += run_works_[t].instructions +
-                            run_works_[t].critical_instructions;
-      stats.dma_cycles += run_works_[t].dma_cycles;
-    }
-    const std::uint64_t pc =
-        DpuCostModel::phase_cycles(run_works_) + DpuCostModel::barrier_cycles();
-    stats.phase_cycles.push_back(pc);
-    stats.cycles += pc;
-  }
-  busy_cycles_ += stats.cycles;
-  return stats;
+  DpuRun run(*this, std::clamp(n_tasklets, 1u, hw::kMaxTasklets));
+  kernel.run(run);
+  busy_cycles_ += run.stats().cycles;
+  return run.stats();
 }
 
 PimSystem::PimSystem(std::size_t n_dpus) {
@@ -191,6 +146,7 @@ PimSystem::LaunchStats PimSystem::launch(
   out.dpu_stats.assign(dpus_.size(), DpuRunStats{});
 
   std::vector<std::pair<DpuKernel*, std::size_t>> order;
+  order.reserve(dpus_.size());
   for (std::size_t i = 0; i < dpus_.size(); ++i) {
     if (DpuKernel* kernel = kernel_for(i)) order.emplace_back(kernel, i);
   }
@@ -232,7 +188,7 @@ PimSystem::LaunchStats PimSystem::launch(
     std::uint64_t instructions = 0, dma_cycles = 0;
     for (std::size_t i = 0; i < out.dpu_stats.size(); ++i) {
       const DpuRunStats& st = out.dpu_stats[i];
-      if (st.cycles == 0 && st.phase_cycles.empty()) continue;
+      if (st.cycles == 0) continue;
       ++active;
       busy.observe(out.dpu_seconds[i]);
       instructions += st.instructions;

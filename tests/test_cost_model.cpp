@@ -37,9 +37,9 @@ TEST(MramDma, Fig7KneeShape) {
 TEST(MramDma, PerByteEfficiencyImprovesWithSize) {
   // Cost per byte must strictly decrease: the basis of the Fig 17 read-size
   // tuning (bigger reads amortize the setup cost).
-  const double per8 = DpuCostModel::mram_dma_cycles(8) / 8;
-  const double per64 = DpuCostModel::mram_dma_cycles(64) / 64;
-  const double per2048 = DpuCostModel::mram_dma_cycles(2048) / 2048;
+  const double per8 = DpuCostModel::mram_dma_cycles(8) / 8.0;
+  const double per64 = DpuCostModel::mram_dma_cycles(64) / 64.0;
+  const double per2048 = DpuCostModel::mram_dma_cycles(2048) / 2048.0;
   EXPECT_GT(per8, per64);
   EXPECT_GT(per64, per2048);
 }

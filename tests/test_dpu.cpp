@@ -51,20 +51,21 @@ TEST(Dpu, MramMarkRewind) {
 }
 
 // A trivial two-phase kernel: phase 0 copies MRAM->WRAM per tasklet, phase 1
-// charges fixed instructions.
+// charges fixed instructions. Each phase books into its own stage.
 class CopyKernel : public DpuKernel {
  public:
   explicit CopyKernel(std::size_t src_off) : src_off_(src_off) {}
-  unsigned n_phases() const override { return 2; }
-  void run_phase(unsigned phase, TaskletCtx& ctx) override {
-    if (phase == 0) {
+  void run(DpuRun& run) override {
+    for (unsigned t = 0; t < run.n_tasklets(); ++t) {
+      TaskletCtx ctx = run.tasklet(t);
       std::uint8_t buf[64];
       ctx.mram_read(src_off_ + ctx.id() * 64, buf, 64);
       sum_ += buf[0];
       ctx.instr(10);
-    } else {
-      ctx.instr(100);
     }
+    run.barrier(0);
+    for (unsigned t = 0; t < run.n_tasklets(); ++t) run.tasklet(t).instr(100);
+    run.barrier(1);
   }
   int sum_ = 0;
 
@@ -80,15 +81,52 @@ TEST(Dpu, RunAccountsPhasesAndBarriers) {
 
   CopyKernel k(off);
   const DpuRunStats stats = dpu.run(k, 4);
-  EXPECT_EQ(stats.phase_cycles.size(), 2u);
+  EXPECT_EQ(stats.stage_cycles[2], 0u);  // two phases, stages 0 and 1
   EXPECT_EQ(k.sum_, 4 * 7);
   EXPECT_EQ(stats.instructions, 4u * 10 + 4u * 100);
   EXPECT_GT(stats.dma_cycles, 0u);
   // Total includes both phases plus two barrier crossings.
   EXPECT_EQ(stats.cycles,
-            stats.phase_cycles[0] + stats.phase_cycles[1]);
-  EXPECT_GE(stats.phase_cycles[1], 100u * 4 + DpuCostModel::barrier_cycles());
+            stats.stage_cycles[0] + stats.stage_cycles[1]);
+  EXPECT_GE(stats.stage_cycles[1], 100u * 4 + DpuCostModel::barrier_cycles());
   EXPECT_EQ(dpu.busy_cycles(), stats.cycles);
+}
+
+// Phases booked into stages 0, 1, 0 and 2 sum into their buckets, each
+// phase costs DpuCostModel::phase_cycles of its work plus one barrier, and
+// an empty phase costs the barrier alone.
+TEST(Dpu, BarrierBooksEachPhaseIntoItsStage) {
+  class Staged : public DpuKernel {
+   public:
+    void run(DpuRun& run) override {
+      for (unsigned t = 0; t < run.n_tasklets(); ++t) {
+        run.tasklet(t).instr(100 * (t + 1));
+      }
+      run.barrier(0);
+      run.tasklet(1).dma(256);
+      run.barrier(1);
+      run.barrier(0);  // empty phase
+      run.tasklet(0).critical_instr(7);
+      run.barrier(2);
+    }
+  } k;
+  Dpu dpu;
+  const DpuRunStats stats = dpu.run(k, 3);
+
+  std::vector<TaskletWork> first(3), second(3), last(3);
+  for (unsigned t = 0; t < 3; ++t) first[t].instructions = 100 * (t + 1);
+  second[1].dma_cycles = DpuCostModel::mram_dma_cycles(256);
+  last[0].critical_instructions = 7;
+  const std::uint64_t barrier = DpuCostModel::barrier_cycles();
+  const std::uint64_t p0 = DpuCostModel::phase_cycles(first) + barrier;
+  const std::uint64_t p1 = DpuCostModel::phase_cycles(second) + barrier;
+  const std::uint64_t p3 = DpuCostModel::phase_cycles(last) + barrier;
+  EXPECT_EQ(stats.stage_cycles[0], p0 + barrier);
+  EXPECT_EQ(stats.stage_cycles[1], p1);
+  EXPECT_EQ(stats.stage_cycles[2], p3);
+  EXPECT_EQ(stats.cycles, p0 + p1 + barrier + p3);
+  EXPECT_EQ(stats.instructions, 600u + 7u);
+  EXPECT_EQ(stats.dma_cycles, DpuCostModel::mram_dma_cycles(256));
 }
 
 TEST(Dpu, TaskletCountClamped) {
@@ -110,9 +148,9 @@ TEST(TaskletCtx, LargeReadSplitsIntoLegalChunks) {
   class BigReader : public DpuKernel {
    public:
     explicit BigReader(std::size_t off, std::size_t n) : off_(off), buf_(n) {}
-    unsigned n_phases() const override { return 1; }
-    void run_phase(unsigned, TaskletCtx& ctx) override {
-      if (ctx.id() == 0) ctx.mram_read(off_, buf_.data(), buf_.size());
+    void run(DpuRun& run) override {
+      run.tasklet(0).mram_read(off_, buf_.data(), buf_.size());
+      run.barrier(0);
     }
     std::size_t off_;
     std::vector<std::uint8_t> buf_;
@@ -140,8 +178,10 @@ TEST(PimSystem, LaunchTakesMaxOverDpus) {
   class WorkKernel : public DpuKernel {
    public:
     explicit WorkKernel(std::uint64_t n) : n_(n) {}
-    unsigned n_phases() const override { return 1; }
-    void run_phase(unsigned, TaskletCtx& ctx) override { ctx.instr(n_); }
+    void run(DpuRun& run) override {
+      for (unsigned t = 0; t < run.n_tasklets(); ++t) run.tasklet(t).instr(n_);
+      run.barrier(0);
+    }
     std::uint64_t n_;
   };
   std::vector<std::unique_ptr<WorkKernel>> kernels;
@@ -161,8 +201,10 @@ TEST(PimSystem, NullKernelSkipsDpu) {
   PimSystem sys(3);
   class Noop : public DpuKernel {
    public:
-    unsigned n_phases() const override { return 1; }
-    void run_phase(unsigned, TaskletCtx& ctx) override { ctx.instr(5); }
+    void run(DpuRun& run) override {
+      for (unsigned t = 0; t < run.n_tasklets(); ++t) run.tasklet(t).instr(5);
+      run.barrier(0);
+    }
   } k;
   const auto stats = sys.launch(
       [&](std::size_t i) -> DpuKernel* { return i == 1 ? &k : nullptr; }, 4,
@@ -173,19 +215,25 @@ TEST(PimSystem, NullKernelSkipsDpu) {
 }
 
 // A kernel whose work depends on its DPU, phase and tasklet, with DMA
-// reads, so every LaunchStats field differs across DPUs.
+// reads, so every LaunchStats field differs across DPUs. Phase p books
+// into stage p.
 class ShapedKernel : public DpuKernel {
  public:
   ShapedKernel(std::uint64_t scale, std::size_t mram_off)
       : scale_(scale), off_(mram_off) {}
-  unsigned n_phases() const override { return 3; }
-  void run_phase(unsigned phase, TaskletCtx& ctx) override {
-    ctx.instr(scale_ * (phase + 1) + ctx.id() * 7);
-    if (phase == 1) {
-      std::uint8_t buf[64];
-      ctx.mram_read(off_, buf, 8 * (1 + scale_ % 8));
+  void run(DpuRun& run) override {
+    for (unsigned phase = 0; phase < 3; ++phase) {
+      for (unsigned t = 0; t < run.n_tasklets(); ++t) {
+        TaskletCtx ctx = run.tasklet(t);
+        ctx.instr(scale_ * (phase + 1) + ctx.id() * 7);
+        if (phase == 1) {
+          std::uint8_t buf[64];
+          ctx.mram_read(off_, buf, 8 * (1 + scale_ % 8));
+        }
+        if (phase == 2 && ctx.id() == 0) ctx.critical_instr(scale_ / 3);
+      }
+      run.barrier(phase);
     }
-    if (phase == 2 && ctx.id() == 0) ctx.critical_instr(scale_ / 3);
   }
 
  private:
@@ -202,7 +250,7 @@ void expect_same_launch(const PimSystem::LaunchStats& a,
   ASSERT_EQ(a.dpu_stats.size(), b.dpu_stats.size());
   for (std::size_t i = 0; i < a.dpu_stats.size(); ++i) {
     EXPECT_EQ(a.dpu_stats[i].cycles, b.dpu_stats[i].cycles) << "dpu " << i;
-    EXPECT_EQ(a.dpu_stats[i].phase_cycles, b.dpu_stats[i].phase_cycles)
+    EXPECT_EQ(a.dpu_stats[i].stage_cycles, b.dpu_stats[i].stage_cycles)
         << "dpu " << i;
     EXPECT_EQ(a.dpu_stats[i].instructions, b.dpu_stats[i].instructions)
         << "dpu " << i;
@@ -256,10 +304,14 @@ TEST(PimSystem, ThrowingKernelFailsLaunchAndNextLaunchWorks) {
   constexpr std::size_t kDpus = 9;
   class Throwing : public DpuKernel {
    public:
-    unsigned n_phases() const override { return 2; }
-    void run_phase(unsigned phase, TaskletCtx& ctx) override {
-      ctx.instr(10);
-      if (phase == 1 && ctx.id() == 2) throw std::runtime_error("dpu fault");
+    void run(DpuRun& run) override {
+      for (unsigned phase = 0; phase < 2; ++phase) {
+        for (unsigned t = 0; t < run.n_tasklets(); ++t) {
+          run.tasklet(t).instr(10);
+          if (phase == 1 && t == 2) throw std::runtime_error("dpu fault");
+        }
+        run.barrier(phase);
+      }
     }
   } bad;
   std::vector<std::unique_ptr<ShapedKernel>> good(kDpus);
