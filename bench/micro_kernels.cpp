@@ -115,8 +115,8 @@ void BM_NearestCentroid(benchmark::State& state) {
 }
 BENCHMARK(BM_NearestCentroid)
     ->ArgNames({"dim", "k", "level"})
-    ->ArgsProduct({{128}, {512}, {0, 1, 2, 3}})
-    ->ArgsProduct({{8}, {256}, {0, 1, 2, 3}});
+    ->ArgsProduct({{128}, {512}, {0, 1, 2}})
+    ->ArgsProduct({{8}, {256}, {0, 1, 2}});
 
 // The PQ-shape kernel the avx512 level runs instead: 16 points per call in
 // the point-lane layout (below that level, the per-point block kernel
@@ -144,7 +144,7 @@ void BM_NearestCentroidLanes(benchmark::State& state) {
 }
 BENCHMARK(BM_NearestCentroidLanes)
     ->ArgNames({"dim", "level"})
-    ->ArgsProduct({{8, 5}, {2, 3}});
+    ->ArgsProduct({{8, 5}, {1, 2}});
 
 // Serial batch encoding of 4096 SIFT-shape vectors (m 16, dsub 8), as
 // IvfIndex::build encodes residuals: per vector, compare with BM_PqEncode.
@@ -161,7 +161,7 @@ void BM_PqEncodeBatch(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 4096);
 }
-BENCHMARK(BM_PqEncodeBatch)->ArgName("level")->Arg(2)->Arg(3);
+BENCHMARK(BM_PqEncodeBatch)->ArgName("level")->Arg(1)->Arg(2);
 
 /// The training sets of the two k-means shapes of a batch_paper build: 40k
 /// sift-like points for the coarse quantizer (dim 128, k 512), and for PQ
@@ -449,7 +449,7 @@ void BM_AdcScanTokens(benchmark::State& state) {
 }
 BENCHMARK(BM_AdcScanTokens)
     ->ArgNames({"n", "level"})
-    ->ArgsProduct({{128, 1024, 8192}, {2, 3}});
+    ->ArgsProduct({{128, 1024, 8192}, {1, 2}});
 
 void BM_AdcScanRaw(benchmark::State& state) {
   run_kernel_scan(state, core::KernelMode::kNaiveRaw);
@@ -507,7 +507,7 @@ void BM_KernelLut(benchmark::State& state) {
   if (!pin.supported) return;
   run_kernel_scan(state, core::KernelMode::kDirectTokens);
 }
-BENCHMARK(BM_KernelLut)->ArgNames({"n", "level"})->ArgsProduct({{16}, {2, 3}});
+BENCHMARK(BM_KernelLut)->ArgNames({"n", "level"})->ArgsProduct({{16}, {1, 2}});
 
 // The S4 + S5 top-k pattern in isolation: fill per-tasklet buffers with
 // `per_tasklet` candidates each through push_each, as the kernel's S4 does,
@@ -555,7 +555,7 @@ void BM_HeapMergePruned(benchmark::State& state) {
 }
 BENCHMARK(BM_HeapMergePruned)
     ->ArgNames({"per_tasklet", "level"})
-    ->ArgsProduct({{18, 64}, {2, 3}});
+    ->ArgsProduct({{18, 64}, {1, 2}});
 
 void BM_MramLatencyModel(benchmark::State& state) {
   for (auto _ : state) {

@@ -9,8 +9,7 @@ namespace upanns::common {
 namespace {
 
 SimdLevel probe_cpu() {
-#if defined(__x86_64__) || defined(_M_X64)
-#if defined(__GNUC__) || defined(__clang__)
+#if defined(UPANNS_X86)
   if (__builtin_cpu_supports("avx512f") &&
       __builtin_cpu_supports("avx512bw") &&
       __builtin_cpu_supports("avx512vl") &&
@@ -19,10 +18,7 @@ SimdLevel probe_cpu() {
   }
   if (__builtin_cpu_supports("avx2")) return SimdLevel::kAvx2;
 #endif
-  return SimdLevel::kSse2;  // baseline for x86-64
-#else
   return SimdLevel::kScalar;
-#endif
 }
 
 SimdLevel clamp_supported(SimdLevel want, const char* origin) {
@@ -43,7 +39,7 @@ SimdLevel resolve_initial() {
     } else {
       std::fprintf(stderr,
                    "upanns: unknown UPANNS_SIMD value '%s' "
-                   "(expected scalar|sse2|avx2|avx512); using %s\n",
+                   "(expected scalar|avx2|avx512); using %s\n",
                    env, simd_level_name(level));
     }
   }
@@ -60,7 +56,6 @@ std::atomic<SimdLevel>& active_slot() {
 const char* simd_level_name(SimdLevel level) {
   switch (level) {
     case SimdLevel::kScalar: return "scalar";
-    case SimdLevel::kSse2: return "sse2";
     case SimdLevel::kAvx2: return "avx2";
     case SimdLevel::kAvx512: return "avx512";
   }
@@ -69,7 +64,6 @@ const char* simd_level_name(SimdLevel level) {
 
 bool parse_simd_level(std::string_view name, SimdLevel* out) {
   if (name == "scalar") { *out = SimdLevel::kScalar; return true; }
-  if (name == "sse2") { *out = SimdLevel::kSse2; return true; }
   if (name == "avx2") { *out = SimdLevel::kAvx2; return true; }
   if (name == "avx512") { *out = SimdLevel::kAvx512; return true; }
   return false;

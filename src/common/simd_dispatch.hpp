@@ -1,12 +1,13 @@
 // Runtime SIMD dispatch for the host-side kernels (k-means / PQ training,
 // the DPU kernel's LUT build and quantize, token and raw-code scans and
-// tasklet top-k). The binary is compiled without -march flags, so SSE2 is
-// the compile-time baseline (implied by x86-64) and wider variants are
-// emitted per function via __attribute__((target(...))) and selected once
-// at startup from cpuid. Levels are ordered: a kernel without a body of
+// tasklet top-k). The binary is compiled without -march flags: vector
+// bodies are emitted per function via __attribute__((target(...))) and one
+// is selected once at startup from cpuid. There are three levels, scalar,
+// avx2 and avx512; an x86-64 CPU without AVX2, and any other CPU, runs the
+// scalar reference bodies. Levels are ordered: a kernel without a body of
 // its own at a level runs its widest body below it, so the avx512 level
 // runs every AVX2 body (k-means, the raw-code scan) except where the DPU
-// kernel has a 16-lane one. The `UPANNS_SIMD=scalar|sse2|avx2|avx512`
+// kernel has a 16-lane one. The `UPANNS_SIMD=scalar|avx2|avx512`
 // environment variable (or set_simd_level, used by `upanns_cli --simd`)
 // overrides the probe for A/B testing; requests above what the CPU supports
 // clamp down with a warning. Every kernel keeps one IEEE operation order
@@ -15,6 +16,12 @@
 #pragma once
 
 #include <string_view>
+
+/// Defined on x86-64, the one architecture with vector bodies: every
+/// intrinsic, and the <immintrin.h> include, sits behind it.
+#if defined(__x86_64__) || defined(_M_X64)
+#define UPANNS_X86 1
+#endif
 
 /// Target attribute of the kAvx512 bodies: the four feature sets the
 /// probe requires. GCC 12's unmasked forms of several AVX-512 intrinsics
@@ -27,12 +34,11 @@ namespace upanns::common {
 
 enum class SimdLevel : int {
   kScalar = 0,
-  kSse2 = 1,
-  kAvx2 = 2,
-  kAvx512 = 3,  ///< AVX-512 F, BW, VL and DQ together
+  kAvx2 = 1,
+  kAvx512 = 2,  ///< AVX-512 F, BW, VL and DQ together
 };
 
-/// Lower-case name of a level ("scalar", "sse2", "avx2", "avx512").
+/// Lower-case name of a level ("scalar", "avx2", "avx512").
 const char* simd_level_name(SimdLevel level);
 
 /// Parse a level name (case-sensitive, lower-case). Returns false on

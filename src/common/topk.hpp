@@ -15,7 +15,7 @@
 
 #include "common/simd_dispatch.hpp"
 
-#if defined(__SSE2__)
+#if defined(UPANNS_X86)
 #include <immintrin.h>
 #endif
 
@@ -122,7 +122,7 @@ class TopK {
   /// across the inserts.
   template <typename Offer>
   std::size_t push_each(SimdLevel simd, std::size_t count, Offer offer) {
-#if defined(__SSE2__)
+#if defined(UPANNS_X86)
     if (simd >= SimdLevel::kAvx512 && !keys_.empty() &&
         keys_.size() <= kRegisterCapacity) {
       return keys_.size() > 8 ? push_each_avx512<true>(count, offer)
@@ -181,7 +181,7 @@ class TopK {
     return retained;
   }
 
-#if defined(__SSE2__)
+#if defined(UPANNS_X86)
   /// push_each() with slots 0-7 in `lo` and, when kWide (capacity above 8),
   /// slots 8-15 in `hi`; slots from size() up hold all-ones, as merge_in's
   /// +inf. Every candidate runs merge_in's pass over all lanes,

@@ -8,7 +8,7 @@
 #include "common/fastround.hpp"
 #include "common/simd_dispatch.hpp"
 
-#if defined(__SSE2__)
+#if defined(UPANNS_X86)
 #include <immintrin.h>
 #endif
 
@@ -16,7 +16,7 @@ namespace upanns::core {
 
 namespace {
 
-#if defined(__SSE2__)
+#if defined(UPANNS_X86)
 constexpr __mmask16 kAll16 = 0xFFFF;
 #endif
 
@@ -79,14 +79,13 @@ void QueryKernel::setup(pim::Dpu& dpu, unsigned n_tasklets) {
                           layout_.clusters[item.cluster_slot].n_combos);
   }
   if (mode_ == KernelMode::kCae && max_combos > 0) {
-    wram_combo_off = wram.alloc(max_combos * sizeof(std::uint32_t),
-                                "combo-partial-sums");
+    wram.alloc(max_combos * sizeof(std::uint32_t), "combo-partial-sums");
   }
-  wram_query_off = wram.alloc(layout_.dim * sizeof(float), "query-residual");
+  wram.alloc(layout_.dim * sizeof(float), "query-residual");
   // Float LUT region; the u16 LUT compacts into its first half in place.
-  wram_lut_off = wram.alloc(m * 256 * sizeof(float), "lut");
-  wram_codebook_mark = wram.mark();
-  wram_codebook_off = wram.alloc(m * 256 * layout_.dsub, "codebook");
+  wram.alloc(m * 256 * sizeof(float), "lut");
+  const std::size_t codebook_mark = wram.mark();
+  wram.alloc(m * 256 * layout_.dsub, "codebook");
 
   // Per-tasklet stream buffers must hold a full chunk (plus its ids) so
   // records never straddle buffers; verify the reuse region can host them.
@@ -99,11 +98,11 @@ void QueryKernel::setup(pim::Dpu& dpu, unsigned n_tasklets) {
   {
     // Probe: rewind to the codebook mark and check the distance-stage
     // working set fits, then restore the codebook allocation.
-    wram.rewind(wram_codebook_mark);
+    wram.rewind(codebook_mark);
     for (unsigned t = 0; t < n_tasklets; ++t) {
       wram.alloc(per_tasklet_buf_bytes_, "stream-buffer");
     }
-    wram.rewind(wram_codebook_mark);
+    wram.rewind(codebook_mark);
     wram.alloc(m * 256 * layout_.dsub, "codebook");
   }
 
@@ -190,11 +189,11 @@ namespace {
 // One 256-entry LUT row from a pre-scaled [d][c] codebook segment:
 // out[c] = sum over d ascending of (res[d] - pre[d][c])^2. Every variant
 // runs that exact IEEE sub/mul/add sequence per entry (no FMA contraction:
-// SSE2 and AVX2 have no fused ops, and the AVX-512 body is built with
-// contraction off), so rows are bit-identical across levels; the vector
-// ones keep four independent accumulators per 16/32/64 entries to hide the
-// add latency. Returns the row max, which is order-insensitive for the
-// non-NaN sums involved.
+// AVX2 has no fused ops, and the AVX-512 body is built with contraction
+// off), so rows are bit-identical across levels; the vector ones keep four
+// independent accumulators per 32/64 entries to hide the add latency.
+// Returns the row max, which is order-insensitive for the non-NaN sums
+// involved.
 float lut_row_scalar(const float* pre, const float* res, std::size_t dsub,
                      float* out) {
   float row_max = 0.f;
@@ -210,31 +209,7 @@ float lut_row_scalar(const float* pre, const float* res, std::size_t dsub,
   return row_max;
 }
 
-#if defined(__SSE2__)
-float lut_row_sse2(const float* pre, const float* res, std::size_t dsub,
-                   float* out) {
-  __m128 mx = _mm_setzero_ps();
-  for (std::size_t c = 0; c < 256; c += 16) {
-    __m128 acc[4] = {_mm_setzero_ps(), _mm_setzero_ps(), _mm_setzero_ps(),
-                     _mm_setzero_ps()};
-    for (std::size_t d = 0; d < dsub; ++d) {
-      const __m128 r = _mm_set1_ps(res[d]);
-      const float* p = pre + d * 256 + c;
-      for (std::size_t u = 0; u < 4; ++u) {
-        const __m128 diff = _mm_sub_ps(r, _mm_loadu_ps(p + 4 * u));
-        acc[u] = _mm_add_ps(acc[u], _mm_mul_ps(diff, diff));
-      }
-    }
-    for (std::size_t u = 0; u < 4; ++u) {
-      _mm_storeu_ps(out + c + 4 * u, acc[u]);
-      mx = _mm_max_ps(mx, acc[u]);
-    }
-  }
-  alignas(16) float lanes[4];
-  _mm_store_ps(lanes, mx);
-  return std::max(std::max(lanes[0], lanes[1]), std::max(lanes[2], lanes[3]));
-}
-
+#if defined(UPANNS_X86)
 __attribute__((target("avx2"))) float lut_row_avx2(const float* pre,
                                                    const float* res,
                                                    std::size_t dsub,
@@ -294,19 +269,16 @@ UPANNS_AVX512 float lut_row_avx512(const float* pre, const float* res,
   return row_max;
 }
 #pragma GCC pop_options
-#endif  // __SSE2__
+#endif  // UPANNS_X86
 
 float lut_row(common::SimdLevel simd, const float* pre, const float* res,
               std::size_t dsub, float* out) {
-#if defined(__SSE2__)
+#if defined(UPANNS_X86)
   if (simd >= common::SimdLevel::kAvx512) {
     return lut_row_avx512(pre, res, dsub, out);
   }
   if (simd >= common::SimdLevel::kAvx2) {
     return lut_row_avx2(pre, res, dsub, out);
-  }
-  if (simd >= common::SimdLevel::kSse2) {
-    return lut_row_sse2(pre, res, dsub, out);
   }
 #endif
   (void)simd;
@@ -380,11 +352,13 @@ void QueryKernel::lut_reduce(pim::DpuRun& run) {
 
 namespace {
 
-#if defined(__SSE2__)
-// The 8-lane S2 body: the SSE2 loop's lane ops at twice the width. minps's
-// NaN rule (return the second operand) and the ordered compare carry over
-// unchanged, so every entry rounds exactly as the scalar reference does.
-// Returns the first index it did not quantize.
+#if defined(UPANNS_X86)
+// The 8-lane S2 body: x = std::min(65535.f, lut * inv), then round_nonneg
+// lane-wise. vminps returns its second operand on NaN, exactly like
+// std::min(65535.f, x). Rounding truncates x + 0.5, then adds the compare
+// mask of float(t) - 0.5 > x, all ones (-1) where it holds, to step down by
+// one. Every entry rounds exactly as the scalar reference does. Returns the
+// first index it did not quantize.
 __attribute__((target("avx2"))) std::size_t quantize_lut_avx2(
     const float* lut, std::size_t n, float inv, std::uint32_t* out) {
   const __m256 inv_v = _mm256_set1_ps(inv);
@@ -424,36 +398,20 @@ UPANNS_AVX512 std::size_t quantize_lut_avx512(const float* lut, std::size_t n,
   }
   return i;
 }
-#endif  // __SSE2__
+#endif  // UPANNS_X86
 
 }  // namespace
 
 void quantize_lut(const float* lut, std::size_t n, float inv,
                   std::uint32_t* out) {
   std::size_t i = 0;
-#if defined(__SSE2__)
+#if defined(UPANNS_X86)
   const common::SimdLevel simd = common::simd_active_level();
   if (simd >= common::SimdLevel::kAvx512) {
     i = quantize_lut_avx512(lut, n, inv, out);
   }
   if (simd >= common::SimdLevel::kAvx2) {
     i += quantize_lut_avx2(lut + i, n - i, inv, out + i);
-  }
-  if (simd != common::SimdLevel::kScalar) {
-    // round_nonneg lane-wise: truncate x + 0.5, then step down by one where
-    // float(t) - 0.5 > x (the compare mask is all-ones, i.e. -1). minps
-    // returns its second operand on NaN, exactly like std::min(65535, x).
-    const __m128 inv_v = _mm_set1_ps(inv);
-    const __m128 cap = _mm_set1_ps(65535.f);
-    const __m128 half = _mm_set1_ps(0.5f);
-    for (; i + 4 <= n; i += 4) {
-      const __m128 x =
-          _mm_min_ps(_mm_mul_ps(_mm_loadu_ps(lut + i), inv_v), cap);
-      const __m128i t = _mm_cvttps_epi32(_mm_add_ps(x, half));
-      const __m128 over = _mm_cmpgt_ps(_mm_sub_ps(_mm_cvtepi32_ps(t), half), x);
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
-                       _mm_add_epi32(t, _mm_castps_si128(over)));
-    }
   }
 #endif
   for (; i < n; ++i) {
@@ -502,7 +460,7 @@ void QueryKernel::combo_sums(pim::DpuRun& run, const DpuClusterData& cl) {
 
 namespace {
 
-#if defined(__SSE2__)
+#if defined(UPANNS_X86)
 /// AVX2 raw-code scan: indices are pos*256 + code[pos] into the widened
 /// token table, whose first m*256 entries mirror the u16 LUT exactly. u32
 /// addition wraps mod 2^32 in any order, so the lane-parallel sum is
@@ -556,7 +514,7 @@ UPANNS_AVX512 void token_prefix_avx512(const std::uint32_t* table,
     run = _mm512_maskz_permutexvar_epi32(kAll16, lane15, v);
   }
 }
-#endif  // __SSE2__
+#endif  // UPANNS_X86
 
 }  // namespace
 
@@ -564,7 +522,7 @@ void token_prefix(common::SimdLevel simd, const std::uint32_t* table,
                   const std::uint16_t* tokens, std::size_t n,
                   std::uint32_t* prefix) {
   prefix[0] = 0;
-#if defined(__SSE2__)
+#if defined(UPANNS_X86)
   if (simd >= common::SimdLevel::kAvx512) {
     return token_prefix_avx512(table, tokens, n, prefix);
   }
@@ -695,7 +653,7 @@ void QueryKernel::distance(pim::TaskletCtx& ctx, const DpuClusterData& cl,
                                                     std::uint64_t& key) {
         const std::uint8_t* code = chunk_stream + r * m;
         std::uint32_t acc = 0;
-#if defined(__SSE2__)
+#if defined(UPANNS_X86)
         if (simd >= common::SimdLevel::kAvx2) {
           acc = raw_sum_avx2(token_table, code, m);
         } else

@@ -198,13 +198,7 @@ class QueryKernel final : public pim::DpuKernel {
   KernelMode mode_;
   bool prune_topk_;
 
-  // --- WRAM-resident state (offsets into the DPU's WRAM arena). The float
-  // and u16 LUTs share one region (quantization compacts in place).
-  std::size_t wram_lut_off = 0;
-  std::size_t wram_combo_off = 0;
-  std::size_t wram_query_off = 0;     ///< residual, float x dim
-  std::size_t wram_codebook_mark = 0; ///< rewind point for stage reuse
-  std::size_t wram_codebook_off = 0;
+  /// One tasklet's WRAM stream buffer, as setup() budgets it.
   std::size_t per_tasklet_buf_bytes_ = 0;
 
   // Functional state mirroring WRAM contents lives in the scratch arena.

@@ -64,10 +64,6 @@ struct UpAnnsOptions {
   /// streams raw u8 codes and pays address arithmetic.
   bool naive_raw_codes = false;
 
-  CaeOptions cae;
-  PlacementOptions placement;
-  std::uint64_t seed = 11;
-
   static UpAnnsOptions upanns() { return UpAnnsOptions{}; }
   static UpAnnsOptions pim_naive() {
     UpAnnsOptions o;

@@ -14,6 +14,22 @@
 
 namespace upanns::core {
 
+namespace {
+
+/// Seed of the PIM-naive random placement (Opt1 off).
+constexpr std::uint64_t kRandomPlacementSeed = 11;
+
+/// Opt1's placement (Algorithm 1), or PIM-naive's random one.
+Placement place(const ivf::IvfIndex& index, const ivf::ClusterStats& stats,
+                const UpAnnsOptions& options) {
+  const PlacementOptions popts{options.n_dpus};
+  return options.opt_placement
+             ? place_clusters(index, stats, popts)
+             : place_random(index, stats, popts, kRandomPlacementSeed);
+}
+
+}  // namespace
+
 UpAnnsEngine::UpAnnsEngine(ivf::IvfIndex& index, const ivf::ClusterStats& stats,
                            UpAnnsOptions options)
     : UpAnnsEngine(static_cast<const ivf::IvfIndex&>(index), stats,
@@ -28,7 +44,6 @@ UpAnnsEngine::UpAnnsEngine(const ivf::IvfIndex& index,
       options_(std::move(options)),
       pipeline_(std::make_unique<QueryPipeline>(*this)) {
   if (options_.n_dpus == 0) throw std::invalid_argument("n_dpus == 0");
-  options_.placement.n_dpus = options_.n_dpus;
 
   mode_ = options_.naive_raw_codes
               ? KernelMode::kNaiveRaw
@@ -67,10 +82,7 @@ UpAnnsEngine::UpAnnsEngine(const ivf::IvfIndex& index,
       0, index_.n_clusters(), [&](std::size_t c) { encode_cluster(c); }, 1);
 
   // --- Place and load.
-  placement_ = options_.opt_placement
-                   ? place_clusters(index_, stats, options_.placement)
-                   : place_random(index_, stats, options_.placement,
-                                  options_.seed);
+  placement_ = place(index_, stats, options_);
   set_placement_frequencies(stats.frequencies);
   load_dpus();
 }
@@ -116,10 +128,7 @@ UpAnnsEngine::PatchStats UpAnnsEngine::relocate(const ivf::ClusterStats& stats) 
       refresh_encoding(c);
     }
   }
-  placement_ = options_.opt_placement
-                   ? place_clusters(index_, stats, options_.placement)
-                   : place_random(index_, stats, options_.placement,
-                                  options_.seed);
+  placement_ = place(index_, stats, options_);
   set_placement_frequencies(stats.frequencies);
   const std::vector<std::size_t> dpu_bytes = load_dpus();
   pipeline_->reset_kernels();  // pooled kernels referenced the old layouts
@@ -138,7 +147,7 @@ void UpAnnsEngine::encode_cluster(std::size_t c) {
   const std::size_t m = index_.pq_m();
   switch (mode_) {
     case KernelMode::kCae:
-      encodings_[c] = cae_encode_cluster(list, m, options_.cae);
+      encodings_[c] = cae_encode_cluster(list, m, CaeOptions{});
       break;
     case KernelMode::kDirectTokens:
       encodings_[c] = direct_encode_cluster(list, m);

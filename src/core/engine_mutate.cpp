@@ -340,7 +340,7 @@ UpAnnsEngine::AdaptStats UpAnnsEngine::apply_copy_adjustments(
 
   const std::vector<CopyDelta> deltas =
       adjust_replicas(placement_, index_, adjustments, index_.list_sizes(),
-                      frequencies, options_.placement);
+                      frequencies, PlacementOptions{options_.n_dpus});
   if (deltas.empty()) return stats;
 
   // New replicas render from the shared encodings, so pending mutations for

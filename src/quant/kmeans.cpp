@@ -14,9 +14,8 @@
 #include "common/simd_dispatch.hpp"
 #include "common/thread_pool.hpp"
 
-#if defined(__x86_64__) || defined(_M_X64)
+#if defined(UPANNS_X86)
 #include <immintrin.h>
-#define UPANNS_X86 1
 #endif
 
 namespace upanns::quant {
@@ -24,7 +23,7 @@ namespace upanns::quant {
 namespace {
 
 /// The fixed combine tree shared by every kernel: chains are pairwise
-/// reduced in one order so scalar/SSE2/AVX2 stay bit-identical.
+/// reduced in one order so the scalar and vector bodies stay bit-identical.
 inline float combine8(const float* ch) {
   return ((ch[0] + ch[1]) + (ch[2] + ch[3])) +
          ((ch[4] + ch[5]) + (ch[6] + ch[7]));
@@ -70,28 +69,6 @@ float l2_sq_scalar(const float* a, const float* b, std::size_t dim) {
 
 #if defined(UPANNS_X86)
 
-float l2_sq_sse2(const float* a, const float* b, std::size_t dim) {
-  __m128 lo = _mm_setzero_ps();  // chains 0..3
-  __m128 hi = _mm_setzero_ps();  // chains 4..7
-  const std::size_t full = dim & ~std::size_t{7};
-  std::size_t i = 0;
-  for (; i < full; i += 8) {
-    const __m128 d0 = _mm_sub_ps(_mm_loadu_ps(a + i), _mm_loadu_ps(b + i));
-    const __m128 d1 =
-        _mm_sub_ps(_mm_loadu_ps(a + i + 4), _mm_loadu_ps(b + i + 4));
-    lo = _mm_add_ps(lo, _mm_mul_ps(d0, d0));
-    hi = _mm_add_ps(hi, _mm_mul_ps(d1, d1));
-  }
-  alignas(16) float ch[8];
-  _mm_store_ps(ch, lo);
-  _mm_store_ps(ch + 4, hi);
-  for (std::size_t j = 0; i < dim; ++i, ++j) {
-    const float d = a[i] - b[i];
-    ch[j] += d * d;
-  }
-  return combine8(ch);
-}
-
 __attribute__((target("avx2"))) float l2_sq_avx2(const float* a, const float* b,
                                                  std::size_t dim) {
   __m256 acc = _mm256_setzero_ps();
@@ -113,9 +90,6 @@ __attribute__((target("avx2"))) float l2_sq_avx2(const float* a, const float* b,
 
 #else  // !UPANNS_X86
 
-float l2_sq_sse2(const float* a, const float* b, std::size_t dim) {
-  return l2_sq_scalar(a, b, dim);
-}
 float l2_sq_avx2(const float* a, const float* b, std::size_t dim) {
   return l2_sq_scalar(a, b, dim);
 }
@@ -146,7 +120,6 @@ float l2_sq(const float* a, const float* b, std::size_t dim) {
   switch (common::simd_active_level()) {
     case common::SimdLevel::kAvx512:
     case common::SimdLevel::kAvx2: return detail::l2_sq_avx2(a, b, dim);
-    case common::SimdLevel::kSse2: return detail::l2_sq_sse2(a, b, dim);
     case common::SimdLevel::kScalar: break;
   }
   return detail::l2_sq_scalar(a, b, dim);
@@ -227,93 +200,6 @@ std::pair<std::uint32_t, float> nearest_t_scalar(const float* p,
 // so one compare mask selects both the distance and its index.
 constexpr std::size_t kMaxFusedK = std::size_t{1} << 24;
 
-inline __m128 step_sse2(__m128 acc, const float* p, const float* c) {
-  const __m128 x = _mm_sub_ps(_mm_set1_ps(*p), _mm_loadu_ps(c));
-  return _mm_add_ps(acc, _mm_mul_ps(x, x));
-}
-
-/// SSE2: four lanes of one block (`half` points at lane 0 or lane 4).
-inline __m128 half_block_sse2(const float* p, const float* half,
-                              std::size_t dim) {
-  __m128 a0 = _mm_setzero_ps(), a1 = a0, a2 = a0, a3 = a0, a4 = a0, a5 = a0,
-         a6 = a0, a7 = a0;
-  const std::size_t full = dim & ~std::size_t{7};
-  std::size_t d = 0;
-  for (; d < full; d += 8) {
-    const float* r = half + d * 8;
-    a0 = step_sse2(a0, p + d, r);
-    a1 = step_sse2(a1, p + d + 1, r + 8);
-    a2 = step_sse2(a2, p + d + 2, r + 16);
-    a3 = step_sse2(a3, p + d + 3, r + 24);
-    a4 = step_sse2(a4, p + d + 4, r + 32);
-    a5 = step_sse2(a5, p + d + 5, r + 40);
-    a6 = step_sse2(a6, p + d + 6, r + 48);
-    a7 = step_sse2(a7, p + d + 7, r + 56);
-  }
-  const float* r = half + d * 8;
-  switch (dim - d) {
-    case 7: a6 = step_sse2(a6, p + d + 6, r + 48); [[fallthrough]];
-    case 6: a5 = step_sse2(a5, p + d + 5, r + 40); [[fallthrough]];
-    case 5: a4 = step_sse2(a4, p + d + 4, r + 32); [[fallthrough]];
-    case 4: a3 = step_sse2(a3, p + d + 3, r + 24); [[fallthrough]];
-    case 3: a2 = step_sse2(a2, p + d + 2, r + 16); [[fallthrough]];
-    case 2: a1 = step_sse2(a1, p + d + 1, r + 8); [[fallthrough]];
-    case 1: a0 = step_sse2(a0, p + d, r); [[fallthrough]];
-    default: break;
-  }
-  return _mm_add_ps(_mm_add_ps(_mm_add_ps(a0, a1), _mm_add_ps(a2, a3)),
-                    _mm_add_ps(_mm_add_ps(a4, a5), _mm_add_ps(a6, a7)));
-}
-
-void dists_t_sse2(const float* p, const float* t, std::size_t k,
-                  std::size_t dim, float* out) {
-  alignas(16) float buf[4];
-  for (std::size_t c0 = 0; c0 < k; c0 += 4) {
-    const __m128 total = half_block_sse2(p, t + lane_offset(c0, dim), dim);
-    if (c0 + 4 <= k) {
-      _mm_storeu_ps(out + c0, total);
-    } else {
-      _mm_store_ps(buf, total);
-      for (std::size_t j = 0; c0 + j < k; ++j) out[c0 + j] = buf[j];
-    }
-  }
-}
-
-/// Lane-wise mask select without SSE4.1's blendv.
-inline __m128 select_sse2(__m128 mask, __m128 a, __m128 b) {
-  return _mm_or_ps(_mm_and_ps(mask, a), _mm_andnot_ps(mask, b));
-}
-
-/// Broadcast the minimum of four lanes.
-inline __m128 hmin_sse2(__m128 v) {
-  v = _mm_min_ps(v, _mm_shuffle_ps(v, v, _MM_SHUFFLE(1, 0, 3, 2)));
-  return _mm_min_ps(v, _mm_shuffle_ps(v, v, _MM_SHUFFLE(2, 3, 0, 1)));
-}
-
-/// Fused argmin: a running minimum per lane (padding lanes at +inf), then
-/// the lowest index among the lanes that hold the overall minimum.
-std::pair<std::uint32_t, float> nearest_t_sse2(const float* p, const float* t,
-                                               std::size_t k,
-                                               std::size_t dim) {
-  const __m128 inf = _mm_set1_ps(std::numeric_limits<float>::infinity());
-  const __m128 kv = _mm_set1_ps(static_cast<float>(k));
-  __m128 best_d = inf;
-  __m128 best_i = _mm_setzero_ps();
-  __m128 idx = _mm_setr_ps(0.f, 1.f, 2.f, 3.f);
-  for (std::size_t c0 = 0; c0 < k; c0 += 4) {
-    __m128 dv = half_block_sse2(p, t + lane_offset(c0, dim), dim);
-    if (c0 + 4 > k) dv = select_sse2(_mm_cmplt_ps(idx, kv), dv, inf);
-    const __m128 lt = _mm_cmplt_ps(dv, best_d);  // ordered: NaN never wins
-    best_d = _mm_min_ps(dv, best_d);
-    best_i = select_sse2(lt, idx, best_i);
-    idx = _mm_add_ps(idx, _mm_set1_ps(4.f));
-  }
-  const __m128 m = hmin_sse2(best_d);
-  const __m128 i =
-      hmin_sse2(select_sse2(_mm_cmpeq_ps(best_d, m), best_i, inf));
-  return {static_cast<std::uint32_t>(_mm_cvtss_f32(i)), _mm_cvtss_f32(m)};
-}
-
 __attribute__((target("avx2"))) inline __m256 step_avx2(__m256 acc,
                                                        const float* p,
                                                        const float* c) {
@@ -378,7 +264,10 @@ __attribute__((target("avx2"))) inline __m256 hmin_avx2(__m256 v) {
   return _mm256_min_ps(v, _mm256_shuffle_ps(v, v, _MM_SHUFFLE(2, 3, 0, 1)));
 }
 
-/// The fused argmin of nearest_t_sse2 over eight lanes.
+/// Fused argmin: a running minimum per lane (padding lanes at +inf), kept
+/// by an ordered strict compare, so a NaN never wins and a tie keeps the
+/// lane's lower index; then the lowest index among the lanes that hold the
+/// overall minimum.
 __attribute__((target("avx2"))) std::pair<std::uint32_t, float>
 nearest_t_avx2(const float* p, const float* t, std::size_t k,
                std::size_t dim) {
@@ -545,8 +434,6 @@ void squared_dists_t(const float* point, const float* tctr, std::size_t k,
     case common::SimdLevel::kAvx512:
     case common::SimdLevel::kAvx2:
       return dists_t_avx2(point, tctr, k, dim, out);
-    case common::SimdLevel::kSse2:
-      return dists_t_sse2(point, tctr, k, dim, out);
     case common::SimdLevel::kScalar: break;
   }
 #endif
@@ -562,7 +449,6 @@ std::pair<std::uint32_t, float> nearest_centroid_t(const float* point,
   switch (common::simd_active_level()) {
     case common::SimdLevel::kAvx512:
     case common::SimdLevel::kAvx2: return nearest_t_avx2(point, tctr, k, dim);
-    case common::SimdLevel::kSse2: return nearest_t_sse2(point, tctr, k, dim);
     case common::SimdLevel::kScalar: break;
   }
 #endif

@@ -8,11 +8,11 @@
 // tree ((c0+c1)+(c2+c3)) + ((c4+c5)+(c6+c7)). Every body performs that
 // exact IEEE op sequence — no FMA contraction — so results are bit-identical
 // across levels and layouts:
-//   - row-major points against row-major centroids (l2_sq): scalar, SSE2
-//     and AVX2 bodies;
+//   - row-major points against row-major centroids (l2_sq): scalar and
+//     AVX2 bodies;
 //   - a point against block-major centroids, 8 centroids to a block
-//     (transpose_centroids; nearest_centroid_t, squared_dists_t): scalar,
-//     SSE2 and AVX2 bodies;
+//     (transpose_centroids; nearest_centroid_t, squared_dists_t): scalar
+//     and AVX2 bodies;
 //   - 16 points in the point-lane layout against block-major centroids,
 //     for dim <= kMaxLaneDim (nearest_centroid_lanes; kmeans_train's
 //     seeding and Lloyd steps on PQ's sub-quantizers): an AVX-512 body, and
@@ -170,7 +170,6 @@ namespace detail {
 /// Per-level l2_sq implementations, exposed for the cross-level parity
 /// suite. Only call a variant the CPU supports (see simd_max_supported).
 float l2_sq_scalar(const float* a, const float* b, std::size_t dim);
-float l2_sq_sse2(const float* a, const float* b, std::size_t dim);
 float l2_sq_avx2(const float* a, const float* b, std::size_t dim);
 
 /// Run fn(i) for i in [0, count): on `pool`, each thread claiming one index

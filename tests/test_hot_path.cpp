@@ -13,13 +13,11 @@
 //    pass on top); pinned against a hand-built MRAM image.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <new>
 #include <vector>
 
+#include "alloc_count.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "core/dpu_kernel.hpp"
@@ -29,40 +27,6 @@
 #include "ivf/cluster_stats.hpp"
 #include "pim/cost_model.hpp"
 #include "pim/dpu.hpp"
-
-// This executable replaces global operator new/delete to count the blocks
-// allocated, on any thread, while g_counting is set. The nothrow form is
-// replaced too: std::stable_sort's buffer takes it and frees it with the
-// plain delete below.
-namespace {
-std::atomic<bool> g_counting{false};
-std::atomic<std::size_t> g_allocations{0};
-
-void* counted_malloc(std::size_t n) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-  }
-  return std::malloc(n == 0 ? 1 : n);
-}
-}  // namespace
-
-void* operator new(std::size_t n) {
-  if (void* p = counted_malloc(n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  return counted_malloc(n);
-}
-// Out of line: inlined at a delete, GCC 12's -Wmismatched-new-delete reads
-// the free() as mismatched with the operator new above.
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete(void* p,
-                                       const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace upanns::core {
 namespace {
@@ -102,16 +66,6 @@ struct Fixture {
 Fixture& fixture() {
   static Fixture f;
   return f;
-}
-
-/// Blocks allocated by global operator new while `fn` runs.
-template <typename Fn>
-std::size_t allocations(Fn&& fn) {
-  g_allocations.store(0);
-  g_counting.store(true);
-  fn();
-  g_counting.store(false);
-  return g_allocations.load();
 }
 
 void expect_same_report(const SearchReport& a, const SearchReport& b) {
@@ -169,8 +123,8 @@ TEST(HotPath, WarmIdenticalBatchesAllocateTheSameCount) {
   pipeline.run(f.wl.queries, nullptr);
 
   const auto batch = [&] { pipeline.run(f.wl.queries, nullptr); };
-  const std::size_t second = allocations(batch);
-  const std::size_t third = allocations(batch);
+  const std::size_t second = count_allocations(batch);
+  const std::size_t third = count_allocations(batch);
   EXPECT_EQ(second, third);
   EXPECT_GT(second, 0u);
   RecordProperty("allocations_per_batch", static_cast<int>(second));
@@ -227,7 +181,7 @@ TEST(HotPath, PatchThenServeCyclesAllocateTheSameCount) {
     }
     const auto ps = engine.patch_dpus();
     EXPECT_GT(ps.bytes_written, 0u);
-    return allocations([&] { pipeline.run(f.wl.queries, nullptr); });
+    return count_allocations([&] { pipeline.run(f.wl.queries, nullptr); });
   };
 
   cycle();
@@ -363,7 +317,7 @@ TEST(HotPath, WarmDpuRunAllocatesNothing) {
                      /*prune_topk=*/true);
   const pim::DpuRunStats cold = mini.dpu.run(kernel, 11);
   pim::DpuRunStats warm;
-  EXPECT_EQ(allocations([&] { warm = mini.dpu.run(kernel, 11); }), 0u);
+  EXPECT_EQ(count_allocations([&] { warm = mini.dpu.run(kernel, 11); }), 0u);
   EXPECT_EQ(warm.cycles, cold.cycles);
   EXPECT_EQ(warm.dma_cycles, cold.dma_cycles);
 }
@@ -389,7 +343,7 @@ TEST(HotPath, WarmLaunchAllocatesNothingPerActiveDpu) {
   std::vector<Work> kernels(kDpus);
   const std::vector<double> work(kDpus, 1.0);
   const auto launch = [&](std::size_t active) {
-    return allocations([&] {
+    return count_allocations([&] {
       sys.launch([&](std::size_t d) -> pim::DpuKernel* {
         return d < active ? &kernels[d] : nullptr;
       }, 11, work);

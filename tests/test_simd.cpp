@@ -1,4 +1,4 @@
-// Cross-path SIMD parity: every kernel with scalar / SSE2 / AVX2 variants
+// Cross-path SIMD parity: every kernel with scalar, AVX2 and AVX-512 variants
 // must return bit-identical results at every dispatch level (DESIGN.md §13
 // — each kernel fixes its accumulation order independently of vector
 // width, so width is unobservable). These tests pin that, plus the dispatch
@@ -36,11 +36,10 @@ bool supported(common::SimdLevel l) {
 }
 
 std::vector<common::SimdLevel> supported_levels() {
-  std::vector<common::SimdLevel> out{common::SimdLevel::kScalar};
-  if (supported(common::SimdLevel::kSse2)) out.push_back(common::SimdLevel::kSse2);
-  if (supported(common::SimdLevel::kAvx2)) out.push_back(common::SimdLevel::kAvx2);
-  if (supported(common::SimdLevel::kAvx512)) {
-    out.push_back(common::SimdLevel::kAvx512);
+  std::vector<common::SimdLevel> out;
+  for (const auto l : {common::SimdLevel::kScalar, common::SimdLevel::kAvx2,
+                       common::SimdLevel::kAvx512}) {
+    if (supported(l)) out.push_back(l);
   }
   return out;
 }
@@ -59,13 +58,14 @@ std::vector<float> random_vec(common::Rng& rng, std::size_t n,
 }
 
 TEST(SimdDispatch, ParseAndNameRoundTrip) {
-  for (const auto l : {common::SimdLevel::kScalar, common::SimdLevel::kSse2,
-                       common::SimdLevel::kAvx2, common::SimdLevel::kAvx512}) {
+  for (const auto l : {common::SimdLevel::kScalar, common::SimdLevel::kAvx2,
+                       common::SimdLevel::kAvx512}) {
     common::SimdLevel parsed;
     ASSERT_TRUE(common::parse_simd_level(common::simd_level_name(l), &parsed));
     EXPECT_EQ(parsed, l);
   }
   common::SimdLevel parsed;
+  EXPECT_FALSE(common::parse_simd_level("sse2", &parsed));
   EXPECT_FALSE(common::parse_simd_level("avx512f", &parsed));
   EXPECT_FALSE(common::parse_simd_level("", &parsed));
   EXPECT_FALSE(common::parse_simd_level("SSE2 ", &parsed));
@@ -94,9 +94,6 @@ TEST(SimdKernels, L2SqBitExactAcrossImplementations) {
       const auto a = random_vec(rng, dim);
       const auto b = random_vec(rng, dim);
       const float scalar = quant::detail::l2_sq_scalar(a.data(), b.data(), dim);
-      const float sse2 = quant::detail::l2_sq_sse2(a.data(), b.data(), dim);
-      EXPECT_EQ(std::memcmp(&scalar, &sse2, sizeof(float)), 0)
-          << "sse2 dim=" << dim;
       if (supported(common::SimdLevel::kAvx2)) {
         const float avx2 =
             quant::detail::l2_sq_avx2(a.data(), b.data(), dim);
@@ -340,8 +337,8 @@ TEST(SimdKernels, QuantizeLutMatchesScalarReferenceAtEveryLevel) {
   common::Rng rng(37);
   const std::vector<float> noise = random_vec(rng, 378, 0.f, 70000.f);
   row.insert(row.end(), noise.begin(), noise.end());
-  // The whole row leaves a tail after the 16- and 8-lane bodies that takes
-  // one step of the 4-lane loop and then the scalar loop.
+  // The whole row leaves a tail of 5 to 7 entries after the 16- and 8-lane
+  // bodies, which the scalar loop takes.
   ASSERT_GT(row.size() % 8, 4u);
   ASSERT_LT(row.size() % 16, 8u);
 
@@ -354,9 +351,9 @@ TEST(SimdKernels, QuantizeLutMatchesScalarReferenceAtEveryLevel) {
     common::set_simd_level(level);
     // inv = inf turns the zeros into NaN products, which clamp to 65535.
     for (const float inv : {1.f, 0.5f, 65000.f / 69999.f, INFINITY}) {
-      // Lengths 0..48 hit every tail of the 16-lane body and of the 8- and
-      // 4-lane loops after it, a 97-step sweep runs on to the whole row,
-      // and offset 1 makes the loads unaligned.
+      // Lengths 0..48 hit every tail of the 16-lane body and of the 8-lane
+      // body after it, a 97-step sweep runs on to the whole row, and offset
+      // 1 makes the loads unaligned.
       for (std::size_t off : {0u, 1u}) {
         std::vector<std::size_t> lengths;
         for (std::size_t n = 0; n <= 48; ++n) lengths.push_back(n);

@@ -14,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -22,11 +21,11 @@
 #include <fstream>
 #include <limits>
 #include <map>
-#include <new>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "alloc_count.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
 #include "core/engine.hpp"
@@ -42,38 +41,6 @@
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
 #include "obs/window.hpp"
-
-// This executable replaces global operator new/delete to count the blocks
-// allocated while g_counting is set, for
-// Spans.ExportAllocationsDoNotGrowWithTheForest.
-namespace {
-std::atomic<bool> g_counting{false};
-std::atomic<std::size_t> g_allocations{0};
-}  // namespace
-
-// All out of line: inlined, GCC 12's -Wmismatched-new-delete reads
-// the malloc() behind a new as mismatched with the delete that frees it.
-[[gnu::noinline]] void* operator new(std::size_t n) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
-// std::stable_sort's buffer comes from the nothrow form and goes back
-// through the plain delete above, so it must come from malloc too (the
-// sanitizers' own nothrow new would read the free() as a mismatch).
-[[gnu::noinline]] void* operator new(std::size_t n,
-                                     const std::nothrow_t&) noexcept {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-  }
-  return std::malloc(n == 0 ? 1 : n);
-}
 
 namespace upanns::obs {
 namespace {
@@ -1024,18 +991,11 @@ TEST(Spans, ExportAllocationsDoNotGrowWithTheForest) {
   const SpanLog large = fleet_forest(65);  // ~50.6k spans
   ASSERT_GT(large.size(), 9 * small.size());
   std::size_t bytes = 0;
-  const auto allocations = [&](const auto& fn) {
-    g_allocations.store(0);
-    g_counting.store(true);
-    bytes += fn().size();
-    g_counting.store(false);
-    return g_allocations.load();
-  };
   const auto spans_of = [&](const SpanLog& log) {
-    return allocations([&] { return span_log_json(log); });
+    return count_allocations([&] { bytes += span_log_json(log).size(); });
   };
   const auto trace_of = [&](const SpanLog& log) {
-    return allocations([&] { return trace_json(trace, &log); });
+    return count_allocations([&] { bytes += trace_json(trace, &log).size(); });
   };
   spans_of(small);  // warm-up: the provenance is rendered once
   EXPECT_EQ(spans_of(small), spans_of(large));

@@ -4,35 +4,14 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
 #include <functional>
-#include <new>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
-// This executable replaces global operator new/delete to count the blocks
-// allocated while g_counting is set (ThreadPool.NoAllocationPerChunk).
-namespace {
-std::atomic<bool> g_counting{false};
-std::atomic<std::size_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-// Out of line: inlined at a delete, GCC 12's -Wmismatched-new-delete reads
-// the free() as mismatched with the operator new above.
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
+#include "alloc_count.hpp"
 
 namespace upanns::common {
 namespace {
@@ -223,11 +202,7 @@ TEST(ThreadPool, NoAllocationPerChunk) {
     sum.fetch_add(i);
   };
   auto allocations = [&](std::size_t n) {
-    g_allocations.store(0);
-    g_counting.store(true);
-    pool.parallel_for(0, n, fn, 1);
-    g_counting.store(false);
-    return g_allocations.load();
+    return count_allocations([&] { pool.parallel_for(0, n, fn, 1); });
   };
   allocations(16);  // warm-up: the job queue's first growth
   const std::size_t two = allocations(2);

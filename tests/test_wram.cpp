@@ -72,13 +72,6 @@ TEST(Wram, ResetClears) {
   EXPECT_NO_THROW(w.alloc(96, "y"));
 }
 
-TEST(Wram, DataAccessWritable) {
-  WramAllocator w(64);
-  const auto off = w.alloc(8, "v");
-  *w.as<std::uint64_t>(off) = 0xDEADBEEFull;
-  EXPECT_EQ(*w.as<std::uint64_t>(off), 0xDEADBEEFull);
-}
-
 TEST(Wram, PaperBudgetSiftLayoutFits) {
   // The paper's SIFT working set: 32 KB codebook + 8 KB LUT + 8 KB partial
   // sums fits; adding 16 x 2 KB read buffers does NOT unless the codebook
